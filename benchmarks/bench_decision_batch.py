@@ -1,4 +1,4 @@
-"""Decision-path cost in isolation: scalar loop vs vectorized batch engine.
+"""Decision-path cost in isolation: scalar loop vs the vectorized kernel.
 
 The contended step loop's dominant cost is the per-probe Algorithm-3
 direction classification (``classify_directions`` via
@@ -8,8 +8,9 @@ information fully distributed, a population of in-flight probe headers is
 grown by stepping real probes to staggered depths (so the headers carry
 realistic stacks, used-direction sets and incoming directions), and then
 one *decision round* — every probe classifying its candidate directions
-once — is timed through the scalar reference loop and through the
-vectorized batch engine (``DecisionCache.batch_candidates``).
+once — is timed through the scalar reference loop (the parity oracle) and
+through :func:`~repro.core.decision.classify_rows`, the probe table's
+kernel, fed the same column inputs the table keeps per row.
 
 A parity gate asserts the two classifications are byte-identical (same
 classes, same directions, same order, same ``None`` rule-1 results) before
@@ -23,10 +24,16 @@ from functools import lru_cache
 import numpy as np
 from _common import print_table
 
-from repro.backend import SCALAR, VECTOR
 from repro.core.block_construction import build_blocks
+from repro.core.decision import VectorDecisionEngine, classify_rows
 from repro.core.distribution import distribute_information
-from repro.core.routing import DecisionCache, RoutingPolicy, RoutingProbe, decision_candidates
+from repro.core.routing import (
+    DecisionCache,
+    DirectionClass,
+    RoutingPolicy,
+    RoutingProbe,
+    decision_candidates,
+)
 from repro.faults.injection import uniform_random_faults
 from repro.mesh.topology import Mesh
 from repro.workloads.traffic import random_pairs
@@ -52,7 +59,7 @@ def _probe_population(shape, n_faults, n_probes, seed):
         min_distance=max(2, mesh.diameter // 2),
         exclude=list(labeling.block_nodes),
     )
-    cache = DecisionCache(info, policy, backend=SCALAR)
+    cache = DecisionCache(info, policy)
     headers = []
     for i, (src, dst) in enumerate(pairs):
         probe = RoutingProbe(mesh, src, dst, policy=policy)
@@ -65,70 +72,110 @@ def _probe_population(shape, n_faults, n_probes, seed):
     return info, policy, headers
 
 
+def _columns(mesh, headers):
+    """The headers as :func:`classify_rows` columns (the probe table's rows)."""
+    surface = {d: j for j, d in enumerate(mesh.directions)}
+    cur = np.array([mesh.index_of(h.current) for h in headers], dtype=np.int64)
+    dest = np.array([mesh.index_of(h.destination) for h in headers], dtype=np.int64)
+    rev = np.array(
+        [
+            -1 if h.incoming_direction is None
+            else surface[h.incoming_direction.reversed()]
+            for h in headers
+        ],
+        dtype=np.int64,
+    )
+    used = np.array(
+        [sum(1 << surface[d] for d in h.used_at(h.current)) for h in headers],
+        dtype=np.uint32,
+    )
+    at_source = np.array([h.current == h.source for h in headers], dtype=bool)
+    return cur, cur, dest, rev, used, at_source
+
+
 # Lazily built (and then shared) so --collect-only costs nothing.
 @lru_cache(maxsize=None)
 def _population(kind):
     if kind == "2d":
-        return _probe_population((16, 16), n_faults=10, n_probes=256, seed=11)
-    return _probe_population((10, 10, 10), n_faults=14, n_probes=256, seed=13)
+        info, policy, headers = _probe_population(
+            (16, 16), n_faults=10, n_probes=256, seed=11
+        )
+    else:
+        info, policy, headers = _probe_population(
+            (10, 10, 10), n_faults=14, n_probes=256, seed=13
+        )
+    return info, policy, headers, _columns(info.mesh, headers)
 
 
-def _decision_round(info, policy, headers, backend):
-    """Classify every header's candidates once through ``backend``."""
-    cache = DecisionCache(info, policy, backend=backend)
-    return cache.batch_candidates(headers)
+def _vector_round(engine, columns):
+    """One decision round through the kernel, as the probe table runs it."""
+    tables, _token = engine.tables()
+    return classify_rows(tables, *columns)
 
 
-def _scalar_reference(info, policy, headers):
-    """The per-header scalar loop the vector engine must match exactly."""
-    cache = DecisionCache(info, policy, backend=SCALAR)
+def _scalar_round(info, policy, headers, cache):
+    """The per-header scalar loop the kernel must match exactly."""
+    return [decision_candidates(info, h, policy=policy, cache=cache) for h in headers]
+
+
+def _decode(engine, result):
+    """A kernel round in ``decision_candidates``' form."""
+    backtrack, sorted_dirs, counts, keys = result
+    unit = engine.tables()[0].span + 1
+    dirs = engine.mesh.directions
     return [
-        decision_candidates(info, h, policy=policy, cache=cache) for h in headers
+        None if backtrack[g] else [
+            (DirectionClass(int(keys[g, j]) // unit), dirs[j])
+            for j in sorted_dirs[g, : counts[g]].tolist()
+        ]
+        for g in range(len(counts))
     ]
+
+
+def _parity(kind):
+    info, policy, headers, columns = _population(kind)
+    engine = VectorDecisionEngine(info, policy)
+    assert _decode(engine, _vector_round(engine, columns)) == _scalar_round(
+        info, policy, headers, DecisionCache(info, policy)
+    )
 
 
 def test_decision_parity_2d():
     """Parity gate for the timed 16x16 comparison below."""
-    info, policy, headers = _population("2d")
-    assert _decision_round(info, policy, headers, VECTOR) == _scalar_reference(
-        info, policy, headers
-    )
+    _parity("2d")
 
 
 def test_decision_parity_3d():
     """Parity gate for the timed 10^3 comparison below."""
-    info, policy, headers = _population("3d")
-    assert _decision_round(info, policy, headers, VECTOR) == _scalar_reference(
-        info, policy, headers
-    )
+    _parity("3d")
 
 
 def test_bench_decision_batch_16x16_vector(benchmark):
-    info, policy, headers = _population("2d")
-    cache = DecisionCache(info, policy, backend=VECTOR)
-    out = benchmark(lambda: cache.batch_candidates(headers))
-    print(f"\n16x16 vector batch: {len(out)} probes classified per round")
+    info, policy, headers, columns = _population("2d")
+    engine = VectorDecisionEngine(info, policy)
+    out = benchmark(lambda: _vector_round(engine, columns))
+    print(f"\n16x16 vector kernel: {len(out[2])} probes classified per round")
 
 
 def test_bench_decision_batch_16x16_scalar(benchmark):
-    info, policy, headers = _population("2d")
-    cache = DecisionCache(info, policy, backend=SCALAR)
-    out = benchmark(lambda: cache.batch_candidates(headers))
-    print(f"\n16x16 scalar loop:  {len(out)} probes classified per round")
+    info, policy, headers, _ = _population("2d")
+    cache = DecisionCache(info, policy)
+    out = benchmark(lambda: _scalar_round(info, policy, headers, cache))
+    print(f"\n16x16 scalar loop:   {len(out)} probes classified per round")
 
 
 def test_bench_decision_batch_10x10x10_vector(benchmark):
-    info, policy, headers = _population("3d")
-    cache = DecisionCache(info, policy, backend=VECTOR)
-    out = benchmark(lambda: cache.batch_candidates(headers))
-    print(f"\n10^3 vector batch: {len(out)} probes classified per round")
+    info, policy, headers, columns = _population("3d")
+    engine = VectorDecisionEngine(info, policy)
+    out = benchmark(lambda: _vector_round(engine, columns))
+    print(f"\n10^3 vector kernel: {len(out[2])} probes classified per round")
 
 
 def test_bench_decision_batch_10x10x10_scalar(benchmark):
-    info, policy, headers = _population("3d")
-    cache = DecisionCache(info, policy, backend=SCALAR)
-    out = benchmark(lambda: cache.batch_candidates(headers))
-    print(f"\n10^3 scalar loop:  {len(out)} probes classified per round")
+    info, policy, headers, _ = _population("3d")
+    cache = DecisionCache(info, policy)
+    out = benchmark(lambda: _scalar_round(info, policy, headers, cache))
+    print(f"\n10^3 scalar loop:   {len(out)} probes classified per round")
 
 
 def test_speedup_table():
@@ -136,29 +183,32 @@ def test_speedup_table():
     import time
 
     rows = []
-    for label, (info, policy, headers) in (
-        ("16x16", _population("2d")),
-        ("10x10x10", _population("3d")),
-    ):
+    for label, kind in (("16x16", "2d"), ("10x10x10", "3d")):
+        info, policy, headers, columns = _population(kind)
+        engine = VectorDecisionEngine(info, policy)
+        cache = DecisionCache(info, policy)
+        rounds = {
+            "scalar": lambda: _scalar_round(info, policy, headers, cache),
+            "vector": lambda: _vector_round(engine, columns),
+        }
         timings = {}
-        for backend in (SCALAR, VECTOR):
-            cache = DecisionCache(info, policy, backend=backend)
-            cache.batch_candidates(headers)  # warm tables
+        for name, run in rounds.items():
+            run()  # warm tables
             start = time.perf_counter()
             for _ in range(10):
-                cache.batch_candidates(headers)
-            timings[backend] = (time.perf_counter() - start) / 10
+                run()
+            timings[name] = (time.perf_counter() - start) / 10
         rows.append(
             (
                 label,
                 len(headers),
-                f"{timings[SCALAR] * 1e3:.2f}",
-                f"{timings[VECTOR] * 1e3:.2f}",
-                f"{timings[SCALAR] / timings[VECTOR]:.1f}x",
+                f"{timings['scalar'] * 1e3:.2f}",
+                f"{timings['vector'] * 1e3:.2f}",
+                f"{timings['scalar'] / timings['vector']:.1f}x",
             )
         )
     print_table(
-        "Decision round: scalar loop vs vectorized batch (warm, mean of 10)",
+        "Decision round: scalar loop vs vectorized kernel (warm, mean of 10)",
         ["mesh", "probes", "scalar ms", "vector ms", "speedup"],
         rows,
     )

@@ -2,13 +2,14 @@
 
 Two comparisons, both parity-gated before anything is timed:
 
-* **Probe table vs per-object probes** — the contended high-load workload of
+* **Probe table vs its oracle** — the contended high-load workload of
   ``bench_throughput_saturation`` (full transpose batch, static faults,
   circuit contention on a 12x12 mesh) run once with probes living as rows of
-  :class:`~repro.core.probe_table.ProbeTable` (the default when eligible)
-  and once with the table disabled, falling back to the scalar
-  :class:`~repro.core.routing.RoutingProbe` objects that remain the parity
-  oracle.
+  :class:`~repro.core.probe_table.ProbeTable` (the fast path) and once with
+  the table disabled, stepping the scalar
+  :class:`~repro.core.routing.RoutingProbe` loop that is its parity oracle.
+  Only the table is timed; the oracle runs in the parity gate and in the
+  informational ratio table.
 * **Stacked vs serial sweep** — one same-shape simulate grid (8x8 transpose,
   circuit contention, seeds as replicates) executed cell-by-cell by the
   serial :func:`~repro.experiments.run_batch` loop and in lockstep by
@@ -36,7 +37,7 @@ from repro.workloads.traffic import to_traffic, transpose_pairs
 
 def _contended_run(table: bool):
     """One contended steady-state run; ``table=False`` forces the scalar
-    per-object probe path (the oracle the probe table is held to)."""
+    probe loop (the oracle the probe table is held to)."""
     mesh = Mesh.cube(12, 2)
     rng = np.random.default_rng(7)
     faults = uniform_random_faults(mesh, 6, rng, margin=1)
@@ -91,7 +92,7 @@ def _sweep_spec(n_cells: int) -> ExperimentSpec:
 
 
 def test_probe_table_parity_contended():
-    """Parity gate: table rows and scalar probe objects are byte-identical."""
+    """Parity gate: table rows and the scalar probe loop are byte-identical."""
     assert _fingerprint(_contended_run(True)) == _fingerprint(_contended_run(False))
 
 
@@ -113,15 +114,6 @@ def test_bench_probe_table_step(benchmark):
     )
 
 
-def test_bench_probe_object_step(benchmark):
-    """Contended step loop, per-object RoutingProbe reference path."""
-    stats = benchmark(lambda: _contended_run(False))
-    print(
-        f"\nprobe objects:   {stats.steps} steps, "
-        f"{len(stats.messages)} messages, delivery {stats.delivery_rate:.2f}"
-    )
-
-
 def test_bench_sweep_stacked(benchmark):
     """12-cell same-shape sweep stepped in lockstep on one shared table."""
     spec = _sweep_spec(12)
@@ -139,7 +131,7 @@ def test_bench_sweep_serial(benchmark):
 def test_probe_speedup_table():
     """Print the headline probe-engine ratios (informational, one warm run)."""
     timings = {}
-    for name, run in (("objects", lambda: _contended_run(False)),
+    for name, run in (("oracle", lambda: _contended_run(False)),
                       ("table", lambda: _contended_run(True))):
         run()  # warm caches
         start = time.perf_counter()
@@ -154,15 +146,15 @@ def test_probe_speedup_table():
         run()
         sweeps[name] = time.perf_counter() - start
     print_table(
-        "Contended step loop: per-object probes vs probe table (one run, warm)",
-        ["steps", "messages", "objects ms", "table ms", "speedup"],
+        "Contended step loop: scalar probe loop vs probe table (one run, warm)",
+        ["steps", "messages", "oracle ms", "table ms", "speedup"],
         [
             (
                 stats.steps,
                 len(stats.messages),
-                f"{timings['objects'] * 1e3:.1f}",
+                f"{timings['oracle'] * 1e3:.1f}",
                 f"{timings['table'] * 1e3:.1f}",
-                f"{timings['objects'] / timings['table']:.1f}x",
+                f"{timings['oracle'] / timings['table']:.1f}x",
             )
         ],
     )

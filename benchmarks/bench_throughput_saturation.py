@@ -1,19 +1,16 @@
-"""Open-loop saturation curves + the contended step-loop speedups.
+"""Open-loop saturation curves + the contended step-loop speedup.
 
-Three things are measured here:
+Two things are measured here:
 
 * **Saturation curve** — the accepted-throughput / latency curve of the
   limited-global policy under open-loop transpose traffic on an 8x8 mesh
   (the headline table of the throughput subsystem);
-* **Batched stepping** — the simulator's per-node decision batching
-  (``SimulationConfig(batch_by_node=True)``, the default) against the
-  historic per-probe loop, on a high-load contended steady-state workload
-  where many probes are in flight at once;
-* **Vectorized decision engine** — the same contended workload with probe
-  decisions classified by the batched numpy engine
-  (``backend="vector"``, the default) against the scalar reference
-  classification (``backend="scalar"``, the parity oracle).  The
-  acceptance bar is vector >= 2x on this contended timed section.
+* **Vector vs scalar backend** — a high-load contended steady-state
+  workload, where many probes are in flight at once, run on the vector
+  backend (the probe table's fast path, the default) and on the scalar
+  backend (the reference labeling and the scalar probe loop, the parity
+  oracle).  The acceptance bar is vector >= 2x on this timed section.
+  ``test_bench_step_batched`` times the default configuration.
 
 Every timed comparison is parity-gated first: the compared paths are
 asserted to produce byte-identical statistics and per-message paths.
@@ -31,7 +28,7 @@ from repro.throughput import MeasurementWindows, run_throughput_point
 from repro.workloads.traffic import to_traffic, transpose_pairs
 
 
-def _high_load_run(batch_by_node: bool, backend=None):
+def _high_load_run(backend=None):
     """One contended steady-state run: full transpose batch, static faults."""
     mesh = Mesh.cube(12, 2)
     rng = np.random.default_rng(7)
@@ -51,7 +48,6 @@ def _high_load_run(batch_by_node: bool, backend=None):
         config=SimulationConfig(
             router="limited-global",
             contention=True,
-            batch_by_node=batch_by_node,
             backend=backend,
         ),
     )
@@ -71,37 +67,25 @@ def _fingerprint(stats):
     )
 
 
-def test_batched_matches_per_probe_loop():
-    """Parity gate for the batched-stepping comparison below."""
-    assert _fingerprint(_high_load_run(True)) == _fingerprint(_high_load_run(False))
-
-
 def test_decision_parity_vector_vs_scalar():
     """Parity gate for the decision-engine comparison below."""
-    assert _fingerprint(_high_load_run(True, VECTOR)) == _fingerprint(
-        _high_load_run(True, SCALAR)
+    assert _fingerprint(_high_load_run(VECTOR)) == _fingerprint(
+        _high_load_run(SCALAR)
     )
 
 
 def test_bench_step_batched(benchmark):
-    stats = benchmark(lambda: _high_load_run(True))
+    """Contended step loop in the default configuration."""
+    stats = benchmark(_high_load_run)
     print(
-        f"\nbatched stepping: {stats.steps} steps, "
-        f"{len(stats.messages)} messages, delivery {stats.delivery_rate:.2f}"
-    )
-
-
-def test_bench_step_per_probe(benchmark):
-    stats = benchmark(lambda: _high_load_run(False))
-    print(
-        f"\nper-probe loop:   {stats.steps} steps, "
+        f"\ndefault backend:  {stats.steps} steps, "
         f"{len(stats.messages)} messages, delivery {stats.delivery_rate:.2f}"
     )
 
 
 def test_bench_step_decision_vector(benchmark):
-    """Contended step loop, probe decisions batched through the numpy engine."""
-    stats = benchmark(lambda: _high_load_run(True, VECTOR))
+    """Contended step loop on the vector backend (the probe table)."""
+    stats = benchmark(lambda: _high_load_run(VECTOR))
     print(
         f"\nvector decisions: {stats.steps} steps, "
         f"{len(stats.messages)} messages, delivery {stats.delivery_rate:.2f}"
@@ -109,8 +93,8 @@ def test_bench_step_decision_vector(benchmark):
 
 
 def test_bench_step_decision_scalar(benchmark):
-    """Contended step loop, scalar reference classification per probe."""
-    stats = benchmark(lambda: _high_load_run(True, SCALAR))
+    """Contended step loop on the scalar backend (the scalar probe loop)."""
+    stats = benchmark(lambda: _high_load_run(SCALAR))
     print(
         f"\nscalar decisions: {stats.steps} steps, "
         f"{len(stats.messages)} messages, delivery {stats.delivery_rate:.2f}"
@@ -123,9 +107,9 @@ def test_decision_speedup_table():
 
     timings = {}
     for backend in (SCALAR, VECTOR):
-        _high_load_run(True, backend)  # warm caches
+        _high_load_run(backend)  # warm caches
         start = time.perf_counter()
-        stats = _high_load_run(True, backend)
+        stats = _high_load_run(backend)
         timings[backend] = time.perf_counter() - start
     print_table(
         "Contended step loop: scalar vs vectorized decision engine (one run, warm)",

@@ -12,8 +12,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import Mesh, build_blocks, route_offline
-from repro.baselines import route_no_information
+from repro import Mesh, RoutingPolicy, build_blocks, route_offline
 from repro.core.distribution import distribute_information_with_report
 from repro.core.state import InformationState
 
@@ -50,7 +49,9 @@ def main() -> None:
 
     # 5. The same routing without any fault information.
     bare = InformationState(mesh=mesh, labeling=result.state)
-    uninformed = route_no_information(bare, source, destination)
+    uninformed = route_offline(
+        bare, source, destination, policy=RoutingPolicy.no_information()
+    )
     print(
         f"  no information : {uninformed.outcome.value}, {uninformed.hops} hops, "
         f"{uninformed.detours} detours, {uninformed.backtrack_hops} backtracks"

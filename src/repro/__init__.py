@@ -16,7 +16,7 @@ The public API re-exports the pieces most users need:
   :class:`SimulationConfig`) implementing the paper's execution model;
 * the opt-in observability layer (:class:`StepRecorder`,
   :class:`PhaseProfiler`, :mod:`repro.obs`) — per-step time series, phase
-  timing and run telemetry, all zero-cost when not attached.
+  timing and run telemetry, all near-free when not attached.
 
 Quickstart::
 
@@ -74,7 +74,7 @@ from repro.routing import (
 )
 from repro.simulator import SimulationConfig, SimulationResult, Simulator
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "BlockConstructionResult",

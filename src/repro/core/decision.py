@@ -1,15 +1,12 @@
-"""Vectorized per-probe decision engine (batched Algorithm 3 classification).
+"""Vectorized Algorithm-3 direction classification (the probe table's kernel).
 
 The scalar decision path (:func:`repro.core.routing.classify_directions` /
 :func:`~repro.core.routing.decision_candidates`) classifies one probe's
 outgoing directions with Python loops over the node's neighbors, the known
-detour constraints and the known extent frames.  At high load the simulator
-steps dozens of probes per simulation step, and that per-probe loop is the
-dominant cost of the contended step loop.
+detour constraints and the known extent frames.  It is the parity oracle.
 
-:class:`VectorDecisionEngine` re-expresses the whole classification as
-batched numpy array operations over the flat representations the previous
-vectorization rounds produced:
+The fast path re-expresses the whole classification as numpy array
+operations over flat representations:
 
 * node statuses — :attr:`LabelingState.codes` (flat ``int8`` code array),
 * adjacency — :attr:`Mesh.neighbor_table` / :attr:`Mesh.neighbor_gather_table`
@@ -17,44 +14,36 @@ vectorization rounds produced:
 * routing geometry — the per-node detour constraints and extent frames,
   compiled once per information generation into flat constraint tables.
 
-One :meth:`batch_candidates` call classifies *every* pending probe's
-candidate directions in one pass: per-node masks (usable, disabled-neighbor,
-spare-along-block) are gathered by node index, the destination-dependent
-parts (preferred directions, detour demotion, remaining-offset ordering) are
-computed for the whole batch at once, and a single stable argsort recovers
-exactly the scalar priority order.  The output is **byte-identical** to
-running the scalar :func:`~repro.core.routing.decision_candidates` per
-header — the randomized parity suite holds the two to that.
+:class:`VectorDecisionEngine` compiles those per-node tables for one
+information view and policy; :func:`classify_rows` classifies every row of
+the struct-of-arrays :class:`~repro.core.probe_table.ProbeTable` in one
+pass: per-node masks (usable, disabled-neighbor, spare-along-block) are
+gathered by node index, the destination-dependent parts (preferred
+directions, detour demotion, remaining-offset ordering) are computed for the
+whole batch at once, and a single stable argsort recovers exactly the scalar
+priority order.  The output is **byte-identical** to the scalar
+:func:`~repro.core.routing.decision_candidates` per probe — the randomized
+parity suite holds the two to that.
 
-The engine is keyed on the same validity token as
-:class:`~repro.core.routing.DecisionCache` (labeling mutation counter +
-record mutation counter): the per-node tables are rebuilt only when the
-fault information actually changes, which at steady state means once for a
-whole run.
+The engine is keyed on the information's validity token (labeling mutation
+counter + record mutation counter): the per-node tables are rebuilt only
+when the fault information actually changes, which at steady state means
+once for a whole run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.routing import (
     DirectionClass,
     InformationProvider,
-    ProbeHeader,
     RoutingPolicy,
     _routing_geometry,
 )
 from repro.faults.status import NodeStatus
-from repro.mesh.directions import Direction
-
-Coord = Tuple[int, ...]
-
-#: A precomputed candidate: the outgoing direction, its next-hop node and
-#: the canonical link slot of the hop (:meth:`Mesh.link_index`), so the
-#: contended scan can probe the reservation ledger's holder column directly.
-CandidatePair = Tuple[Direction, Coord, int]
 
 _DISABLED = NodeStatus.DISABLED.code
 _FAULTY = NodeStatus.FAULTY.code
@@ -62,8 +51,6 @@ _FAULTY = NodeStatus.FAULTY.code
 #: Pseudo-class for directions excluded from the candidate list (off-mesh,
 #: faulty neighbor, or already used); sorts after every real class.
 _SKIP = len(DirectionClass)
-
-_CLASSES: Tuple[DirectionClass, ...] = tuple(DirectionClass)
 
 _PREFERRED = int(DirectionClass.PREFERRED)
 _SPARE_ALONG_BLOCK = int(DirectionClass.SPARE_ALONG_BLOCK)
@@ -134,8 +121,8 @@ class DecisionTables:
         span,
         n,
         two_n,
-        size=None,
-        coords=None,
+        size,
+        coords,
     ) -> None:
         self.node_codes = node_codes
         self.usable = usable
@@ -152,8 +139,8 @@ class DecisionTables:
         self.span = span
         self.n = n
         self.two_n = two_n
-        #: Destination-index domain and its coordinate rows — enable the
-        #: per-(node, destination) detour bit table when provided.
+        #: Destination-index domain and its coordinate rows (they key the
+        #: pre-signed coordinate and per-(node, destination) detour tables).
         self.size = size
         self.coords = coords
         # Lazily packed derivatives (built on first classify_rows call).
@@ -171,8 +158,8 @@ class DecisionTables:
 
         ``base_key[node, dir]`` is the composite sort key of the direction's
         class ignoring the per-row preferred/incoming/used overrides — the
-        scalar class precedence folded into one gatherable int.  With
-        ``size``/``coords`` present, the detour test (a per-destination prism
+        scalar class precedence folded into one gatherable int.  Within
+        :attr:`DETOUR_TABLE_CAP`, the detour test (a per-destination prism
         membership) is also precompiled into ``detour_bits[node, dest]``.
         """
         if self.base_key is not None:
@@ -191,12 +178,9 @@ class DecisionTables:
         self.usable_bits = (
             (self.usable.astype(np.uint32) << self.bit_range).sum(axis=1)
         ).astype(np.uint32)
-        if self.coords is not None:
-            # Per-node coordinates pre-permuted to surface order and
-            # pre-signed, so the preferred test is a single subtraction.
-            self.coords_s = self.coords[:, self.dims] * self.signs
-        else:
-            self.coords_s = None
+        # Per-node coordinates pre-permuted to surface order and pre-signed,
+        # so the preferred test is a single subtraction.
+        self.coords_s = self.coords[:, self.dims] * self.signs
         self.keys = (
             _DISABLED_NEIGHBOR * unit + span,  # DN_KEY
             _PREFERRED * unit + span,  # PREF_BASE (minus remaining-offset)
@@ -208,8 +192,6 @@ class DecisionTables:
         if (
             self.detour_bits is None  # may be pre-seeded by the engine
             and self.has_constraints
-            and self.size is not None
-            and self.coords is not None
             and self.node_codes.shape[0] * self.size <= self.DETOUR_TABLE_CAP
         ):
             self.detour_bits = self._build_detour_bits()
@@ -245,59 +227,40 @@ class DecisionTables:
 def classify_rows(
     tables: DecisionTables,
     node_idx: np.ndarray,
-    cur: np.ndarray,
-    prev: Optional[np.ndarray],
-    dest: np.ndarray,
-    used_mask: np.ndarray,
+    cur_idx: np.ndarray,
+    dest_idx: np.ndarray,
+    rev_col: np.ndarray,
+    used_bits: np.ndarray,
     at_source: np.ndarray,
-    *,
-    cur_idx: Optional[np.ndarray] = None,
-    dest_idx: Optional[np.ndarray] = None,
-    rev_col: Optional[np.ndarray] = None,
-    used_bits: Optional[np.ndarray] = None,
-    want_cls: bool = True,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Classify and order a batch of decision rows in one pass.
 
-    The array-native core shared by the header-based batch
-    (:meth:`VectorDecisionEngine._batch`) and the struct-of-arrays probe
-    table, so the two can never diverge.  ``node_idx`` indexes into
-    ``tables`` (already cell-offset for stacked runs); ``cur``/``prev``/
-    ``dest`` are ``(P, n)`` coordinate rows (``prev == cur`` for probes
-    holding no link); ``used_mask`` is the ``(P, 2n)`` already-used
-    direction mask and ``at_source`` the rule-1 source check (coordinate
-    equality, *not* stack depth).  Returns ``(backtrack, sorted_dirs,
-    counts, cls, order)``: rule-1 unconditional backtracks, direction
-    indices in priority order, how many are real candidates, and the raw
-    class/order arrays for callers that want the classes back.
+    Every input is a column the :class:`~repro.core.probe_table.ProbeTable`
+    keeps per probe.  ``node_idx`` indexes into ``tables`` (already
+    cell-offset for stacked runs); ``cur_idx``/``dest_idx`` are the
+    *cell-local* linear indices of the current node and the destination
+    (keying the pre-signed coordinate and detour bit tables); ``rev_col`` is
+    the reversed incoming direction (surface index, ``-1`` for probes
+    holding no link); ``used_bits`` the packed used-direction word at the
+    current node; ``at_source`` the rule-1 source check (position equality,
+    *not* stack depth).
 
-    Callers that track probe state in columns can skip per-row rework:
-    ``rev_col`` is the pre-reversed incoming direction (surface index,
-    ``-1`` for probes holding no link — ``prev`` is then ignored and may be
-    ``None``), ``cur_idx``/``dest_idx`` are the *cell-local* linear node
-    indices (keying the pre-signed coordinate and detour bit tables —
-    ``cur``/``dest`` coordinate rows are then ignored and may be ``None``),
-    ``used_bits`` the packed per-row used-direction word (``used_mask`` may
-    then be ``None``), and ``want_cls=False`` drops the class-code array
-    from the return.
+    Returns ``(backtrack, sorted_dirs, counts, keys)``: rule-1
+    unconditional backtracks, direction indices in priority order, how many
+    of them are real candidates, and each direction's composite sort key in
+    surface order — ``keys // (tables.span + 1)`` is its
+    :class:`~repro.core.routing.DirectionClass` value (``len(DirectionClass)``
+    for skipped directions).
     """
     pk = tables.packed()
-    P = node_idx.shape[0]
-    n = tables.n
-    two_n = tables.two_n
     dn_key, pref_base, pd_key, inc_key, skip_key, skip_base = pk.keys
 
     # Preferred directions and the remaining-offset ordering key.  The
     # composite sort key is class * (span+1) + within-class offset (the
     # offset is ``span - remaining`` for PREFERRED, ``span`` otherwise), so
     # a direction's key orders by class first, then farther-to-go first.
-    if cur_idx is not None and pk.coords_s is not None:
-        dd = pk.coords_s[dest_idx] - pk.coords_s[cur_idx]
-        pref = dd > 0
-    else:
-        delta = dest - cur
-        dd = delta[:, tables.dims] * tables.signs
-        pref = dd > 0
+    dd = pk.coords_s[dest_idx] - pk.coords_s[cur_idx]
+    pref = dd > 0
     remaining = np.abs(dd)
 
     comp = pk.base_key[node_idx]
@@ -309,12 +272,14 @@ def classify_rows(
     # while the destination lies in the opposite prism.  Only probes at
     # constraint-holding nodes contribute rows.
     if pk.has_constraints:
-        if pk.detour_bits is not None and dest_idx is not None:
+        if pk.detour_bits is not None:
             dt = pk.detour_bits[node_idx, dest_idx]
             detour = (dt[:, None] >> pk.bit_range) & np.uint32(1)
         else:
+            # Beyond the detour table cap: test the constraint rows of the
+            # probes' nodes directly (CSR segments, one reduceat).
             counts = tables.c_count[node_idx]
-            detour = np.zeros((P, two_n), dtype=bool)
+            detour = np.zeros((node_idx.shape[0], tables.two_n), dtype=bool)
             if counts.any():
                 sel = np.flatnonzero(counts)
                 cnts = counts[sel]
@@ -324,8 +289,7 @@ def classify_rows(
                 rows_c = np.repeat(tables.c_start[node_idx[sel]], cnts) + (
                     np.arange(total) - np.repeat(seg_starts, cnts)
                 )
-                d_all = dest if dest is not None else tables.coords[dest_idx]
-                d_sel = d_all[sel][reps]
+                d_sel = tables.coords[dest_idx[sel]][reps]
                 in_target = np.all(
                     d_sel >= tables.c_target_lo[rows_c], axis=1
                 ) & np.all(d_sel <= tables.c_target_hi[rows_c], axis=1)
@@ -336,27 +300,11 @@ def classify_rows(
 
     # Incoming direction, reversed: the link the probe arrived over.  It
     # outranks every class except the used/unusable skip applied last.
-    if rev_col is None:
-        diff = cur - prev
-        moved = diff != 0
-        has_in = moved.any(axis=1)
-        in_dim = moved.argmax(axis=1)
-        in_sign = diff[np.arange(P), in_dim]
-        # Reversed direction (dim, -sign): surface index dim when the
-        # reversed sign is negative (sign > 0), dim + n otherwise.
-        rev_col = np.where(in_sign > 0, in_dim, in_dim + n)
-        entered = np.flatnonzero(has_in)
-    else:
-        entered = np.flatnonzero(rev_col >= 0)
+    entered = np.flatnonzero(rev_col >= 0)
     comp[entered, rev_col[entered]] = inc_key
 
-    if used_bits is not None:
-        avail = ~used_bits & pk.usable_bits[node_idx]
-        comp = np.where(
-            (avail[:, None] >> pk.bit_range) & np.uint32(1), comp, skip_key
-        )
-    else:
-        comp = np.where(tables.usable[node_idx] & ~used_mask, comp, skip_key)
+    avail = ~used_bits & pk.usable_bits[node_idx]
+    comp = np.where((avail[:, None] >> pk.bit_range) & np.uint32(1), comp, skip_key)
 
     # Priority order: (class, -remaining within PREFERRED, dim, sign).
     # The (dim, sign) tie-break comes from pre-permuting the columns and
@@ -367,17 +315,17 @@ def classify_rows(
     valid = (comp < skip_base).sum(axis=1)
 
     backtrack = pk.disabled_flag[node_idx] & ~at_source
-    cls = comp // (tables.span + 1) if want_cls else None
-    return backtrack, sorted_dirs, valid, cls, order
+    return backtrack, sorted_dirs, valid, comp
 
 
 class VectorDecisionEngine:
-    """Batched, numpy-backed Algorithm-3 direction classification.
+    """Per-node classification tables of one information view and policy.
 
-    Built over one information provider and one policy, exactly like a
-    :class:`~repro.core.routing.DecisionCache` — and normally reached
-    *through* one (``DecisionCache.batch_candidates``), so callers never
-    choose an implementation by hand.  Requires the provider to expose a
+    Built over one information provider and one policy, exactly like the
+    scalar oracle's :class:`~repro.core.routing.DecisionCache`.  Each
+    :class:`~repro.core.probe_table.ProbeTable` cell owns one over the view
+    its router decides against and feeds :meth:`tables` to
+    :func:`classify_rows`.  Requires the provider to expose a
     code-array-backed ``labeling`` and ``nodes_holding_information()``
     (:class:`~repro.core.state.InformationState` does).
     """
@@ -404,11 +352,6 @@ class VectorDecisionEngine:
             dtype=np.int64,
         )
         self._span = max(mesh.shape)
-        #: Row-major strides, so ``coords @ strides`` is the linear index.
-        strides = [1] * n
-        for d in range(n - 2, -1, -1):
-            strides[d] = strides[d + 1] * mesh.shape[d + 1]
-        self._strides = np.array(strides, dtype=np.int64)
         #: Coordinate row per linear node index (feeds the detour bit table).
         self._coords = np.stack(
             np.unravel_index(np.arange(mesh.size, dtype=np.int64), mesh.shape),
@@ -421,13 +364,6 @@ class VectorDecisionEngine:
             self._dir_offsets[j, d.dim] = d.sign
         self._bit_range32 = np.arange(self._two_n, dtype=np.uint32)
 
-        #: Per node (linear index), per direction: the shared
-        #: ``(direction, neighbor, link slot)`` triple handed out in
-        #: candidate lists (``None`` off-mesh — never selected, the skip
-        #: mask covers it).  Built lazily: the struct-of-arrays probe table
-        #: consumes raw direction indices and never materializes these.
-        self._pairs_table: Optional[List[List[Optional[CandidatePair]]]] = None
-
         #: Per-node compiled geometry rows (along-block mask, prism rows,
         #: target bounds), keyed by linear node index and validated against
         #: the provider's identity-stable geometry tuples — a refresh only
@@ -435,23 +371,6 @@ class VectorDecisionEngine:
         self._geom_cache: Dict[int, Tuple] = {}
 
         self._token: Optional[Tuple[int, int]] = None
-
-    @property
-    def _pairs(self) -> List[List[Optional[CandidatePair]]]:
-        pairs = self._pairs_table
-        if pairs is None:
-            mesh = self.mesh
-            dirs = mesh.directions
-            pairs = self._pairs_table = [
-                [
-                    (d, nb, mesh.link_index(node, nb))
-                    if (nb := mesh.neighbor(node, d)) is not None
-                    else None
-                    for d in dirs
-                ]
-                for node in (mesh.coord_of(i) for i in range(mesh.size))
-            ]
-        return pairs
 
     # ------------------------------------------------------------------ #
     # per-information-generation tables
@@ -626,128 +545,13 @@ class VectorDecisionEngine:
     def tables(self) -> Tuple[DecisionTables, Tuple[int, int]]:
         """The (refreshed-on-demand) classification tables plus their token.
 
-        The struct-of-arrays probe table classifies against these directly
-        (via :func:`classify_rows`), and the stacked runner concatenates the
-        tables of several cells; the token is the same validity key the
-        header-based batch uses, so callers can cache derived state.
+        The struct-of-arrays probe table classifies against these (via
+        :func:`classify_rows`), concatenating the tables of its cells; the
+        token is the information's validity key, so callers can cache
+        derived state.
         """
         token = self._validity_token()
         if token != self._token:
             self._refresh()
             self._token = token
         return self._tables_obj, token
-
-    # ------------------------------------------------------------------ #
-    # the batched classification
-    # ------------------------------------------------------------------ #
-    def _batch(
-        self, headers: Sequence[ProbeHeader]
-    ) -> Tuple[List[int], List[bool], List[List[int]], List[int], np.ndarray]:
-        """Classify and order every header's directions in one pass.
-
-        Returns ``(node_idx, backtrack, sorted_dirs, counts, sorted_cls)``:
-        per header, its node's linear index, whether rule 1 forces an
-        unconditional backtrack (``decision_candidates`` → ``None``), the
-        direction indices in priority order, how many of them are real
-        candidates (the rest are skipped directions sorted to the back) and
-        the matching class codes.
-        """
-        tables, _token = self.tables()
-
-        n = self._n
-        two_n = self._two_n
-        # One row per probe: current node, previous stack node (= current
-        # when the probe holds no link yet) and destination, concatenated so
-        # a single array build covers all three.
-        rows = np.array(
-            [
-                h.stack[-1]
-                + (h.stack[-2] if len(h.stack) > 1 else h.stack[-1])
-                + h.destination
-                for h in headers
-            ],
-            dtype=np.int64,
-        )
-        cur = rows[:, :n]
-        prev = rows[:, n : 2 * n]
-        dest = rows[:, 2 * n :]
-        node_idx = cur @ self._strides
-
-        # Used directions and the rule-1 source check (cheap header reads).
-        used_mask = np.zeros((len(headers), two_n), dtype=bool)
-        at_source: List[bool] = []
-        for g, h in enumerate(headers):
-            stack = h.stack
-            at_source.append(stack[0] == stack[-1])
-            used = h.used.get(stack[-1])
-            if used:
-                for d in used:
-                    used_mask[g, d.dim + (n if d.sign > 0 else 0)] = True
-
-        backtrack, sorted_dirs, valid, cls, order = classify_rows(
-            tables,
-            node_idx,
-            cur,
-            prev,
-            dest,
-            used_mask,
-            np.array(at_source, dtype=bool),
-        )
-        return (
-            node_idx.tolist(),
-            backtrack.tolist(),
-            sorted_dirs.tolist(),
-            valid.tolist(),
-            (cls, order),
-        )
-
-    def batch_candidate_pairs(
-        self, headers: Sequence[ProbeHeader]
-    ) -> List[Optional[List[CandidatePair]]]:
-        """Per header: the ordered ``(direction, next hop, link slot)`` candidates.
-
-        ``None`` mirrors :func:`~repro.core.routing.decision_candidates`
-        returning ``None`` (rule 1: disabled node away from the source).
-        The triples are shared per-mesh tuples, so a batch allocates only
-        the per-header lists.  This is the form the simulator's batched
-        step loop consumes.
-        """
-        if not headers:
-            return []
-        node_idx, backtrack, sorted_dirs, counts, _ = self._batch(headers)
-        pairs = self._pairs
-        out: List[Optional[List[CandidatePair]]] = []
-        for g in range(len(headers)):
-            if backtrack[g]:
-                out.append(None)
-                continue
-            node_pairs = pairs[node_idx[g]]
-            row = sorted_dirs[g]
-            out.append([node_pairs[row[j]] for j in range(counts[g])])  # type: ignore[misc]
-        return out
-
-    def batch_candidates(
-        self, headers: Sequence[ProbeHeader]
-    ) -> List[Optional[List[Tuple[DirectionClass, Direction]]]]:
-        """Per header: the classified candidate list of one decision step.
-
-        Byte-identical to calling
-        :func:`~repro.core.routing.decision_candidates` per header against
-        the same information — the parity suite asserts exactly that.
-        """
-        if not headers:
-            return []
-        _, backtrack, sorted_dirs, counts, (cls, order) = self._batch(headers)
-        sorted_cls = np.take_along_axis(cls[:, self._perm], order, axis=1).tolist()
-        dirs = self.mesh.directions
-        out: List[Optional[List[Tuple[DirectionClass, Direction]]]] = []
-        for g in range(len(headers)):
-            if backtrack[g]:
-                out.append(None)
-                continue
-            row_d = sorted_dirs[g]
-            row_c = sorted_cls[g]
-            out.append(
-                [(_CLASSES[row_c[j]], dirs[row_d[j]]) for j in range(counts[g])]
-            )
-        return out

@@ -1,8 +1,10 @@
-"""Struct-of-arrays probe engine (flat Algorithm-3 path setup).
+"""Struct-of-arrays probe engine: the vectorized message phase.
 
-The scalar simulator keeps one :class:`~repro.core.routing.RoutingProbe`
-object per in-flight message and steps them in a Python loop.  This module
-keeps *all* in-flight probes' state as flat numpy columns instead:
+This is the simulator's one fast path for Algorithm-3 path setup.  Its
+parity oracle is the scalar loop (``Simulator._step_messages``), which
+keeps one :class:`~repro.core.routing.RoutingProbe` object per in-flight
+message and steps them one by one.  This module keeps *all* in-flight
+probes' state as flat numpy columns instead:
 
 * the PCS stack as a ``(probes, depth_cap)`` int32 node-index matrix with a
   per-probe depth pointer (plus a parallel matrix of the link slot entered
@@ -20,7 +22,13 @@ sequential scan against the :class:`~repro.pcs.circuit.ArrayCircuitLedger`
 holder column (sequential because a reservation taken by probe *i* must be
 visible to probe *i + 1* within the same step — exactly the scalar loop's
 semantics).  Decisions, per-message paths and statistics are byte-identical
-to the scalar engine; the parity suite holds the two to that.
+to the scalar oracle; the parity suite holds the two to that.
+
+:func:`table_eligible` says which simulators the table hosts: every policy
+whose probes classify per direction over one information view — the
+Algorithm-3 policies over the simulator's own information, ``static-block``
+over its adjacent-only view.  ``global-information`` (a BFS planner), the
+scalar backend and meshes above 16 dimensions step the scalar objects.
 
 The table is multi-cell: several simulators sharing one mesh shape can
 attach to one table (the stacked sweep runner does), each with its own
@@ -35,10 +43,13 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backend import VECTOR, resolve_backend
 from repro.core.decision import DecisionTables, VectorDecisionEngine, classify_rows
 from repro.core.routing import RouteOutcome, RouteResult
 from repro.mesh.topology import Mesh
+from repro.obs.profile import NULL_PROFILER
 from repro.pcs.circuit import Circuit
+from repro.routing import AlgorithmRouter, StaticBlockRouter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.simulator.engine import Simulator
@@ -58,23 +69,51 @@ _OUTCOMES = {
 }
 
 
-class _CellState:
-    """One attached simulator: its decision engine and ledger bindings."""
+def table_eligible(router: object, backend: Optional[str], n_dims: int) -> bool:
+    """Whether a :class:`ProbeTable` runs a simulator's message phase.
 
-    __slots__ = ("sim", "engine", "ledger", "lifetime", "carry_token")
+    The one gate :class:`~repro.simulator.engine.Simulator` and the shard
+    planner share.  It takes the vector backend (decision engine and array
+    ledger), a used-direction bitmask within 32 bits (at most 16
+    dimensions), and a router whose online probes are plain Algorithm-3
+    probes deciding against one information view (``online_view``).
+    """
+    return (
+        resolve_backend(backend) == VECTOR
+        and 2 * n_dims <= 32
+        and type(router) in (AlgorithmRouter, StaticBlockRouter)
+    )
+
+
+class _CellState:
+    """One attached simulator: its router's view, classifier and ledger."""
+
+    __slots__ = (
+        "sim", "router", "view", "classifier", "ledger", "lifetime", "carry_token"
+    )
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        # The simulator's own vector engine (shared with DecisionCache so
-        # its refreshed tables serve both entry points).
-        engine = sim._decision_cache._engine()
-        assert isinstance(engine, VectorDecisionEngine)
-        self.engine = engine
+        self.router = sim.router
+        self.view: Optional[object] = None
+        self.classifier: Optional[VectorDecisionEngine] = None
         self.ledger = sim.circuits
         self.lifetime = sim._probe_lifetime
         #: Information token of the last classification — WAIT carryover is
-        #: only valid while it is unchanged (the scalar carry's contract).
+        #: only valid while it is unchanged (a WAIT changes no probe state).
         self.carry_token: Optional[Tuple[int, int]] = None
+
+    def engine(self) -> VectorDecisionEngine:
+        """The classifier over the view this cell's router decides against.
+
+        Built once per view: once per run for the Algorithm-3 policies, once
+        per labeling change for static-block's adjacent-only view.
+        """
+        view = self.router.online_view(self.sim.info)
+        if view is not self.view:
+            self.view = view
+            self.classifier = VectorDecisionEngine(view, self.router.policy)
+        return self.classifier
 
 
 class ProbeTable:
@@ -183,57 +222,31 @@ class ProbeTable:
     # ------------------------------------------------------------------ #
     # the step
     # ------------------------------------------------------------------ #
-    def run_step(self, t: int, cells: Sequence[int], profiler=None) -> None:
+    def run_step(
+        self, t: int, cells: Sequence[int], profiler=NULL_PROFILER
+    ) -> None:
         """Execute the message phase of step ``t`` for the given cells.
 
-        Mirrors the scalar engine's phase 3 exactly: inject, release expired
+        Mirrors the scalar oracle's phase 3 exactly: inject, release expired
         holds, decide, advance/backtrack/wait, mirror reservations, finish,
-        record occupancy — in that per-cell order.  ``profiler`` (an optional
-        :class:`~repro.obs.profile.PhaseProfiler`) times the pipeline's
-        phases; the default ``None`` keeps the span-free path.
+        record occupancy — in that per-cell order.  ``profiler`` (a
+        :class:`~repro.obs.profile.PhaseProfiler`) times each phase as a
+        span; the default no-op profiler times nothing.
         """
-        if profiler is not None:
-            self._run_step_profiled(t, cells, profiler)
-            return
-        for c in cells:
-            self._inject(c, t)
-        for c in cells:
-            ledger = self._cells[c].ledger
-            if ledger is not None:
-                ledger.release_expired(t)
-        if len(self._cell):
-            self._classify()
-            self._ensure_capacity()
-            fin: List[int] = []
-            if self._any_free:
-                self._advance_free(fin, t)
-            if self._any_contended:
-                self._advance_contended(fin, t)
-            if fin:
-                keep = np.ones(self._cell.size, dtype=bool)
-                keep[fin] = False
-                self._compact(np.flatnonzero(keep))
-        for c in cells:
-            cs = self._cells[c]
-            if cs.ledger is not None:
-                cs.sim.stats.record_occupancy(cs.ledger.reserved_links)
-
-    def _run_step_profiled(self, t: int, cells: Sequence[int], prof) -> None:
-        """The same step pipeline with each phase timed as a span."""
-        with prof.span("source_poll"):
+        with profiler.span("source_poll"):
             for c in cells:
                 self._inject(c, t)
-        with prof.span("ledger_sweep"):
+        with profiler.span("ledger_sweep"):
             for c in cells:
                 ledger = self._cells[c].ledger
                 if ledger is not None:
                     ledger.release_expired(t)
         if len(self._cell):
-            with prof.span("decision_batch"):
+            with profiler.span("decision_batch"):
                 self._classify()
                 self._ensure_capacity()
-            fin: List[int] = []
-            with prof.span("probe_advance"):
+            with profiler.span("probe_advance"):
+                fin: List[int] = []
                 if self._any_free:
                     self._advance_free(fin, t)
                 if self._any_contended:
@@ -242,7 +255,7 @@ class ProbeTable:
                     keep = np.ones(self._cell.size, dtype=bool)
                     keep[fin] = False
                     self._compact(np.flatnonzero(keep))
-        with prof.span("occupancy"):
+        with profiler.span("occupancy"):
             for c in cells:
                 cs = self._cells[c]
                 if cs.ledger is not None:
@@ -334,12 +347,12 @@ class ProbeTable:
         composite keys and detour bits — are copied in.
         """
         if len(self._cells) == 1:
-            tables, token = self._cells[0].engine.tables()
+            tables, token = self._cells[0].engine().tables()
             return tables, [token]
         per: List[DecisionTables] = []
         tokens: List[Tuple[int, int]] = []
         for cs in self._cells:
-            tables, token = cs.engine.tables()
+            tables, token = cs.engine().tables()
             per.append(tables)
             tokens.append(token)
         old_tokens = self._concat_tokens
@@ -371,8 +384,9 @@ class ProbeTable:
             return concat, tokens
         # Full (re)build: first call, or the detour table exceeds its cap
         # (the CSR constraint arrays must then stay consistent because the
-        # legacy reduceat path reads them).  Each cell's ``c_start`` entries
-        # shift by the number of constraint rows of the cells before it.
+        # classifier's reduceat fallback reads them).  Each cell's
+        # ``c_start`` entries shift by the number of constraint rows of the
+        # cells before it.
         row_offset = 0
         c_start_parts = []
         for tables in per:
@@ -415,7 +429,8 @@ class ProbeTable:
         """One classification pass over every row needing a decision.
 
         Rows that WAITed last step reuse their stored candidates while the
-        cell's information token is unchanged — the scalar carry contract.
+        cell's information token is unchanged: a WAIT changes neither the
+        row nor the information, so its classification still holds.
         """
         tables, tokens = self._tables()
         for c, cs in enumerate(self._cells):
@@ -443,19 +458,8 @@ class ProbeTable:
             node_idx = cur + self._offsets[self._cell[sel]]
         else:
             node_idx = cur
-        backtrack, sorted_dirs, counts, _cls, _order = classify_rows(
-            tables,
-            node_idx,
-            None,
-            None,
-            None,
-            None,
-            at_source,
-            cur_idx=cur,
-            dest_idx=dest,
-            rev_col=rev,
-            used_bits=used_bits,
-            want_cls=False,
+        backtrack, sorted_dirs, counts, _keys = classify_rows(
+            tables, node_idx, cur, dest, rev, used_bits, at_source
         )
         cur_col = cur[:, None]
         self._cdirs[sel] = sorted_dirs
@@ -960,11 +964,11 @@ class ProbeTable:
     def teardown_node(self, cell: int, node: Coord, t: int) -> None:
         """Tear down ``cell``'s rows standing on or routed through ``node``.
 
-        The fault-event counterpart of the scalar engine's probe sweep
+        The fault-event counterpart of the scalar oracle's probe sweep
         (``Simulator._teardown_node``): rows whose stack crosses the failed
         node finish EXHAUSTED in insertion order, with the usual source
         feedback and ledger release through the normal finish path — so the
-        flat-column engine stays byte-identical to the per-object one.
+        flat-column engine stays byte-identical to the scalar loop.
         """
         rows = np.flatnonzero(self._cell == cell)
         if rows.size == 0:

@@ -48,7 +48,6 @@ from typing import (
     Tuple,
 )
 
-from repro.backend import VECTOR, resolve_backend
 from repro.core.state import (
     BlockRecord,
     BoundaryInfo,
@@ -228,15 +227,9 @@ WAIT = "wait"
 #: and retries, like a failed PCS setup being re-issued.
 RESTART = "restart"
 
-#: Sentinel for "no precomputed candidates supplied" — distinct from
-#: ``None``, which is a meaningful candidate value (rule 1: backtrack
-#: unconditionally).  The simulator's vectorized decision batch passes each
-#: probe's precomputed candidates through :meth:`RoutingProbe.step`.
-UNSET = object()
-
 
 # ---------------------------------------------------------------------- #
-# per-node decision context (batched stepping)
+# per-node decision context
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class NodeContext:
@@ -262,39 +255,27 @@ class NodeContext:
 class DecisionCache:
     """Per-node :class:`NodeContext` cache keyed on information mutations.
 
-    The simulator steps every in-flight probe once per simulation step; with
-    many probes in flight the per-node inputs of Algorithm 3 (neighbor
-    statuses, routing geometry) are recomputed over and over.  This cache
-    resolves them once per node and keeps them valid *across* steps until
-    the information actually mutates (a labeling status change or a
-    block/boundary record change), which at steady state means once per node
-    for the whole run.  Contexts replicate exactly what the uncached
-    classification reads, so cached and uncached decisions are identical.
-
-    The cache is also the entry point of the **vectorized decision engine**
-    (:class:`repro.core.decision.VectorDecisionEngine`): with the ``vector``
-    backend, :meth:`batch_candidates` / :meth:`batch_candidate_pairs`
-    classify a whole batch of probe headers in one numpy pass instead of a
-    per-probe Python loop.  The ``scalar`` backend keeps the reference loop
-    (the parity oracle); both produce byte-identical candidate orders.
+    The scalar :class:`RoutingProbe` loop — the parity oracle of the
+    vectorized :class:`~repro.core.probe_table.ProbeTable` fast path, and
+    the path of offline routing — steps every in-flight probe once per
+    simulation step; with many probes in flight the per-node inputs of
+    Algorithm 3 (neighbor statuses, routing geometry) are recomputed over
+    and over.  This cache resolves them once per node and keeps them valid
+    *across* steps until the information actually mutates (a labeling
+    status change or a block/boundary record change), which at steady state
+    means once per node for the whole run.  Contexts replicate exactly what
+    the uncached classification reads, so cached and uncached decisions are
+    identical.
     """
 
-    def __init__(
-        self,
-        info: InformationProvider,
-        policy: RoutingPolicy,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, info: InformationProvider, policy: RoutingPolicy) -> None:
         self.info = info
         self.policy = policy
-        #: Resolved batch-classification backend (``vector`` or ``scalar``).
-        self.backend = resolve_backend(backend)
         self._contexts: Dict[Coord, NodeContext] = {}
         self._token: Optional[Tuple[int, int]] = None
         # Attribute lookups hoisted out of the per-decision token check.
         self._labeling = getattr(info, "labeling", None)
         self._has_record_mutations = hasattr(info, "record_mutations")
-        self._vector_engine: Optional[object] = None
         #: Memo of preferred-direction sets keyed by (node, destination) —
         #: a pure function of the mesh, so never invalidated.
         self._preferred: Dict[Tuple[Coord, Coord], FrozenSet[Direction]] = {}
@@ -326,77 +307,6 @@ class DecisionCache:
             result = frozenset(self.info.mesh.preferred_directions(node, destination))
             self._preferred[key] = result
         return result
-
-    def _engine(self):
-        """The vectorized engine, or ``None`` when it cannot serve this info.
-
-        Vectorization needs the flat status-code array and a way to
-        enumerate record-holding nodes; any provider lacking either (only
-        custom test doubles in practice) falls back to the scalar loop.
-        """
-        if self.backend != VECTOR:
-            return None
-        engine = self._vector_engine
-        if engine is None:
-            if (
-                self._labeling is None
-                or not hasattr(self._labeling, "codes")
-                or not hasattr(self.info, "nodes_holding_information")
-            ):
-                return None
-            from repro.core.decision import VectorDecisionEngine
-
-            engine = self._vector_engine = VectorDecisionEngine(self.info, self.policy)
-        return engine
-
-    def batch_candidates(
-        self, headers: Sequence["ProbeHeader"]
-    ) -> List[Optional[List[Tuple["DirectionClass", Direction]]]]:
-        """One classified candidate list per header, in one pass.
-
-        Byte-identical to calling :func:`decision_candidates` per header;
-        the ``vector`` backend computes the whole batch with numpy array
-        operations, the ``scalar`` backend loops the reference path.
-        """
-        engine = self._engine()
-        if engine is not None:
-            return engine.batch_candidates(headers)
-        return [
-            decision_candidates(self.info, h, policy=self.policy, cache=self)
-            for h in headers
-        ]
-
-    def batch_candidate_pairs(
-        self, headers: Sequence["ProbeHeader"]
-    ) -> List[Optional[List[Tuple[Direction, Coord, int]]]]:
-        """Ordered ``(direction, next hop, link slot)`` candidates per header.
-
-        The compact form the simulator's batched step loop consumes: same
-        order as :meth:`batch_candidates`, with the priority class dropped
-        (no decision consumer reads it) and each candidate's next-hop node
-        and canonical link slot precomputed.
-        """
-        engine = self._engine()
-        if engine is not None:
-            return engine.batch_candidate_pairs(headers)
-        mesh = self.info.mesh
-        out: List[Optional[List[Tuple[Direction, Coord, int]]]] = []
-        for header in headers:
-            candidates = decision_candidates(
-                self.info, header, policy=self.policy, cache=self
-            )
-            if candidates is None:
-                out.append(None)
-            else:
-                node = header.current
-                out.append(
-                    [
-                        (d, nxt, mesh.link_index(node, nxt))
-                        for _, d in candidates
-                        for nxt in (d.apply(node),)
-                    ]
-                )
-        return out
 
     def _build(self, node: Coord) -> NodeContext:
         info = self.info
@@ -668,9 +578,7 @@ class RoutingProbe:
         self.blocked_hops = 0
         self.setup_retries = 0
         #: True iff the last step WAITed (fenced in at the source under
-        #: contention).  A wait leaves header and information untouched, so
-        #: the simulator may reuse the probe's precomputed candidates next
-        #: step instead of reclassifying.
+        #: contention); the step recorder counts such probes as parked.
         self.waited = False
         self.outcome: Optional[RouteOutcome] = None
         if self.source == self.destination:
@@ -707,7 +615,6 @@ class RoutingProbe:
         *,
         link_blocked: Optional[LinkBlocked] = None,
         decision_cache: Optional[DecisionCache] = None,
-        candidates: object = UNSET,
     ) -> Optional[RouteOutcome]:
         """Advance the probe by one step (one hop forward or one backtrack).
 
@@ -715,29 +622,20 @@ class RoutingProbe:
         currently reserved by another circuit are skipped for this step only
         (they are *not* recorded as used, so a link freed later may still be
         taken).  The contention-free path is untouched when it is ``None``.
-        ``decision_cache`` shares per-node decision inputs across probes
-        (the simulator's batched stepping) without changing any decision.
-        ``candidates`` supplies this step's ordered candidates precomputed
-        by the vectorized decision batch — ``None`` or a list of
-        ``(direction, next hop)`` pairs, exactly the candidate order the
-        probe would have computed itself — and skips the per-probe
-        classification entirely.
+        ``decision_cache`` shares per-node decision inputs across probes and
+        steps without changing any decision.
         """
         if self.done:
             return self.outcome
-        nxt: Optional[Coord] = None
-        if candidates is not UNSET:
-            decision, nxt = self._precomputed_decision(candidates, link_blocked)
-        elif link_blocked is None:
+        if link_blocked is None:
             decision = routing_decision(
                 info, self.header, policy=self.policy, cache=decision_cache
             )
         else:
             decision = self._contended_decision(info, link_blocked, decision_cache)
-        if decision == WAIT:
-            self.waited = True
+        self.waited = decision == WAIT
+        if self.waited:
             return None
-        self.waited = False
         if decision == RESTART:
             self.header.used.clear()
             self.setup_retries += 1
@@ -752,62 +650,13 @@ class RoutingProbe:
         assert isinstance(decision, Direction)
         node = self.header.current
         self.header.record_use(node, decision)
-        if nxt is None:
-            nxt = self.mesh.neighbor(node, decision)
-            assert nxt is not None
+        nxt = self.mesh.neighbor(node, decision)
+        assert nxt is not None
         self.header.push(nxt)
         self.forward_hops += 1
         if nxt == self.destination:
             self.outcome = RouteOutcome.DELIVERED
         return self.outcome
-
-    def _precomputed_decision(
-        self, candidates: object, link_blocked: Optional[LinkBlocked]
-    ) -> Tuple[Direction | str, Optional[Coord]]:
-        """Resolve one decision from batch-precomputed candidate pairs.
-
-        Mirrors :func:`routing_decision` (contention-free) and
-        :meth:`_contended_decision` (reserved links skipped and counted),
-        with the classification already done: ``candidates`` is ``None``
-        (rule 1: unconditional backtrack) or an ordered list of
-        ``(direction, next hop, link slot)`` triples.  Returns the decision
-        plus the chosen next hop, so the forward move needs no neighbor
-        lookup; the contended scan probes the reservation ledger by link
-        slot when the predicate supports it (the array-backed ledger does).
-        """
-        if not candidates:
-            if (
-                candidates is not None  # None = disabled node, must retreat
-                and link_blocked is not None
-                and self.header.at_source
-                and (self.blocked_hops or self.setup_retries)
-            ):
-                return RESTART, None
-            return BACKTRACK, None
-        assert isinstance(candidates, list)
-        if link_blocked is None:
-            direction, nxt, _slot = candidates[0]
-            return direction, nxt
-        blocked = 0
-        slot_blocked = getattr(link_blocked, "slot_blocked", None)
-        if slot_blocked is not None:
-            for direction, nxt, slot in candidates:
-                if slot_blocked(slot):
-                    blocked += 1
-                    continue
-                self.blocked_hops += blocked
-                return direction, nxt
-        else:
-            node = self.header.current
-            for direction, nxt, _slot in candidates:
-                if link_blocked(node, nxt):
-                    blocked += 1
-                    continue
-                self.blocked_hops += blocked
-                return direction, nxt
-        self.blocked_hops += blocked
-        self.setup_retries += 1
-        return (WAIT if self.header.at_source else BACKTRACK), None
 
     def _contended_decision(
         self,

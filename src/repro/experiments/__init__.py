@@ -30,13 +30,10 @@ The ``repro-mesh sweep`` CLI subcommand, the HTTP service
 
 **Stable public surface.** ``__all__`` below *is* the supported API of
 this package: specs are built with keyword arguments or parsed from the
-versioned ``repro.spec/v1`` payload via :meth:`ExperimentSpec.from_dict`,
-batches run through :func:`run_batch` (keyword options only), and results
-export as the ``repro.result/v1`` payload via
-:meth:`BatchResult.to_dict`/``to_json``.  Historic call forms — positional
-``ExperimentSpec(...)`` arguments, positional ``run_batch`` options,
-schema-less spec payloads and ``run_batch_stacked`` — keep working for one
-release with a :class:`DeprecationWarning`.
+versioned ``repro.spec/v1`` payload via :meth:`ExperimentSpec.from_dict`
+(which rejects a payload without its ``schema`` tag), batches run through
+:func:`run_batch` (keyword options only), and results export as the
+``repro.result/v1`` payload via :meth:`BatchResult.to_dict`/``to_json``.
 """
 
 from repro.experiments.cache import CacheStats, ResultCache, cell_fingerprint

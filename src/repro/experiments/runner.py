@@ -37,7 +37,6 @@ from __future__ import annotations
 import atexit
 import os
 import signal
-import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from math import ceil
@@ -541,14 +540,9 @@ def _run_serial_engine(
     )
 
 
-#: Historic meaning of extra positional ``run_batch`` arguments, for the
-#: deprecation shim below.
-_RUN_BATCH_LEGACY_POSITIONALS = ("workers", "engine")
-
-
 def run_batch(
     spec: Union[ExperimentSpec, dict],
-    *legacy: object,
+    *,
     workers: int = 1,
     engine: str = "auto",
     cache: Optional[ResultCache] = None,
@@ -560,8 +554,7 @@ def run_batch(
     ``spec`` is an :class:`ExperimentSpec` or a ``repro.spec/v1`` payload
     dict (parsed through :meth:`ExperimentSpec.from_dict` — the same
     contract the CLI and the HTTP service speak).  Everything after it is
-    keyword-only; the old positional ``(workers, engine)`` form still
-    works for one release with a :class:`DeprecationWarning`.
+    keyword-only.
 
     ``engine`` selects the execution strategy (see module docstring):
     ``"auto"`` shards stacked groups and serial chunks across ``workers``
@@ -596,21 +589,6 @@ def run_batch(
     to that rule is :class:`BatchCancelled`, the sanctioned cooperative
     abort, which propagates at the cell boundary that raised it.
     """
-    if legacy:
-        warnings.warn(
-            "positional run_batch arguments beyond the spec are deprecated: "
-            "pass workers=/engine= as keywords",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if len(legacy) > len(_RUN_BATCH_LEGACY_POSITIONALS):
-            raise TypeError(
-                f"run_batch takes at most {1 + len(_RUN_BATCH_LEGACY_POSITIONALS)} "
-                "positional arguments"
-            )
-        positional = dict(zip(_RUN_BATCH_LEGACY_POSITIONALS, legacy))
-        workers = positional.get("workers", workers)  # type: ignore[assignment]
-        engine = positional.get("engine", engine)  # type: ignore[assignment]
     if isinstance(spec, dict):
         spec = ExperimentSpec.from_dict(spec)
     if engine not in ENGINES:

@@ -9,18 +9,21 @@ planner here makes them compose.  It partitions a grid's cells by
 
 * **stacked shards** — probe-table-eligible simulate cells of one shape,
   run as one lockstep group on a shared
-  :class:`~repro.core.probe_table.ProbeTable`.  A large group is *split*
+  :class:`~repro.core.probe_table.ProbeTable` (the message phase's fast
+  path).  A large group is *split*
   into up to ``workers`` sub-shards so a contended 96-cell same-shape
   sweep saturates the whole pool; stacking is a pure per-row
   amortization, so membership never changes any cell's result.
-* **serial shards** — everything else (offline/throughput cells,
-  ineligible policies, scalar backend), chunked with an explicit chunk
-  size so per-cell dispatch overhead is amortized and tiny specs don't
-  fan out one pickle per cell.
+* **serial shards** — everything else (offline/throughput cells, the
+  global-information policy, scalar backend), chunked with an explicit
+  chunk size so per-cell dispatch overhead is amortized and tiny specs
+  don't fan out one pickle per cell.  Their simulate cells step the scalar
+  probe loop, the table's parity oracle.
 
-Eligibility here is a *prediction* used only for grouping: the stacked
-executor re-checks per simulator (``sim._table is None``) and falls back
-cell by cell, so a mismatch costs locality, never correctness.
+Eligibility here is the simulator's own gate
+(:func:`~repro.core.probe_table.table_eligible`) applied to a cell before
+any simulator exists; the stacked executor still checks each simulator
+(``sim._table is None``) and falls back cell by cell.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.backend import VECTOR, resolve_backend
+from repro.core.probe_table import table_eligible
 from repro.experiments.spec import ExperimentCell
-from repro.routing import AlgorithmRouter, resolve_router
+from repro.routing import resolve_router
 
 #: One (grid index, cell) work item.
 IndexedCell = Tuple[int, ExperimentCell]
@@ -64,20 +67,14 @@ class Shard:
 
 
 def probe_table_eligible(cell: ExperimentCell, *, backend: Optional[str] = None) -> bool:
-    """Predict whether ``cell``'s simulator will engage the probe table.
+    """Whether ``cell``'s simulator will run its messages on the probe table.
 
-    Mirrors the gate in :class:`~repro.simulator.engine.Simulator`: a
-    simulate-mode cell, an Algorithm-3 router (the registry's
-    ``AlgorithmRouter`` policies), the vector backend (decision engine +
-    array ledger), and a direction bitmask that fits 32 bits.
+    A simulate-mode cell that passes the simulator's own gate,
+    :func:`~repro.core.probe_table.table_eligible`.
     """
-    if cell.mode != "simulate":
-        return False
-    if resolve_backend(backend) != VECTOR:
-        return False
-    if 2 * len(cell.shape) > 32:
-        return False
-    return type(resolve_router(cell.policy)) is AlgorithmRouter
+    return cell.mode == "simulate" and table_eligible(
+        resolve_router(cell.policy), backend, len(cell.shape)
+    )
 
 
 def _split(items: Sequence[IndexedCell], n_shards: int) -> List[Tuple[IndexedCell, ...]]:

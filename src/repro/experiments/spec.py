@@ -25,8 +25,7 @@ came in through.
 from __future__ import annotations
 
 import hashlib
-import warnings
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, List, Tuple, Union
 
@@ -289,9 +288,9 @@ _FIELD_PARSERS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
-    """A declarative grid of experiments.
+    """A declarative grid of experiments, built from keyword arguments.
 
     Every axis is a tuple; :meth:`cells` expands the cartesian product in a
     fixed order (shape, scenario, faults, interval, λ, messages, flits,
@@ -499,8 +498,7 @@ class ExperimentSpec:
         service body and round-trips of :meth:`to_dict` all come through
         here, so every door validates identically.  Unknown keys, wrong
         types and out-of-range values are rejected with errors naming the
-        offending field; a payload without a ``schema`` tag is accepted
-        with a :class:`DeprecationWarning` for one release.
+        offending field, and so is a payload without its ``schema`` tag.
         """
         if not isinstance(data, dict):
             raise ValueError(
@@ -509,13 +507,11 @@ class ExperimentSpec:
         payload = dict(data)
         schema = payload.pop("schema", None)
         if schema is None:
-            warnings.warn(
-                "spec payloads without a 'schema' field are deprecated; "
-                f"declare 'schema': {SPEC_SCHEMA!r}",
-                DeprecationWarning,
-                stacklevel=2,
+            raise ValueError(
+                "spec payload is missing its 'schema' field; "
+                f"declare 'schema': {SPEC_SCHEMA!r}"
             )
-        elif schema != SPEC_SCHEMA:
+        if schema != SPEC_SCHEMA:
             raise ValueError(
                 f"unsupported spec schema {schema!r} "
                 f"(this build speaks {SPEC_SCHEMA!r})"
@@ -563,36 +559,3 @@ class ExperimentSpec:
             "repair_after": self.repair_after,
             "cell_count": self.cell_count,
         }
-
-
-# ---------------------------------------------------------------------- #
-# deprecation shim: positional construction
-# ---------------------------------------------------------------------- #
-# The stable constructor surface is keyword arguments (or from_dict); the
-# historic positional form keeps working for one release with a warning.
-_SPEC_FIELD_ORDER = tuple(f.name for f in dataclass_fields(ExperimentSpec))
-_SPEC_DATACLASS_INIT = ExperimentSpec.__init__
-
-
-def _spec_init_shim(self, *args, **kwargs) -> None:
-    if args:
-        warnings.warn(
-            "positional ExperimentSpec(...) arguments are deprecated and "
-            "will become keyword-only: pass keywords or parse a payload "
-            "with ExperimentSpec.from_dict",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if len(args) > len(_SPEC_FIELD_ORDER):
-            raise TypeError(
-                f"ExperimentSpec takes at most {len(_SPEC_FIELD_ORDER)} arguments"
-            )
-        for name, value in zip(_SPEC_FIELD_ORDER, args):
-            if name in kwargs:
-                raise TypeError(f"ExperimentSpec got multiple values for {name!r}")
-            kwargs[name] = value
-    _SPEC_DATACLASS_INIT(self, **kwargs)
-
-
-_spec_init_shim.__wrapped__ = _SPEC_DATACLASS_INIT
-ExperimentSpec.__init__ = _spec_init_shim  # type: ignore[method-assign]

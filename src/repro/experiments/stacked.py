@@ -16,14 +16,15 @@ per-row function, so stacking changes *where* rows are classified, never
 what any cell observes.  That independence is also why the sharded
 executor (:mod:`repro.experiments.shard`) may split one shape group into
 several sub-groups across worker processes: group membership is invisible
-to every member.  Cells the probe table cannot host (scalar backend,
-non-Algorithm routers, throughput/offline modes) fall back to the serial
-path, cell by cell.
+to every member.  The table is the message phase's fast path and hosts
+every Algorithm-3 and static-block cell.  The simulate cells it cannot
+host (scalar backend, the global-information router) step the scalar probe
+loop, the table's parity oracle, and throughput/offline cells run as in
+the serial runner — cell by cell.
 
-:func:`run_cells_stacked` is the composable unit — it runs any indexed
-subset of a grid's cells and is what a sharded pool worker executes;
-:func:`run_batch_stacked` wraps it over a whole spec (the historic
-``engine="stacked"`` single-process entry point).
+:func:`run_cells_stacked` is the composable unit: it runs any indexed
+subset of a grid's cells, in-process for ``run_batch(engine="stacked")``
+and in a sharded pool worker alike.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.probe_table import ProbeTable
-from repro.experiments.results import BatchResult, CellResult
-from repro.experiments.spec import ExperimentCell, ExperimentSpec
+from repro.experiments.results import CellResult
+from repro.experiments.spec import ExperimentCell
 
 if False:  # pragma: no cover - import cycle guard for annotations
     from repro.simulator.engine import Simulator
@@ -131,35 +132,3 @@ def run_cells_stacked(
         _run_group(table, members, land)
 
     return out
-
-
-def run_batch_stacked(
-    spec: ExperimentSpec,
-    *,
-    on_cell_done: Optional[Callable[[CellResult], None]] = None,
-) -> BatchResult:
-    """Run ``spec`` with same-shape simulate cells stacked on shared tables.
-
-    .. deprecated::
-        The historic engine-specific entry point, superseded by
-        ``run_batch(spec, engine="stacked")`` — which adds worker fan-out,
-        caching and telemetry on the same lockstep execution.  Kept
-        working for one release.
-    """
-    import warnings
-
-    warnings.warn(
-        'run_batch_stacked is deprecated: use run_batch(spec, engine="stacked")',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    cells = spec.cells()
-    results: List[Optional[CellResult]] = [None] * len(cells)
-
-    def land(index: int, result: CellResult) -> None:
-        results[index] = result
-        if on_cell_done is not None:
-            on_cell_done(result)
-
-    run_cells_stacked(list(enumerate(cells)), on_result=land)
-    return BatchResult(spec=spec, results=tuple(results))  # type: ignore[arg-type]

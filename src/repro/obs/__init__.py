@@ -1,7 +1,7 @@
 """Runtime observability: metrics, per-step recording, profiling, telemetry.
 
 The simulator and the experiment runner are instrumented with four
-opt-in, zero-cost-when-off layers:
+opt-in layers that cost next to nothing when off:
 
 * :mod:`repro.obs.registry` — a small metrics registry (counters, gauges,
   histograms) any layer can write into and a report can snapshot;
@@ -17,10 +17,12 @@ opt-in, zero-cost-when-off layers:
   run telemetry (per-shard wall time, worker utilization, cache hit
   rates) attached to :class:`~repro.experiments.results.BatchResult`.
 
-Everything here is **off by default**: a simulator without a recorder or
-profiler attached runs the exact pre-observability hot path (the perf CI
-gate holds it to that), and telemetry never enters the canonical sweep
-JSON — the byte-identical determinism contract is unchanged.
+Everything here is **off by default**: a simulator without a recorder
+pays one ``is not None`` check per step, one without a profiler times its
+phases with the shared no-op :data:`~repro.obs.profile.NULL_PROFILER`
+(a few hundred nanoseconds per phase), and telemetry never enters the
+canonical sweep JSON — the byte-identical determinism contract is
+unchanged.
 """
 
 from repro.obs.profile import PhaseProfiler

@@ -14,9 +14,10 @@ phases report as a tree::
         probe_advance             0.200s   16.2%  x480
         ledger_sweep              0.030s    2.4%  x500
 
-The profiler is pure opt-in: the engine consults it through a single
-``is not None`` check per step and runs the span-free code path when no
-profiler is attached, so profiling-off costs nothing.
+The profiler is opt-in.  A run without one times its spans with
+:data:`NULL_PROFILER`, whose spans do nothing, so the step pipeline has one
+code path either way; a detached span costs one method call and an empty
+``with`` block (a few hundred nanoseconds, well under 1% of a step).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, List, Tuple
 
-__all__ = ["PhaseProfiler"]
+__all__ = ["NULL_PROFILER", "PhaseProfiler"]
 
 #: One span-path's aggregate: (total seconds, entry count).
 _Totals = Dict[Tuple[str, ...], List[float]]
@@ -56,6 +57,35 @@ class _Span:
         else:
             entry[0] += elapsed
             entry[1] += 1
+
+
+class _NullSpan:
+    """A detached span: entering and leaving it does nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class _NullProfiler:
+    """The profiler of a run nobody profiles: every span is one shared no-op."""
+
+    __slots__ = ()
+
+    def span(self, name: str) -> _NullSpan:
+        """The shared no-op span (``name`` is ignored)."""
+        return _NULL_SPAN
+
+
+#: The detached profiler every step pipeline uses when none is attached.
+NULL_PROFILER = _NullProfiler()
 
 
 class PhaseProfiler:

@@ -113,8 +113,8 @@ class StepRecorder:
         self._seen_messages = len(messages)
 
         # In-flight counter sums, from the probe table's flat columns when
-        # the struct-of-arrays engine is active, else the (opt-in, oracle)
-        # per-object path.
+        # the struct-of-arrays engine is active, else from the probe objects
+        # of the scalar loop (its oracle).
         table = sim._table
         if table is not None:
             if len(table._cells) == 1:
@@ -131,7 +131,7 @@ class StepRecorder:
         else:
             in_flight = len(sim._probes)
             blk = rty = waiting = 0
-            for _message, probe, _holder, _blocked, _cacheable in sim._probes:
+            for _message, probe, _holder, _blocked in sim._probes:
                 blk += getattr(probe, "blocked_hops", 0)
                 rty += getattr(probe, "setup_retries", 0)
                 waiting += bool(getattr(probe, "waited", False))

@@ -8,7 +8,7 @@ concerns the path-setup phase only — that is Algorithm 3, implemented in
 bookkeeping, which lives here:
 
 * :mod:`repro.pcs.circuit` — circuit reservations derived from a finished
-  probe, link-occupancy accounting and release;
+  probe, and the simulator's live link-reservation ledgers;
 * :mod:`repro.pcs.transfer` — the (trivially pipelined) data-phase model
   used to convert a path length into an end-to-end message latency.
 """
@@ -17,7 +17,6 @@ from repro.pcs.circuit import (
     ArrayCircuitLedger,
     Circuit,
     CircuitLedger,
-    CircuitTable,
     LiveCircuitLedger,
     ReservationError,
     make_live_ledger,
@@ -28,7 +27,6 @@ __all__ = [
     "ArrayCircuitLedger",
     "Circuit",
     "CircuitLedger",
-    "CircuitTable",
     "LiveCircuitLedger",
     "ReservationError",
     "TransferModel",

@@ -3,12 +3,13 @@
 After a routing probe reaches its destination, the nodes on its final stack
 hold a reserved circuit from source to destination.  :class:`Circuit`
 captures that path (with backtracked prefixes already released, exactly as
-PCS releases links when a probe retreats), :class:`CircuitTable` tracks
-link occupancy between fully set-up circuits, and
-:class:`LiveCircuitLedger` is the simulator's per-step view: it mirrors the
-partial circuit each in-flight probe holds (reserving links as the probe
-advances, releasing them on backtrack) and keeps delivered circuits
-reserved through their data-transmission hold time.
+PCS releases links when a probe retreats), and the live ledgers are the
+simulator's per-step view: they mirror the partial circuit each in-flight
+probe holds (reserving links as the probe advances, releasing them on
+backtrack) and keep delivered circuits reserved through their
+data-transmission hold time.  :class:`ArrayCircuitLedger` is the fast path
+(flat columns the probe table scans directly); :class:`LiveCircuitLedger`,
+a plain dict ledger, is its parity oracle and the scalar backend's ledger.
 """
 
 from __future__ import annotations
@@ -112,94 +113,6 @@ class Circuit:
         return frozenset(
             canonical_link(u, v) for u, v in zip(self.path, self.path[1:])
         )
-
-
-@dataclass
-class CircuitTable:
-    """Link-occupancy bookkeeping across concurrently reserved circuits.
-
-    Without a mesh the table keys links by their canonical endpoint pair in
-    a dict (the historic representation).  Constructed with a mesh it keeps
-    one flat int32 occupancy column over the mesh's canonical link-index
-    space instead, so membership checks are O(1) array reads with no tuple
-    hashing — the representation very large meshes want.
-    """
-
-    mesh: Optional["Mesh"] = None
-    _links_in_use: Dict[Link, Circuit] = field(default_factory=dict)
-    _circuits: List[Circuit] = field(default_factory=list)
-    #: Slot id per reserved circuit, aligned with ``_circuits`` (array mode).
-    _slots: List[int] = field(default_factory=list, repr=False)
-    _occupancy: object = field(default=None, repr=False)
-    _next_slot: int = field(default=0, repr=False)
-    _reserved_count: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.mesh is not None:
-            import numpy as np
-
-            self._occupancy = np.full(self.mesh.link_slots, -1, dtype=np.int32)
-
-    def _indices(self, circuit: Circuit) -> List[int]:
-        link_index = self.mesh.link_index
-        return [link_index(u, v) for u, v in circuit.links]
-
-    def conflicts(self, circuit: Circuit) -> Set[Link]:
-        """Links of ``circuit`` already reserved by another circuit."""
-        if self._occupancy is None:
-            return {link for link in circuit.links if link in self._links_in_use}
-        occupancy = self._occupancy
-        link_index = self.mesh.link_index
-        return {
-            link for link in circuit.links if occupancy[link_index(*link)] >= 0
-        }
-
-    def reserve(self, circuit: Circuit) -> None:
-        """Reserve every link of ``circuit``; raise on any conflict."""
-        conflicts = self.conflicts(circuit)
-        if conflicts:
-            raise ReservationError(f"links already reserved: {sorted(conflicts)}")
-        if self._occupancy is None:
-            for link in circuit.links:
-                self._links_in_use[link] = circuit
-        else:
-            slot = self._next_slot
-            self._next_slot += 1
-            indices = self._indices(circuit)
-            self._occupancy[indices] = slot
-            self._slots.append(slot)
-            self._reserved_count += len(indices)
-        self._circuits.append(circuit)
-
-    def release(self, circuit: Circuit) -> None:
-        """Release every link of ``circuit`` (a no-op for unknown circuits)."""
-        if circuit not in self._circuits:
-            return
-        position = self._circuits.index(circuit)
-        self._circuits.pop(position)
-        if self._occupancy is None:
-            for link in circuit.links:
-                if self._links_in_use.get(link) is circuit:
-                    del self._links_in_use[link]
-            return
-        slot = self._slots.pop(position)
-        occupancy = self._occupancy
-        for index in self._indices(circuit):
-            if occupancy[index] == slot:
-                occupancy[index] = -1
-                self._reserved_count -= 1
-
-    @property
-    def reserved_links(self) -> int:
-        """Number of links currently reserved."""
-        if self._occupancy is None:
-            return len(self._links_in_use)
-        return self._reserved_count
-
-    @property
-    def circuits(self) -> List[Circuit]:
-        """Circuits currently holding reservations."""
-        return list(self._circuits)
 
 
 @dataclass
@@ -396,14 +309,7 @@ class ArrayCircuitLedger:
         self._epoch = 0
 
     def blocked_for(self, holder: int):
-        """The :data:`~repro.core.routing.LinkBlocked` predicate of ``holder``.
-
-        The returned predicate additionally exposes a ``slot_blocked``
-        attribute taking a canonical link slot (:meth:`Mesh.link_index`)
-        directly — the vectorized decision batch precomputes each
-        candidate's slot, so the contended scan skips the endpoint-pair
-        lookup entirely.
-        """
+        """The :data:`~repro.core.routing.LinkBlocked` predicate of ``holder``."""
         holder_col = self._holder
         link_index = self.mesh.link_index
 
@@ -411,11 +317,6 @@ class ArrayCircuitLedger:
             owner = holder_col[link_index(u, v)]
             return owner >= 0 and owner != holder
 
-        def slot_blocked(slot: int) -> bool:
-            owner = holder_col[slot]
-            return owner >= 0 and owner != holder
-
-        link_blocked.slot_blocked = slot_blocked
         return link_blocked
 
     def is_blocked(self, holder: int, u: Sequence[int], v: Sequence[int]) -> bool:

@@ -4,8 +4,9 @@
 ``no-information`` are all the same backtracking PCS probe run with
 different :class:`~repro.core.routing.RoutingPolicy` flags; this adapter
 derives the offline information view each flag set assumes and hands the
-simulator plain :class:`~repro.core.routing.RoutingProbe` objects, so the
-online hot path is exactly the pre-registry code path.
+simulator plain :class:`~repro.core.routing.RoutingProbe` objects deciding
+against the simulator's own information (:meth:`AlgorithmRouter.online_view`),
+which the probe table hosts as flat rows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.routing import (
 )
 from repro.core.state import InformationState
 from repro.mesh.topology import Mesh
-from repro.routing.registry import Router
+from repro.routing.registry import Router, SimulationInfo
 
 Coord = Tuple[int, ...]
 
@@ -93,3 +94,11 @@ class AlgorithmRouter(Router):
         self, mesh: Mesh, source: Sequence[int], destination: Sequence[int]
     ) -> RoutingProbe:
         return RoutingProbe(mesh, source, destination, policy=self.policy)
+
+    def online_view(self, info: SimulationInfo) -> InformationProvider:
+        """The information this router's online probes decide against.
+
+        Plain Algorithm-3 probes read the simulator's own information; the
+        probe table classifies this router's cells over it.
+        """
+        return info

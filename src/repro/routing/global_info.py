@@ -74,8 +74,8 @@ def shortest_usable_path(
 class GlobalInformationRouter:
     """Shortest-path router with full knowledge of the fault configuration.
 
-    This is the legacy offline interface (kept for the baselines package);
-    the registry adapter :class:`GlobalInfoRouter` builds on it.
+    The offline interface bound to one labeling; the registry adapter
+    :class:`GlobalInfoRouter` builds on it.
     """
 
     def __init__(
@@ -231,14 +231,13 @@ class GlobalPathProbe:
         *,
         link_blocked: Optional[LinkBlocked] = None,
         decision_cache: object = None,
-        candidates: object = None,
     ) -> Optional[RouteOutcome]:
         """Advance one hop along the current plan, replanning as needed.
 
-        ``decision_cache`` and ``candidates`` are accepted for interface
-        uniformity with the Algorithm-3 probes and ignored: the global probe
-        plans with a BFS, not with per-node direction classification, so it
-        has nothing for the vectorized decision batch to classify.
+        ``decision_cache`` is accepted for interface uniformity with the
+        Algorithm-3 probes and ignored: the global probe plans with a BFS,
+        not with per-node direction classification, so it has nothing for
+        the probe table's classifier either and always steps as an object.
         """
         if self.done:
             return self.outcome

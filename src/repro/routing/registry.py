@@ -83,7 +83,6 @@ class SetupProbe(Protocol):
         *,
         link_blocked: Optional[LinkBlocked] = None,
         decision_cache: Optional["DecisionCache"] = None,
-        candidates: object = ...,
     ) -> Optional[RouteOutcome]: ...
 
     def result(self) -> RouteResult: ...

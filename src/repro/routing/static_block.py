@@ -5,20 +5,18 @@ Wu's minimal adaptive routing keeps block information only at the nodes
 router shares the Algorithm-3 probe with the limited-global model and
 differs only in which nodes hold information: an adjacent-only view is
 derived from the current labeling — and, online, re-derived whenever the
-labeling changes, so the simulator can sweep this policy too.
+labeling changes (:meth:`StaticBlockRouter.online_view`), so the simulator's
+probe table hosts this policy like the Algorithm-3 ones.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.backend import resolve_backend
 from repro.core.block_construction import LabelingState, extract_blocks
 from repro.core.routing import (
-    UNSET,
     DecisionCache,
     LinkBlocked,
-    ProbeHeader,
     RouteOutcome,
     RouteResult,
     RoutingPolicy,
@@ -56,7 +54,7 @@ class StaticBlockRouter(Router):
     def __init__(self) -> None:
         self.policy = RoutingPolicy(name="static-block", use_boundary_info=False)
         self._view: Optional[
-            Tuple[LabelingState, int, InformationState, Dict[str, DecisionCache]]
+            Tuple[LabelingState, int, InformationState, DecisionCache]
         ] = None
 
     def adjacent_view(self, mesh: Mesh, labeling: LabelingState) -> InformationState:
@@ -67,34 +65,29 @@ class StaticBlockRouter(Router):
         """
         return self._view_entry(mesh, labeling)[0]
 
-    def _view_entry(
-        self,
-        mesh: Mesh,
-        labeling: LabelingState,
-        backend: Optional[str] = None,
-    ) -> Tuple[InformationState, DecisionCache]:
-        """The cached adjacent-only view plus a decision cache over it.
+    def online_view(self, info: SimulationInfo) -> InformationState:
+        """The information this router's online probes decide against.
 
-        ``backend`` picks the cache's classification backend (``None`` →
-        environment default); caches per backend share the one view, so a
-        simulator whose configured backend differs from the environment
-        still batches through the backend it asked for.
+        The adjacent-only view of the simulator's current labeling; the
+        probe table classifies this router's cells over it, building one
+        classifier per view.
         """
-        resolved = resolve_backend(backend)
+        return self.adjacent_view(info.mesh, info.labeling)
+
+    def _view_entry(
+        self, mesh: Mesh, labeling: LabelingState
+    ) -> Tuple[InformationState, DecisionCache]:
+        """The cached adjacent-only view plus a decision cache over it."""
         cached = self._view
         if (
             cached is not None
             and cached[0] is labeling
             and cached[1] == labeling.mutations
         ):
-            view, caches = cached[2], cached[3]
-        else:
-            view = adjacent_only_information(mesh, labeling)
-            caches = {}
-            self._view = (labeling, labeling.mutations, view, caches)
-        cache = caches.get(resolved)
-        if cache is None:
-            cache = caches[resolved] = DecisionCache(view, self.policy, backend=resolved)
+            return cached[2], cached[3]
+        view = adjacent_only_information(mesh, labeling)
+        cache = DecisionCache(view, self.policy)
+        self._view = (labeling, labeling.mutations, view, cache)
         return view, cache
 
     def route(
@@ -141,35 +134,18 @@ class StaticBlockProbe:
         self._router = router
         self._inner = RoutingProbe(mesh, source, destination, policy=router.policy)
 
-    def batch_entry(
-        self, info: SimulationInfo, backend: Optional[str] = None
-    ) -> Optional[Tuple[DecisionCache, ProbeHeader]]:
-        """(serving cache, header) for the engine's vectorized decision batch.
-
-        This probe decides against the adjacent-only view, so the simulator
-        must classify it through the router's cache over that view — not
-        through the engine's own cache.  ``backend`` is the simulator's
-        resolved backend, honored even when it differs from the
-        environment default.
-        """
-        _view, cache = self._router._view_entry(info.mesh, info.labeling, backend)
-        return cache, self._inner.header
-
     def step(
         self,
         info: SimulationInfo,
         *,
         link_blocked: Optional[LinkBlocked] = None,
         decision_cache: Optional[DecisionCache] = None,
-        candidates: object = UNSET,
     ) -> Optional[RouteOutcome]:
         # The engine's cache is bound to *its* information state; this probe
         # decides against the adjacent-only view, so it uses the decision
         # cache the router keeps alongside that view instead.
         view, cache = self._router._view_entry(info.mesh, info.labeling)
-        return self._inner.step(
-            view, link_blocked=link_blocked, decision_cache=cache, candidates=candidates
-        )
+        return self._inner.step(view, link_blocked=link_blocked, decision_cache=cache)
 
     def result(self) -> RouteResult:
         return self._inner.result()
@@ -197,3 +173,7 @@ class StaticBlockProbe:
     @property
     def setup_retries(self) -> int:
         return self._inner.setup_retries
+
+    @property
+    def waited(self) -> bool:
+        return self._inner.waited

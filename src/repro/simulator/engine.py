@@ -25,34 +25,32 @@ detour statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.backend import VECTOR, resolve_backend
+from repro.backend import resolve_backend
 from repro.core.block_construction import extract_blocks, labeling_round
 from repro.core.boundary import BoundaryProtocol
 from repro.core.identification import IdentificationProtocol
+from repro.core.probe_table import ProbeTable, table_eligible
 from repro.core.routing import (
-    UNSET,
     DecisionCache,
     LinkBlocked,
-    ProbeHeader,
     RouteOutcome,
     RoutingPolicy,
-    RoutingProbe,
     probe_step_limit,
 )
 from repro.core.state import InformationState
 from repro.faults.schedule import DynamicFaultSchedule, FaultEventKind
 from repro.mesh.regions import Region
 from repro.mesh.topology import Mesh
-from repro.pcs.circuit import ArrayCircuitLedger, Circuit, CircuitLedger, make_live_ledger
+from repro.obs.profile import NULL_PROFILER
+from repro.pcs.circuit import Circuit, CircuitLedger, make_live_ledger
 from repro.pcs.transfer import TransferModel
 from repro.routing import AlgorithmRouter, Router, SetupProbe, resolve_router
 from repro.simulator.stats import ConvergenceRecord, MessageRecord, SimulationStats
 from repro.simulator.traffic import BatchSource, TrafficMessage, TrafficSource
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
-    from repro.core.probe_table import ProbeTable
     from repro.core.routing import RouteResult
     from repro.obs.profile import PhaseProfiler
     from repro.obs.recorder import StepRecorder
@@ -62,7 +60,15 @@ Coord = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Tunable parameters of the execution model."""
+    """Tunable parameters of the execution model.
+
+    None of them selects how the message phase runs: the simulator steps
+    its probes on the :class:`~repro.core.probe_table.ProbeTable` (the fast
+    path) whenever :func:`~repro.core.probe_table.table_eligible` admits the
+    router, backend and mesh, and otherwise runs the scalar
+    :class:`~repro.core.routing.RoutingProbe` loop, the table's parity
+    oracle.
+    """
 
     #: Rounds of fault-information exchange per step (the paper's ``λ``).
     lam: int = 2
@@ -101,19 +107,13 @@ class SimulationConfig:
     #: offline routing uses).
     max_probe_lifetime: Optional[int] = None
 
-    #: When True (the default) probe decisions are batched per node: the
-    #: simulator resolves each node's decision inputs (neighbor statuses,
-    #: routing geometry) once and shares them across every probe deciding at
-    #: that node — and across steps while the information is unchanged.
-    #: Decisions are identical either way; False keeps the per-probe loop
-    #: (the benchmark baseline).
-    batch_by_node: bool = True
-
     #: Hot-loop implementation for the labeling rounds, the circuit ledger
-    #: and the per-probe decision engine: ``"vector"`` (numpy stencil
-    #: gathers, flat reservation columns, batched direction classification),
-    #: ``"scalar"`` (the pure-Python reference) or ``None`` to resolve via
-    #: the ``REPRO_BACKEND`` environment variable (vector by default).  Both
+    #: and the message phase: ``"vector"`` (numpy stencil gathers, flat
+    #: reservation columns, and the :class:`~repro.core.probe_table.ProbeTable`
+    #: fast path for every policy it hosts), ``"scalar"`` (the pure-Python
+    #: reference: the :class:`~repro.core.routing.RoutingProbe` loop, the
+    #: table's parity oracle) or ``None`` to resolve via the
+    #: ``REPRO_BACKEND`` environment variable (vector by default).  Both
     #: produce byte-identical statuses, block extents, reserved-link sets
     #: and probe decisions — the parity tests hold the two to that.
     backend: Optional[str] = None
@@ -159,12 +159,12 @@ class Simulator:
         profiler: Optional["PhaseProfiler"] = None,
     ) -> None:
         self.mesh = mesh
-        #: Opt-in observability hooks (None by default — the hot path pays a
-        #: single ``is not None`` check per step for each).  The recorder
-        #: samples one time-series row after every executed step; the
-        #: profiler times the step pipeline's phases as nested spans.
+        #: Opt-in observability hooks.  The recorder (None by default, one
+        #: ``is not None`` check per step) samples one time-series row after
+        #: every executed step; the profiler times the step pipeline's phases
+        #: as nested spans (the shared no-op profiler when none is attached).
         self._recorder = recorder
-        self._profiler = profiler
+        self._profiler = profiler if profiler is not None else NULL_PROFILER
         # Note: a purely static schedule has len() == 0, so test identity
         # against None rather than truthiness.
         self.schedule = schedule if schedule is not None else DynamicFaultSchedule()
@@ -207,34 +207,25 @@ class Simulator:
         )
         self._next_holder = 0
 
-        #: Per-node decision cache for batched stepping; only Algorithm-3
-        #: probes (plain :class:`RoutingProbe`) read the engine's own
-        #: information state, so only those sims get one — the static-block
-        #: and global-information probes derive their own views.
-        self._decision_cache: Optional[DecisionCache] = None
-        if self.config.batch_by_node:
-            policy = getattr(self.router, "policy", None)
-            if isinstance(policy, RoutingPolicy):
-                self._decision_cache = DecisionCache(
-                    self.info, policy, backend=self._backend
-                )
-
-        #: Candidates of probes that WAITed last step (fenced in at their
-        #: source), keyed by holder: a wait changes neither the header nor
-        #: the information, so the classification is reused instead of
-        #: recomputed — invalidated wholesale when information mutates.
-        self._wait_carryover: Dict[int, object] = {}
-        self._carry_token: Optional[Tuple[int, int]] = None
+        #: Per-node decision cache of the scalar probe loop; only
+        #: Algorithm-3 probes (plain :class:`RoutingProbe`) read the engine's
+        #: own information state, so only those sims get one — the
+        #: static-block and global-information probes derive their own views.
+        self._decision_cache: Optional[DecisionCache] = (
+            DecisionCache(self.info, self.router.policy)
+            if isinstance(self.router, AlgorithmRouter)
+            else None
+        )
 
         self._identified_extents: Set[Region] = set()
         self._identifications: List[IdentificationProtocol] = []
         self._boundaries: List[BoundaryProtocol] = []
         self._pending_convergence: List[ConvergenceRecord] = []
-        #: In-flight probes: (message, probe, holder, link-blocked predicate,
-        #: cache-eligible).  The predicate is hoisted here so it is built
-        #: once per probe instead of once per probe per step.
+        #: In-flight probes of the scalar loop: (message, probe, holder,
+        #: link-blocked predicate).  The predicate is hoisted here so it is
+        #: built once per probe instead of once per probe per step.
         self._probes: List[
-            Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked], bool]
+            Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked]]
         ] = []
         self._probe_lifetime = (
             self.config.max_probe_lifetime
@@ -255,26 +246,16 @@ class Simulator:
             self.schedule.events[-1].time if self.schedule.events else -1
         )
 
-        #: Struct-of-arrays probe engine: when the whole message phase is
-        #: expressible as flat-column passes (plain Algorithm-3 probes, the
-        #: vector decision engine available, an array-backed ledger when
-        #: contended), probes live as rows of a :class:`ProbeTable` and
-        #: ``step`` never builds a probe object.  Decisions, paths and stats
-        #: are byte-identical to the per-object path (the parity suite holds
-        #: the two to that); anything else — scalar backend, the
-        #: static-block/global-information routers, >16-dimensional meshes —
-        #: keeps the object path.
-        self._table: Optional["ProbeTable"] = None
+        #: The message phase's fast path: when :func:`table_eligible` admits
+        #: the configuration, probes live as rows of a :class:`ProbeTable`
+        #: and ``step`` never builds a probe object.  Decisions, paths and
+        #: stats are byte-identical to the scalar probe loop, the oracle the
+        #: parity suite holds the table to; anything else — the scalar
+        #: backend, the global-information router, >16-dimensional meshes —
+        #: steps that loop.
+        self._table: Optional[ProbeTable] = None
         self._table_cell = -1
-        if (
-            self._decision_cache is not None
-            and type(self.router) is AlgorithmRouter
-            and 2 * mesh.n_dims <= 32
-            and (self.circuits is None or isinstance(self.circuits, ArrayCircuitLedger))
-            and self._decision_cache._engine() is not None
-        ):
-            from repro.core.probe_table import ProbeTable
-
+        if table_eligible(self.router, self._backend, mesh.n_dims):
             self._table = ProbeTable(mesh)
             self._table_cell = self._table.attach(self)
 
@@ -364,21 +345,14 @@ class Simulator:
         """Execute one full simulation step (Figure 7 (a))."""
         t = self._step
         prof = self._profiler
-        if prof is None:
-            self._step_information(t)
-            if self._table is not None:
-                self._table.run_step(t, (self._table_cell,))
-            else:
-                self._step_messages(t)
-        else:
-            with prof.span("step"):
-                with prof.span("information"):
-                    self._step_information(t, prof=prof)
-                with prof.span("messages"):
-                    if self._table is not None:
-                        self._table.run_step(t, (self._table_cell,), profiler=prof)
-                    else:
-                        self._step_messages(t)
+        with prof.span("step"):
+            with prof.span("information"):
+                self._step_information(t)
+            with prof.span("messages"):
+                if self._table is not None:
+                    self._table.run_step(t, (self._table_cell,), profiler=prof)
+                else:
+                    self._step_messages(t)
         self._step += 1
         self.stats.steps = self._step
         if self._recorder is not None:
@@ -417,10 +391,10 @@ class Simulator:
             self._table.teardown_node(self._table_cell, node, t)
         elif self._probes:
             remaining: List[
-                Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked], bool]
+                Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked]]
             ] = []
             for entry in self._probes:
-                message, probe, holder, _blocked, _cacheable = entry
+                message, probe, holder, _blocked = entry
                 if node in getattr(probe, "circuit_stack", ()):
                     if self.circuits is not None:
                         self.circuits.release(holder)
@@ -433,16 +407,12 @@ class Simulator:
         if self.circuits is not None:
             self.stats.fault_dropped_circuits += self.circuits.release_crossing(node)
 
-    def _step_information(
-        self, t: int, prof: Optional["PhaseProfiler"] = None
-    ) -> None:
+    def _step_information(self, t: int) -> None:
         """Phases 1–2 of step ``t``: fault detection + λ information rounds."""
+        prof = self._profiler
         # 1. fault detection -------------------------------------------------
-        if prof is None:
+        with prof.span("fault_detect"):
             self._detect_faults(t)
-        else:
-            with prof.span("fault_detect"):
-                self._detect_faults(t)
 
         # 2. λ rounds of information exchange --------------------------------
         for _ in range(self.config.lam):
@@ -451,13 +421,8 @@ class Simulator:
                 # nothing moved; the skipped round is exactly that no-op.
                 changed = False
             else:
-                if prof is None:
+                with prof.span("labeling_round"):
                     changed = labeling_round(self.info.labeling, backend=self._backend)
-                else:
-                    with prof.span("labeling_round"):
-                        changed = labeling_round(
-                            self.info.labeling, backend=self._backend
-                        )
                 if not changed:
                     self._labeling_stable = True
             self.stats.total_rounds += 1
@@ -468,11 +433,8 @@ class Simulator:
                 # Labeling just stabilized: reactively (re)build information.
                 self._start_new_identifications()
                 self._labeling_dirty = False
-            if prof is None:
+            with prof.span("protocols"):
                 self._advance_protocols()
-            else:
-                with prof.span("protocols"):
-                    self._advance_protocols()
             if (
                 not self._labeling_dirty
                 and not self._identifications
@@ -487,11 +449,11 @@ class Simulator:
                 ]
 
     def _step_messages(self, t: int) -> None:
-        """Phase 3 of step ``t``, per-probe-object path (the parity oracle).
+        """Phase 3 of step ``t`` as a scalar probe loop (the parity oracle).
 
-        Eligible configurations route through the struct-of-arrays
-        :class:`~repro.core.probe_table.ProbeTable` instead (see
-        ``_table``); decisions and statistics are byte-identical.
+        Table-eligible configurations route through the struct-of-arrays
+        :class:`~repro.core.probe_table.ProbeTable` instead (see ``_table``);
+        decisions and statistics are byte-identical.
         """
         # 3. message injection, reception, routing decision, sending ---------
         ledger = self.circuits
@@ -502,9 +464,7 @@ class Simulator:
             holder = self._next_holder
             self._next_holder += 1
             blocked = ledger.blocked_for(holder) if ledger is not None else None
-            self._probes.append(
-                (message, probe, holder, blocked, isinstance(probe, RoutingProbe))
-            )
+            self._probes.append((message, probe, holder, blocked))
 
         if ledger is not None:
             # Data transmissions finishing before this step free their links.
@@ -512,27 +472,18 @@ class Simulator:
 
         cache = self._decision_cache
         lifetime = self._probe_lifetime
-        precomputed = self._batch_decisions()
-        wait_carry: Dict[int, object] = {}
         remaining: List[
-            Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked], bool]
+            Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked]]
         ] = []
-        for i, entry in enumerate(self._probes):
-            message, probe, holder, blocked, cacheable = entry
-            probe_cache = cache if cacheable else None
-            candidates = precomputed[i] if precomputed is not None else UNSET
+        for entry in self._probes:
+            message, probe, holder, blocked = entry
             if ledger is None:
-                outcome = probe.step(
-                    self.info, decision_cache=probe_cache, candidates=candidates
-                )
+                outcome = probe.step(self.info, decision_cache=cache)
             else:
                 stack = probe.circuit_stack
                 prev_len, prev_tail = len(stack), stack[-1]
                 outcome = probe.step(
-                    self.info,
-                    link_blocked=blocked,
-                    decision_cache=probe_cache,
-                    candidates=candidates,
+                    self.info, link_blocked=blocked, decision_cache=cache
                 )
                 # Mirror the probe's partial circuit incrementally (a probe
                 # moves at most one hop per step): a forward hop reserves its
@@ -565,102 +516,10 @@ class Simulator:
                     else:
                         ledger.release(holder)
             else:
-                if candidates is not UNSET and getattr(probe, "waited", False):
-                    # Fenced in at the source: nothing changed, so this
-                    # step's classification is next step's too.
-                    wait_carry[holder] = candidates
                 remaining.append(entry)
         self._probes = remaining
-        self._wait_carryover = wait_carry
         if ledger is not None:
             self.stats.record_occupancy(ledger.reserved_links)
-
-    def _batch_decisions(self) -> Optional[List[object]]:
-        """Precompute this step's candidate lists for every batchable probe.
-
-        With per-node batching and the vector backend, the decision inputs
-        of all in-flight probes are classified in one vectorized pass per
-        serving :class:`DecisionCache` — the engine's own cache for plain
-        Algorithm-3 probes, and whatever cache a probe's ``batch_entry``
-        hook nominates for probes that decide against a derived view (the
-        static-block adjacent-only view).  This is parity-safe: the
-        information state is frozen during the message phase and a probe's
-        header only changes when that probe itself steps, so precomputing
-        before the loop reads exactly what each probe would have read
-        in-loop.  Returns a list aligned with ``self._probes`` (``None``
-        when nothing was batched); slots left at the UNSET sentinel
-        (global-information's BFS follower has no per-direction
-        classification, and the scalar backend keeps the reference loop)
-        classify as before.
-        """
-        probes = self._probes
-        if not (self.config.batch_by_node and self._backend == VECTOR and probes):
-            return None
-        own = self._decision_cache
-        if all(entry[4] for entry in probes):
-            # Homogeneous batch (the common case): every probe is a plain
-            # RoutingProbe served by the engine's own cache.
-            if own is None or own.backend != VECTOR:
-                return None
-            token = (
-                self.info.labeling.mutations,
-                self.info.record_mutations,
-            )
-            carry = self._wait_carryover
-            if carry and token != self._carry_token:
-                carry.clear()
-            self._carry_token = token
-            out: List[object] = [UNSET] * len(probes)
-            indices: List[int] = []
-            headers: List[ProbeHeader] = []
-            for i, entry in enumerate(probes):
-                probe = entry[1]
-                if probe.outcome is not None:  # type: ignore[attr-defined]
-                    continue
-                if probe.waited:  # type: ignore[attr-defined]
-                    cached = carry.get(entry[2])
-                    if cached is not None:
-                        out[i] = cached
-                        continue
-                indices.append(i)
-                headers.append(probe.header)  # type: ignore[attr-defined]
-            if indices:
-                for i, candidates in zip(
-                    indices, own.batch_candidate_pairs(headers)
-                ):
-                    out[i] = candidates
-            return out
-        groups: Dict[int, Tuple[DecisionCache, List[int], List[ProbeHeader]]] = {}
-        for i, entry in enumerate(probes):
-            probe = entry[1]
-            if probe.done:
-                continue
-            if entry[4]:  # cacheable: a plain RoutingProbe on the engine's info
-                group_cache = own
-                header = probe.header  # type: ignore[attr-defined]
-            else:
-                hook = getattr(probe, "batch_entry", None)
-                if hook is None:
-                    continue
-                pair = hook(self.info, self._backend)
-                if pair is None:
-                    continue
-                group_cache, header = pair
-            if group_cache is None or group_cache.backend != VECTOR:
-                continue
-            group = groups.get(id(group_cache))
-            if group is None:
-                group = groups[id(group_cache)] = (group_cache, [], [])
-            group[1].append(i)
-            group[2].append(header)
-        if not groups:
-            return None
-        out = [UNSET] * len(probes)
-        for group_cache, indices, headers in groups.values():
-            batch = group_cache.batch_candidate_pairs(headers)
-            for i, candidates in zip(indices, batch):
-                out[i] = candidates
-        return out
 
     def _finish_probe(
         self, message: TrafficMessage, probe: SetupProbe, *, finish_step: Optional[int]
@@ -732,7 +591,7 @@ class Simulator:
         # Flush probes still in flight when the step budget ran out.
         if self._table is not None:
             self._table.flush_cell(self._table_cell)
-        for message, probe, holder, _blocked, _cacheable in self._probes:
+        for message, probe, holder, _blocked in self._probes:
             self._finish_probe(message, probe, finish_step=None)
             if self.circuits is not None:
                 self.circuits.release(holder)

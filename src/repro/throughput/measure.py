@@ -309,7 +309,6 @@ def run_throughput_point(
     injection: str = "bernoulli",
     windows: Optional[MeasurementWindows] = None,
     contention: bool = True,
-    batch_by_node: bool = True,
     setup_timeout: Optional[int] = None,
     fault_rate: float = 0.0,
     repair_after: int = 0,
@@ -375,7 +374,6 @@ def run_throughput_point(
         lam=lam,
         router=policy,
         contention=contention,
-        batch_by_node=batch_by_node,
         max_probe_lifetime=(
             setup_timeout if setup_timeout is not None else max(8, mesh.diameter + 2)
         ),

@@ -1,20 +1,25 @@
-"""Unit tests for the comparison routing algorithms."""
+"""Unit tests for the comparison routing policies of `repro.routing`."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.global_info import GlobalInformationRouter, route_global_information
-from repro.baselines.no_info import route_no_information
-from repro.baselines.static_block import adjacent_only_information, route_static_block
 from repro.core.block_construction import build_blocks
 from repro.core.distribution import distribute_information
-from repro.core.routing import RouteOutcome, route_offline
+from repro.core.routing import RouteOutcome, RoutingPolicy, route_offline
 from repro.core.safety import shortest_path_length
 from repro.core.state import InformationState
 from repro.faults.injection import uniform_random_faults
 from repro.mesh.topology import Mesh
+from repro.routing import (
+    GlobalInformationRouter,
+    StaticBlockRouter,
+    adjacent_only_information,
+    route_global_information,
+)
 from repro.workloads.scenarios import FIGURE1_FAULTS
 from repro.workloads.traffic import random_pairs
+
+NO_INFORMATION = RoutingPolicy.no_information()
 
 
 class TestGlobalInformationRouter:
@@ -55,7 +60,7 @@ class TestNoInformationBaseline:
     def test_delivers_despite_faults(self, mesh3d):
         labeling = build_blocks(mesh3d, FIGURE1_FAULTS).state
         bare = InformationState(mesh=mesh3d, labeling=labeling)
-        result = route_no_information(bare, (0, 4, 4), (4, 7, 4))
+        result = route_offline(bare, (0, 4, 4), (4, 7, 4), policy=NO_INFORMATION)
         assert result.delivered
 
     def test_never_worse_delivery_than_global_unreachable(self, mesh2d):
@@ -63,7 +68,7 @@ class TestNoInformationBaseline:
         faults = [(4, 5), (6, 5), (5, 4), (5, 6)]
         labeling = build_blocks(mesh2d, faults).state
         bare = InformationState(mesh=mesh2d, labeling=labeling)
-        result = route_no_information(bare, (0, 0), (5, 5))
+        result = route_offline(bare, (0, 0), (5, 5), policy=NO_INFORMATION)
         assert result.outcome is not RouteOutcome.DELIVERED
 
 
@@ -84,7 +89,7 @@ class TestStaticBlockBaseline:
 
     def test_routes_deliver(self, mesh3d):
         labeling = build_blocks(mesh3d, FIGURE1_FAULTS).state
-        result = route_static_block(mesh3d, labeling, (0, 4, 4), (4, 7, 4))
+        result = StaticBlockRouter().route(mesh3d, labeling, (0, 4, 4), (4, 7, 4))
         assert result.delivered
 
 
@@ -105,7 +110,7 @@ class TestRelativeQuality:
         informed = uninformed = 0
         for source, destination in pairs:
             a = route_offline(info, source, destination)
-            b = route_no_information(bare, source, destination)
+            b = route_offline(bare, source, destination, policy=NO_INFORMATION)
             if a.delivered:
                 informed += a.hops
             if b.delivered:

@@ -31,7 +31,7 @@ from repro.workloads.traffic import random_pairs
 BACKENDS = (SCALAR, VECTOR)
 
 #: Policies exercising distinct information models through the same engine.
-PARITY_POLICIES = ("limited-global", "no-information", "boundary-only")
+PARITY_POLICIES = ("limited-global", "no-information", "boundary-only", "static-block")
 
 
 def _mid_run_schedule():

@@ -45,7 +45,8 @@ from repro.viz.ascii import sparkline
 from repro.workloads.scenarios import random_dynamic_scenario
 
 
-def _contended_sim(backend=None, recorder=None, profiler=None):
+def _contended_sim(backend=None, recorder=None, profiler=None,
+                   router="limited-global"):
     """A contended 8x8 dynamic-fault scenario (the acceptance scenario)."""
     scenario = random_dynamic_scenario(
         shape=(8, 8), dynamic_faults=4, interval=15, messages=24, seed=1
@@ -55,7 +56,7 @@ def _contended_sim(backend=None, recorder=None, profiler=None):
         schedule=scenario.schedule,
         traffic=list(scenario.traffic),
         config=SimulationConfig(
-            lam=2, router="limited-global", contention=True, backend=backend
+            lam=2, router=router, contention=True, backend=backend
         ),
         recorder=recorder,
         profiler=profiler,
@@ -181,6 +182,18 @@ class TestStepRecorder:
         assert recorder.column("in_flight")[-1] == 0
         # Peak of the sampled occupancy equals the stats' tracked peak.
         assert recorder.column("reserved_links").max() == stats.peak_reserved_links
+
+    @pytest.mark.parametrize("router", ["limited-global", "static-block"])
+    def test_series_identical_across_backends(self, router):
+        """The probe table and the scalar probe loop record the same series,
+        parked (waiting) probes included."""
+        series = {}
+        for backend in ("vector", "scalar"):
+            recorder = StepRecorder()
+            _contended_sim(backend=backend, recorder=recorder, router=router).run()
+            series[backend] = list(recorder.rows())
+        assert series["vector"] == series["scalar"]
+        assert sum(row["waiting"] for row in series["scalar"]) > 0
 
     def test_column_access_guards(self):
         recorder = StepRecorder()

@@ -5,7 +5,7 @@ import pytest
 from repro.core.distribution import converged_information
 from repro.core.routing import RouteOutcome, RouteResult, route_offline
 from repro.core.state import InformationState
-from repro.pcs.circuit import Circuit, CircuitTable, ReservationError
+from repro.pcs.circuit import Circuit, ReservationError
 from repro.pcs.transfer import TransferModel, transfer_latency
 from repro.workloads.scenarios import FIGURE1_FAULTS
 
@@ -70,32 +70,6 @@ class TestCircuit:
         )
         with pytest.raises(ReservationError):
             Circuit.from_route(result)
-
-
-class TestCircuitTable:
-    def test_reserve_and_conflict(self):
-        table = CircuitTable()
-        a = Circuit(((0, 0), (1, 0), (2, 0)))
-        b = Circuit(((1, 0), (2, 0), (2, 1)))  # shares link (1,0)-(2,0)
-        c = Circuit(((5, 5), (5, 6)))
-        table.reserve(a)
-        assert table.conflicts(b)
-        with pytest.raises(ReservationError):
-            table.reserve(b)
-        table.reserve(c)
-        assert table.reserved_links == 3
-        assert len(table.circuits) == 2
-
-    def test_release(self):
-        table = CircuitTable()
-        a = Circuit(((0, 0), (1, 0)))
-        table.reserve(a)
-        table.release(a)
-        assert table.reserved_links == 0
-        # Releasing again is a no-op.
-        table.release(a)
-        table.reserve(a)
-        assert table.reserved_links == 1
 
 
 class TestTransferModel:

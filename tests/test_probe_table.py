@@ -1,29 +1,36 @@
 """Parity suite for the struct-of-arrays probe engine.
 
-The probe table (:mod:`repro.core.probe_table`) replaces per-object
-:class:`~repro.core.routing.RoutingProbe` stepping with flat-column array
-passes; the scalar objects remain the oracle.  This suite holds the two to
-byte-identity — per-message outcomes and paths AND the aggregated
-:class:`SimulationStats` summary — across every registered routing policy,
-with and without circuit contention, over all four closed-batch traffic
-scenarios, plus randomized configurations.  The stacked sweep engine
-(``run_batch(engine="stacked")``) is held to the same bar at the JSON
-export level: a multi-shape, multi-policy grid must serialize identically
-to the serial runner's output.
+The probe table (:mod:`repro.core.probe_table`) is the message phase's
+fast path: flat-column array passes instead of per-object stepping.  Its
+oracle is the scalar :class:`~repro.core.routing.RoutingProbe` loop
+(``Simulator._step_messages``), which a simulator runs once ``sim._table``
+is cleared.  This suite holds the two to byte-identity — per-message
+outcomes and paths AND the aggregated :class:`SimulationStats` summary —
+across every registered routing policy, with and without circuit
+contention, over all four closed-batch traffic scenarios, plus randomized
+configurations.  The stacked sweep engine (``run_batch(engine="stacked")``)
+is held to the same bar at the JSON export level: a multi-shape,
+multi-policy grid must serialize identically to the serial runner's output.
 
-Policies whose routers the table cannot host (``static-block``,
-``global-information``) construct with ``sim._table is None`` already; for
-them the comparison degenerates to a determinism check of the object path,
-which keeps the matrix uniform and guards the eligibility gate itself.
+The table hosts every policy with a per-direction classifier, static-block
+included (over its adjacent-only view).  ``global-information`` plans by
+BFS and constructs with ``sim._table is None``; for it the comparison
+degenerates to a determinism check of the object path, which keeps the
+matrix uniform and guards the eligibility gate itself.
 """
 
 import numpy as np
 import pytest
 
 from repro.backend import VECTOR, resolve_backend
+from repro.core import probe_table
 from repro.experiments import ExperimentSpec, run_batch
 from repro.experiments.runner import _build_simulate_sim
+from repro.faults.schedule import DynamicFaultSchedule
+from repro.mesh.topology import Mesh
 from repro.routing import available_routers
+from repro.simulator.engine import SimulationConfig, Simulator
+from repro.workloads.traffic import to_traffic
 
 POLICIES = available_routers()
 SCENARIOS = ("random", "hotspot", "transpose", "bursty")
@@ -99,12 +106,39 @@ class TestProbeTableScalarParity:
         run on the table: guard the eligibility gate in both directions.
         Under the scalar backend no cell is eligible — the table requires
         the vector decision engine."""
-        eligible = _build_simulate_sim(_cell("limited-global", "random", True))._table
-        if resolve_backend() == VECTOR:
-            assert eligible is not None
-        else:
-            assert eligible is None
-        assert _build_simulate_sim(_cell("static-block", "random", True))._table is None
+        for policy in ("limited-global", "static-block"):
+            eligible = _build_simulate_sim(_cell(policy, "random", True))._table
+            if resolve_backend() == VECTOR:
+                assert eligible is not None
+            else:
+                assert eligible is None
+        bfs = _build_simulate_sim(_cell("global-information", "random", True))
+        assert bfs._table is None
+
+    @pytest.mark.skipif(resolve_backend() != VECTOR, reason="table needs vector")
+    def test_static_block_classifier_built_once_per_view(self, monkeypatch):
+        """Static faults leave one adjacent-only view for the whole run, so
+        the table builds its static-block classifier once, not per step."""
+        built = []
+
+        class Counting(probe_table.VectorDecisionEngine):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(probe_table, "VectorDecisionEngine", Counting)
+        mesh = Mesh.cube(8, 2)
+        faults = [(3, 3), (3, 4), (5, 5)]
+        pairs = [((0, 0), (7, 7)), ((7, 0), (0, 7)), ((0, 4), (7, 4))]
+        sim = Simulator(
+            mesh,
+            schedule=DynamicFaultSchedule.static(faults),
+            traffic=to_traffic(pairs * 4, start_time=0, spacing=1, tag="v", flits=8),
+            config=SimulationConfig(router="static-block", contention=True),
+        )
+        stats = sim.run().stats
+        assert sim._table is not None and stats.steps > 10
+        assert len(built) == 1
 
 
 class TestStackedSweepParity:
@@ -112,14 +146,16 @@ class TestStackedSweepParity:
         """Multi-shape, multi-policy grid: stacked JSON == serial JSON.
 
         The grid deliberately mixes two mesh shapes (two stacked groups),
-        a probe-table-ineligible policy (per-cell serial fallback inside
-        the stacked runner) and contended circuit setup.
+        static-block stacked beside the Algorithm-3 policies, a
+        probe-table-ineligible policy (per-cell serial fallback inside the
+        stacked runner) and contended circuit setup.
         """
         spec = ExperimentSpec(
             name="stacked-parity",
             mode="simulate",
             mesh_shapes=((6, 6), (8, 8)),
-            policies=("limited-global", "no-information", "static-block"),
+            policies=("limited-global", "no-information", "static-block",
+                      "global-information"),
             scenarios=("transpose",),
             fault_counts=(2,),
             fault_intervals=(5,),

@@ -133,6 +133,7 @@ class TestJobLifecycle:
             ({"spec": spec_payload(), "priority": "high"}, "expected an integer"),
             ({"spec": spec_payload(), "priority": True}, "expected an integer"),
             ({"schema": SPEC_SCHEMA, "bogus": 1}, "unknown spec field"),
+            ({k: v for k, v in spec_payload().items() if k != "schema"}, "'schema'"),
         ],
     )
     def test_bad_submissions_rejected(self, payload, match):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.backend import VECTOR, resolve_backend
+from repro.core.probe_table import table_eligible
 from repro.experiments import (
     ExperimentSpec,
     plan_shards,
@@ -10,6 +11,7 @@ from repro.experiments import (
     run_batch,
 )
 from repro.experiments.shard import MIN_STACKED_SHARD
+from repro.routing import resolve_router
 
 VECTOR_ONLY = pytest.mark.skipif(
     resolve_backend() != VECTOR,
@@ -18,12 +20,12 @@ VECTOR_ONLY = pytest.mark.skipif(
 
 
 def mixed_spec(**overrides) -> ExperimentSpec:
-    """Two shapes x an eligible and an ineligible policy x two seeds."""
+    """Two shapes x two eligible policies and an ineligible one x two seeds."""
     params = dict(
         name="shard-unit",
         mode="simulate",
         mesh_shapes=((6, 6), (8, 8)),
-        policies=("limited-global", "static-block"),
+        policies=("limited-global", "static-block", "global-information"),
         scenarios=("transpose",),
         fault_counts=(2,),
         fault_intervals=(5,),
@@ -45,8 +47,15 @@ class TestEligibility:
     @VECTOR_ONLY
     def test_algorithm_policies_eligible(self):
         for index, cell in indexed(mixed_spec()):
-            expected = cell.policy == "limited-global"
+            expected = cell.policy in ("limited-global", "static-block")
             assert probe_table_eligible(cell) is expected, cell.policy
+
+    def test_above_16_dimensions_never_eligible(self):
+        """The used-direction bitmask holds 32 directions: larger meshes
+        step the scalar probe loop under every backend."""
+        router = resolve_router("limited-global")
+        assert table_eligible(router, "vector", 16)
+        assert not table_eligible(router, "vector", 17)
 
     def test_scalar_backend_never_eligible(self):
         for index, cell in indexed(mixed_spec()):
@@ -75,13 +84,18 @@ class TestPlanner:
         shards = plan_shards(indexed(mixed_spec()), workers=1)
         stacked = [s for s in shards if s.kind == "stacked"]
         serial = [s for s in shards if s.kind == "serial"]
-        # One stacked group per shape; one serial shard for the rest.
+        # One stacked group per shape, static-block stacked with
+        # limited-global; one serial shard for the BFS planner.
         assert len(stacked) == 2
         for shard in stacked:
             assert len({cell.shape for _, cell in shard.cells}) == 1
-            assert all(cell.policy == "limited-global" for _, cell in shard.cells)
+            assert {cell.policy for _, cell in shard.cells} == {
+                "limited-global", "static-block"
+            }
         assert len(serial) == 1
-        assert all(cell.policy == "static-block" for _, cell in serial[0].cells)
+        assert all(
+            cell.policy == "global-information" for _, cell in serial[0].cells
+        )
 
     @VECTOR_ONLY
     def test_large_group_splits_across_workers(self):

@@ -216,41 +216,42 @@ class TestStreamingSourceParity:
         assert results[0] == results[1]
 
 
-class TestBatchedStepping:
-    """Per-node batched decisions are byte-identical to the per-probe loop."""
+class TestDecisionCache:
+    """A per-node decision cache never changes a routing decision."""
 
-    @pytest.mark.parametrize("contention", [False, True])
     @pytest.mark.parametrize(
-        "router", ["limited-global", "no-information", "static-block",
-                   "global-information"]
+        "router", ["limited-global", "static-block", "boundary-only",
+                   "no-disabled-avoid", "no-information"]
     )
-    def test_batched_equals_legacy(self, contention, router):
+    def test_cached_equals_uncached(self, router):
+        from repro.core.block_construction import build_blocks
+        from repro.core.routing import DecisionCache, route_offline
+        from repro.routing import StaticBlockRouter, resolve_router
         from repro.workloads.congestion import transpose_scenario
 
-        results = []
-        for batch in (True, False):
-            scenario = transpose_scenario(radix=6, n_dims=2, dynamic_faults=3, seed=2)
-            sim = Simulator(
-                scenario.mesh,
-                schedule=scenario.schedule,
-                traffic=list(scenario.traffic),
-                config=SimulationConfig(
-                    router=router, contention=contention, batch_by_node=batch
-                ),
+        scenario = transpose_scenario(radix=6, n_dims=2, dynamic_faults=3, seed=2)
+        mesh = scenario.mesh
+        faults = sorted({event.node for event in scenario.schedule.events})
+        labeling = build_blocks(mesh, faults).state
+        policy = resolve_router(router)
+        if isinstance(policy, StaticBlockRouter):
+            info = policy.adjacent_view(mesh, labeling)
+        else:
+            info = policy.offline_view(mesh, labeling)
+        cache = DecisionCache(info, policy.policy)  # shared across routes
+        blocked = labeling.block_nodes
+        pairs = [
+            (m.source, m.destination)
+            for m in scenario.traffic
+            if m.source not in blocked and m.destination not in blocked
+        ]
+        assert pairs
+        for source, destination in pairs:
+            uncached = route_offline(info, source, destination, policy=policy.policy)
+            cached = route_offline(
+                info, source, destination, policy=policy.policy, decision_cache=cache
             )
-            stats = sim.run().stats
-            results.append(
-                (
-                    stats.summary(),
-                    [
-                        (m.message.source, m.message.destination,
-                         m.result.outcome.value, m.result.hops,
-                         tuple(m.result.path), m.finish_step)
-                        for m in stats.messages
-                    ],
-                )
-            )
-        assert results[0] == results[1]
+            assert cached == uncached
 
     def test_decision_cache_tracks_information_changes(self):
         from repro.core.routing import DecisionCache, RoutingPolicy

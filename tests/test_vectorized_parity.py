@@ -1,10 +1,10 @@
 """Scalar-vs-vectorized parity: labeling, ledger, decisions, index tables.
 
 The numpy-vectorized labeling engine, the array-backed reservation ledger
-and the batched decision engine must be *byte-identical* to their
-pure-Python reference implementations — same statuses, same mutation
-counters, same block extents, same reserved-link sets, same candidate
-classifications, same simulation statistics.  These tests drive both
+and the probe table's decision kernel (:func:`classify_rows`) must be
+*byte-identical* to their pure-Python reference implementations — same
+statuses, same mutation counters, same block extents, same reserved-link
+sets, same candidate classifications, same simulation statistics.  These tests drive both
 implementations through randomized fault churn, dynamic schedule replays,
 full simulations for every registered router policy in both contention
 modes, randomized probe-decision sweeps over every probe kind, and
@@ -22,9 +22,11 @@ from repro.core.block_construction import (
     labeling_round,
     run_block_construction,
 )
+from repro.core.decision import VectorDecisionEngine, classify_rows
 from repro.core.distribution import distribute_information
 from repro.core.routing import (
     DecisionCache,
+    DirectionClass,
     RoutingPolicy,
     RoutingProbe,
     decision_candidates,
@@ -166,11 +168,11 @@ class TestPolicyContentionParity:
     def test_policy_parity_both_contention_modes(self, policy, contention):
         """Acceptance gate: every registry policy x contention mode, both backends.
 
-        With the vector backend the simulator classifies probe decisions
-        through the batched engine (and, under contention, scans candidates
-        against the array ledger's occupancy columns); the scalar backend
-        keeps the per-probe reference loop.  Stats and per-message paths
-        must be byte-identical.
+        With the vector backend the simulator runs every policy but
+        global-information on the probe table (and, under contention, scans
+        candidates against the array ledger's holder column); the scalar
+        backend keeps the per-probe reference loop.  Stats and per-message
+        paths must be byte-identical.
         """
         mesh = Mesh.cube(8, 2)
         rng = np.random.default_rng(11)
@@ -208,7 +210,7 @@ class TestPolicyContentionParity:
 
 
 # --------------------------------------------------------------------- #
-# batched decision engine
+# decision kernel
 # --------------------------------------------------------------------- #
 
 #: The five Algorithm-3 policies with their offline information view
@@ -254,7 +256,7 @@ def _decision_population(mesh, info, policy, rng, count):
         min_distance=max(2, mesh.diameter // 2),
         exclude=list(labeling.block_nodes),
     )
-    cache = DecisionCache(info, policy, backend=SCALAR)
+    cache = DecisionCache(info, policy)
     headers = []
     for i, (src, dst) in enumerate(pairs):
         probe = RoutingProbe(mesh, src, dst, policy=policy)
@@ -279,8 +281,54 @@ def _decision_population(mesh, info, policy, rng, count):
     return headers
 
 
+def _columns(mesh, headers):
+    """A header batch as :func:`classify_rows` column inputs.
+
+    The same columns the probe table keeps per row: node and destination
+    indices, the reversed incoming direction (surface index, ``-1`` at a
+    probe holding no link), the used-direction word and the rule-1 check.
+    """
+    surface = {d: j for j, d in enumerate(mesh.directions)}
+    cur = np.array([mesh.index_of(h.current) for h in headers], dtype=np.int64)
+    dest = np.array([mesh.index_of(h.destination) for h in headers], dtype=np.int64)
+    rev = np.array(
+        [
+            -1 if h.incoming_direction is None
+            else surface[h.incoming_direction.reversed()]
+            for h in headers
+        ],
+        dtype=np.int64,
+    )
+    used = np.array(
+        [sum(1 << surface[d] for d in h.used_at(h.current)) for h in headers],
+        dtype=np.uint32,
+    )
+    at_source = np.array([h.current == h.source for h in headers], dtype=bool)
+    return cur, cur, dest, rev, used, at_source
+
+
+def _vector_candidates(engine, headers):
+    """:func:`classify_rows` over ``headers``, decoded to the oracle's form."""
+    mesh = engine.mesh
+    tables, _token = engine.tables()
+    backtrack, sorted_dirs, counts, keys = classify_rows(
+        tables, *_columns(mesh, headers)
+    )
+    unit = tables.span + 1
+    out = []
+    for g in range(len(headers)):
+        if backtrack[g]:
+            out.append(None)
+            continue
+        out.append([
+            (DirectionClass(int(keys[g, j]) // unit), mesh.directions[j])
+            for j in sorted_dirs[g, : counts[g]].tolist()
+        ])
+    return out
+
+
 class TestDecisionBatchParity:
-    """Vectorized batch classification == scalar reference, byte-identical."""
+    """The vectorized decision kernel == scalar reference, byte-identical."""
 
     @pytest.mark.parametrize("policy_name", sorted(DECISION_POLICIES))
     @pytest.mark.parametrize("shape,seed", [((12, 12), 0), ((12, 12), 1), ((7, 7, 7), 2)])
@@ -295,26 +343,13 @@ class TestDecisionBatchParity:
         headers = _decision_population(mesh, info, policy, rng, count=48)
         assert headers, "population generation produced no in-flight headers"
 
-        scalar_cache = DecisionCache(info, policy, backend=SCALAR)
+        scalar_cache = DecisionCache(info, policy)
         expected = [
             decision_candidates(info, h, policy=policy, cache=scalar_cache)
             for h in headers
         ]
-        vector_cache = DecisionCache(info, policy, backend=VECTOR)
-        assert vector_cache.batch_candidates(headers) == expected
-        # The compact simulator form must carry the same directions in the
-        # same order, with each next hop and link slot matching the mesh.
-        for header, classified, compact in zip(
-            headers, expected, vector_cache.batch_candidate_pairs(headers)
-        ):
-            if classified is None:
-                assert compact is None
-                continue
-            node = header.current
-            assert [d for _, d in classified] == [d for d, _, _ in compact]
-            for direction, nxt, slot in compact:
-                assert nxt == direction.apply(node)
-                assert slot == mesh.link_index(node, nxt)
+        engine = VectorDecisionEngine(info, policy)
+        assert _vector_candidates(engine, headers) == expected
 
     def test_rule_one_returns_none(self):
         """A probe on a disabled node away from its source gets ``None``."""
@@ -326,11 +361,13 @@ class TestDecisionBatchParity:
         info = distribute_information(mesh, labeling)
         policy = RoutingPolicy.limited_global()
         node = disabled[0]
-        entered = RoutingProbe(mesh, (0, 0), (7, 7), policy=policy)
-        entered.header.stack = [(0, 0), node]
+        # Entered over a real link, so the row has an incoming direction.
+        neighbor = next(n for n in mesh.neighbors(node) if labeling.is_operational(n))
+        entered = RoutingProbe(mesh, neighbor, (7, 7), policy=policy)
+        entered.header.push(node)
         starting = RoutingProbe(mesh, node, (7, 7), policy=policy)
-        cache = DecisionCache(info, policy, backend=VECTOR)
-        batch = cache.batch_candidates([entered.header, starting.header])
+        engine = VectorDecisionEngine(info, policy)
+        batch = _vector_candidates(engine, [entered.header, starting.header])
         assert batch[0] is None
         assert batch[1] is not None  # rule 1 never strands a probe at home
         assert batch == [
@@ -344,9 +381,9 @@ class TestDecisionBatchParity:
         labeling = build_blocks(mesh, [(3, 3)]).state
         info = distribute_information(mesh, labeling)
         policy = RoutingPolicy.limited_global()
-        cache = DecisionCache(info, policy, backend=VECTOR)
+        engine = VectorDecisionEngine(info, policy)
         header = RoutingProbe(mesh, (5, 3), (7, 7), policy=policy).header
-        before = cache.batch_candidates([header])
+        before = _vector_candidates(engine, [header])
         assert before == [decision_candidates(info, header, policy=policy)]
         # Grow the block: (5,3)'s -x neighbor turns faulty, so its usable
         # direction set (and with it the candidate list) must change.
@@ -357,7 +394,7 @@ class TestDecisionBatchParity:
         info.node_blocks.update(fresh.node_blocks)
         info.node_boundaries.update(fresh.node_boundaries)
         info.record_mutations += 1
-        after = cache.batch_candidates([header])
+        after = _vector_candidates(engine, [header])
         assert after == [decision_candidates(info, header, policy=policy)]
         assert after != before
 
@@ -455,53 +492,6 @@ class TestLedgerParity:
         assert not vector.is_blocked(2, (0, 0), (1, 0))
         assert vector.reserved_links == 0
         assert vector.active_holders == 0
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_circuit_table_mesh_mode_parity(self, seed):
-        """Dict-keyed and occupancy-column CircuitTable behave identically."""
-        from repro.pcs.circuit import CircuitTable, ReservationError
-
-        mesh = Mesh.cube(6, 2)
-        rng = np.random.default_rng(seed)
-        plain = CircuitTable()
-        arrayed = CircuitTable(mesh=mesh)
-        reserved = []
-        for _ in range(120):
-            op = rng.integers(0, 3)
-            if op < 2:  # try to reserve a random-walk circuit
-                node = tuple(int(c) for c in rng.integers(0, 6, size=2))
-                path = [node]
-                for _ in range(int(rng.integers(1, 6))):
-                    moves = [n for n in mesh.neighbors(path[-1]) if n not in path]
-                    if not moves:
-                        break
-                    path.append(moves[int(rng.integers(0, len(moves)))])
-                if len(path) < 2:
-                    continue
-                circuit = Circuit(tuple(path))
-                conflicts = plain.conflicts(circuit)
-                assert arrayed.conflicts(circuit) == conflicts
-                if conflicts:
-                    with pytest.raises(ReservationError):
-                        plain.reserve(circuit)
-                    with pytest.raises(ReservationError):
-                        arrayed.reserve(circuit)
-                else:
-                    plain.reserve(circuit)
-                    arrayed.reserve(circuit)
-                    reserved.append(circuit)
-            elif reserved:  # release one (and exercise the unknown no-op)
-                circuit = reserved.pop(int(rng.integers(0, len(reserved))))
-                plain.release(circuit)
-                arrayed.release(circuit)
-                plain.release(circuit)
-                arrayed.release(circuit)
-            assert plain.reserved_links == arrayed.reserved_links
-            assert plain.circuits == arrayed.circuits
-        for circuit in reserved:
-            plain.release(circuit)
-            arrayed.release(circuit)
-        assert plain.reserved_links == arrayed.reserved_links == 0
 
     def test_link_index_rejects_out_of_mesh_endpoints(self):
         """Adjacent but off-mesh coordinate pairs must not map to a slot."""
