@@ -182,6 +182,16 @@ class TestStableSurface:
             warnings.simplefilter("error", DeprecationWarning)
             small_spec()
 
+    def test_positional_spec_rejected(self):
+        """Every ExperimentSpec field is keyword-only."""
+        with pytest.raises(TypeError):
+            ExperimentSpec("schema-unit", "simulate")
+
+    def test_run_batch_positional_options_rejected(self):
+        """Only the spec is positional; run_batch's options are keyword-only."""
+        with pytest.raises(TypeError):
+            run_batch(small_spec(seeds=(0,)), 1)
+
     def test_run_batch_accepts_spec_payload_dict(self):
         spec = small_spec(seeds=(0,))
         assert run_batch(spec.to_dict()).to_json() == run_batch(spec).to_json()

@@ -216,6 +216,51 @@ class TestStreamingSourceParity:
         assert results[0] == results[1]
 
 
+class TestTableStepping:
+    """The probe table is byte-identical to the scalar per-probe oracle.
+
+    The oracle is the plain ``RoutingProbe`` loop a simulator runs once
+    ``sim._table`` is cleared.  ``global-information`` plans by BFS and never
+    gets a table, so for it both runs take the object path.
+    """
+
+    @pytest.mark.parametrize("contention", [False, True])
+    @pytest.mark.parametrize(
+        "router", ["limited-global", "no-information", "static-block",
+                   "global-information"]
+    )
+    def test_table_equals_oracle(self, contention, router):
+        from repro.backend import VECTOR, resolve_backend
+        from repro.workloads.congestion import transpose_scenario
+
+        hosted = router != "global-information" and resolve_backend() == VECTOR
+        results = []
+        for table in (True, False):
+            scenario = transpose_scenario(radix=6, n_dims=2, dynamic_faults=3, seed=2)
+            sim = Simulator(
+                scenario.mesh,
+                schedule=scenario.schedule,
+                traffic=list(scenario.traffic),
+                config=SimulationConfig(router=router, contention=contention),
+            )
+            assert (sim._table is not None) == hosted
+            if not table:
+                sim._table = None  # run the scalar oracle
+            stats = sim.run().stats
+            results.append(
+                (
+                    stats.summary(),
+                    [
+                        (m.message.source, m.message.destination,
+                         m.result.outcome.value, m.result.hops,
+                         tuple(m.result.path), m.finish_step)
+                        for m in stats.messages
+                    ],
+                )
+            )
+        assert results[0] == results[1]
+
+
 class TestDecisionCache:
     """A per-node decision cache never changes a routing decision."""
 
