@@ -17,6 +17,12 @@ classes, same directions, same order, same ``None`` rule-1 results) before
 anything is timed.  Run with ``--benchmark-json`` to record a
 ``BENCH_decision.json`` trajectory point (see benchmarks/baselines/ and
 benchmarks/check_regression.py).
+
+The refresh-churn cases time the other half of the decision layer: the
+engine's table refresh.  They replay the information changes of one
+dynamic-fault cell (status changes and record mutator calls, step by step)
+into a fresh state and call ``engine.tables()`` after each changed step;
+their parity twin holds every refreshed table to a freshly built engine's.
 """
 
 from functools import lru_cache
@@ -24,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from _common import print_table
 
-from repro.core.block_construction import build_blocks
+from repro.core.block_construction import LabelingState, build_blocks
 from repro.core.decision import VectorDecisionEngine, classify_rows
 from repro.core.distribution import distribute_information
 from repro.core.routing import (
@@ -34,8 +40,12 @@ from repro.core.routing import (
     RoutingProbe,
     decision_candidates,
 )
+from repro.core.state import InformationState
 from repro.faults.injection import uniform_random_faults
+from repro.faults.status import NodeStatus
 from repro.mesh.topology import Mesh
+from repro.simulator.engine import Simulator
+from repro.workloads.congestion import transpose_scenario
 from repro.workloads.traffic import random_pairs
 
 
@@ -212,3 +222,106 @@ def test_speedup_table():
         ["mesh", "probes", "scalar ms", "vector ms", "speedup"],
         rows,
     )
+
+
+# --------------------------------------------------------------------- #
+# table refresh under information churn
+# --------------------------------------------------------------------- #
+#: The mutators that change an information state's records.
+_RECORD_MUTATORS = ("add_block_info", "add_boundary", "cancel_stale")
+
+#: Simulation steps recorded per churn cell (the faults arrive at steps 2
+#: and 8; the information has long converged by the end).
+_CHURN_STEPS = 80
+
+
+@lru_cache(maxsize=None)
+def _churn(kind):
+    """One dynamic-fault cell's information changes, step by step.
+
+    Returns ``(mesh, start, steps)``: the status codes and records right
+    after pre-convergence, then per simulation step that changed the
+    information its status codes afterwards and the record mutator calls it
+    made.  The information does not depend on the traffic, so the cell runs
+    without messages.
+    """
+    radix, n_dims = (8, 2) if kind == "2d" else (5, 3)
+    scenario = transpose_scenario(
+        radix=radix, n_dims=n_dims, dynamic_faults=2, interval=6, seed=1
+    )
+    sim = Simulator(scenario.mesh, schedule=scenario.schedule, traffic=[])
+    info = sim.info
+    start = (
+        info.labeling.codes.copy(),
+        {node: set(r) for node, r in info.node_blocks.items()},
+        {node: set(r) for node, r in info.node_boundaries.items()},
+    )
+    calls = []
+    for name in _RECORD_MUTATORS:
+        method = getattr(info, name)
+
+        def logged(*args, _name=name, _method=method):
+            calls.append((_name, args))
+            return _method(*args)
+
+        setattr(info, name, logged)
+    steps = []
+    token = (info.labeling.mutations, info.record_mutations)
+    for _ in range(_CHURN_STEPS):
+        sim.step()
+        now = (info.labeling.mutations, info.record_mutations)
+        if now != token:
+            steps.append((info.labeling.codes.copy(), tuple(calls)))
+            calls.clear()
+            token = now
+    return scenario.mesh, start, tuple(steps)
+
+
+def _replay_churn(kind, check=None):
+    """Replay a churn cell into a fresh state; refresh after every step."""
+    mesh, (codes, blocks, bounds), steps = _churn(kind)
+    labeling = LabelingState(mesh=mesh)
+    for i in np.flatnonzero(codes).tolist():
+        labeling.set_status(mesh.coord_of(i), NodeStatus.from_code(int(codes[i])))
+    info = InformationState(
+        mesh=mesh,
+        labeling=labeling,
+        node_blocks={node: set(r) for node, r in blocks.items()},
+        node_boundaries={node: set(r) for node, r in bounds.items()},
+    )
+    policy = RoutingPolicy.limited_global()
+    engine = VectorDecisionEngine(info, policy)
+    engine.tables()
+    for codes, calls in steps:
+        for i in np.flatnonzero(labeling.codes != codes).tolist():
+            labeling.set_status(mesh.coord_of(i), NodeStatus.from_code(int(codes[i])))
+        for name, args in calls:
+            getattr(info, name)(*args)
+        tables, _token = engine.tables()
+        if check is not None:
+            check(tables, VectorDecisionEngine(info, policy).tables()[0])
+    return len(steps)
+
+
+def _same_tables(live, fresh):
+    for name in ("node_codes", "usable", "disabled_nb", "along", "c_start",
+                 "c_count", "c_prism", "c_target_lo", "c_target_hi",
+                 "base_key", "disabled_flag", "usable_bits", "detour_bits"):
+        np.testing.assert_array_equal(getattr(live, name), getattr(fresh, name))
+    assert live.has_constraints == fresh.has_constraints
+
+
+def test_tables_refresh_churn_parity():
+    """Parity gate for the refresh-churn cases: long-lived == fresh engine."""
+    for kind in ("2d", "3d"):
+        assert _replay_churn(kind, check=_same_tables) >= 10
+
+
+def test_bench_tables_refresh_churn_8x8(benchmark):
+    steps = benchmark(lambda: _replay_churn("2d"))
+    print(f"\n8x8 refresh churn: {steps} information changes replayed")
+
+
+def test_bench_tables_refresh_churn_5x5x5(benchmark):
+    steps = benchmark(lambda: _replay_churn("3d"))
+    print(f"\n5x5x5 refresh churn: {steps} information changes replayed")

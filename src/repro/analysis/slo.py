@@ -23,8 +23,9 @@ in the unit tests.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "EventSlo",
@@ -89,13 +90,23 @@ def event_transient(
     With no usable pre-event history (``t == 0`` or a zero baseline) there
     is nothing to dip from: the transient is ``(baseline, 0.0, 0)``.
     """
+    _check_event(t, recover_fraction)
+    if t >= len(series):
+        return 0.0, 0.0, -1
+    return _transient(moving_average(series, smooth), t, baseline_window, recover_fraction)
+
+
+def _check_event(t: int, recover_fraction: float) -> None:
     if t < 0:
         raise ValueError("event step must be non-negative")
     if not 0.0 < recover_fraction <= 1.0:
         raise ValueError("recover_fraction must be within (0, 1]")
-    if t >= len(series):
-        return 0.0, 0.0, -1
-    smoothed = moving_average(series, smooth)
+
+
+def _transient(
+    smoothed: List[float], t: int, baseline_window: int, recover_fraction: float
+) -> Tuple[float, float, int]:
+    """:func:`event_transient` over an already smoothed series (``t`` in range)."""
     pre = smoothed[max(0, t - baseline_window) : t]
     baseline = sum(pre) / len(pre) if pre else 0.0
     if baseline <= 0.0:
@@ -128,6 +139,10 @@ def p99_excursion(
     """
     pre = [lat for f, lat in latencies_by_finish if t - baseline_window <= f < t]
     post = [lat for f, lat in latencies_by_finish if t <= f < t + excursion_window]
+    return _excursion(pre, post)
+
+
+def _excursion(pre: List[float], post: List[float]) -> float:
     if not pre or not post:
         return 0.0
     return _p99(post) - _p99(pre)
@@ -208,17 +223,26 @@ def compute_recovery_slo(
     attributed to the most recent event at or before their step.
     """
     ordered = sorted((int(t), tuple(node)) for t, node in events)
+    # One smoothing pass and one finish-sorted copy of the latencies serve
+    # every event: each event then scores from slices of them.
+    smoothed: Optional[List[float]] = None
+    by_finish = sorted(latencies_by_finish, key=lambda pair: pair[0])
+    finishes = [f for f, _lat in by_finish]
+    latencies = [lat for _f, lat in by_finish]
     scored: List[EventSlo] = []
     for i, (t, node) in enumerate(ordered):
-        baseline, dip, ttr = event_transient(
-            delivered,
-            t,
-            baseline_window=baseline_window,
-            smooth=smooth,
-            recover_fraction=recover_fraction,
-        )
+        _check_event(t, recover_fraction)
+        if t >= len(delivered):
+            baseline, dip, ttr = 0.0, 0.0, -1
+        else:
+            if smoothed is None:
+                smoothed = moving_average(delivered, smooth)
+            baseline, dip, ttr = _transient(smoothed, t, baseline_window, recover_fraction)
         window_end = ordered[i + 1][0] if i + 1 < len(ordered) else len(fault_dropped)
         dropped = int(sum(fault_dropped[t:window_end]))
+        lo = bisect_left(finishes, t - baseline_window)
+        mid = bisect_left(finishes, t)
+        hi = bisect_left(finishes, t + excursion_window)
         scored.append(
             EventSlo(
                 time=t,
@@ -226,12 +250,7 @@ def compute_recovery_slo(
                 baseline=baseline,
                 dip_depth=dip,
                 time_to_recover=ttr,
-                p99_excursion=p99_excursion(
-                    latencies_by_finish,
-                    t,
-                    baseline_window=baseline_window,
-                    excursion_window=excursion_window,
-                ),
+                p99_excursion=_excursion(latencies[lo:mid], latencies[mid:hi]),
                 fault_dropped=dropped,
             )
         )

@@ -12,7 +12,7 @@ operations over flat representations:
 * adjacency — :attr:`Mesh.neighbor_table` / :attr:`Mesh.neighbor_gather_table`
   (the ``(size, 2n)`` surface-order neighbor stencil),
 * routing geometry — the per-node detour constraints and extent frames,
-  compiled once per information generation into flat constraint tables.
+  compiled from the records' integer bounds into flat constraint tables.
 
 :class:`VectorDecisionEngine` compiles those per-node tables for one
 information view and policy; :func:`classify_rows` classifies every row of
@@ -26,24 +26,26 @@ priority order.  The output is **byte-identical** to the scalar
 parity suite holds the two to that.
 
 The engine is keyed on the information's validity token (labeling mutation
-counter + record mutation counter): the per-node tables are rebuilt only
-when the fault information actually changes, which at steady state means
-once for a whole run.
+counter + record mutation counter) and refreshes by what changed: a
+labeling change recomputes the status masks, a record change recompiles
+only the nodes :meth:`~repro.core.state.InformationState.changed_nodes`
+reports, all of them in one vectorized pass.  At steady state nothing is
+recompiled for a whole run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core.routing import (
-    DirectionClass,
-    InformationProvider,
-    RoutingPolicy,
-    _routing_geometry,
-)
+from repro.core.faulty_block import dangerous_prism_of_extent
+from repro.core.routing import DirectionClass, RoutingPolicy
+from repro.core.state import InformationState
 from repro.faults.status import NodeStatus
+from repro.mesh.regions import Region
+from repro.mesh.topology import Mesh
 
 _DISABLED = NodeStatus.DISABLED.code
 _FAULTY = NodeStatus.FAULTY.code
@@ -61,14 +63,30 @@ _INCOMING = int(DirectionClass.INCOMING)
 
 
 class DecisionTables:
-    """Flat per-node classification tables of one information generation.
+    """Flat per-node classification tables of one information view.
 
-    Everything :func:`classify_rows` reads: the per-node state tables built
-    by :meth:`VectorDecisionEngine._refresh` plus the mesh-geometry
-    constants.  The stacked multi-cell runner concatenates several engines'
-    tables along the node axis (shifting ``c_start`` by the per-cell
-    constraint-row offsets), which works because every lookup here is keyed
-    by a flat node index.
+    Everything :func:`classify_rows` reads: the per-node state tables kept
+    by :class:`VectorDecisionEngine`, their packed derivatives, and the
+    mesh-geometry constants.  The stacked multi-cell runner concatenates
+    several engines' tables along the node axis (shifting ``c_start`` by
+    the per-cell constraint-row offsets), which works because every lookup
+    here is keyed by a flat node index.
+
+    The packed derivatives are built with the tables and recomputed by
+    :meth:`derive` whenever the engine rewrites the raw rows they come
+    from, so they never go stale:
+
+    * ``base_key[node, dir]`` — the composite sort key of the direction's
+      class ignoring the per-row preferred/incoming/used overrides (the
+      scalar class precedence folded into one gatherable int);
+    * ``disabled_flag`` / ``usable_bits`` — the rule-1 flag and the usable
+      directions as one bit word per node;
+    * ``detour_bits[node, dest] >> dir & 1`` — within
+      :attr:`DETOUR_TABLE_CAP`, the detour test (direction enters a
+      dangerous prism while ``dest`` lies in the constraint's target),
+      precompiled per (node, destination); ``None`` beyond the cap, where
+      :func:`classify_rows` tests the CSR constraint rows directly (and for
+      a policy that reads no records).
     """
 
     __slots__ = (
@@ -99,8 +117,8 @@ class DecisionTables:
         "coords_s",
     )
 
-    #: Largest ``nodes x destinations`` product for which the per-generation
-    #: detour bit table is precomputed (4 bytes per entry).
+    #: Largest ``nodes x destinations`` product for which the detour bit
+    #: table is kept (4 bytes per entry).
     DETOUR_TABLE_CAP = 1 << 22
 
     def __init__(
@@ -123,6 +141,7 @@ class DecisionTables:
         two_n,
         size,
         coords,
+        detour_bits=None,
     ) -> None:
         self.node_codes = node_codes
         self.usable = usable
@@ -143,44 +162,13 @@ class DecisionTables:
         #: pre-signed coordinate and per-(node, destination) detour tables).
         self.size = size
         self.coords = coords
-        # Lazily packed derivatives (built on first classify_rows call).
-        self.base_key = None
-        self.disabled_flag = None
-        self.has_constraints = None
-        self.detour_bits = None
-        self.bit_range = None
-        self.keys = None
-        self.usable_bits = None
-        self.coords_s = None
-
-    def packed(self):
-        """Build (once) the packed composite-key tables classify_rows uses.
-
-        ``base_key[node, dir]`` is the composite sort key of the direction's
-        class ignoring the per-row preferred/incoming/used overrides — the
-        scalar class precedence folded into one gatherable int.  Within
-        :attr:`DETOUR_TABLE_CAP`, the detour test (a per-destination prism
-        membership) is also precompiled into ``detour_bits[node, dest]``.
-        """
-        if self.base_key is not None:
-            return self
-        span = self.span
-        unit = span + 1
-        base_cls = np.where(
-            self.disabled_nb,
-            _DISABLED_NEIGHBOR,
-            np.where(self.along, _SPARE_ALONG_BLOCK, _SPARE),
-        )
-        self.base_key = base_cls * unit + span
-        self.disabled_flag = self.node_codes == _DISABLED
-        self.has_constraints = bool(self.c_count.any())
-        self.bit_range = np.arange(self.two_n, dtype=np.uint32)
-        self.usable_bits = (
-            (self.usable.astype(np.uint32) << self.bit_range).sum(axis=1)
-        ).astype(np.uint32)
+        self.detour_bits = detour_bits
+        self.has_constraints = bool(c_count.any())
+        self.bit_range = np.arange(two_n, dtype=np.uint32)
         # Per-node coordinates pre-permuted to surface order and pre-signed,
         # so the preferred test is a single subtraction.
-        self.coords_s = self.coords[:, self.dims] * self.signs
+        self.coords_s = coords[:, dims] * signs
+        unit = span + 1
         self.keys = (
             _DISABLED_NEIGHBOR * unit + span,  # DN_KEY
             _PREFERRED * unit + span,  # PREF_BASE (minus remaining-offset)
@@ -189,39 +177,30 @@ class DecisionTables:
             _SKIP * unit + span,  # SKIP_KEY
             _SKIP * unit,  # SKIP_BASE (every real class sorts below it)
         )
-        if (
-            self.detour_bits is None  # may be pre-seeded by the engine
-            and self.has_constraints
-            and self.node_codes.shape[0] * self.size <= self.DETOUR_TABLE_CAP
-        ):
-            self.detour_bits = self._build_detour_bits()
-        return self
+        rows = node_codes.shape[0]
+        self.base_key = np.empty((rows, two_n), dtype=np.int64)
+        self.disabled_flag = np.empty(rows, dtype=bool)
+        self.usable_bits = np.empty(rows, dtype=np.uint32)
+        self.derive()
 
-    def _build_detour_bits(self):
-        """``detour_bits[node, dest] >> dir & 1``: direction enters a
-        dangerous prism while ``dest`` lies in the constraint's target."""
-        cnt = self.c_count
-        nodes_c = np.flatnonzero(cnt)
-        reps = cnt[nodes_c]
-        total = int(reps.sum())
-        starts = np.cumsum(reps) - reps
-        row_ids = np.repeat(self.c_start[nodes_c], reps) + (
-            np.arange(total) - np.repeat(starts, reps)
+    def derive(self, rows=slice(None), *, statuses: bool = True) -> None:
+        """Recompute the packed derivatives of ``rows`` from the raw tables.
+
+        ``statuses=False`` skips the two that depend on node statuses only
+        (``disabled_flag``, ``usable_bits``), for a change of geometry rows.
+        """
+        span = self.span
+        base_cls = np.where(
+            self.disabled_nb[rows],
+            _DISABLED_NEIGHBOR,
+            np.where(self.along[rows], _SPARE_ALONG_BLOCK, _SPARE),
         )
-        owner = np.repeat(nodes_c, reps)
-        dest_coords = self.coords
-        lo = self.c_target_lo[row_ids]
-        hi = self.c_target_hi[row_ids]
-        in_target = (dest_coords[None, :, :] >= lo[:, None, :]).all(axis=2) & (
-            dest_coords[None, :, :] <= hi[:, None, :]
-        ).all(axis=2)
-        prism_bits = (
-            (self.c_prism[row_ids].astype(np.uint32) << self.bit_range).sum(axis=1)
-        ).astype(np.uint32)
-        contrib = in_target.astype(np.uint32) * prism_bits[:, None]
-        bits = np.zeros((self.node_codes.shape[0], self.size), dtype=np.uint32)
-        np.bitwise_or.at(bits, owner, contrib)
-        return bits
+        self.base_key[rows] = base_cls * (span + 1) + span
+        if statuses:
+            self.disabled_flag[rows] = self.node_codes[rows] == _DISABLED
+            self.usable_bits[rows] = (
+                self.usable[rows].astype(np.uint32) << self.bit_range
+            ).sum(axis=1, dtype=np.uint32)
 
 
 def classify_rows(
@@ -252,18 +231,17 @@ def classify_rows(
     :class:`~repro.core.routing.DirectionClass` value (``len(DirectionClass)``
     for skipped directions).
     """
-    pk = tables.packed()
-    dn_key, pref_base, pd_key, inc_key, skip_key, skip_base = pk.keys
+    dn_key, pref_base, pd_key, inc_key, skip_key, skip_base = tables.keys
 
     # Preferred directions and the remaining-offset ordering key.  The
     # composite sort key is class * (span+1) + within-class offset (the
     # offset is ``span - remaining`` for PREFERRED, ``span`` otherwise), so
     # a direction's key orders by class first, then farther-to-go first.
-    dd = pk.coords_s[dest_idx] - pk.coords_s[cur_idx]
+    dd = tables.coords_s[dest_idx] - tables.coords_s[cur_idx]
     pref = dd > 0
     remaining = np.abs(dd)
 
-    comp = pk.base_key[node_idx]
+    comp = tables.base_key[node_idx]
     # Preferred overrides the spare classes but not a disabled neighbor.
     pref_ok = pref & (comp != dn_key)
     pref_val = pref_base - remaining
@@ -271,10 +249,10 @@ def classify_rows(
     # Detour demotion: preferred directions entering a dangerous prism
     # while the destination lies in the opposite prism.  Only probes at
     # constraint-holding nodes contribute rows.
-    if pk.has_constraints:
-        if pk.detour_bits is not None:
-            dt = pk.detour_bits[node_idx, dest_idx]
-            detour = (dt[:, None] >> pk.bit_range) & np.uint32(1)
+    if tables.has_constraints:
+        if tables.detour_bits is not None:
+            dt = tables.detour_bits[node_idx, dest_idx]
+            detour = (dt[:, None] >> tables.bit_range) & np.uint32(1)
         else:
             # Beyond the detour table cap: test the constraint rows of the
             # probes' nodes directly (CSR segments, one reduceat).
@@ -303,8 +281,8 @@ def classify_rows(
     entered = np.flatnonzero(rev_col >= 0)
     comp[entered, rev_col[entered]] = inc_key
 
-    avail = ~used_bits & pk.usable_bits[node_idx]
-    comp = np.where((avail[:, None] >> pk.bit_range) & np.uint32(1), comp, skip_key)
+    avail = ~used_bits & tables.usable_bits[node_idx]
+    comp = np.where((avail[:, None] >> tables.bit_range) & np.uint32(1), comp, skip_key)
 
     # Priority order: (class, -remaining within PREFERRED, dim, sign).
     # The (dim, sign) tie-break comes from pre-permuting the columns and
@@ -314,234 +292,147 @@ def classify_rows(
     sorted_dirs = perm[order]
     valid = (comp < skip_base).sum(axis=1)
 
-    backtrack = pk.disabled_flag[node_idx] & ~at_source
+    backtrack = tables.disabled_flag[node_idx] & ~at_source
     return backtrack, sorted_dirs, valid, comp
+
+
+class _ExtentRows(NamedTuple):
+    """The integer bound rows one known extent contributes at a node.
+
+    Rows are ``lo + hi`` as packed ``int64`` bytes, so a refresh joins the
+    rows of every touched node into one array without converting each.
+    """
+
+    #: The extent's one-hop frame row, then the extent row.
+    along: bytes
+    #: The (dangerous prism, opposite prism) rows of every dimension and
+    #: side, as a block record contributes them; ``count`` pairs.
+    prisms: bytes
+    targets: bytes
+    count: int
+    #: Per ``2 * dim + (side > 0)``, one boundary record's ``(prism,
+    #: target)`` rows; ``None`` where either prism is empty in the mesh.
+    pairs: Tuple[Optional[Tuple[bytes, bytes]], ...]
+
+
+@lru_cache(maxsize=4096)
+def _extent_rows(extent: Region, shape: Tuple[int, ...]) -> _ExtentRows:
+    """Bound rows of ``extent`` in a mesh of ``shape``: its frame
+    (``Region.expand(1)``) and the prisms of
+    :func:`~repro.core.faulty_block.dangerous_prism_of_extent`.
+
+    Keyed on the shape, not a :class:`Mesh`, so the cache keeps no mesh
+    (and its lazily built tables) alive.
+    """
+    mesh = Mesh(shape)
+
+    def row(*regions: Region) -> bytes:
+        return np.array(
+            [r.lo + r.hi for r in regions], dtype=np.int64
+        ).tobytes()
+
+    pairs: List[Optional[Tuple[bytes, bytes]]] = []
+    for dim in range(mesh.n_dims):
+        for side in (-1, +1):
+            prism = dangerous_prism_of_extent(extent, mesh, dim, side)
+            target = dangerous_prism_of_extent(extent, mesh, dim, -side)
+            ok = prism is not None and target is not None
+            pairs.append((row(prism), row(target)) if ok else None)
+    valid = [pair for pair in pairs if pair is not None]
+    return _ExtentRows(
+        along=row(extent.expand(1), extent),
+        prisms=b"".join(p for p, _t in valid),
+        targets=b"".join(t for _p, t in valid),
+        count=len(valid),
+        pairs=tuple(pairs),
+    )
 
 
 class VectorDecisionEngine:
     """Per-node classification tables of one information view and policy.
 
-    Built over one information provider and one policy, exactly like the
-    scalar oracle's :class:`~repro.core.routing.DecisionCache`.  Each
+    Built over one :class:`~repro.core.state.InformationState` and one
+    policy, exactly like the scalar oracle's
+    :class:`~repro.core.routing.DecisionCache`.  Each
     :class:`~repro.core.probe_table.ProbeTable` cell owns one over the view
     its router decides against and feeds :meth:`tables` to
-    :func:`classify_rows`.  Requires the provider to expose a
-    code-array-backed ``labeling`` and ``nodes_holding_information()``
-    (:class:`~repro.core.state.InformationState` does).
+    :func:`classify_rows`.
+
+    The tables persist between refreshes and are refreshed by what
+    changed: the labeling-derived masks only when ``labeling.mutations``
+    moved, the geometry rows only for the nodes the state reports through
+    :meth:`~repro.core.state.InformationState.changed_nodes`.  A new engine
+    runs the same pass with every node touched.
     """
 
-    def __init__(self, info: InformationProvider, policy: RoutingPolicy) -> None:
+    def __init__(self, info: InformationState, policy: RoutingPolicy) -> None:
         self.info = info
         self.policy = policy
         mesh = info.mesh
         self.mesh = mesh
-        self._labeling = info.labeling  # type: ignore[attr-defined]
-        self._has_record_mutations = hasattr(info, "record_mutations")
+        self._labeling = info.labeling
 
         n = mesh.n_dims
+        size = mesh.size
+        two_n = 2 * n
         self._n = n
-        self._two_n = 2 * n
         dirs = mesh.directions
-        #: Per surface-order direction: its dimension and sign, as columns.
-        self._dims = np.array([d.dim for d in dirs], dtype=np.int64)
-        self._signs = np.array([d.sign for d in dirs], dtype=np.int64)
-        #: Direction indices re-ordered by ``(dim, sign)`` — the scalar
-        #: tie-break order inside one priority class.
-        self._perm = np.array(
-            sorted(range(2 * n), key=lambda j: (dirs[j].dim, dirs[j].sign)),
-            dtype=np.int64,
-        )
-        self._span = max(mesh.shape)
-        #: Coordinate row per linear node index (feeds the detour bit table).
-        self._coords = np.stack(
-            np.unravel_index(np.arange(mesh.size, dtype=np.int64), mesh.shape),
-            axis=1,
-        )
-        #: Per surface-order direction: its coordinate offset row, so a
-        #: node's ``2n`` neighbor coordinates are one broadcast add.
-        self._dir_offsets = np.zeros((self._two_n, n), dtype=np.int64)
+        offsets = np.zeros((two_n, n), dtype=np.int64)
         for j, d in enumerate(dirs):
-            self._dir_offsets[j, d.dim] = d.sign
-        self._bit_range32 = np.arange(self._two_n, dtype=np.uint32)
-
-        #: Per-node compiled geometry rows (along-block mask, prism rows,
-        #: target bounds), keyed by linear node index and validated against
-        #: the provider's identity-stable geometry tuples — a refresh only
-        #: recompiles the nodes whose records actually changed.
-        self._geom_cache: Dict[int, Tuple] = {}
-
+            offsets[j, d.dim] = d.sign
+        coords = np.stack(
+            np.unravel_index(np.arange(size, dtype=np.int64), mesh.shape), axis=1
+        )
+        #: ``(n, size, 2n)``: coordinate ``d`` of every node's neighbor in
+        #: every surface-order direction, dimension-major so box tests
+        #: reduce over the leading axis.
+        self._nb_coords = np.ascontiguousarray(
+            (coords[:, None, :] + offsets[None, :, :]).transpose(2, 0, 1)
+        )
+        #: ``(n, 1, size)`` destination coordinates, dimension-major.
+        self._dest_coords = np.ascontiguousarray(coords.T[:, None, :])
+        self._dir_weights = np.uint32(1) << np.arange(two_n, dtype=np.uint32)
+        self._all_nodes = np.arange(size, dtype=np.int64)
+        self._uses_geometry = policy.use_block_info or policy.use_boundary_info
+        #: Owner node and target bounds (``lo + hi``) of each constraint
+        #: row, rows grouped by owner.
+        self._c_owner = np.zeros(0, dtype=np.int64)
+        self._c_target = np.zeros((0, two_n), dtype=np.int64)
+        self._tables_obj = DecisionTables(
+            node_codes=np.asarray(self._labeling.codes),
+            usable=np.zeros((size, two_n), dtype=bool),
+            disabled_nb=np.zeros((size, two_n), dtype=bool),
+            along=np.zeros((size, two_n), dtype=bool),
+            c_start=np.zeros(size, dtype=np.int64),
+            c_count=np.zeros(size, dtype=np.int64),
+            c_prism=np.zeros((0, two_n), dtype=bool),
+            c_target_lo=self._c_target[:, :n],
+            c_target_hi=self._c_target[:, n:],
+            dims=np.array([d.dim for d in dirs], dtype=np.int64),
+            signs=np.array([d.sign for d in dirs], dtype=np.int64),
+            # Direction indices re-ordered by ``(dim, sign)`` — the scalar
+            # tie-break order inside one priority class.
+            perm=np.array(
+                sorted(range(two_n), key=lambda j: (dirs[j].dim, dirs[j].sign)),
+                dtype=np.int64,
+            ),
+            span=max(mesh.shape),
+            n=n,
+            two_n=two_n,
+            size=size,
+            coords=coords,
+            detour_bits=(
+                np.zeros((size, size), dtype=np.uint32)
+                if self._uses_geometry
+                and size * size <= DecisionTables.DETOUR_TABLE_CAP
+                else None
+            ),
+        )
         self._token: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------ #
-    # per-information-generation tables
+    # refresh by what changed
     # ------------------------------------------------------------------ #
-    def _validity_token(self) -> Tuple[int, int]:
-        return (
-            self._labeling.mutations,
-            self.info.record_mutations if self._has_record_mutations else -1,  # type: ignore[attr-defined]
-        )
-
-    def _refresh(self) -> None:
-        """Rebuild the per-node tables for the current information state."""
-        mesh = self.mesh
-        info = self.info
-        policy = self.policy
-        size = mesh.size
-        two_n = self._two_n
-
-        codes = np.asarray(self._labeling.codes)
-        self._node_codes = codes
-        padded = np.empty(size + 1, dtype=codes.dtype)
-        padded[:size] = codes
-        padded[size] = 0  # off-mesh sentinel: an always-enabled neighbor
-        neighbor_codes = padded[mesh.neighbor_gather_table]
-        in_mesh = mesh.neighbor_table >= 0
-        usable = in_mesh & (neighbor_codes != _FAULTY)
-        self._usable = usable
-        if policy.avoid_known_disabled:
-            self._disabled_nb = usable & (neighbor_codes == _DISABLED)
-        else:
-            self._disabled_nb = np.zeros((size, two_n), dtype=bool)
-
-        # Routing geometry, compiled flat.  Only nodes holding records have
-        # any: ``along_block`` marks directions whose neighbor walks along a
-        # known block's frame, and the constraint table packs every node's
-        # (dangerous prism, opposite prism) pairs as contiguous rows.
-        along = np.zeros((size, two_n), dtype=bool)
-        c_start = np.zeros(size, dtype=np.int64)
-        c_count = np.zeros(size, dtype=np.int64)
-        prism_chunks: List[np.ndarray] = []
-        lo_chunks: List[np.ndarray] = []
-        hi_chunks: List[np.ndarray] = []
-        detour_rows: List[Tuple[int, np.ndarray]] = []
-        n_rows = 0
-        if policy.use_block_info or policy.use_boundary_info:
-            cache = self._geom_cache
-            geom_fn = getattr(info, "routing_geometry", None)
-            use_blk = policy.use_block_info
-            use_bnd = policy.use_boundary_info
-            offsets = self._dir_offsets
-            coords = self._coords
-            want_detour = size * size <= DecisionTables.DETOUR_TABLE_CAP
-            for node in sorted(info.nodes_holding_information()):  # type: ignore[attr-defined]
-                if geom_fn is not None:
-                    constraints, frames = geom_fn(
-                        node, use_block_info=use_blk, use_boundary_info=use_bnd
-                    )
-                else:
-                    constraints, frames = _routing_geometry(info, node, policy)
-                if not constraints and not frames:
-                    continue
-                idx = mesh.index_of(node)
-                ent = cache.get(idx)
-                if ent is None or ent[0] is not constraints or ent[1] is not frames:
-                    # The provider's geometry tuples are identity-stable
-                    # until the node's records change, so ``is`` mismatches
-                    # exactly when this node needs recompiling.  Region
-                    # membership is two inclusive bounds checks (off-mesh
-                    # neighbor coordinates fail them naturally).
-                    nb = np.asarray(node, dtype=np.int64) + offsets
-                    along_row = None
-                    if frames:
-                        flo = np.array([f.lo for _e, f in frames], dtype=np.int64)
-                        fhi = np.array([f.hi for _e, f in frames], dtype=np.int64)
-                        elo = np.array([e.lo for e, _f in frames], dtype=np.int64)
-                        ehi = np.array([e.hi for e, _f in frames], dtype=np.int64)
-                        in_frame = (nb >= flo[:, None, :]).all(2) & (
-                            nb <= fhi[:, None, :]
-                        ).all(2)
-                        in_extent = (nb >= elo[:, None, :]).all(2) & (
-                            nb <= ehi[:, None, :]
-                        ).all(2)
-                        along_row = (in_frame & ~in_extent).any(0)
-                    prism_arr = lo_arr = hi_arr = detour_row = None
-                    if constraints:
-                        plo = np.array([p.lo for p, _t in constraints], dtype=np.int64)
-                        phi = np.array([p.hi for p, _t in constraints], dtype=np.int64)
-                        prism_arr = (nb[None, :, :] >= plo[:, None, :]).all(2) & (
-                            nb[None, :, :] <= phi[:, None, :]
-                        ).all(2)
-                        lo_arr = np.array(
-                            [target.lo for _prism, target in constraints],
-                            dtype=np.int64,
-                        )
-                        hi_arr = np.array(
-                            [target.hi for _prism, target in constraints],
-                            dtype=np.int64,
-                        )
-                        if want_detour:
-                            # This node's detour bit row over every
-                            # destination, compiled once per record change.
-                            in_target = (coords[None, :, :] >= lo_arr[:, None, :]).all(
-                                2
-                            ) & (coords[None, :, :] <= hi_arr[:, None, :]).all(2)
-                            pbits = (
-                                (prism_arr.astype(np.uint32) << self._bit_range32).sum(
-                                    axis=1
-                                )
-                            ).astype(np.uint32)
-                            detour_row = np.bitwise_or.reduce(
-                                in_target.astype(np.uint32) * pbits[:, None], axis=0
-                            )
-                    ent = (
-                        constraints,
-                        frames,
-                        along_row,
-                        prism_arr,
-                        lo_arr,
-                        hi_arr,
-                        detour_row,
-                    )
-                    cache[idx] = ent
-                if ent[2] is not None:
-                    along[idx] = ent[2]
-                if ent[3] is not None:
-                    c_start[idx] = n_rows
-                    c_count[idx] = ent[3].shape[0]
-                    prism_chunks.append(ent[3])
-                    lo_chunks.append(ent[4])
-                    hi_chunks.append(ent[5])
-                    n_rows += ent[3].shape[0]
-                    if ent[6] is not None:
-                        detour_rows.append((idx, ent[6]))
-        self._along = along
-        self._c_start = c_start
-        self._c_count = c_count
-        if prism_chunks:
-            self._c_prism = np.concatenate(prism_chunks)
-            self._c_target_lo = np.concatenate(lo_chunks)
-            self._c_target_hi = np.concatenate(hi_chunks)
-        else:
-            self._c_prism = np.zeros((0, two_n), dtype=bool)
-            self._c_target_lo = np.zeros((0, self._n), dtype=np.int64)
-            self._c_target_hi = np.zeros((0, self._n), dtype=np.int64)
-        self._tables_obj = DecisionTables(
-            node_codes=self._node_codes,
-            usable=self._usable,
-            disabled_nb=self._disabled_nb,
-            along=self._along,
-            c_start=self._c_start,
-            c_count=self._c_count,
-            c_prism=self._c_prism,
-            c_target_lo=self._c_target_lo,
-            c_target_hi=self._c_target_hi,
-            dims=self._dims,
-            signs=self._signs,
-            perm=self._perm,
-            span=self._span,
-            n=self._n,
-            two_n=self._two_n,
-            size=self.mesh.size,
-            coords=self._coords,
-        )
-        if detour_rows:
-            # Assemble the per-(node, destination) detour table from the
-            # cached rows so ``packed`` never rebuilds it from scratch.
-            bits = np.zeros((size, size), dtype=np.uint32)
-            for idx, row in detour_rows:
-                bits[idx] = row
-            self._tables_obj.detour_bits = bits
-
     def tables(self) -> Tuple[DecisionTables, Tuple[int, int]]:
         """The (refreshed-on-demand) classification tables plus their token.
 
@@ -550,8 +441,159 @@ class VectorDecisionEngine:
         token is the information's validity key, so callers can cache
         derived state.
         """
-        token = self._validity_token()
+        token = (self._labeling.mutations, self.info.record_mutations)
         if token != self._token:
-            self._refresh()
-            self._token = token
+            self._refresh(token)
         return self._tables_obj, token
+
+    def _refresh(self, token: Tuple[int, int]) -> None:
+        """Bring the tables from the last token to ``token``."""
+        old = self._token
+        if old is None:
+            touched = self._all_nodes
+        elif token[1] != old[1]:
+            touched = self.info.changed_nodes(old[1])
+            if touched is None:
+                touched = self._all_nodes
+        else:
+            touched = self._all_nodes[:0]
+        relabeled = old is None or token[0] != old[0]
+        if relabeled:
+            self._refresh_labeling()
+        if touched.size and self._uses_geometry:
+            self._compile(touched)
+        if relabeled:
+            self._tables_obj.derive()
+        else:
+            self._tables_obj.derive(touched, statuses=False)
+        self._token = token
+
+    def _refresh_labeling(self) -> None:
+        """Recompute the status-derived masks (usable, disabled neighbor)."""
+        mesh = self.mesh
+        tb = self._tables_obj
+        codes = np.asarray(self._labeling.codes)
+        tb.node_codes = codes
+        padded = np.empty(mesh.size + 1, dtype=codes.dtype)
+        padded[:-1] = codes
+        padded[-1] = 0  # off-mesh sentinel: an always-enabled neighbor
+        neighbor_codes = padded[mesh.neighbor_gather_table]
+        tb.usable = (mesh.neighbor_table >= 0) & (neighbor_codes != _FAULTY)
+        if self.policy.avoid_known_disabled:
+            tb.disabled_nb = tb.usable & (neighbor_codes == _DISABLED)
+
+    def _compile(self, touched: np.ndarray) -> None:
+        """Recompile the geometry rows of the ``touched`` nodes in one pass.
+
+        Reads each touched node's records as integer bound rows
+        (deduplicated like :func:`~repro.core.state.resolve_routing_geometry`),
+        then derives the along-block masks, constraint rows and detour bit
+        rows of all touched nodes with one set of array operations.
+        """
+        tb = self._tables_obj
+        info = self.info
+        mesh = self.mesh
+        n = self._n
+        shape = mesh.shape
+        blocks = info.node_blocks if self.policy.use_block_info else {}
+        bounds = info.node_boundaries if self.policy.use_boundary_info else {}
+        a_own: List[int] = []  # owner of each frame row and extent row
+        a_rows: List[bytes] = []
+        c_own: List[int] = []  # owner of each (prism, opposite prism) pair
+        p_rows: List[bytes] = []
+        t_rows: List[bytes] = []
+        c_nodes: List[int] = []  # constraint-holding nodes, first row each
+        c_first: List[int] = []
+        for idx in touched.tolist():
+            coord = mesh.coord_of(idx)
+            held_r = blocks.get(coord)
+            held_b = bounds.get(coord)
+            if not held_r and not held_b:
+                continue
+            # A block record contributes every dimension and side of its
+            # extent, which covers any boundary record of the same extent.
+            full = dict.fromkeys(r.extent for r in held_r or ())
+            extents = dict(full)
+            part: Dict[Tuple[Region, int], None] = {}
+            for b in held_b or ():
+                extents[b.extent] = None
+                if b.extent not in full:
+                    part[(b.extent, 2 * b.dim + (b.dangerous_side > 0))] = None
+            count = 0
+            for e in extents:
+                rows = _extent_rows(e, shape)
+                a_own += (idx, idx)
+                a_rows.append(rows.along)
+                if e in full and rows.count:
+                    p_rows.append(rows.prisms)
+                    t_rows.append(rows.targets)
+                    count += rows.count
+            for e, k in part:
+                pair = _extent_rows(e, shape).pairs[k]
+                if pair is not None:
+                    p_rows.append(pair[0])
+                    t_rows.append(pair[1])
+                    count += 1
+            if count:
+                c_nodes.append(idx)
+                c_first.append(len(c_own))
+                c_own += [idx] * count
+
+        # One box test over every frame, extent and prism row: does the
+        # owner's neighbor in each direction lie inside the row's box?
+        two_n = tb.two_n
+        tb.along[touched] = False
+        n_a = len(a_own)
+        prism = np.zeros((0, two_n), dtype=bool)
+        if n_a:
+            owner = np.array(a_own + c_own, dtype=np.int64)
+            box = np.frombuffer(b"".join(a_rows + p_rows), dtype=np.int64)
+            box = box.reshape(-1, two_n)
+            nb = self._nb_coords[:, owner]
+            inside = (
+                (nb >= box[:, :n].T[:, :, None]) & (nb <= box[:, n:].T[:, :, None])
+            ).all(axis=0)
+            # Along-block: the neighbor is in a known frame but not in its
+            # extent.
+            np.logical_or.at(
+                tb.along, owner[:n_a:2], inside[:n_a:2] & ~inside[1:n_a:2]
+            )
+            prism = inside[n_a:]
+        # Only nodes that held constraint rows have detour bits to clear;
+        # leaving the rest untouched keeps never-set rows unallocated.
+        held = touched[tb.c_count[touched] > 0]
+        if not c_own and not held.size:
+            return
+        target = np.frombuffer(b"".join(t_rows), dtype=np.int64).reshape(-1, two_n)
+        self._splice_constraints(touched, np.array(c_own, dtype=np.int64), prism, target)
+
+        bits = tb.detour_bits
+        if bits is None:
+            return
+        bits[held] = 0
+        if c_own:
+            dest = self._dest_coords
+            in_target = (
+                (dest >= target[:, :n].T[:, :, None])
+                & (dest <= target[:, n:].T[:, :, None])
+            ).all(axis=0)
+            contrib = in_target * (prism.astype(np.uint32) @ self._dir_weights)[:, None]
+            bits[c_nodes] = np.bitwise_or.reduceat(contrib, c_first, axis=0)
+
+    def _splice_constraints(self, touched, owner, prism, target) -> None:
+        """Replace the touched nodes' CSR constraint rows with new ones."""
+        tb = self._tables_obj
+        n = self._n
+        hit = np.zeros(self.mesh.size, dtype=bool)
+        hit[touched] = True
+        keep = ~hit[self._c_owner]
+        all_owner = np.concatenate([self._c_owner[keep], owner])
+        order = np.argsort(all_owner, kind="stable")
+        self._c_owner = all_owner[order]
+        tb.c_prism = np.concatenate([tb.c_prism[keep], prism])[order]
+        self._c_target = np.concatenate([self._c_target[keep], target])[order]
+        tb.c_target_lo = self._c_target[:, :n]
+        tb.c_target_hi = self._c_target[:, n:]
+        tb.c_count = np.bincount(self._c_owner, minlength=self.mesh.size)
+        tb.c_start = np.cumsum(tb.c_count) - tb.c_count
+        tb.has_constraints = bool(self._c_owner.size)

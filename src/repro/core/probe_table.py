@@ -139,7 +139,6 @@ class ProbeTable:
         self._any_contended = False
         self._concat_tokens: Optional[List[Tuple[int, int]]] = None
         self._concat_tables: Optional[DecisionTables] = None
-        self._concat_patchable = False
         self._concat_hasc: List[bool] = []
         self._arange = np.zeros(0, dtype=np.int64)
 
@@ -205,7 +204,6 @@ class ProbeTable:
         self._any_contended = not self._cell_is_free.all()
         self._concat_tokens = None
         self._concat_tables = None
-        self._concat_patchable = False
         self._concat_hasc = []
         return cell
 
@@ -359,26 +357,24 @@ class ProbeTable:
         if tokens == old_tokens and self._concat_tables is not None:
             return self._concat_tables, tokens
         concat = self._concat_tables
-        if concat is not None and self._concat_patchable:
+        if concat is not None and concat.detour_bits is not None:
             size = self._size
-            pk = concat.packed()
             for c, (tb, token) in enumerate(zip(per, tokens)):
                 if old_tokens is not None and token == old_tokens[c]:
                     continue
                 sl = slice(c * size, (c + 1) * size)
-                cp = tb.packed()
                 concat.node_codes[sl] = tb.node_codes
                 concat.usable[sl] = tb.usable
                 concat.disabled_nb[sl] = tb.disabled_nb
                 concat.along[sl] = tb.along
-                pk.base_key[sl] = cp.base_key
-                pk.disabled_flag[sl] = cp.disabled_flag
-                pk.usable_bits[sl] = cp.usable_bits
-                if cp.detour_bits is not None:
-                    pk.detour_bits[sl] = cp.detour_bits
+                concat.base_key[sl] = tb.base_key
+                concat.disabled_flag[sl] = tb.disabled_flag
+                concat.usable_bits[sl] = tb.usable_bits
+                if tb.detour_bits is not None:
+                    concat.detour_bits[sl] = tb.detour_bits
                 else:
-                    pk.detour_bits[sl] = 0
-                self._concat_hasc[c] = cp.has_constraints
+                    concat.detour_bits[sl] = 0
+                self._concat_hasc[c] = tb.has_constraints
             concat.has_constraints = any(self._concat_hasc)
             self._concat_tokens = tokens
             return concat, tokens
@@ -392,6 +388,19 @@ class ProbeTable:
         for tables in per:
             c_start_parts.append(tables.c_start + row_offset)
             row_offset += tables.c_prism.shape[0]
+        n_nodes = len(per) * self._size
+        detour_bits = None
+        if n_nodes * self._size <= DecisionTables.DETOUR_TABLE_CAP:
+            # Cells without a detour table (no geometry) get all-zero bits,
+            # so later per-cell patches always have a target.
+            detour_bits = np.concatenate(
+                [
+                    tb.detour_bits
+                    if tb.detour_bits is not None
+                    else np.zeros((self._size, self._size), dtype=np.uint32)
+                    for tb in per
+                ]
+            )
         first = per[0]
         stacked = DecisionTables(
             node_codes=np.concatenate([tb.node_codes for tb in per]),
@@ -411,16 +420,9 @@ class ProbeTable:
             two_n=first.two_n,
             size=first.size,
             coords=first.coords,
+            detour_bits=detour_bits,
         )
-        pk = stacked.packed()
-        n_nodes = stacked.node_codes.shape[0]
-        within_cap = n_nodes * self._size <= DecisionTables.DETOUR_TABLE_CAP
-        if pk.detour_bits is None and within_cap:
-            # No cell holds constraints yet; allocate so later per-cell
-            # patches have a target (all-zero bits = no detours).
-            pk.detour_bits = np.zeros((n_nodes, self._size), dtype=np.uint32)
-        self._concat_patchable = pk.detour_bits is not None
-        self._concat_hasc = [tb.packed().has_constraints for tb in per]
+        self._concat_hasc = [tb.has_constraints for tb in per]
         self._concat_tokens = tokens
         self._concat_tables = stacked
         return stacked, tokens

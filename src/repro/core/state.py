@@ -23,7 +23,9 @@ node, versus a global fault table at every node).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.block_construction import LabelingState
 from repro.core.faulty_block import dangerous_prism_of_extent
@@ -49,9 +51,11 @@ def resolve_routing_geometry(
     Returns the deduplicated (dangerous prism, opposite prism) pairs of
     every record — boundary records contribute their single dimension/side,
     block records every dimension and side — plus each known extent paired
-    with its one-hop frame.  Single source of truth for the derivation: the
-    per-node cache on :class:`InformationState` and the provider-agnostic
-    fallback in :mod:`repro.core.routing` both call it.
+    with its one-hop frame.  Single source of truth for the scalar
+    derivation: the per-node cache on :class:`InformationState` and the
+    provider-agnostic fallback in :mod:`repro.core.routing` both call it
+    (the vectorized engine compiles the same geometry from the records'
+    integer bounds).
     """
     triples: List[Tuple[Region, int, int]] = []
     extents: Set[Region] = set()
@@ -119,7 +123,17 @@ class BoundaryInfo:
 
 @dataclass
 class InformationState:
-    """All fault information held across the mesh at one instant."""
+    """All fault information held across the mesh at one instant.
+
+    Change-reporting contract: block/boundary records change only through
+    :meth:`add_block_info`, :meth:`add_boundary`, :meth:`cancel_stale` or
+    :meth:`clear_information`.  Each bumps :attr:`record_mutations` and
+    stamps the nodes it touched, which is what :meth:`changed_nodes`
+    reports to consumers holding per-node derived state (the vectorized
+    decision engine).  Writing :attr:`node_blocks` / :attr:`node_boundaries`
+    directly is only safe right after :meth:`clear_information`, before any
+    consumer refreshes: the clear already reports every node as changed.
+    """
 
     mesh: Mesh
     labeling: LabelingState
@@ -141,6 +155,15 @@ class InformationState:
     _route_cache: Dict[
         Coord, Dict[Tuple[bool, bool], Tuple[Tuple[PrismPair, ...], Tuple[ExtentFrame, ...]]]
     ] = field(default_factory=dict, repr=False, compare=False)
+
+    #: ``record_mutations`` value of each node's last record change, by
+    #: linear node index (bounded by the mesh size, not the run length).
+    _stamps: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ``record_mutations`` value of the last :meth:`clear_information`.
+    _cleared_at: int = field(default=-1, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._stamps = np.zeros(self.mesh.size, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -167,8 +190,8 @@ class InformationState:
         if record in existing:
             return False
         existing.add(record)
-        self._route_cache.pop(node, None)
         self.record_mutations += 1
+        self._touch(node)
         return True
 
     def blocks_known_at(self, node: Sequence[int]) -> FrozenSet[BlockRecord]:
@@ -189,8 +212,8 @@ class InformationState:
         if info in existing:
             return False
         existing.add(info)
-        self._route_cache.pop(node, None)
         self.record_mutations += 1
+        self._touch(node)
         return True
 
     def boundaries_at(self, node: Sequence[int]) -> FrozenSet[BoundaryInfo]:
@@ -214,22 +237,6 @@ class InformationState:
             entry = per_node[key] = resolve_routing_geometry(self.mesh, boundaries, blocks)
         return entry
 
-    def routing_geometry(
-        self,
-        node: Sequence[int],
-        *,
-        use_block_info: bool = True,
-        use_boundary_info: bool = True,
-    ) -> Tuple[Tuple[PrismPair, ...], Tuple[ExtentFrame, ...]]:
-        """The cached ``(detour constraints, extent frames)`` pair at ``node``.
-
-        Both halves of :meth:`detour_constraints` / :meth:`known_extent_frames`
-        in one lookup.  The returned tuples are identity-stable until the
-        node's records change, so callers may cache work derived from them
-        keyed on object identity.
-        """
-        return self._route_entry(tuple(node), use_block_info, use_boundary_info)
-
     def detour_constraints(
         self,
         node: Sequence[int],
@@ -242,8 +249,8 @@ class InformationState:
         This is the critical-routing geometry of every block/boundary record
         the node holds, with the prisms already materialized; results are
         cached per node and invalidated when the node's records change (or
-        wholesale on :meth:`cancel_stale` / :meth:`clear_information`), so a
-        probe re-deciding at the node does not rebuild prisms.
+        wholesale on :meth:`clear_information`), so a probe re-deciding at
+        the node does not rebuild prisms.
         """
         return self._route_entry(tuple(node), use_block_info, use_boundary_info)[0]
 
@@ -270,26 +277,24 @@ class InformationState:
 
         Models the paper's deletion process that propagates along old
         boundaries after a block shrinks or disappears.  Returns the number
-        of records removed.
+        of records removed.  Every call counts as one record change, but
+        only the nodes that lost records are reported as changed.
         """
         live = set(current_extents)
         removed = 0
-        self._route_cache.clear()
         self.record_mutations += 1
-        for node in list(self.node_blocks):
-            keep = {r for r in self.node_blocks[node] if r.extent in live}
-            removed += len(self.node_blocks[node]) - len(keep)
-            if keep:
-                self.node_blocks[node] = keep
-            else:
-                del self.node_blocks[node]
-        for node in list(self.node_boundaries):
-            keep = {b for b in self.node_boundaries[node] if b.extent in live}
-            removed += len(self.node_boundaries[node]) - len(keep)
-            if keep:
-                self.node_boundaries[node] = keep
-            else:
-                del self.node_boundaries[node]
+        for records in (self.node_blocks, self.node_boundaries):
+            for node in list(records):
+                held = records[node]
+                keep = {r for r in held if r.extent in live}
+                if len(keep) == len(held):
+                    continue
+                removed += len(held) - len(keep)
+                if keep:
+                    records[node] = keep
+                else:
+                    del records[node]
+                self._touch(node)
         return removed
 
     def clear_information(self) -> None:
@@ -298,6 +303,26 @@ class InformationState:
         self.node_boundaries.clear()
         self._route_cache.clear()
         self.record_mutations += 1
+        self._cleared_at = self.record_mutations
+
+    # ------------------------------------------------------------------ #
+    # change reporting
+    # ------------------------------------------------------------------ #
+    def _touch(self, node: Coord) -> None:
+        """Stamp ``node`` as changed at the current record change."""
+        self._stamps[self.mesh.index_of(node)] = self.record_mutations
+        self._route_cache.pop(node, None)
+
+    def changed_nodes(self, since: int) -> Optional[np.ndarray]:
+        """Linear indices of the nodes whose records changed after ``since``.
+
+        ``since`` is an earlier :attr:`record_mutations` value.  Returns
+        ``None`` when :meth:`clear_information` ran after it, since then
+        any node may have changed.
+        """
+        if self._cleared_at > since:
+            return None
+        return np.flatnonzero(self._stamps > since)
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -6,6 +6,8 @@ excursions — can be pinned with hand-built series whose answers are known
 exactly.
 """
 
+import random
+
 import pytest
 
 from repro.analysis.slo import (
@@ -202,3 +204,60 @@ class TestComputeRecoverySlo:
             smooth=1,
         )
         assert slo.events[0].p99_excursion == pytest.approx(15.0)
+
+
+class TestScoringMatchesPerEventOracle:
+    """``compute_recovery_slo`` smooths once and windows one finish-sorted
+    copy of the latencies; the public per-event functions are its oracle,
+    and every field must match them exactly."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_series(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 300)
+        delivered = [rng.choice([0.0, 1.0, rng.random() * 3]) for _ in range(n)]
+        dropped = [float(rng.randint(0, 2)) for _ in range(n)]
+        events = [
+            (rng.randint(0, n + 10), (rng.randint(0, 7), rng.randint(0, 7)))
+            for _ in range(rng.randint(0, 8))
+        ]
+        latencies = [
+            (rng.randint(0, n), float(rng.randint(1, 60)))
+            for _ in range(rng.randint(0, 150))
+        ]
+        windows = dict(
+            baseline_window=rng.randint(1, 40),
+            smooth=rng.randint(1, 10),
+            recover_fraction=rng.choice([0.5, 0.9, 1.0]),
+        )
+        excursion_window = rng.randint(1, 80)
+        slo = compute_recovery_slo(
+            delivered,
+            dropped,
+            events,
+            latencies_by_finish=latencies,
+            excursion_window=excursion_window,
+            **windows,
+        )
+        ordered = sorted(events)
+        expected = []
+        for i, (t, node) in enumerate(ordered):
+            baseline, dip, ttr = event_transient(delivered, t, **windows)
+            end = ordered[i + 1][0] if i + 1 < len(ordered) else len(dropped)
+            expected.append(
+                EventSlo(
+                    time=t,
+                    node=node,
+                    baseline=baseline,
+                    dip_depth=dip,
+                    time_to_recover=ttr,
+                    p99_excursion=p99_excursion(
+                        latencies,
+                        t,
+                        baseline_window=windows["baseline_window"],
+                        excursion_window=excursion_window,
+                    ),
+                    fault_dropped=int(sum(dropped[t:end])),
+                )
+            )
+        assert slo == RecoverySlo(events=tuple(expected))

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.core.block_construction import LabelingState
 from repro.core.state import BlockRecord, BoundaryInfo, InformationState
 from repro.faults.status import NodeStatus
 from repro.mesh.regions import Region
-from repro.mesh.topology import Mesh
 
 
 @pytest.fixture
@@ -129,6 +127,50 @@ class TestCancellationSemantics:
         info.cancel_stale([])
         assert info.version == seen[-1]
         assert info.bump_version() > seen[-1]
+
+
+class TestChangeReporting:
+    """``changed_nodes`` reports exactly the nodes whose records changed."""
+
+    def test_mutators_stamp_their_node(self, info):
+        index_of = info.mesh.index_of
+        extent = Region((4, 4), (5, 5))
+        mark = info.record_mutations
+        info.add_block_info((3, 4), BlockRecord(extent))
+        info.add_boundary((3, 3), BoundaryInfo(extent, dim=0, dangerous_side=-1))
+        assert info.changed_nodes(mark).tolist() == sorted(
+            [index_of((3, 4)), index_of((3, 3))]
+        )
+        mark = info.record_mutations
+        assert not info.add_block_info((3, 4), BlockRecord(extent))
+        assert info.record_mutations == mark
+        assert info.changed_nodes(mark).size == 0
+
+    def test_cancel_stale_reports_only_nodes_that_lost_records(self, info):
+        index_of = info.mesh.index_of
+        live = Region((4, 4), (4, 4))
+        dead = Region((7, 7), (8, 8))
+        info.add_block_info((3, 4), BlockRecord(live))
+        info.add_block_info((6, 7), BlockRecord(dead))
+        info.add_boundary((6, 6), BoundaryInfo(dead, dim=0, dangerous_side=-1))
+        mark = info.record_mutations
+        info.cancel_stale([live])
+        assert info.changed_nodes(mark).tolist() == sorted(
+            [index_of((6, 7)), index_of((6, 6))]
+        )
+        # Nothing left to remove: the call still counts as a change, but
+        # no node is reported.
+        mark = info.record_mutations
+        info.cancel_stale([live])
+        assert info.record_mutations == mark + 1
+        assert info.changed_nodes(mark).size == 0
+
+    def test_clear_information_reports_every_node(self, info):
+        info.add_block_info((3, 4), BlockRecord(Region((4, 4), (4, 4))))
+        mark = info.record_mutations
+        info.clear_information()
+        assert info.changed_nodes(mark) is None
+        assert info.changed_nodes(info.record_mutations).size == 0
 
 
 class TestRoutingGeometryCache:

@@ -224,15 +224,21 @@ class TestTableStepping:
     gets a table, so for it both runs take the object path.
     """
 
+    @pytest.mark.parametrize("detour_cap", ["default", "zero"])
     @pytest.mark.parametrize("contention", [False, True])
     @pytest.mark.parametrize(
         "router", ["limited-global", "no-information", "static-block",
                    "global-information"]
     )
-    def test_table_equals_oracle(self, contention, router):
+    def test_table_equals_oracle(self, contention, router, detour_cap, monkeypatch):
+        """``detour_cap="zero"`` leaves no room for a detour bit table, so
+        the table classifies through the CSR constraint-row fallback."""
         from repro.backend import VECTOR, resolve_backend
+        from repro.core.decision import DecisionTables
         from repro.workloads.congestion import transpose_scenario
 
+        if detour_cap == "zero":
+            monkeypatch.setattr(DecisionTables, "DETOUR_TABLE_CAP", 0)
         hosted = router != "global-information" and resolve_backend() == VECTOR
         results = []
         for table in (True, False):
