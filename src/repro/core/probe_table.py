@@ -4,15 +4,25 @@ This is the simulator's one fast path for Algorithm-3 path setup.  Its
 parity oracle is the scalar loop (``Simulator._step_messages``), which
 keeps one :class:`~repro.core.routing.RoutingProbe` object per in-flight
 message and steps them one by one.  This module keeps *all* in-flight
-probes' state as flat numpy columns instead:
+probes' state as flat numpy columns instead, one row per probe:
 
 * the PCS stack as a ``(probes, depth_cap)`` int32 node-index matrix with a
   per-probe depth pointer (plus a parallel matrix of the link slot entered
   at each push, so backtracks release by precomputed slot);
 * per-probe used-direction state as a ``(probes, size)`` uint32 bitmask
   (bit ``j`` = direction column ``j`` of :attr:`Mesh.directions`);
-* outcome codes, hop/blocked/retry counters, waited flags and the full
-  traversal log as further columns.
+* outcome codes, blocked/retry counters, waited flags and the full
+  traversal log as further columns (the log's length and the stack depth
+  together give the forward and backtrack hop counts).
+
+Every column is declared once, in the module-level :data:`_COLUMNS`
+registry: its attribute name, dtype, trailing width (none, stack depth,
+path length, mesh size or ``2n``) and the value a fresh row starts with.
+Table construction, injection, compaction and width growth are each one
+loop over that registry.  Columns are exact-length: injection concatenates
+the fresh rows and compaction drops finished ones, so the live rows are
+always whole columns.  No other module reads the column format — the
+step recorder gets its in-flight counters from :meth:`ProbeTable.cell_counters`.
 
 One :meth:`ProbeTable.run_step` call is then a handful of array passes:
 candidates for every probe needing a decision are gathered in one
@@ -39,7 +49,9 @@ concatenated along the node axis so the whole stack classifies in one pass.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+)
 
 import numpy as np
 
@@ -53,11 +65,10 @@ from repro.routing import AlgorithmRouter, StaticBlockRouter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.simulator.engine import Simulator
-    from repro.simulator.traffic import TrafficMessage
 
 Coord = Tuple[int, ...]
 
-#: Outcome codes of the ``outcome`` column.
+#: Outcome codes of the ``_outc`` column.
 OUTCOME_NONE = -1
 OUTCOME_DELIVERED = 0
 OUTCOME_UNREACHABLE = 1
@@ -67,6 +78,64 @@ _OUTCOMES = {
     OUTCOME_UNREACHABLE: RouteOutcome.UNREACHABLE,
     OUTCOME_NONE: RouteOutcome.EXHAUSTED,
 }
+
+
+class _Column(NamedTuple):
+    """One per-row column of :class:`ProbeTable`, held as attribute ``attr``."""
+
+    attr: str
+    dtype: object
+    #: ``None`` for a 1-D column, else the name of the table attribute
+    #: holding the trailing width.
+    width: Optional[str]
+    #: A fresh row's value; ``None`` means :meth:`ProbeTable._inject` gives
+    #: it per row (a matrix column at position 0, zeros after it).
+    fill: Optional[int]
+
+
+#: Every per-row column, declared once.
+_COLUMNS: Tuple[_Column, ...] = (
+    # The message: owning cell, destination node index, the TrafficMessage
+    # itself, the step its probe expires at (start + lifetime), ledger
+    # holder id and OUTCOME_* code.
+    _Column("_cell", np.int32, None, None),
+    _Column("_dest", np.int32, None, None),
+    _Column("_msgs", object, None, None),
+    _Column("_expiry", np.int64, None, None),
+    _Column("_holder", np.int64, None, None),
+    _Column("_outc", np.int8, None, None),
+    # The PCS stack (the source node index at position 0) under its depth
+    # pointer, the link slot entered at each push, and the reversed entry
+    # direction per position (-1 at the source): the INCOMING surface
+    # index, so classification never reconstructs it from coordinate diffs.
+    _Column("_depth", np.int32, None, 1),
+    _Column("_stack", np.int32, "_depth_cap", None),
+    _Column("_sslot", np.int32, "_depth_cap", 0),
+    _Column("_sdir", np.int8, "_depth_cap", -1),
+    # Used-direction bitmask per node.
+    _Column("_used", np.uint32, "_size", 0),
+    # Traversal log (source at position 0) and its length.  Every forward
+    # hop pushes and every backtrack pops, and both append to the log, so
+    # depth and length determine the forward and backtrack hop counts.
+    _Column("_plen", np.int32, None, 1),
+    _Column("_path", np.int32, "_path_cap", None),
+    # Blocked hop and setup-retry counters.
+    _Column("_blk", np.int64, None, 0),
+    _Column("_rty", np.int64, None, 0),
+    _Column("_waited", bool, None, 0),
+    # Ledger release-epoch at the row's last full WAIT scan (-1 = must
+    # scan).  While the cell's epoch is unchanged no link was freed, so a
+    # parked waiter's candidates are provably still all blocked.
+    _Column("_wepoch", np.int64, None, -1),
+    # Carryover candidates (valid while ``_cvalid``): sorted directions,
+    # their next nodes and link slots, and the candidate count with rule-1
+    # backtracks encoded as -1 (zero is a genuine empty candidate list).
+    _Column("_cdirs", np.int8, "_two_n", 0),
+    _Column("_cnext", np.int32, "_two_n", 0),
+    _Column("_cslot", np.int32, "_two_n", 0),
+    _Column("_cn", np.int16, None, 0),
+    _Column("_cvalid", bool, None, 0),
+)
 
 
 def table_eligible(router: object, backend: Optional[str], n_dims: int) -> bool:
@@ -142,47 +211,16 @@ class ProbeTable:
         self._concat_hasc: List[bool] = []
         self._arange = np.zeros(0, dtype=np.int64)
 
-        # -- columns (exact row count; compacted as probes finish) ---------
+        # -- the _COLUMNS (exact row count; dropped as probes finish) -----
         self._depth_cap = 8
         self._path_cap = 16
-        # High-water stack depth / path length (capacity growth triggers).
-        self._hw_depth = 0
-        self._hw_plen = 0
-        self._cell = np.zeros(0, dtype=np.int32)
-        self._src = np.zeros(0, dtype=np.int32)
-        self._dest = np.zeros(0, dtype=np.int32)
-        self._depth = np.zeros(0, dtype=np.int32)
-        self._stack = np.zeros((0, self._depth_cap), dtype=np.int32)
-        self._sslot = np.zeros((0, self._depth_cap), dtype=np.int32)
-        # Reversed entry direction per stack position (-1 at the source):
-        # the INCOMING surface index, so classification never reconstructs
-        # it from coordinate diffs.
-        self._sdir = np.full((0, self._depth_cap), -1, dtype=np.int8)
-        self._used = np.zeros((0, mesh.size), dtype=np.uint32)
-        self._plen = np.zeros(0, dtype=np.int32)
-        self._path = np.zeros((0, self._path_cap), dtype=np.int32)
-        self._fwd = np.zeros(0, dtype=np.int64)
-        self._bwd = np.zeros(0, dtype=np.int64)
-        self._blk = np.zeros(0, dtype=np.int64)
-        self._rty = np.zeros(0, dtype=np.int64)
-        self._waited = np.zeros(0, dtype=bool)
-        # Ledger release-epoch at the row's last full WAIT scan (-1 = must
-        # scan).  While the cell's epoch is unchanged no link was freed, so
-        # a parked waiter's candidates are provably still all blocked.
-        self._wepoch = np.zeros(0, dtype=np.int64)
-        self._outc = np.zeros(0, dtype=np.int8)
-        self._start = np.zeros(0, dtype=np.int64)
-        self._life = np.zeros(0, dtype=np.int64)
-        self._holder = np.zeros(0, dtype=np.int64)
-        self._msgs: List["TrafficMessage"] = []
-        # -- carryover candidate columns (valid while ``cand_valid``) ------
-        self._cdirs = np.zeros((0, self._two_n), dtype=np.int8)
-        self._cnext = np.zeros((0, self._two_n), dtype=np.int32)
-        self._cslot = np.zeros((0, self._two_n), dtype=np.int32)
-        # Candidate count, with rule-1 backtracks encoded as -1 (zero is a
-        # genuine empty candidate list).
-        self._cn = np.zeros(0, dtype=np.int16)
-        self._cvalid = np.zeros(0, dtype=bool)
+        # High-water stack depth / path length (capacity growth triggers);
+        # a fresh row has both at 1.
+        self._hw_depth = 1
+        self._hw_plen = 1
+        for attr, dtype, width, _fill in _COLUMNS:
+            shape = (0, getattr(self, width)) if width else 0
+            setattr(self, attr, np.zeros(shape, dtype=dtype))
 
     # ------------------------------------------------------------------ #
     # cell management
@@ -209,13 +247,19 @@ class ProbeTable:
 
     def cell_rows(self, cell: int) -> int:
         """Number of in-flight probes of ``cell`` (O(1) — kept current by
-        inject/compact, so per-step ``_work_remaining`` polls stay cheap)."""
+        inject/drop, so per-step ``_work_remaining`` polls stay cheap)."""
         return self._cell_count[cell]
 
-    def cell_messages(self, cell: int) -> Tuple["TrafficMessage", ...]:
-        """Messages of ``cell`` whose probes are still in flight, in order."""
-        rows = np.flatnonzero(self._cell == cell)
-        return tuple(self._msgs[r] for r in rows.tolist())
+    def cell_counters(self, cell: int) -> Tuple[int, int, int, int]:
+        """``(in_flight, blocked_hops, setup_retries, waiting)`` over the
+        in-flight probes of ``cell`` — the step recorder's counter read."""
+        rows = slice(None) if len(self._cells) == 1 else self._cell == cell
+        return (
+            self._cell_count[cell],
+            int(self._blk[rows].sum()),
+            int(self._rty[rows].sum()),
+            int(np.count_nonzero(self._waited[rows])),
+        )
 
     # ------------------------------------------------------------------ #
     # the step
@@ -250,9 +294,7 @@ class ProbeTable:
                 if self._any_contended:
                     self._advance_contended(fin, t)
                 if fin:
-                    keep = np.ones(self._cell.size, dtype=bool)
-                    keep[fin] = False
-                    self._compact(np.flatnonzero(keep))
+                    self._drop(fin)
         with profiler.span("occupancy"):
             for c in cells:
                 cs = self._cells[c]
@@ -269,68 +311,30 @@ class ProbeTable:
         if not messages:
             return
         index_of = self.mesh.index_of
-        src = [index_of(m.source) for m in messages]
-        dst = [index_of(m.destination) for m in messages]
         k = len(messages)
-        holders = np.arange(sim._next_holder, sim._next_holder + k, dtype=np.int64)
+        src = np.array([index_of(m.source) for m in messages], dtype=np.int32)
+        dest = np.array([index_of(m.destination) for m in messages], dtype=np.int32)
+        given = {
+            "_cell": [c] * k,
+            "_dest": dest,
+            "_msgs": messages,
+            "_expiry": [m.start_time + cs.lifetime for m in messages],
+            "_holder": np.arange(sim._next_holder, sim._next_holder + k),
+            "_outc": np.where(src == dest, OUTCOME_DELIVERED, OUTCOME_NONE),
+            "_stack": src,
+            "_path": src,
+        }
         sim._next_holder += k
-
-        src_a = np.array(src, dtype=np.int32)
-        dst_a = np.array(dst, dtype=np.int32)
-        stack = np.zeros((k, self._depth_cap), dtype=np.int32)
-        stack[:, 0] = src_a
-        path = np.zeros((k, self._path_cap), dtype=np.int32)
-        path[:, 0] = src_a
-        outc = np.where(src_a == dst_a, OUTCOME_DELIVERED, OUTCOME_NONE).astype(np.int8)
-
-        self._cell = np.concatenate([self._cell, np.full(k, c, dtype=np.int32)])
-        self._src = np.concatenate([self._src, src_a])
-        self._dest = np.concatenate([self._dest, dst_a])
-        self._depth = np.concatenate([self._depth, np.ones(k, dtype=np.int32)])
-        self._stack = np.concatenate([self._stack, stack])
-        self._sslot = np.concatenate(
-            [self._sslot, np.zeros((k, self._depth_cap), dtype=np.int32)]
-        )
-        self._sdir = np.concatenate(
-            [self._sdir, np.full((k, self._depth_cap), -1, dtype=np.int8)]
-        )
-        self._used = np.concatenate(
-            [self._used, np.zeros((k, self._size), dtype=np.uint32)]
-        )
-        self._plen = np.concatenate([self._plen, np.ones(k, dtype=np.int32)])
-        self._path = np.concatenate([self._path, path])
-        zero64 = np.zeros(k, dtype=np.int64)
-        self._fwd = np.concatenate([self._fwd, zero64])
-        self._bwd = np.concatenate([self._bwd, zero64])
-        self._blk = np.concatenate([self._blk, zero64])
-        self._rty = np.concatenate([self._rty, zero64])
-        self._waited = np.concatenate([self._waited, np.zeros(k, dtype=bool)])
-        self._wepoch = np.concatenate([self._wepoch, np.full(k, -1, dtype=np.int64)])
-        self._outc = np.concatenate([self._outc, outc])
-        self._start = np.concatenate(
-            [self._start, np.array([m.start_time for m in messages], dtype=np.int64)]
-        )
-        self._life = np.concatenate(
-            [self._life, np.full(k, cs.lifetime, dtype=np.int64)]
-        )
-        self._holder = np.concatenate([self._holder, holders])
-        self._msgs.extend(messages)
-        self._cdirs = np.concatenate(
-            [self._cdirs, np.zeros((k, self._two_n), dtype=np.int8)]
-        )
-        self._cnext = np.concatenate(
-            [self._cnext, np.zeros((k, self._two_n), dtype=np.int32)]
-        )
-        self._cslot = np.concatenate(
-            [self._cslot, np.zeros((k, self._two_n), dtype=np.int32)]
-        )
-        self._cn = np.concatenate([self._cn, np.zeros(k, dtype=np.int16)])
-        self._cvalid = np.concatenate([self._cvalid, np.zeros(k, dtype=bool)])
+        for attr, dtype, width, fill in _COLUMNS:
+            if fill is None and not width:
+                fresh = np.asarray(given[attr], dtype)
+            else:
+                shape = (k, getattr(self, width)) if width else k
+                fresh = np.full(shape, fill, dtype) if fill else np.zeros(shape, dtype)
+                if fill is None:  # a matrix column's source entry
+                    fresh[:, 0] = given[attr]
+            setattr(self, attr, np.concatenate([getattr(self, attr), fresh]))
         self._cell_count[c] += k
-        if self._hw_depth < 1:
-            self._hw_depth = 1
-        if self._hw_plen < 1:
-            self._hw_plen = 1
 
     # ------------------------------------------------------------------ #
     # classification
@@ -453,7 +457,7 @@ class ProbeTable:
         used_bits = self._used[sel, cur]
         # Rule 1 compares positions, not stack depth: a probe that looped
         # forward back onto its source coordinate is "at source" here.
-        at_source = cur == self._src[sel]
+        at_source = cur == self._stack[sel, 0]
         rev = self._sdir[sel, dm1]
 
         if len(self._cells) > 1:
@@ -478,17 +482,17 @@ class ProbeTable:
         Keyed off the high-water depth/path-length marks the advance passes
         maintain, so no per-step column reduction is needed.
         """
-        if self._hw_depth + 1 >= self._depth_cap:
-            new_cap = max(self._depth_cap * 2, self._hw_depth + 2)
-            pad = ((0, 0), (0, new_cap - self._depth_cap))
-            self._stack = np.pad(self._stack, pad)
-            self._sslot = np.pad(self._sslot, pad)
-            self._sdir = np.pad(self._sdir, pad)
-            self._depth_cap = new_cap
-        if self._hw_plen + 1 >= self._path_cap:
-            new_cap = max(self._path_cap * 2, self._hw_plen + 2)
-            self._path = np.pad(self._path, ((0, 0), (0, new_cap - self._path_cap)))
-            self._path_cap = new_cap
+        for cap_attr, high in (
+            ("_depth_cap", self._hw_depth), ("_path_cap", self._hw_plen)
+        ):
+            cap = getattr(self, cap_attr)
+            if high + 1 >= cap:
+                new_cap = max(cap * 2, high + 2)
+                pad = ((0, 0), (0, new_cap - cap))
+                for attr, _dtype, width, _fill in _COLUMNS:
+                    if width == cap_attr:
+                        setattr(self, attr, np.pad(getattr(self, attr), pad))
+                setattr(self, cap_attr, new_cap)
 
     # ------------------------------------------------------------------ #
     # contention-free advance (bulk)
@@ -510,7 +514,6 @@ class ProbeTable:
             if pop.any():
                 r = act[pop]
                 self._depth[r] -= 1
-                self._bwd[r] += 1
                 retreat = self._stack[r, self._depth[r] - 1]
                 self._path[r, self._plen[r]] = retreat
                 self._plen[r] += 1
@@ -526,7 +529,6 @@ class ProbeTable:
                     d0 < self._n, d0 + self._n, d0 - self._n
                 ).astype(np.int8)
                 self._depth[r] += 1
-                self._fwd[r] += 1
                 self._path[r, self._plen[r]] = nxt
                 self._plen[r] += 1
                 self._hw_depth = max(self._hw_depth, int(self._depth[r].max()))
@@ -537,9 +539,7 @@ class ProbeTable:
                 self._hw_plen = max(self._hw_plen, int(self._plen[act].max()))
         rows_all = np.flatnonzero(free_rows)
         if rows_all.size:
-            done = (self._outc[rows_all] != OUTCOME_NONE) | (
-                (t - self._start[rows_all]) >= self._life[rows_all]
-            )
+            done = (self._outc[rows_all] != OUTCOME_NONE) | (self._expiry[rows_all] <= t)
             if done.any():
                 finished = rows_all[done]
                 for r in finished.tolist():
@@ -565,7 +565,7 @@ class ProbeTable:
         # parked rows mid-pass, which only the sequential walk can see.
         #
         # Single-cell fast path: the rows are the whole table, so columns
-        # extract without the fancy-index copy.
+        # extract as views, without the fancy-index copy.
         if len(self._cells) == 1:
             count_rows = self._cell.size
             if count_rows == 0:
@@ -573,13 +573,13 @@ class ProbeTable:
             parked = (
                 self._waited
                 & (self._wepoch == self._cells[0].ledger._epoch)
-                & ((t - self._start) < self._life)
+                & (self._expiry > t)
             )
             if parked.all():
                 self._rty += 1
                 self._blk += self._cn
                 return
-            rows = None
+            rows = slice(None)
             if self._arange.size < count_rows:
                 self._arange = np.arange(
                     max(count_rows, 2 * self._arange.size), dtype=np.int64
@@ -587,7 +587,6 @@ class ProbeTable:
             ridx = self._arange[:count_rows]
             rlist: Sequence[int] = range(count_rows)
             cell_stream: Iterable[int] = repeat(0)
-            take = lambda a: a  # noqa: E731
         else:
             contended_row = ~self._cell_is_free[self._cell]
             epochs = np.fromiter(
@@ -601,7 +600,7 @@ class ProbeTable:
             parked = (
                 self._waited
                 & (self._wepoch == epochs[self._cell])
-                & ((t - self._start) < self._life)
+                & (self._expiry > t)
             )
             counts_arr = np.bincount(self._cell, minlength=len(self._cells))
             allfast = (
@@ -626,7 +625,6 @@ class ProbeTable:
             ridx = rows
             rlist = rows.tolist()
             cell_stream = self._cell[rows].tolist()
-            take = lambda a: a[rows]  # noqa: E731
 
         # The per-hop reserve/release bookkeeping is inlined against the
         # current cell's ledger columns (the scan already proved the slot
@@ -641,19 +639,16 @@ class ProbeTable:
         sslot = self._sslot
         path = self._path
 
-        depth_a = take(self._depth)
-        depth_l = depth_a.tolist()
-        plen_l = take(self._plen).tolist()
-        fwd_l = take(self._fwd).tolist()
-        bwd_l = take(self._bwd).tolist()
-        blk_l = take(self._blk).tolist()
-        rty_l = take(self._rty).tolist()
-        waited_l = take(self._waited).tolist()
-        wep_l = take(self._wepoch).tolist()
+        # The per-row columns the walk mutates, as Python lists; each
+        # finishing row and, after the walk, every row write them back.
+        synced = (self._depth, self._plen, self._blk, self._rty,
+                  self._waited, self._wepoch)
+        lists = [col[rows].tolist() for col in synced]
+        depth_l, plen_l, blk_l, rty_l, waited_l, wep_l = lists
         # Per-row geometry at the pre-step depth, extracted in bulk: the
         # current node (used-bit updates), the retreat node one below it
         # (backtrack path entries) and the entry slot (backtrack releases).
-        dm1 = depth_a - 1
+        dm1 = self._depth[rows] - 1
 
         # Deferred matrix writes: each row moves at most one hop per step
         # and no row reads another row's stack/path/used, so the per-move
@@ -681,16 +676,16 @@ class ProbeTable:
         stream = zip(
             rlist,
             cell_stream,
-            take(self._outc).tolist(),
+            self._outc[rows].tolist(),
             depth_l,
             plen_l,
-            take(self._cn).tolist(),
-            take(self._holder).tolist(),
-            take(self._dest).tolist(),
-            take(self._cslot).tolist(),
-            take(self._cnext).tolist(),
-            take(self._cdirs).tolist(),
-            ((t - take(self._start)) >= take(self._life)).tolist(),
+            self._cn[rows].tolist(),
+            self._holder[rows].tolist(),
+            self._dest[rows].tolist(),
+            self._cslot[rows].tolist(),
+            self._cnext[rows].tolist(),
+            self._cdirs[rows].tolist(),
+            (self._expiry[rows] <= t).tolist(),
             stack[ridx, dm1].tolist(),
             stack[ridx, np.maximum(dm1 - 1, 0)].tolist(),
             sslot[ridx, dm1].tolist(),
@@ -710,24 +705,14 @@ class ProbeTable:
                 cell_epoch = ledger._epoch
                 cur_c = c
             moved = 0
-            if outcome == OUTCOME_NONE:
-                if waited_l[i] and wep_l[i] == cell_epoch:
-                    # Parked waiter: no link in this cell was freed since its
-                    # last full scan (and its candidates are unchanged), so
-                    # every candidate is provably still blocked.  The scalar
-                    # scan would re-count the same blocks and wait again.
-                    rty_l[i] += 1
-                    blk_l[i] += count
-                    if expired:
-                        self._outc[r] = outcome
-                        self._blk[r] = blk_l[i]
-                        self._rty[r] = rty_l[i]
-                        ledger._reserved_count += res_delta
-                        res_delta = 0
-                        self._finish_row(r, t)
-                        cell_epoch = ledger._epoch
-                        fin.append(r)
-                    continue
+            if outcome == OUTCOME_NONE and waited_l[i] and wep_l[i] == cell_epoch:
+                # Parked waiter: no link in this cell was freed since its
+                # last full scan (and its candidates are unchanged), so every
+                # candidate is provably still blocked.  The scalar scan would
+                # re-count the same blocks and wait again.
+                rty_l[i] += 1
+                blk_l[i] += count
+            elif outcome == OUTCOME_NONE:
                 stay = False  # WAIT or RESTART: no move, but expiry still runs
                 decision_backtrack = False
                 if count <= 0:
@@ -785,7 +770,6 @@ class ProbeTable:
                                 else:
                                     refcount[slot] = rc
                             depth_l[i] = depth - 1
-                            bwd_l[i] += 1
                             moved = 2
                             b_r.append(r)
                             b_p.append(plen)
@@ -809,7 +793,6 @@ class ProbeTable:
                         depth_l[i] = d1
                         if d1 > hw_d:
                             hw_d = d1
-                        fwd_l[i] += 1
                         p1 = plen + 1
                         plen_l[i] = p1
                         if p1 > hw_p:
@@ -834,12 +817,8 @@ class ProbeTable:
                 # failure's whole circuit) free up for probes later in this
                 # loop.
                 self._outc[r] = outcome
-                self._depth[r] = depth_l[i]
-                self._plen[r] = plen_l[i]
-                self._fwd[r] = fwd_l[i]
-                self._bwd[r] = bwd_l[i]
-                self._blk[r] = blk_l[i]
-                self._rty[r] = rty_l[i]
+                for col, values in zip(synced, lists):
+                    col[r] = values[i]
                 if moved == 1:
                     stack[r, depth] = f_nxt[-1]
                     sslot[r, depth] = f_slot[-1]
@@ -857,24 +836,8 @@ class ProbeTable:
         # ``outc`` never changes for surviving rows (every outcome
         # assignment finishes the row inline above), so it needs no
         # writeback.
-        if rows is None:
-            self._depth[:] = depth_l
-            self._plen[:] = plen_l
-            self._fwd[:] = fwd_l
-            self._bwd[:] = bwd_l
-            self._blk[:] = blk_l
-            self._rty[:] = rty_l
-            self._waited[:] = waited_l
-            self._wepoch[:] = wep_l
-        else:
-            self._depth[rows] = depth_l
-            self._plen[rows] = plen_l
-            self._fwd[rows] = fwd_l
-            self._bwd[rows] = bwd_l
-            self._blk[rows] = blk_l
-            self._rty[rows] = rty_l
-            self._waited[rows] = waited_l
-            self._wepoch[rows] = wep_l
+        for col, values in zip(synced, lists):
+            col[rows] = values
 
         n = self._n
         if f_r:
@@ -906,16 +869,19 @@ class ProbeTable:
     # ------------------------------------------------------------------ #
     def _row_result(self, r: int) -> RouteResult:
         coords = self._coord_tuples
-        source = coords[self._src[r]]
+        depth, plen = int(self._depth[r]), int(self._plen[r])
+        path = [coords[i] for i in self._path[r, :plen].tolist()]
+        source = path[0]
         destination = coords[self._dest[r]]
         return RouteResult(
             outcome=_OUTCOMES[int(self._outc[r])],
-            path=[coords[i] for i in self._path[r, : self._plen[r]].tolist()],
+            path=path,
             source=source,
             destination=destination,
             min_distance=self.mesh.distance(source, destination),
-            forward_hops=int(self._fwd[r]),
-            backtrack_hops=int(self._bwd[r]),
+            # depth - 1 = forward - backtrack; plen - 1 = forward + backtrack.
+            forward_hops=(plen + depth) // 2 - 1,
+            backtrack_hops=(plen - depth) // 2,
             blocked_hops=int(self._blk[r]),
             setup_retries=int(self._rty[r]),
         )
@@ -959,9 +925,7 @@ class ProbeTable:
             sim._finish_table_row(self._msgs[r], self._row_result(r), finish_step=None)
             if cs.ledger is not None:
                 cs.ledger.release(int(self._holder[r]))
-        keep = np.ones(len(self._cell), dtype=bool)
-        keep[rows] = False
-        self._compact(np.flatnonzero(keep))
+        self._drop(rows)
 
     def teardown_node(self, cell: int, node: Coord, t: int) -> None:
         """Tear down ``cell``'s rows standing on or routed through ``node``.
@@ -985,37 +949,15 @@ class ProbeTable:
             return
         for r in doomed.tolist():
             self._finish_row(r, t)
-        keep = np.ones(len(self._cell), dtype=bool)
-        keep[doomed] = False
-        self._compact(np.flatnonzero(keep))
+        self._drop(doomed)
 
-    def _compact(self, keep: np.ndarray) -> None:
-        self._cell = self._cell[keep]
-        self._src = self._src[keep]
-        self._dest = self._dest[keep]
-        self._depth = self._depth[keep]
-        self._stack = self._stack[keep]
-        self._sslot = self._sslot[keep]
-        self._sdir = self._sdir[keep]
-        self._used = self._used[keep]
-        self._plen = self._plen[keep]
-        self._path = self._path[keep]
-        self._fwd = self._fwd[keep]
-        self._bwd = self._bwd[keep]
-        self._blk = self._blk[keep]
-        self._rty = self._rty[keep]
-        self._waited = self._waited[keep]
-        self._wepoch = self._wepoch[keep]
-        self._outc = self._outc[keep]
-        self._start = self._start[keep]
-        self._life = self._life[keep]
-        self._holder = self._holder[keep]
-        self._msgs = [self._msgs[i] for i in keep.tolist()]
-        self._cdirs = self._cdirs[keep]
-        self._cnext = self._cnext[keep]
-        self._cslot = self._cslot[keep]
-        self._cn = self._cn[keep]
-        self._cvalid = self._cvalid[keep]
+    def _drop(self, rows: Sequence[int]) -> None:
+        """Compact every column past the finished (already recorded) ``rows``."""
+        keep = np.ones(self._cell.size, dtype=bool)
+        keep[rows] = False
+        keep = np.flatnonzero(keep)
+        for attr, _dtype, _width, _fill in _COLUMNS:
+            setattr(self, attr, getattr(self, attr)[keep])
         self._cell_count = np.bincount(
             self._cell, minlength=len(self._cells)
         ).tolist()

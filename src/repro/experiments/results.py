@@ -216,7 +216,3 @@ class BatchResult:
             row: {col: sum(vals) / len(vals) for col, vals in by_col.items()}
             for row, by_col in sums.items()
         }
-
-    def metric_values(self, metric: str) -> List[float]:
-        """The metric across every cell, in cell order."""
-        return [r.metrics[metric] for r in self.results]

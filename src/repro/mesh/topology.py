@@ -129,12 +129,6 @@ class Mesh:
                 out.append(moved)
         return out
 
-    def neighbor_directions(self, coord: Sequence[int]) -> List[Direction]:
-        """Directions along which ``coord`` has an in-mesh neighbor."""
-        return [
-            d for d in self._directions if self.contains(d.apply(coord))
-        ]
-
     def distance(self, u: Sequence[int], v: Sequence[int]) -> int:
         """Manhattan distance ``D(u, v)``."""
         return manhattan(u, v)

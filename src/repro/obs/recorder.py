@@ -2,11 +2,11 @@
 
 A :class:`StepRecorder` attached to a :class:`~repro.simulator.engine.Simulator`
 samples one row per simulation step into preallocated growable numpy
-columns.  Sampling reads the engine's existing flat state — probe-table
-counter columns (``_blk``/``_rty``/``_waited``), the circuit ledger's
-reserved-link count, a :func:`numpy.bincount` over the labeling status
-codes (cached on the labeling's mutation stamp, so stable steps skip
-it) — plus O(1) aggregates, and folds each finished
+columns.  Sampling reads the engine's existing flat state — the probe
+table's per-cell counter sums (:meth:`ProbeTable.cell_counters`), the
+circuit ledger's reserved-link count, a :func:`numpy.bincount` over the
+labeling status codes (cached on the labeling's mutation stamp, so stable
+steps skip it) — plus O(1) aggregates, and folds each finished
 :class:`~repro.simulator.stats.MessageRecord` exactly once, so an enabled
 recorder costs array reads per step, not per-probe Python.  A simulator
 without a recorder pays nothing: the engine's only hook is an
@@ -117,17 +117,7 @@ class StepRecorder:
         # of the scalar loop (its oracle).
         table = sim._table
         if table is not None:
-            if len(table._cells) == 1:
-                in_flight = int(table._cell.size)
-                blk = int(table._blk.sum())
-                rty = int(table._rty.sum())
-                waiting = int(np.count_nonzero(table._waited))
-            else:
-                mask = table._cell == sim._table_cell
-                in_flight = int(np.count_nonzero(mask))
-                blk = int(table._blk[mask].sum())
-                rty = int(table._rty[mask].sum())
-                waiting = int(np.count_nonzero(table._waited[mask]))
+            in_flight, blk, rty, waiting = table.cell_counters(sim._table_cell)
         else:
             in_flight = len(sim._probes)
             blk = rty = waiting = 0

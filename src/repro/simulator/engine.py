@@ -561,13 +561,6 @@ class Simulator:
             return self._table.cell_rows(self._table_cell)
         return len(self._probes)
 
-    @property
-    def pending_messages(self) -> Tuple[TrafficMessage, ...]:
-        """Messages whose probes are still in flight."""
-        if self._table is not None:
-            return self._table.cell_messages(self._table_cell)
-        return tuple(entry[0] for entry in self._probes)
-
     def _work_remaining(self) -> bool:
         return bool(
             self._probes

@@ -279,12 +279,6 @@ class OpenLoopSource:
         """Messages generated but not yet emitted (source backlog)."""
         return sum(len(q) for q in self._queues.values())
 
-    def queued_created_between(self, lo: int, hi: int) -> int:
-        """Backlogged messages generated in ``[lo, hi)``."""
-        return sum(
-            1 for q in self._queues.values() for entry in q if lo <= entry[0] < hi
-        )
-
     def generated_between(self, lo: int, hi: int) -> int:
         """Messages generated in ``[lo, hi)`` (emitted or still queued)."""
         return sum(1 for created in self.generation_log if lo <= created < hi)

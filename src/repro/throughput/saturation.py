@@ -77,11 +77,6 @@ class LoadCurve:
             self, "points", tuple(sorted(self.points, key=lambda p: p.rate))
         )
 
-    @property
-    def peak_accepted(self) -> float:
-        """Largest accepted throughput along the curve."""
-        return max((p.accepted_throughput for p in self.points), default=0.0)
-
     def knee(
         self, *, latency_factor: float = 3.0, min_acceptance: float = 0.9
     ) -> Optional[LoadPoint]:

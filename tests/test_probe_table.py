@@ -11,6 +11,9 @@ contention, over all four closed-batch traffic scenarios, plus randomized
 configurations.  The stacked sweep engine (``run_batch(engine="stacked")``)
 is held to the same bar at the JSON export level: a multi-shape,
 multi-policy grid must serialize identically to the serial runner's output.
+On a shared table, each cell's in-flight counters
+(:meth:`~repro.core.probe_table.ProbeTable.cell_counters`, which the step
+recorder reads) must match its solo table's at every step.
 
 The table hosts every policy with a per-direction classifier, static-block
 included (over its adjacent-only view).  ``global-information`` plans by
@@ -25,9 +28,10 @@ import pytest
 from repro.backend import VECTOR, resolve_backend
 from repro.core import probe_table
 from repro.experiments import ExperimentSpec, run_batch
-from repro.experiments.runner import _build_simulate_sim
+from repro.experiments.runner import _build_simulate_sim, _simulate_scenario
 from repro.faults.schedule import DynamicFaultSchedule
 from repro.mesh.topology import Mesh
+from repro.obs.recorder import StepRecorder
 from repro.routing import available_routers
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.workloads.traffic import to_traffic
@@ -139,6 +143,65 @@ class TestProbeTableScalarParity:
         stats = sim.run().stats
         assert sim._table is not None and stats.steps > 10
         assert len(built) == 1
+
+
+class TestSharedTableCounters:
+    @staticmethod
+    def _vector_sim(cell, recorder=None):
+        """``cell``'s simulator on a probe table whatever the default backend."""
+        mesh, schedule, traffic = _simulate_scenario(cell)
+        config = SimulationConfig(lam=cell.lam, router=cell.policy,
+                                  contention=cell.contention, backend=VECTOR)
+        return Simulator(mesh, schedule=schedule, traffic=traffic,
+                         config=config, recorder=recorder)
+
+    def test_shared_table_counters_match_solo_tables(self):
+        """Contended cells joined to one table, stepped in lockstep the way
+        the stacked runner does, report at every step the in-flight
+        counters their solo tables report — and so record the same
+        :class:`StepRecorder` series."""
+        cells = [
+            _cell(policy, "random", True, shape=(7, 7), messages=20, seed=seed,
+                  flits=64)
+            for policy, seed in (("limited-global", 1), ("static-block", 2),
+                                 ("limited-global", 3))
+        ]
+        solo = [self._vector_sim(cell, StepRecorder()) for cell in cells]
+        joined = [self._vector_sim(cell) for cell in cells]
+        recorders = [StepRecorder() for _ in cells]
+        table = probe_table.ProbeTable(joined[0].mesh)
+        for sim in joined:
+            sim._join_table(table)
+
+        peak = [(0, 0, 0, 0)] * len(cells)
+        active = range(len(cells))
+        t = 0
+        while True:
+            active = [i for i in active
+                      if joined[i]._step < joined[i].config.max_steps
+                      and joined[i]._work_remaining()]
+            if not active:
+                break
+            for i in active:
+                joined[i]._step_information(t)
+            table.run_step(t, tuple(joined[i]._table_cell for i in active))
+            for i in active:
+                joined[i]._step += 1
+                joined[i].stats.steps = joined[i]._step
+                recorders[i].sample(joined[i])
+                solo[i].step()
+                counters = table.cell_counters(joined[i]._table_cell)
+                assert counters == solo[i]._table.cell_counters(0), (t, i)
+                peak[i] = tuple(map(max, peak[i], counters))
+            t += 1
+
+        # Every cell really had several probes in flight, blocked and parked.
+        assert all(min(p) > 1 for p in peak), peak
+        for i, sim in enumerate(solo):
+            assert not sim._work_remaining()
+            for name in recorders[i].columns:
+                assert np.array_equal(recorders[i].column(name),
+                                      sim._recorder.column(name)), (i, name)
 
 
 class TestStackedSweepParity:
