@@ -12,8 +12,8 @@ Two comparisons, both parity-gated before anything is timed:
   informational ratio table.
 * **Stacked vs serial sweep** — one same-shape simulate grid (8x8 transpose,
   circuit contention, seeds as replicates) executed cell-by-cell by the
-  serial :func:`~repro.experiments.run_batch` loop and in lockstep by
-  ``engine="stacked"``, which joins every cell's probes onto one shared
+  serial :func:`~repro.experiments.run_batch` engine and in lockstep by
+  ``engine="auto"``, which joins every cell's probes onto one shared
   table so each simulation step classifies all cells' probes in a single
   vectorized pass.
 
@@ -100,7 +100,7 @@ def test_stacked_sweep_parity_json():
     """Parity gate: stacked and serial sweeps export identical JSON."""
     spec = _sweep_spec(8)
     assert (
-        run_batch(spec, engine="stacked").to_json()
+        run_batch(spec, engine="auto").to_json()
         == run_batch(spec, engine="serial").to_json()
     )
 
@@ -117,7 +117,7 @@ def test_bench_probe_table_step(benchmark):
 def test_bench_sweep_stacked(benchmark):
     """12-cell same-shape sweep stepped in lockstep on one shared table."""
     spec = _sweep_spec(12)
-    batch = benchmark(lambda: run_batch(spec, engine="stacked"))
+    batch = benchmark(lambda: run_batch(spec, engine="auto"))
     print(f"\nstacked sweep: {len(batch.results)} cells")
 
 
@@ -140,7 +140,7 @@ def test_probe_speedup_table():
     spec = _sweep_spec(48)
     sweeps = {}
     for name, run in (("serial", lambda: run_batch(spec, engine="serial")),
-                      ("stacked", lambda: run_batch(spec, engine="stacked"))):
+                      ("stacked", lambda: run_batch(spec, engine="auto"))):
         run()  # warm caches
         start = time.perf_counter()
         run()

@@ -4,8 +4,9 @@ Three execution strategies over one contended same-shape sweep grid (8x8
 transpose, circuit contention, seeds as replicates — the shape of a load
 study and the dominant access pattern a sweep service would see):
 
-* **stacked, single process** — PR 6's engine: every cell on one shared
-  :class:`~repro.core.probe_table.ProbeTable`, stepped in lockstep;
+* **stacked, single process** — ``run_batch(engine="auto", workers=1)``:
+  every cell on one shared :class:`~repro.core.probe_table.ProbeTable`,
+  stepped in lockstep;
 * **auto-sharded, 4 workers** — the shard planner splits the group into
   stacked sub-shards dispatched across the persistent process pool
   (``run_batch(engine="auto", workers=4)``, the default composition);
@@ -54,9 +55,10 @@ def test_sweep_engines_parity_json():
     """Parity gate: every engine/worker composition exports identical JSON."""
     spec = _sweep_spec(8)
     reference = run_batch(spec, engine="serial").to_json()
-    assert run_batch(spec, engine="stacked").to_json() == reference
+    assert run_batch(spec, engine="auto").to_json() == reference
     assert run_batch(spec, engine="auto", workers=4).to_json() == reference
-    assert run_batch(spec, engine="stacked", workers=2).to_json() == reference
+    assert run_batch(spec, engine="auto", workers=2).to_json() == reference
+    assert run_batch(spec, engine="serial", workers=2).to_json() == reference
 
 
 def test_sweep_cache_parity_json(tmp_path):
@@ -72,7 +74,7 @@ def test_sweep_cache_parity_json(tmp_path):
 def test_bench_sweep_stacked_single_process(benchmark):
     """24-cell contended sweep, one lockstep stacked group, one process."""
     spec = _sweep_spec(24)
-    batch = benchmark(lambda: run_batch(spec, engine="stacked", workers=1))
+    batch = benchmark(lambda: run_batch(spec, engine="auto", workers=1))
     print(f"\nstacked 1-proc: {len(batch.results)} cells")
 
 
@@ -102,7 +104,7 @@ def test_sweep_scale_table():
     with tempfile.TemporaryDirectory() as root:
         cache = ResultCache(root)
         runs = (
-            ("stacked-1proc", lambda: run_batch(spec, engine="stacked", workers=1)),
+            ("stacked-1proc", lambda: run_batch(spec, engine="auto", workers=1)),
             ("auto-w4-cold", lambda: run_batch(spec, engine="auto", workers=4,
                                                cache=cache)),
             ("warm-cache", lambda: run_batch(spec, engine="auto", workers=4,

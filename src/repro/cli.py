@@ -49,21 +49,17 @@ from repro.experiments import (
     ENGINES,
     MODES,
     SPEC_SCHEMA,
+    ExperimentCell,
     ExperimentSpec,
     ResultCache,
     run_batch,
 )
+from repro.experiments.runner import build_simulator
 from repro.faults.injection import uniform_random_faults
 from repro.mesh.topology import Mesh
 from repro.routing import available_routers, resolve_router
-from repro.simulator.engine import SimulationConfig, Simulator
 from repro.throughput import MeasurementWindows, load_curves, saturation_for_policy
-from repro.workloads.congestion import (
-    bursty_scenario,
-    hotspot_scenario,
-    transpose_scenario,
-)
-from repro.workloads.scenarios import parametric_block_scenario, random_dynamic_scenario
+from repro.workloads.scenarios import parametric_block_scenario
 from repro.workloads.traffic import random_pairs
 
 Coord = Tuple[int, ...]
@@ -306,10 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default="auto",
-        help="cell execution engine: 'auto' (default) shards same-shape "
-        "stacked probe-table groups and serial chunks across the workers; "
-        "'serial' runs one cell at a time; 'stacked' forces the lockstep "
-        "probe-table engine — all three emit byte-identical JSON",
+        help="cell execution engine: 'auto' (default) steps same-shape "
+        "cells in lockstep on shared probe tables, sharded across the "
+        "workers; 'serial', its oracle, runs one cell at a time — both "
+        "emit byte-identical JSON",
     )
     cache_group = sweep.add_mutually_exclusive_group()
     cache_group.add_argument(
@@ -369,11 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-queued", type=int, default=16,
         help="jobs allowed to wait; submissions beyond this answer "
         "429 with Retry-After (backpressure)",
-    )
-    serve.add_argument(
-        "--engine", choices=ENGINES, default="auto",
-        help="cell execution engine for every job (same semantics as "
-        "sweep --engine)",
     )
     serve.add_argument(
         "--workers", type=int, default=1,
@@ -488,47 +479,27 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     shape = _mesh_shape_from_args(args)
-    if args.scenario == "hotspot":
-        scenario = hotspot_scenario(
-            shape=shape,
-            messages=args.messages,
-            dynamic_faults=args.faults,
-            interval=args.interval,
-            flits=args.flits,
-            seed=args.seed,
+    if args.scenario == "transpose" and len(set(shape)) != 1:
+        raise argparse.ArgumentTypeError(
+            "transpose traffic requires a uniform (cubic) mesh"
         )
-    elif args.scenario == "transpose":
-        if len(set(shape)) != 1:
-            raise argparse.ArgumentTypeError(
-                "transpose traffic requires a uniform (cubic) mesh"
-            )
-        scenario = transpose_scenario(
-            radix=shape[0],
-            n_dims=len(shape),
-            limit=args.messages,
-            dynamic_faults=args.faults,
-            interval=args.interval,
-            flits=args.flits,
-            seed=args.seed,
-        )
-    elif args.scenario == "bursty":
-        scenario = bursty_scenario(
-            shape=shape,
-            bursts=max(1, args.messages // 6),
-            burst_size=min(6, args.messages),
-            dynamic_faults=args.faults,
-            interval=args.interval,
-            flits=args.flits,
-            seed=args.seed,
-        )
-    else:
-        scenario = random_dynamic_scenario(
-            shape=shape,
-            dynamic_faults=args.faults,
-            interval=args.interval,
-            messages=args.messages,
-            seed=args.seed,
-        )
+    # One simulate-mode cell seeded directly by --seed: the run is built
+    # exactly as a sweep builds its cells.
+    cell = ExperimentCell(
+        index=0,
+        mode="simulate",
+        shape=shape,
+        policy=args.policy,
+        faults=args.faults,
+        interval=args.interval,
+        lam=args.lam,
+        messages=args.messages,
+        seed=args.seed,
+        cell_seed=args.seed,
+        contention=args.contention,
+        flits=args.flits,
+        scenario=args.scenario,
+    )
     recorder = profiler = None
     if args.trace_out:
         from repro.obs import StepRecorder
@@ -538,25 +509,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from repro.obs import PhaseProfiler
 
         profiler = PhaseProfiler()
-    sim = Simulator(
-        scenario.mesh,
-        schedule=scenario.schedule,
-        traffic=list(scenario.traffic),
-        config=SimulationConfig(
-            lam=args.lam,
-            router=args.policy,
-            contention=args.contention,
-        ),
-        recorder=recorder,
-        profiler=profiler,
-    )
+    sim = build_simulator(cell, recorder=recorder, profiler=profiler)
     stats = sim.run().stats
-    print(f"scenario        : {scenario.name}")
+    print(f"scenario        : {cell.scenario}")
     print(f"policy          : {args.policy}")
     for key, value in stats.summary().items():
         print(f"{key:<24}: {value:.3f}")
     if args.contention:
-        utilization = contention_row(stats, scenario.mesh)["link_utilization"]
+        utilization = contention_row(stats, sim.mesh)["link_utilization"]
         print(f"{'link_utilization':<24}: {utilization:.3f}")
     if recorder is not None:
         from repro.obs import write_trace
@@ -726,7 +686,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_running=args.max_running,
         max_queued=args.max_queued,
-        engine=args.engine,
         workers=args.workers,
         cache_dir=cache_dir,
         shard_timeout=args.shard_timeout,

@@ -8,9 +8,12 @@ whole fleets of scenarios can be swept, compared and persisted uniformly:
   traffic sizes and seeds, expanded into deterministic
   :class:`ExperimentCell` items;
 * :mod:`repro.experiments.runner` — :func:`run_batch`, executing the grid
-  through the serial, stacked or auto-sharded engine, fanning shards out
-  across a persistent process pool with per-cell deterministic seeding
-  (every engine and worker count produces identical results);
+  through the ``auto`` engine (stacked probe-table groups, sharded across
+  a persistent process pool when ``workers > 1``) or its ``serial``
+  oracle, with per-cell deterministic seeding (both engines and every
+  worker count produce identical results);
+* :mod:`repro.experiments.stacked` — the lockstep executor stepping
+  same-shape cells on one shared probe table;
 * :mod:`repro.experiments.shard` — the planner partitioning cells by
   (shape, probe-table eligibility, mode) into dispatchable
   :class:`Shard` units;
@@ -49,8 +52,6 @@ from repro.obs.telemetry import ShardRecord, SweepTelemetry
 from repro.experiments.shard import Shard, plan_shards, probe_table_eligible
 from repro.experiments.spec import (
     MODES,
-    OFFLINE_POLICIES,
-    SIMULATE_POLICIES,
     SPEC_SCHEMA,
     ExperimentCell,
     ExperimentSpec,
@@ -66,10 +67,8 @@ __all__ = [
     "ExperimentCell",
     "ExperimentSpec",
     "MODES",
-    "OFFLINE_POLICIES",
     "RESULT_SCHEMA",
     "ResultCache",
-    "SIMULATE_POLICIES",
     "SPEC_SCHEMA",
     "Shard",
     "ShardRecord",

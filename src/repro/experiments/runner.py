@@ -1,26 +1,27 @@
-"""Execution of experiment grids: serial, stacked, sharded and cached.
+"""Execution of experiment grids: stacked, sharded and cached.
 
 :func:`run_cell` turns one :class:`~repro.experiments.spec.ExperimentCell`
 into a :class:`~repro.experiments.results.CellResult`; :func:`run_batch`
-runs a whole grid through one of three engines:
+runs a whole grid through one of two engines:
 
-* ``engine="serial"`` — one cell at a time; ``workers > 1`` fans chunks of
-  cells out over a process pool and fires the progress hook in completion
-  order (results stay in grid order);
-* ``engine="stacked"`` — same-shape probe-table-eligible simulate cells
-  step in lockstep on shared :class:`~repro.core.probe_table.ProbeTable`
-  groups (see :mod:`repro.experiments.stacked`);
-* ``engine="auto"`` (the default) — the composition of both: the planner
-  (:mod:`repro.experiments.shard`) partitions cells into stacked and
+* ``engine="auto"`` (the default) — same-shape probe-table-eligible
+  simulate cells step in lockstep on shared
+  :class:`~repro.core.probe_table.ProbeTable` groups (see
+  :mod:`repro.experiments.stacked`).  With ``workers > 1`` the planner
+  (:mod:`repro.experiments.shard`) partitions the cells into stacked and
   serial shards and dispatches them across a *persistent*
-  :class:`~concurrent.futures.ProcessPoolExecutor`, so ``workers=4`` runs
-  four stacked groups concurrently instead of choosing between the two
-  fast paths.
+  :class:`~concurrent.futures.ProcessPoolExecutor`;
+* ``engine="serial"`` — the stacking oracle: one cell at a time, in
+  serial chunks across the pool when ``workers > 1``.
+
+Both engines build one shard list and hand it to one dispatcher, which
+runs the shards in-process when ``workers <= 1`` and over the pool
+otherwise.
 
 Every cell is self-contained and rebuilds its scenario from primitive cell
 parameters plus the deterministic ``cell_seed``, so cells are cheap to
 pickle, workers need no shared state, and a batch produces **identical
-results for any worker count and any engine** — the JSON export of a
+results for any worker count and either engine** — the JSON export of a
 serial run, a 4-worker run and an auto-sharded run are byte-for-byte
 equal.
 
@@ -39,9 +40,8 @@ import os
 import signal
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from math import ceil
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,12 +51,7 @@ from repro.backend import resolve_backend
 from repro.core.block_construction import build_blocks
 from repro.experiments.cache import ResultCache
 from repro.experiments.results import BatchResult, CellResult
-from repro.experiments.shard import (
-    SERIAL_CHUNKS_PER_WORKER,
-    Shard,
-    _split,
-    plan_shards,
-)
+from repro.experiments.shard import Shard, _split, plan_shards
 from repro.experiments.spec import ExperimentCell, ExperimentSpec
 from repro.faults.injection import clustered_faults, dynamic_schedule, uniform_random_faults
 from repro.mesh.topology import Mesh
@@ -70,10 +65,14 @@ from repro.workloads.congestion import (
 )
 from repro.workloads.traffic import random_pairs, to_traffic
 
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.obs.profile import PhaseProfiler
+    from repro.obs.recorder import StepRecorder
+
 Coord = Tuple[int, ...]
 
 #: Engines :func:`run_batch` accepts.
-ENGINES = ("auto", "serial", "stacked")
+ENGINES = ("auto", "serial")
 
 
 class BatchCancelled(BaseException):
@@ -189,9 +188,18 @@ def _simulate_scenario(cell: ExperimentCell):
     return mesh, schedule, traffic
 
 
-def _build_simulate_sim(cell: ExperimentCell) -> Simulator:
-    """The simulator of one simulate-mode cell (shared with the stacked
-    runner, so both engines construct byte-identical scenarios)."""
+def build_simulator(
+    cell: ExperimentCell,
+    *,
+    recorder: Optional["StepRecorder"] = None,
+    profiler: Optional["PhaseProfiler"] = None,
+) -> Simulator:
+    """The simulator of one simulate-mode cell.
+
+    Shared by both engines and by ``repro-mesh simulate``, so every door
+    constructs byte-identical scenarios.  ``recorder`` and ``profiler``
+    are the simulator's optional observers.
+    """
     mesh, schedule, traffic = _simulate_scenario(cell)
     return Simulator(
         mesh,
@@ -200,6 +208,8 @@ def _build_simulate_sim(cell: ExperimentCell) -> Simulator:
         config=SimulationConfig(
             lam=cell.lam, router=cell.policy, contention=cell.contention
         ),
+        recorder=recorder,
+        profiler=profiler,
     )
 
 
@@ -216,7 +226,7 @@ def _simulate_metrics(cell: ExperimentCell, result) -> Dict[str, float]:
 
 
 def _run_simulate_cell(cell: ExperimentCell) -> Dict[str, float]:
-    return _simulate_metrics(cell, _build_simulate_sim(cell).run())
+    return _simulate_metrics(cell, build_simulator(cell).run())
 
 
 def _run_throughput_cell(cell: ExperimentCell) -> Dict[str, float]:
@@ -279,12 +289,15 @@ def _maybe_crash_for_test() -> None:
 
 
 def _execute_shard(
-    shard: Shard, backend: Optional[str] = None
+    shard: Shard,
+    backend: Optional[str] = None,
+    land: Optional[Callable[[int, CellResult], None]] = None,
 ) -> Tuple[List[Tuple[int, CellResult]], float]:
     """Run one shard to completion; the unit a pool worker executes.
 
-    Returns the shard's ``(index, result)`` pairs plus the worker-side wall
-    seconds the shard took (the compute-time half of the sweep telemetry).
+    Returns the shard's ``(index, result)`` pairs plus the wall seconds the
+    shard took (the compute-time half of the sweep telemetry).  ``land``
+    (in-process runs only) also receives each result as it finishes.
     ``backend`` pins the worker's hot-loop backend explicitly: the pool is
     persistent, so a worker forked under an old ``REPRO_BACKEND`` would
     otherwise keep computing with it after the parent changed its mind.
@@ -298,9 +311,14 @@ def _execute_shard(
     if shard.kind == "stacked":
         from repro.experiments.stacked import run_cells_stacked
 
-        pairs = run_cells_stacked(shard.cells)
+        pairs = run_cells_stacked(shard.cells, on_result=land)
     else:
-        pairs = [(index, run_cell(cell)) for index, cell in shard.cells]
+        pairs = []
+        for index, cell in shard.cells:
+            result = run_cell(cell)
+            pairs.append((index, result))
+            if land is not None:
+                land(index, result)
     return pairs, perf_counter() - start
 
 
@@ -370,60 +388,58 @@ def _dispatch_shards(
     workers: int,
     land: Callable[[int, CellResult], None],
     *,
-    batch_start: Optional[float] = None,
-    records: Optional[List[ShardRecord]] = None,
-    incidents: Optional[List[PoolIncident]] = None,
+    batch_start: float,
+    records: List[ShardRecord],
+    incidents: List[PoolIncident],
     shard_timeout: Optional[float] = None,
 ) -> int:
-    """Run shards across the persistent pool, landing cells as shards finish.
+    """Run shards to completion, landing cells as they finish.
 
-    Completion-order delivery: ``wait(FIRST_COMPLETED)`` over shard
-    futures, so the progress hook never stalls behind the slowest early
-    shard the way ``pool.map``'s submission-order iteration did.
+    With ``workers <= 1`` the shards run in-process, in order, and every
+    cell lands the moment it finishes.  Otherwise they run across the
+    persistent pool with completion-order delivery: ``wait(FIRST_COMPLETED)``
+    over shard futures, so the progress hook never stalls behind the
+    slowest early shard the way ``pool.map``'s submission-order iteration
+    did.
 
-    Dispatch is fault tolerant: a broken pool (a worker process died and
-    poisoned the executor) is rebuilt and the lost shards resubmitted —
+    Pool dispatch is fault tolerant: a broken pool (a worker process died
+    and poisoned the executor) is rebuilt and the lost shards resubmitted —
     multi-cell shards split in half on their first loss, so a poison cell
     ends up isolated in ever-smaller shards — with bounded retries
     (:data:`MAX_SHARD_ATTEMPTS` per shard, :data:`MAX_POOL_REBUILDS`
-    rebuilds) before the remaining work degrades to in-process serial
-    execution.  ``shard_timeout`` is an *inactivity* budget in seconds: if
-    no shard completes for that long the pool is abandoned and the
-    outstanding shards run in-process.  Because cells are deterministic
-    pure functions, retried and degraded work lands byte-identical results;
+    rebuilds) before the remaining work degrades to in-process execution.
+    ``shard_timeout`` is an *inactivity* budget in seconds: if no shard
+    completes for that long the pool is abandoned and the outstanding
+    shards run in-process.  Because cells are deterministic pure
+    functions, retried and degraded work lands byte-identical results;
     every intervention is appended to ``incidents``.
 
-    Appends one :class:`ShardRecord` per shard to ``records`` (worker-side
-    seconds plus the parent-side landing offset from ``batch_start``) and
-    returns the effective pool size.
+    Appends one :class:`ShardRecord` per shard to ``records`` (shard
+    seconds plus the landing offset from ``batch_start``) and returns the
+    effective pool size.
     """
 
-    def landed_record(kind: str, pairs, seconds: float) -> None:
-        for index, result in pairs:
-            land(index, result)
-        if records is not None:
-            records.append(
-                ShardRecord(
-                    kind=kind,
-                    cells=len(pairs),
-                    seconds=seconds,
-                    landed_seconds=(
-                        perf_counter() - batch_start
-                        if batch_start is not None
-                        else 0.0
-                    ),
-                )
+    def record(kind: str, cells: int, seconds: float) -> None:
+        records.append(
+            ShardRecord(
+                kind=kind,
+                cells=cells,
+                seconds=seconds,
+                landed_seconds=perf_counter() - batch_start,
             )
+        )
 
     def run_inline(items: Sequence[Tuple[Shard, int]]) -> None:
         for shard, _attempt in items:
-            pairs, seconds = _execute_shard(shard)
-            landed_record(shard.kind, pairs, seconds)
+            pairs, seconds = _execute_shard(shard, land=land)
+            record(shard.kind, len(pairs), seconds)
 
     def note(kind: str, count: int, action: str) -> None:
-        if incidents is not None:
-            incidents.append(PoolIncident(kind=kind, shards=count, action=action))
+        incidents.append(PoolIncident(kind=kind, shards=count, action=action))
 
+    if workers <= 1:
+        run_inline([(shard, 0) for shard in shards])
+        return 1
     # Cap the pool at the work available: a 2-cell spec with workers=8
     # should not spawn 8 processes.
     workers = min(workers, len(shards))
@@ -456,7 +472,9 @@ def _dispatch_shards(
                 except BrokenProcessPool:
                     lost.append((shard, attempt))
                     continue
-                landed_record(shard.kind, pairs, seconds)
+                for index, result in pairs:
+                    land(index, result)
+                record(shard.kind, len(pairs), seconds)
             if not lost:
                 continue
             # A dead worker breaks the whole executor: every still-pending
@@ -494,52 +512,6 @@ def _dispatch_shards(
     return workers
 
 
-def _run_serial_engine(
-    pending: Sequence[Tuple[int, ExperimentCell]],
-    workers: int,
-    land: Callable[[int, CellResult], None],
-    *,
-    batch_start: Optional[float] = None,
-    records: Optional[List[ShardRecord]] = None,
-    incidents: Optional[List[PoolIncident]] = None,
-    shard_timeout: Optional[float] = None,
-) -> int:
-    """The ``engine="serial"`` path: per-cell execution, optionally fanned
-    out as explicitly chunked serial shards (no stacking)."""
-    if workers <= 1:
-        start = perf_counter()
-        for index, cell in pending:
-            land(index, run_cell(cell))
-        if records is not None:
-            records.append(
-                ShardRecord(
-                    kind="serial",
-                    cells=len(pending),
-                    seconds=perf_counter() - start,
-                    landed_seconds=(
-                        perf_counter() - batch_start if batch_start is not None else 0.0
-                    ),
-                )
-            )
-        return 1
-    # Explicit chunk size: amortize per-dispatch pickling without letting
-    # one slow cell hold a whole worker's share hostage.
-    chunksize = max(1, ceil(len(pending) / (workers * SERIAL_CHUNKS_PER_WORKER)))
-    shards = [
-        Shard(kind="serial", cells=tuple(pending[start:start + chunksize]))
-        for start in range(0, len(pending), chunksize)
-    ]
-    return _dispatch_shards(
-        shards,
-        workers,
-        land,
-        batch_start=batch_start,
-        records=records,
-        incidents=incidents,
-        shard_timeout=shard_timeout,
-    )
-
-
 def run_batch(
     spec: Union[ExperimentSpec, dict],
     *,
@@ -557,14 +529,12 @@ def run_batch(
     keyword-only.
 
     ``engine`` selects the execution strategy (see module docstring):
-    ``"auto"`` shards stacked groups and serial chunks across ``workers``
-    processes, ``"serial"`` runs cell-at-a-time (chunked across workers),
-    ``"stacked"`` forces the lockstep probe-table engine — with
-    ``workers > 1`` stacked shards are dispatched across the pool, so the
-    historic single-process restriction is gone.  Because each cell
-    reseeds from its own deterministic ``cell_seed``, the outcome —
-    including the canonical JSON export — is identical for every engine
-    and worker count.
+    ``"auto"`` stacks same-shape eligible cells, in-process or in shards
+    across ``workers`` processes; ``"serial"``, the stacking oracle, runs
+    cell-at-a-time (chunked across workers).  Because each cell reseeds
+    from its own deterministic ``cell_seed``, the outcome — including the
+    canonical JSON export — is identical for both engines and every
+    worker count.
 
     ``cache`` (a :class:`~repro.experiments.cache.ResultCache`) serves
     fingerprint hits without running anything and persists each miss as it
@@ -638,42 +608,22 @@ def run_batch(
         )
 
     if pending:
-        if engine == "serial":
-            effective_workers = _run_serial_engine(
-                pending,
-                workers,
-                land,
-                batch_start=batch_start,
-                records=shard_records,
-                incidents=pool_incidents,
-                shard_timeout=shard_timeout,
-            )
-        elif workers <= 1:
-            # auto/stacked, single process: stack eligible cells in-process
-            # (one lockstep group per shape), everything else serially.
-            from repro.experiments.stacked import run_cells_stacked
-
-            start = perf_counter()
-            run_cells_stacked(pending, on_result=land)
-            shard_records.append(
-                ShardRecord(
-                    kind="stacked",
-                    cells=len(pending),
-                    seconds=perf_counter() - start,
-                    landed_seconds=perf_counter() - batch_start,
-                )
-            )
+        if workers <= 1:
+            # One in-process shard: the stacked executor groups eligible
+            # cells by shape itself and runs everything else serially.
+            kind = "serial" if engine == "serial" else "stacked"
+            shards = [Shard(kind=kind, cells=tuple(pending))]
         else:
-            shards = plan_shards(pending, workers=workers)
-            effective_workers = _dispatch_shards(
-                shards,
-                workers,
-                land,
-                batch_start=batch_start,
-                records=shard_records,
-                incidents=pool_incidents,
-                shard_timeout=shard_timeout,
-            )
+            shards = plan_shards(pending, workers=workers, engine=engine)
+        effective_workers = _dispatch_shards(
+            shards,
+            workers,
+            land,
+            batch_start=batch_start,
+            records=shard_records,
+            incidents=pool_incidents,
+            shard_timeout=shard_timeout,
+        )
 
     if callback_errors:
         pool_incidents.append(

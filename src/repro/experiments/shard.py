@@ -1,11 +1,9 @@
 """Shard planning: partition a sweep's cells into dispatchable units.
 
-The two fast paths of the runner used to be mutually exclusive: the
-stacked probe-table engine (all same-shape eligible cells stepped in
-lockstep, ~3x on contended sweeps) was pinned to a single process, while
-``workers > 1`` pickled cells one at a time through ``pool.map``.  The
-planner here makes them compose.  It partitions a grid's cells by
-(mesh shape, probe-table eligibility, mode) into :class:`Shard` units:
+A pooled sweep (``workers > 1``) runs as :class:`Shard` units, planned
+here from the grid's cells and the engine name.  Under ``engine="auto"``
+the planner partitions cells by (mesh shape, probe-table eligibility,
+mode):
 
 * **stacked shards** — probe-table-eligible simulate cells of one shape,
   run as one lockstep group on a shared
@@ -19,6 +17,9 @@ planner here makes them compose.  It partitions a grid's cells by
   chunk size so per-cell dispatch overhead is amortized and tiny specs
   don't fan out one pickle per cell.  Their simulate cells step the scalar
   probe loop, the table's parity oracle.
+
+Under ``engine="serial"``, the stacking oracle, every cell goes to the
+serial chunks.
 
 Eligibility here is the simulator's own gate
 (:func:`~repro.core.probe_table.table_eligible`) applied to a cell before
@@ -95,18 +96,20 @@ def plan_shards(
     *,
     workers: int = 1,
     backend: Optional[str] = None,
+    engine: str = "auto",
 ) -> List[Shard]:
     """Partition ``cells`` into stacked and serial shards for ``workers``.
 
-    Deterministic: grouping follows grid order, so the same grid always
-    plans the same shards.  Every input index appears in exactly one
-    shard.
+    ``engine="serial"`` stacks nothing: every cell lands in a serial
+    chunk.  Deterministic: grouping follows grid order, so the same grid
+    always plans the same shards.  Every input index appears in exactly
+    one shard.
     """
     workers = max(1, workers)
     stacked_groups: Dict[Tuple[int, ...], List[IndexedCell]] = {}
     serial: List[IndexedCell] = []
     for index, cell in cells:
-        if probe_table_eligible(cell, backend=backend):
+        if engine != "serial" and probe_table_eligible(cell, backend=backend):
             stacked_groups.setdefault(cell.shape, []).append((index, cell))
         else:
             serial.append((index, cell))

@@ -60,17 +60,6 @@ SCENARIOS_BY_MODE = {
 }
 
 
-def _registered_policies() -> Tuple[str, ...]:
-    return available_routers()
-
-
-#: Every registered router is sweepable in *both* modes: each routes offline
-#: against a stabilized labeling and steps online inside the simulator.
-#: (The two names are kept for callers that still distinguish the modes.)
-SIMULATE_POLICIES = _registered_policies()
-OFFLINE_POLICIES = _registered_policies()
-
-
 def derive_cell_seed(name: str, *parts: object) -> int:
     """A deterministic 63-bit seed from the spec name and configuration axes.
 

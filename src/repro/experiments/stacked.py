@@ -1,7 +1,7 @@
 """Stacked multi-cell execution: same-shape sweep cells step together.
 
 A sweep grid usually varies seed, fault count, policy or traffic over one
-mesh shape.  The serial runner steps each cell's simulator to completion
+mesh shape.  The serial engine steps each cell's simulator to completion
 alone, so every simulation step pays the fixed numpy dispatch cost of the
 vectorized classification on a handful of in-flight probes.  The stacked
 engine instead joins every probe-table-eligible simulate-mode cell of one
@@ -9,7 +9,7 @@ shape onto a shared :class:`~repro.core.probe_table.ProbeTable` and runs
 the group in lockstep: one classification pass per step covers all cells'
 probes, amortizing the fixed cost across the whole group.
 
-Results are byte-identical to the serial runner's.  Cells stay fully
+Results are byte-identical to the serial engine's.  Cells stay fully
 independent — each keeps its own information state, traffic source,
 statistics and circuit ledger — and the shared classification is a pure
 per-row function, so stacking changes *where* rows are classified, never
@@ -20,11 +20,11 @@ to every member.  The table is the message phase's fast path and hosts
 every Algorithm-3 and static-block cell.  The simulate cells it cannot
 host (scalar backend, the global-information router) step the scalar probe
 loop, the table's parity oracle, and throughput/offline cells run as in
-the serial runner — cell by cell.
+the serial engine — cell by cell.
 
 :func:`run_cells_stacked` is the composable unit: it runs any indexed
-subset of a grid's cells, in-process for ``run_batch(engine="stacked")``
-and in a sharded pool worker alike.
+subset of a grid's cells, in-process for ``run_batch(engine="auto")`` and
+in a sharded pool worker alike.
 """
 
 from __future__ import annotations
@@ -95,13 +95,13 @@ def run_cells_stacked(
     Probe-table-eligible simulate cells are grouped by mesh shape and
     stepped in lockstep on one shared table per group; everything else
     (other modes, ineligible policies/backends) runs serially through the
-    same construction paths as the serial runner, so results are
+    same construction paths as the serial engine, so results are
     byte-identical either way.  Returns ``(grid index, result)`` pairs in
     completion order; ``on_result`` additionally fires as each lands.
     This function is self-contained and picklable work — it is what a
     sharded pool worker executes for a stacked shard.
     """
-    from repro.experiments.runner import _build_simulate_sim, _simulate_metrics, run_cell
+    from repro.experiments.runner import _simulate_metrics, build_simulator, run_cell
 
     out: List[Tuple[int, CellResult]] = []
 
@@ -115,10 +115,10 @@ def run_cells_stacked(
         if cell.mode != "simulate":
             land(index, run_cell(cell))
             continue
-        sim = _build_simulate_sim(cell)
+        sim = build_simulator(cell)
         if sim._table is None:
             # Not probe-table eligible: run this simulator to completion
-            # alone (same construction path as the serial runner).
+            # alone (same construction path as the serial engine).
             land(index, CellResult(
                 cell=cell, metrics=_simulate_metrics(cell, sim.run())
             ))

@@ -33,7 +33,7 @@ class ShardRecord:
     shards by completion.
     """
 
-    kind: str  #: "serial" | "stacked" | "pool" | "cached"
+    kind: str  #: "serial" | "stacked" | "cached"
     cells: int
     seconds: float
     landed_seconds: float

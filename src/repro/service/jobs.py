@@ -150,7 +150,6 @@ class JobManager:
         *,
         max_running: int = 2,
         max_queued: int = 16,
-        engine: str = "auto",
         workers: int = 1,
         cache_dir: Optional[str] = None,
         shard_timeout: Optional[float] = None,
@@ -165,7 +164,6 @@ class JobManager:
             max_running = 1
         self.max_running = max_running
         self.max_queued = max_queued
-        self.engine = engine
         self.workers = workers
         self.cache_dir = cache_dir
         self.shard_timeout = shard_timeout
@@ -292,7 +290,6 @@ class JobManager:
         try:
             batch = run_batch(
                 job.spec,
-                engine=self.engine,
                 workers=self.workers,
                 cache=cache,
                 on_cell_done=on_cell,
@@ -366,7 +363,6 @@ class JobManager:
             "capacity": {
                 "max_running": self.max_running,
                 "max_queued": self.max_queued,
-                "engine": self.engine,
                 "workers": self.workers,
                 "cache_dir": self.cache_dir,
             },

@@ -341,7 +341,6 @@ def make_service(
     port: int = 8642,
     max_running: int = 2,
     max_queued: int = 16,
-    engine: str = "auto",
     workers: int = 1,
     cache_dir: Optional[str] = None,
     shard_timeout: Optional[float] = None,
@@ -350,7 +349,6 @@ def make_service(
     manager = JobManager(
         max_running=max_running,
         max_queued=max_queued,
-        engine=engine,
         workers=workers,
         cache_dir=cache_dir,
         shard_timeout=shard_timeout,

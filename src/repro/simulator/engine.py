@@ -36,7 +36,6 @@ from repro.core.routing import (
     DecisionCache,
     LinkBlocked,
     RouteOutcome,
-    RoutingPolicy,
     probe_step_limit,
 )
 from repro.core.state import InformationState
@@ -76,14 +75,10 @@ class SimulationConfig:
     #: Hard limit on simulated steps.
     max_steps: int = 20_000
 
-    #: Routing policy used for every probe (limited-global by default).
-    #: Ignored when ``router`` names a registry entry.
-    policy: RoutingPolicy = field(default_factory=RoutingPolicy.limited_global)
-
     #: Registry name of the router driving every probe (any entry of
     #: :func:`repro.routing.available_routers`, e.g. ``"static-block"`` or
-    #: ``"global-information"``).  ``None`` falls back to ``policy``.
-    router: Optional[str] = None
+    #: ``"global-information"``).
+    router: str = "limited-global"
 
     #: When True the simulator runs the PCS circuit phase: every in-flight
     #: probe keeps the links of its partial circuit reserved, reserved links
@@ -125,8 +120,7 @@ class SimulationConfig:
             raise ValueError("max_steps must be positive")
         if self.max_probe_lifetime is not None and self.max_probe_lifetime < 1:
             raise ValueError("max_probe_lifetime must be at least 1 (or None)")
-        if self.router is not None:
-            resolve_router(self.router)  # unknown names fail fast, with the menu
+        resolve_router(self.router)  # unknown names fail fast, with the menu
         if self.backend is not None:
             resolve_backend(self.backend)  # unknown backends fail fast too
 
@@ -190,13 +184,8 @@ class Simulator:
         self.info = InformationState.fresh(mesh, self.schedule.initial_faults)
         self.stats = SimulationStats()
 
-        #: The router driving every probe; registry-resolved when the config
-        #: names one, otherwise the config's raw policy (the historic path).
-        self.router: Router = (
-            resolve_router(self.config.router)
-            if self.config.router is not None
-            else AlgorithmRouter(self.config.policy)
-        )
+        #: The router driving every probe, resolved through the registry.
+        self.router: Router = resolve_router(self.config.router)
         #: Resolved hot-loop backend (labeling rounds + circuit ledger).
         self._backend = resolve_backend(self.config.backend)
         #: Live link reservations of the PCS circuit phase (``None`` keeps

@@ -117,6 +117,28 @@ class TestSimulateCommand:
         assert "delivery_rate" in out
         assert "mean_detours" in out
 
+    @pytest.mark.parametrize("scenario", ["random", "hotspot"])
+    def test_flits_reach_every_scenario(self, capsys, scenario):
+        """Under contention the message length sets each circuit's hold
+        time, so it must change the summary of every traffic family."""
+        summaries = []
+        for flits in ("16", "400"):
+            code = main(
+                [
+                    "simulate", "--shape", "8,8", "--faults", "3",
+                    "--messages", "12", "--contention", "--seed", "1",
+                    "--scenario", scenario, "--flits", flits,
+                ]
+            )
+            assert code == 0
+            summaries.append(capsys.readouterr().out)
+        assert summaries[0] != summaries[1]
+
+    def test_transpose_needs_cubic_mesh(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--shape", "8,6", "--scenario", "transpose"])
+        assert exc.value.code == 2
+
 
 class TestCompareCommand:
     def test_compare_table(self, capsys):
@@ -173,6 +195,20 @@ class TestSweepCommand:
         assert {c["policy"] for c in payload["cells"]} == {
             "limited-global", "global-information",
         }
+
+    def test_sweep_rejects_retired_stacked_engine(self):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.SWEEP_ARGS, "--engine", "stacked"])
+        assert exc.value.code == 2
+
+    def test_serve_takes_no_engine_option(self, monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError("serve must reject --engine before starting")
+
+        monkeypatch.setattr("repro.service.make_service", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", "--engine", "auto"])
+        assert exc.value.code == 2
 
     def test_sweep_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):

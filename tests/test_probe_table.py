@@ -8,9 +8,9 @@ is cleared.  This suite holds the two to byte-identity — per-message
 outcomes and paths AND the aggregated :class:`SimulationStats` summary —
 across every registered routing policy, with and without circuit
 contention, over all four closed-batch traffic scenarios, plus randomized
-configurations.  The stacked sweep engine (``run_batch(engine="stacked")``)
+configurations.  The stacked sweep engine (``run_batch(engine="auto")``)
 is held to the same bar at the JSON export level: a multi-shape,
-multi-policy grid must serialize identically to the serial runner's output.
+multi-policy grid must serialize identically to the serial engine's output.
 On a shared table, each cell's in-flight counters
 (:meth:`~repro.core.probe_table.ProbeTable.cell_counters`, which the step
 recorder reads) must match its solo table's at every step.
@@ -28,7 +28,7 @@ import pytest
 from repro.backend import VECTOR, resolve_backend
 from repro.core import probe_table
 from repro.experiments import ExperimentSpec, run_batch
-from repro.experiments.runner import _build_simulate_sim, _simulate_scenario
+from repro.experiments.runner import _simulate_scenario, build_simulator
 from repro.faults.schedule import DynamicFaultSchedule
 from repro.mesh.topology import Mesh
 from repro.obs.recorder import StepRecorder
@@ -74,7 +74,7 @@ def _fingerprint(stats):
 
 
 def _run(cell, table):
-    sim = _build_simulate_sim(cell)
+    sim = build_simulator(cell)
     if not table:
         sim._table = None  # force the scalar per-object oracle path
     return sim.run().stats
@@ -111,12 +111,12 @@ class TestProbeTableScalarParity:
         Under the scalar backend no cell is eligible — the table requires
         the vector decision engine."""
         for policy in ("limited-global", "static-block"):
-            eligible = _build_simulate_sim(_cell(policy, "random", True))._table
+            eligible = build_simulator(_cell(policy, "random", True))._table
             if resolve_backend() == VECTOR:
                 assert eligible is not None
             else:
                 assert eligible is None
-        bfs = _build_simulate_sim(_cell("global-information", "random", True))
+        bfs = build_simulator(_cell("global-information", "random", True))
         assert bfs._table is None
 
     @pytest.mark.skipif(resolve_backend() != VECTOR, reason="table needs vector")
@@ -229,7 +229,7 @@ class TestStackedSweepParity:
             flits=(16,),
         )
         serial = run_batch(spec, engine="serial")
-        stacked = run_batch(spec, engine="stacked")
+        stacked = run_batch(spec, engine="auto")
         assert stacked.to_json() == serial.to_json()
 
     def test_parity_stacked_uncontended(self):
@@ -246,6 +246,6 @@ class TestStackedSweepParity:
             seeds=(0, 1, 2),
         )
         assert (
-            run_batch(spec, engine="stacked").to_json()
+            run_batch(spec, engine="auto").to_json()
             == run_batch(spec, engine="serial").to_json()
         )

@@ -118,7 +118,7 @@ class TestLongLivedEqualsFresh:
             contention=True,
             flits=(16,),
         )
-        run_batch(spec, engine="stacked")
+        run_batch(spec, engine="auto")
         assert checked["policies"] == set(HOSTED)
         assert checked["incremental"] > 100
 
@@ -219,7 +219,7 @@ class TestBeyondDetourCap:
             contention=True,
             flits=(16,),
         )
-        expected = run_batch(spec, engine="stacked").to_json()
+        expected = run_batch(spec, engine="auto").to_json()
         monkeypatch.setattr(decision.DecisionTables, "DETOUR_TABLE_CAP", 0)
-        assert run_batch(spec, engine="stacked").to_json() == expected
+        assert run_batch(spec, engine="auto").to_json() == expected
         assert checked["incremental"] > 0

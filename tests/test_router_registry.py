@@ -12,7 +12,7 @@ import pytest
 from repro.cli import _build_parser
 from repro.core.block_construction import build_blocks
 from repro.core.routing import RouteOutcome
-from repro.experiments import OFFLINE_POLICIES, SIMULATE_POLICIES, ExperimentSpec
+from repro.experiments import ExperimentSpec
 from repro.faults.injection import dynamic_schedule
 from repro.faults.schedule import DynamicFaultSchedule
 from repro.mesh.topology import Mesh
@@ -49,7 +49,7 @@ class TestRegistryCompleteness:
 
     def test_every_spec_policy_resolves(self):
         """Every policy name the experiment spec accepts must resolve."""
-        for name in (*SIMULATE_POLICIES, *OFFLINE_POLICIES):
+        for name in available_routers():
             router = resolve_router(name)
             assert isinstance(router, Router)
             assert router.name == name
@@ -199,7 +199,7 @@ class TestSimulationConfigRouter:
         with pytest.raises(ValueError, match="registered"):
             SimulationConfig(router="nope")
 
-    def test_policy_fallback_used_when_router_unset(self):
+    def test_default_router_is_limited_global(self):
         mesh = Mesh.cube(6, 2)
         sim = Simulator(mesh, config=SimulationConfig())
         assert isinstance(sim.router, AlgorithmRouter)

@@ -10,7 +10,7 @@ from repro.experiments import (
     probe_table_eligible,
     run_batch,
 )
-from repro.experiments.shard import MIN_STACKED_SHARD
+from repro.experiments.shard import MIN_STACKED_SHARD, SERIAL_CHUNKS_PER_WORKER
 from repro.routing import resolve_router
 
 VECTOR_ONLY = pytest.mark.skipif(
@@ -119,6 +119,16 @@ class TestPlanner:
         shards = plan_shards(indexed(spec), workers=8)
         assert len(shards) == 1
 
+    def test_serial_engine_plans_only_serial_chunks(self):
+        """The oracle stacks nothing: about SERIAL_CHUNKS_PER_WORKER
+        contiguous chunks per worker, in grid order."""
+        cells = indexed(mixed_spec())
+        shards = plan_shards(cells, workers=2, engine="serial")
+        assert all(s.kind == "serial" for s in shards)
+        assert [c for s in shards for c in s.cells] == cells
+        chunk = -(-len(cells) // (2 * SERIAL_CHUNKS_PER_WORKER))
+        assert [len(s) for s in shards[:-1]] == [chunk] * (len(shards) - 1)
+
     def test_planning_is_deterministic(self):
         cells = indexed(mixed_spec())
         assert plan_shards(cells, workers=3) == plan_shards(cells, workers=3)
@@ -132,11 +142,11 @@ class TestAutoEngine:
             assert run_batch(spec, engine="auto", workers=workers).to_json() == reference
 
     def test_stacked_workers_restriction_lifted(self):
-        """engine='stacked' with workers>1 dispatches stacked shards across
-        the pool instead of raising."""
+        """Stacked shards dispatch across the pool (workers>1) instead of
+        being pinned to one process."""
         spec = mixed_spec()
         reference = run_batch(spec, engine="serial").to_json()
-        assert run_batch(spec, engine="stacked", workers=4).to_json() == reference
+        assert run_batch(spec, engine="auto", workers=4).to_json() == reference
 
     def test_serial_engine_parallel_matches(self):
         spec = mixed_spec()
@@ -146,6 +156,11 @@ class TestAutoEngine:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             run_batch(mixed_spec(), engine="nope")
+
+    def test_stacked_engine_retired(self):
+        """'stacked' ran exactly what 'auto' runs; only the two remain."""
+        with pytest.raises(ValueError, match="'auto', 'serial'"):
+            run_batch(mixed_spec(), engine="stacked")
 
     def test_throughput_mode_through_auto(self):
         spec = ExperimentSpec(

@@ -6,6 +6,7 @@ from repro.core.routing import RouteOutcome
 from repro.faults.schedule import FaultEventKind
 from repro.faults.injection import dynamic_schedule
 from repro.mesh.topology import Mesh
+from repro.routing import resolve_router
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.simulator.traffic import TrafficMessage
 from repro.workloads.scenarios import (
@@ -31,8 +32,8 @@ class TestSimulationConfig:
     def test_defaults(self):
         config = SimulationConfig()
         assert config.lam == 2
-        assert config.policy.use_boundary_info
-        assert config.router is None
+        assert config.router == "limited-global"
+        assert resolve_router(config.router).policy.use_boundary_info
         assert not config.contention
 
 

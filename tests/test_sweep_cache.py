@@ -155,7 +155,7 @@ class TestResultCache:
         for kwargs in (
             dict(engine="auto", workers=1),
             dict(engine="auto", workers=2),
-            dict(engine="stacked", workers=2),
+            dict(engine="serial", workers=2),
         ):
             cache = ResultCache(tmp_path)
             run_batch(spec, cache=cache, **kwargs)
