@@ -227,8 +227,10 @@ def test_speedup_table():
 # --------------------------------------------------------------------- #
 # table refresh under information churn
 # --------------------------------------------------------------------- #
+#: The mutators that add records to an information state.
+_RECORD_ADDS = ("add_block_info", "add_block_info_at", "add_boundary", "add_boundary_at")
 #: The mutators that change an information state's records.
-_RECORD_MUTATORS = ("add_block_info", "add_boundary", "cancel_stale")
+_RECORD_MUTATORS = _RECORD_ADDS + ("cancel_stale",)
 
 #: Simulation steps recorded per churn cell (the faults arrive at steps 2
 #: and 8; the information has long converged by the end).
@@ -243,7 +245,8 @@ def _churn(kind):
     after pre-convergence, then per simulation step that changed the
     information its status codes afterwards and the record mutator calls it
     made.  The information does not depend on the traffic, so the cell runs
-    without messages.
+    without messages.  The recorded calls must add both block and boundary
+    records, or the replay would not exercise refreshes for added records.
     """
     radix, n_dims = (8, 2) if kind == "2d" else (5, 3)
     scenario = transpose_scenario(
@@ -274,6 +277,9 @@ def _churn(kind):
             steps.append((info.labeling.codes.copy(), tuple(calls)))
             calls.clear()
             token = now
+    added = {name for _codes, step in steps for name, _args in step if name in _RECORD_ADDS}
+    assert added & {"add_block_info", "add_block_info_at"}, added
+    assert added & {"add_boundary", "add_boundary_at"}, added
     return scenario.mesh, start, tuple(steps)
 
 

@@ -29,16 +29,21 @@ than the second block's half-perimeter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.faulty_block import FaultyBlock, dangerous_prism_of_extent
 from repro.core.state import BoundaryInfo, InformationState
-from repro.mesh.directions import Direction
+from repro.faults.status import NodeStatus
 from repro.mesh.regions import Region
 from repro.mesh.topology import Mesh
 
 Coord = Tuple[int, ...]
+
+_DISABLED = NodeStatus.DISABLED.code
+_NO_WALKERS = np.zeros(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------- #
@@ -78,31 +83,21 @@ def boundary_start_nodes(
     level = extent.lo[dim] - 1 if dangerous_side < 0 else extent.hi[dim] + 1
     if level < 0 or level >= mesh.shape[dim]:
         return []
-    out: List[Coord] = []
-    n = extent.n_dims
-    for other in range(n):
+    # The surface's coordinates per dimension: the level along ``dim``, the
+    # block's span clipped to the mesh along every other dimension.
+    spans: List[Sequence[int]] = [
+        range(max(a, 0), min(b, s - 1) + 1)
+        for a, b, s in zip(extent.lo, extent.hi, mesh.shape)
+    ]
+    spans[dim] = (level,)
+    out: Set[Coord] = set()
+    for other in range(extent.n_dims):
         if other == dim:
             continue
-        for other_side, other_coord in ((-1, extent.lo[other] - 1), (+1, extent.hi[other] + 1)):
-            if other_coord < 0 or other_coord >= mesh.shape[other]:
-                continue
-            # Remaining dimensions stay within the block span.
-            spans = []
-            for d in range(n):
-                if d == dim:
-                    spans.append((level, level))
-                elif d == other:
-                    spans.append((other_coord, other_coord))
-                else:
-                    spans.append(extent.span(d))
-            region = Region(
-                tuple(s[0] for s in spans), tuple(s[1] for s in spans)
-            )
-            clipped = mesh.clip_region(region)
-            if clipped is None:
-                continue
-            out.extend(clipped.iter_points())
-    return sorted(set(out))
+        for edge in (extent.lo[other] - 1, extent.hi[other] + 1):
+            if 0 <= edge < mesh.shape[other]:
+                out.update(product(*spans[:other], (edge,), *spans[other + 1:]))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------- #
@@ -147,15 +142,6 @@ def _labeling_from_blocks(mesh: Mesh, blocks: Sequence[FaultyBlock]):
 # ---------------------------------------------------------------------- #
 # round-driven distributed propagation
 # ---------------------------------------------------------------------- #
-@dataclass
-class _Token:
-    """One boundary-propagation walker (a column of Figure 3)."""
-
-    position: Coord
-    direction: Direction
-    info: BoundaryInfo
-
-
 class BoundaryProtocol:
     """Distributed boundary construction, one hop per round.
 
@@ -165,17 +151,37 @@ class BoundaryProtocol:
     active walker deposits its information and advances one hop away from
     the block; walkers stop at the outmost surface of the mesh and merge
     into other blocks' boundaries when they hit them.
+
+    Walkers (the columns of Figure 3) are two parallel index arrays: the
+    linear node index each one stands on and the id of the
+    :class:`BoundaryInfo` it carries, which also fixes its direction.  A
+    round steps them all through :attr:`Mesh.neighbor_table` at once; the
+    deposits then run in walker order, with each merge's deposits and
+    re-seeded walkers at the walker that hit the block, and the re-seeded
+    walkers take their first step in the same round.
     """
 
     def __init__(self, state: InformationState) -> None:
         self.state = state
         self.mesh = state.mesh
-        self._tokens: List[_Token] = []
         self._rounds = 0
-        self._deposited: Dict[Coord, Set[BoundaryInfo]] = {}
+        self._pos = self._info = _NO_WALKERS
+        #: Walkers seeded or re-seeded since the last step, in seeding order.
+        self._seeded: List[Tuple[int, int]] = []
+        #: Interned records: walkers carry an index into ``_infos``; equal
+        #: records share one id.  ``_steps[id]`` is the neighbour-table
+        #: column of the record's walking direction.
+        self._infos: List[BoundaryInfo] = []
+        self._info_ids: Dict[BoundaryInfo, int] = {}
+        self._steps = np.zeros(0, dtype=np.int64)
+        #: (node index, record id) pairs this protocol deposited, in order.
+        self._deposited: Dict[Tuple[int, int], None] = {}
         #: (block extent, dim, side) combinations already merged into, used to
         #: avoid re-seeding the same boundary twice.
         self._merged: Set[Tuple[Region, Region, int, int]] = set()
+        #: Block per member node, built once per labeling change.
+        self._blocks_at = -1
+        self._block_of: Dict[Coord, FaultyBlock] = {}
 
     # ------------------------------------------------------------------ #
     # seeding
@@ -213,14 +219,22 @@ class BoundaryProtocol:
         info = BoundaryInfo(
             extent=block.extent, dim=dim, dangerous_side=dangerous_side, version=version
         )
-        direction = Direction(dim, dangerous_side)
-        for start in boundary_start_nodes(block, self.mesh, dim, dangerous_side):
-            self._spawn(start, direction, info)
+        self._spawn(boundary_start_nodes(block, self.mesh, dim, dangerous_side), info)
 
-    def _spawn(self, position: Coord, direction: Direction, info: BoundaryInfo) -> None:
-        if not self.mesh.contains(position):
-            return
-        self._tokens.append(_Token(position=position, direction=direction, info=info))
+    def _spawn(self, starts: Sequence[Coord], info: BoundaryInfo) -> None:
+        if starts:
+            info_id = self._intern(info)
+            indices = np.ravel_multi_index(tuple(zip(*starts)), self.mesh.shape).tolist()
+            self._seeded.extend((index, info_id) for index in indices)
+
+    def _intern(self, info: BoundaryInfo) -> int:
+        info_id = self._info_ids.get(info)
+        if info_id is None:
+            info_id = self._info_ids[info] = len(self._infos)
+            self._infos.append(info)
+            step = info.dim + (self.mesh.n_dims if info.dangerous_side > 0 else 0)
+            self._steps = np.append(self._steps, step)
+        return info_id
 
     # ------------------------------------------------------------------ #
     # protocol surface
@@ -233,40 +247,61 @@ class BoundaryProtocol:
     @property
     def done(self) -> bool:
         """True when no walker is active any more."""
-        return not self._tokens
+        return not (len(self._pos) or self._seeded)
 
     @property
     def informed(self) -> Dict[Coord, Set[BoundaryInfo]]:
         """Nodes informed so far and the records they hold."""
-        return {node: set(infos) for node, infos in self._deposited.items()}
+        coord_of = self.mesh.coord_of
+        out: Dict[Coord, Set[BoundaryInfo]] = {}
+        for index, info_id in self._deposited:
+            out.setdefault(coord_of(index), set()).add(self._infos[info_id])
+        return out
 
     def round(self) -> bool:
         """Advance every walker by one hop; returns True while active."""
-        if not self._tokens:
+        if self.done:
             return False
         self._rounds += 1
-        next_tokens: List[_Token] = []
-        for token in self._tokens:
-            node = token.position
-            if not self.mesh.contains(node):
-                continue
-            status = self.state.labeling.status(node)
-            if status.in_block:
-                # Ran into another block: merge into its boundary for the
-                # same surface (Figure 3(d)).
-                self._merge_into_block(node, token)
-                continue
-            if self._deposit(node, token.info):
-                pass
-            nxt = self.mesh.neighbor(node, token.direction)
-            if nxt is None:
-                continue  # reached the outmost surface of the mesh
-            if self.state.labeling.status(nxt).in_block:
-                self._merge_into_block(nxt, token)
-                continue
-            next_tokens.append(_Token(nxt, token.direction, token.info))
-        self._tokens = next_tokens
-        return bool(self._tokens)
+        pos, info = self._pos, self._info
+        moved: List[Tuple[np.ndarray, np.ndarray]] = []
+        # Walkers seeded since the last round step after those already out;
+        # walkers a merge re-seeds take their first step in this round too,
+        # after every walker ahead of them.
+        while len(pos) or self._seeded:
+            if self._seeded:
+                seeded = np.array(self._seeded, dtype=np.int64)
+                self._seeded = []
+                pos = np.concatenate([pos, seeded[:, 0]])
+                info = np.concatenate([info, seeded[:, 1]])
+            moved.append(self._step(pos, info))
+            pos = info = _NO_WALKERS
+        self._pos = np.concatenate([p for p, _ in moved])
+        self._info = np.concatenate([i for _, i in moved])
+        return bool(len(self._pos))
+
+    def _step(self, pos: np.ndarray, info: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Deposit and step a batch of walkers; returns the ones still walking.
+
+        Deposits and merges run in walker order.  A walker standing in a
+        block merges into it without depositing; one whose next hop is in a
+        block deposits, then merges there.  Either way it stops.
+        """
+        codes = self.state.labeling.codes
+        nxt = self.mesh.neighbor_table[pos, self._steps[info]]
+        on_mesh = nxt >= 0
+        member = codes[pos] >= _DISABLED
+        blocked = on_mesh & ~member & (codes[np.where(on_mesh, nxt, 0)] >= _DISABLED)
+        keep = ~member
+        start = 0
+        for w in np.flatnonzero(member | blocked).tolist():
+            upto = slice(start, w + 1)
+            self._deposit(pos[upto][keep[upto]], info[upto][keep[upto]])
+            self._merge_into_block(int(nxt[w] if blocked[w] else pos[w]), int(info[w]))
+            start = w + 1
+        self._deposit(pos[start:][keep[start:]], info[start:][keep[start:]])
+        moves = on_mesh & ~member & ~blocked
+        return nxt[moves].astype(np.int64), info[moves]
 
     def run(self, max_rounds: Optional[int] = None) -> int:
         """Run rounds to completion; returns the total number of rounds."""
@@ -279,50 +314,51 @@ class BoundaryProtocol:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _deposit(self, node: Coord, info: BoundaryInfo) -> bool:
-        new_here = info not in self._deposited.setdefault(node, set())
-        if new_here:
-            self._deposited[node].add(info)
-            self.state.add_boundary(node, info)
-        return new_here
+    def _deposit(self, nodes: np.ndarray, info_ids: np.ndarray) -> None:
+        """Deposit each record at its node, in order, once per protocol."""
+        deposited = self._deposited
+        store = self.state.add_boundary_at
+        infos = self._infos
+        for key in zip(nodes.tolist(), info_ids.tolist()):
+            if key not in deposited:
+                deposited[key] = None
+                store(key[0], infos[key[1]])
 
-    def _member_block_extent(self, node: Coord) -> Optional[Region]:
-        """Extent of the stabilized block containing ``node`` (if any)."""
-        from repro.core.block_construction import extract_blocks
+    def _member_block(self, index: int) -> Optional[FaultyBlock]:
+        """The stabilized block containing node ``index`` (if any)."""
+        labeling = self.state.labeling
+        if self._blocks_at != labeling.mutations:
+            from repro.core.block_construction import extract_blocks
 
-        for block in extract_blocks(self.state.labeling):
-            if block.contains(node):
-                return block.extent
-        return None
+            self._blocks_at = labeling.mutations
+            self._block_of = {
+                node: block for block in extract_blocks(labeling) for node in block.nodes
+            }
+        return self._block_of.get(self.mesh.coord_of(index))
 
-    def _merge_into_block(self, blocked_node: Coord, token: _Token) -> None:
-        extent = self._member_block_extent(blocked_node)
-        if extent is None:
+    def _merge_into_block(self, blocked_node: int, info_id: int) -> None:
+        second = self._member_block(blocked_node)
+        if second is None:
             return
-        key = (token.info.extent, extent, token.info.dim, token.info.dangerous_side)
+        info = self._infos[info_id]
+        key = (info.extent, second.extent, info.dim, info.dangerous_side)
         if key in self._merged:
             return
         self._merged.add(key)
-        second = FaultyBlock(extent)
         # The original block's information joins the second block's boundary
         # for the same surface: re-seed walkers at the second block's
         # boundary-start nodes, carrying the original info, and also deposit
         # the info on the second block's adjacent surface facing the incoming
-        # propagation so routing at those nodes sees both blocks.
-        # A walker moving in +dim enters the second block through its low
-        # face (surface index dim); one moving in -dim enters through its
-        # high face (surface index dim + n).
-        facing = second.adjacent_surface(
-            token.direction.dim
-            if token.direction.sign > 0
-            else token.direction.dim + second.n_dims
+        # propagation so routing at those nodes sees both blocks.  A walker
+        # moving in +dim enters the second block through its low face; one
+        # moving in -dim through its high face.
+        facing = self.mesh.clip_region(
+            second.extent.adjacent_surface(info.dim, -info.dangerous_side)
         )
-        facing_clipped = self.mesh.clip_region(facing)
-        if facing_clipped is not None:
-            for node in facing_clipped.iter_points():
-                if not self.state.labeling.status(node).in_block:
-                    self._deposit(node, token.info)
-        for start in boundary_start_nodes(
-            second, self.mesh, token.info.dim, token.info.dangerous_side
-        ):
-            self._spawn(start, token.direction, token.info)
+        if facing is not None:
+            nodes = np.ravel_multi_index(tuple(zip(*facing.iter_points())), self.mesh.shape)
+            nodes = nodes[self.state.labeling.codes[nodes] < _DISABLED]
+            self._deposit(nodes, np.full(len(nodes), info_id, dtype=np.int64))
+        self._spawn(
+            boundary_start_nodes(second, self.mesh, info.dim, info.dangerous_side), info
+        )

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.mesh.directions import Direction, direction_from_surface, opposite_surface
 from repro.mesh.regions import Region
 from repro.mesh.topology import Mesh
@@ -45,6 +47,20 @@ def _dangerous_prism_cached(
         return None
     mesh_extent = Region(tuple([0] * len(shape)), tuple(s - 1 for s in shape))
     return Region(tuple(lo), tuple(hi)).intersection(mesh_extent)
+
+
+def frame_coords(extent: Region, shape: Tuple[int, ...]) -> np.ndarray:
+    """Coordinates ``(nodes, n)`` of the adjacency frame of ``extent``.
+
+    The frame is the one-hop shell around the extent (``extent.expand(1)``
+    clipped to a mesh of ``shape``, minus the extent), in row-major order.
+    """
+    lo = np.array(extent.lo, dtype=np.int64)
+    hi = np.array(extent.hi, dtype=np.int64)
+    box_lo = np.maximum(lo - 1, 0)
+    box_hi = np.minimum(hi + 1, np.array(shape) - 1)
+    box = np.indices((box_hi - box_lo + 1).tolist()).reshape(len(shape), -1).T + box_lo
+    return box[~((box >= lo) & (box <= hi)).all(axis=1)]
 
 
 def dangerous_prism_of_extent(
@@ -181,19 +197,12 @@ class FaultyBlock:
         The *adjacency frame* is the shell of non-member nodes whose every
         coordinate is within one hop of the block extent; it contains the
         adjacent nodes, all k-level edge nodes and all k-level corners.
+        Nodes come in row-major order (see :func:`frame_coords`).
         """
-        frame_region = self.extent.expand(1)
-        clipped = mesh.clip_region(frame_region)
-        if clipped is None:
-            return []
-        out: List[Coord] = []
-        for point in clipped.iter_points():
-            lvl = self.level_of(point)
-            if lvl == 0:
-                continue
-            if level is None or lvl == level:
-                out.append(point)
-        return out
+        nodes = [tuple(p) for p in frame_coords(self.extent, mesh.shape).tolist()]
+        if level is None:
+            return nodes
+        return [p for p in nodes if self.level_of(p) == level]
 
     def corners(self, mesh: Optional[Mesh] = None) -> List[Coord]:
         """The block's n-level corners (Definition 2, Figure 2).

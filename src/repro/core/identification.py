@@ -35,17 +35,32 @@ lifetime of every message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+from typing import Iterable, Optional, Sequence, Set, Tuple
 
-from repro.core.block_construction import LabelingState
-from repro.core.faulty_block import FaultyBlock
+import numpy as np
+
+from repro.core.faulty_block import FaultyBlock, frame_coords
 from repro.core.state import BlockRecord, InformationState
 from repro.faults.status import NodeStatus
 from repro.mesh.regions import Region
-from repro.mesh.topology import Mesh
 
 Coord = Tuple[int, ...]
+
+#: Bound of an empty partial extent: ``lo = +_BIG``, ``hi = -_BIG``.
+_BIG = 1 << 40
+_DISABLED = NodeStatus.DISABLED.code
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_offsets(n_dims: int) -> np.ndarray:
+    """The ``3^n - 1`` offsets of a node's Chebyshev-1 neighbourhood."""
+    offsets = np.array(list(product((-1, 0, 1), repeat=n_dims)), dtype=np.int64)
+    offsets = offsets[np.abs(offsets).sum(axis=1) > 0]
+    offsets.setflags(write=False)
+    return offsets
 
 
 def oracle_identify(nodes: Iterable[Sequence[int]]) -> Region:
@@ -104,6 +119,12 @@ class IdentificationProtocol:
 
     Use :meth:`round` to advance one exchange round (the simulator calls it
     ``λ`` times per step) or :meth:`run` to iterate to completion.
+
+    The frame runs on linear node indices: it is an index array in row-major
+    order with a frame-local neighbour table, the active, informed and front
+    sets are boolean masks over it, and the partial extents are ``(frame, n)``
+    lo/hi arrays, an empty extent being the inverted box ``(+BIG, -BIG)`` so
+    that merging is a plain min/max.
     """
 
     def __init__(
@@ -116,24 +137,36 @@ class IdentificationProtocol:
         ttl: Optional[int] = None,
     ) -> None:
         self.state = state
-        self.mesh = state.mesh
+        self.mesh = mesh = state.mesh
         self.block = block
         self.version = version
-        self.ttl = ttl if ttl is not None else 4 * (self.mesh.diameter + 1)
+        self.ttl = ttl if ttl is not None else 4 * (mesh.diameter + 1)
+        self._record = BlockRecord(block.extent, version)
+        self._ext_lo = np.array(block.extent.lo, dtype=np.int64)
+        self._ext_hi = np.array(block.extent.hi, dtype=np.int64)
 
-        frame = block.frame_nodes(self.mesh)
-        if not frame:
+        coords = frame_coords(block.extent, mesh.shape)
+        if not len(coords):
             raise ValueError("block has no adjacency frame inside the mesh")
-        self._frame: Set[Coord] = set(frame)
+        #: Frame nodes as linear indices, in row-major order.
+        self._nodes = np.ravel_multi_index(tuple(coords.T), mesh.shape)
+        self._coords = coords
+        size = len(self._nodes)
+        local = np.full(mesh.size, -1, dtype=np.int64)
+        local[self._nodes] = np.arange(size)
+        table = mesh.neighbor_table[self._nodes]
+        #: Frame-local neighbour table: position of each node's neighbour in
+        #: every direction, or -1 when the neighbour is off-mesh or off-frame.
+        self._nb = np.where(table >= 0, local[table], -1)
 
-        corners = block.corners(self.mesh)
+        corners = block.corners(mesh)
         if not corners:
             # Block touches the mesh surface everywhere diagonally; fall back
             # to an arbitrary frame node as the initiator.
-            corners = [max(frame)]
+            corners = [tuple(coords[-1].tolist())]
         if initialization_corner is not None:
             init = tuple(initialization_corner)
-            if init not in self._frame:
+            if self._position(init) is None:
                 raise ValueError(
                     f"{init} is not on the adjacency frame of {block.extent}"
                 )
@@ -141,17 +174,26 @@ class IdentificationProtocol:
             init = max(corners)
         self.initialization_corner: Coord = init
         self.opposite_corner: Coord = self._opposite_of(init)
+        self._opposite = self._position(self.opposite_corner)
 
-        # Identification-wave state: which frame nodes have been activated by
-        # the wave and the best partial extent each one currently knows.
-        self._partial: Dict[Coord, Region] = {}
-        self._active: Set[Coord] = set()
-        self._distribution_front: Set[Coord] = set()
-        self._informed: Set[Coord] = set()
-        #: node -> (labeling mutation stamp, observed extent); observations
-        #: only change when the labeling does, so re-observing each round is
-        #: wasted work while the labeling is stable.
-        self._observed_cache: Dict[Coord, Tuple[int, Optional[Region]]] = {}
+        # Identification-wave state: which frame nodes the wave activated and
+        # the best partial extent each one currently knows.
+        n = mesh.n_dims
+        self._lo = np.full((size, n), _BIG, dtype=np.int64)
+        self._hi = np.full((size, n), -_BIG, dtype=np.int64)
+        self._active = np.zeros(size, dtype=bool)
+        self._front = np.zeros(size, dtype=bool)
+        self._informed = np.zeros(size, dtype=bool)
+        #: Chebyshev-1 stencil around every frame node: neighbour coordinates
+        #: ``(frame, 3^n - 1, n)`` and a gather index into the status codes
+        #: (clipped into the mesh where the neighbour is off it, which
+        #: ``_on_mesh`` masks out).
+        around = coords[:, None, :] + _chebyshev_offsets(n)[None, :, :]
+        self._on_mesh = ((around >= 0) & (around < np.array(mesh.shape))).all(axis=2)
+        self._around = around
+        self._around_index = np.ravel_multi_index(tuple(around.T), mesh.shape, mode="clip").T
+        #: Labeling mutation stamp the relay mask and observations belong to.
+        self._observed_at = -1
 
         self._phase = "identify"
         self._identification_rounds = 0
@@ -160,12 +202,25 @@ class IdentificationProtocol:
         self._stable = True
         self._result: Optional[IdentificationResult] = None
 
-        self._activate(self.initialization_corner, None)
-        self._active = {self.initialization_corner}
+        start = self._position(init)
+        self._observe()
+        self._lo[start] = self._obs_lo[start]
+        self._hi[start] = self._obs_hi[start]
+        self._active[start] = True
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
+    def _position(self, node: Coord) -> Optional[int]:
+        """Frame position of ``node``, or ``None`` when it is not on the frame."""
+        if not self.mesh.contains(node):
+            return None
+        index = self.mesh.index_of(node)
+        position = int(np.searchsorted(self._nodes, index))
+        if position < len(self._nodes) and self._nodes[position] == index:
+            return position
+        return None
+
     def _opposite_of(self, corner: Coord) -> Coord:
         """The n-level corner diagonally opposite ``corner`` (clipped to mesh)."""
         lo, hi = self.block.extent.lo, self.block.extent.hi
@@ -180,14 +235,17 @@ class IdentificationProtocol:
                 # the span (keeps the node on the frame).
                 opposite.append(a + b - c)
         candidate = tuple(opposite)
-        if candidate in self._frame:
+        if self._position(candidate) is not None:
             return candidate
         # Clipped by the mesh surface: fall back to the frame node farthest
-        # from the initiator.
-        return max(self._frame, key=lambda p: self.mesh.distance(corner, p))
+        # from the initiator.  Ties go to the first in the iteration order of
+        # the frame *set* built in row-major order, which is part of the
+        # protocol's output contract.
+        frame = set(map(tuple, self._coords.tolist()))
+        return max(frame, key=lambda p: self.mesh.distance(corner, p))
 
-    def _observed_extent(self, node: Coord) -> Optional[Region]:
-        """Bounding box of the block section ``node`` is next to.
+    def _observe(self) -> None:
+        """Refresh the relay mask and observed extents if the labeling moved.
 
         A frame node learns the positions of the block members in its
         immediate (Chebyshev-1) neighbourhood: adjacent nodes see them
@@ -197,39 +255,32 @@ class IdentificationProtocol:
         are adjacent to the section of this block"); folding that single
         extra hop into the observation keeps the protocol's round count
         proportional to the block perimeter without tracking the per-section
-        sub-messages explicitly.
+        sub-messages explicitly.  A frame node can relay only while it stays
+        enabled or clean.
         """
         labeling = self.state.labeling
-        stamp = labeling.mutations
-        cached = self._observed_cache.get(node)
-        if cached is not None and cached[0] == stamp:
-            return cached[1]
-        members = []
-        lo = tuple(c - 1 for c in node)
-        hi = tuple(c + 1 for c in node)
-        neighborhood = self.mesh.clip_region(Region(lo, hi))
-        if neighborhood is not None:
-            for candidate in neighborhood.iter_points():
-                if candidate != node and labeling.status(candidate).in_block:
-                    members.append(candidate)
-        extent = Region.from_points(members) if members else None
-        self._observed_cache[node] = (stamp, extent)
-        return extent
-
-    def _merge(self, node: Coord, extent: Optional[Region]) -> None:
-        if extent is None:
+        if labeling.mutations == self._observed_at:
             return
-        existing = self._partial.get(node)
-        self._partial[node] = extent if existing is None else existing.union_bound(extent)
+        self._observed_at = labeling.mutations
+        codes = labeling.codes
+        self._relay = codes[self._nodes] < _DISABLED
+        member = (codes[self._around_index] >= _DISABLED) & self._on_mesh
+        seen = member[:, :, None]
+        self._obs_lo = np.where(seen, self._around, _BIG).min(axis=1)
+        self._obs_hi = np.where(seen, self._around, -_BIG).max(axis=1)
 
-    def _activate(self, node: Coord, carried: Optional[Region]) -> None:
-        self._merge(node, carried)
-        self._merge(node, self._observed_extent(node))
+    def _reached(self, senders: np.ndarray) -> np.ndarray:
+        """Mask of frame nodes one hop from a node of the ``senders`` mask."""
+        hit = self._nb[senders].ravel()
+        reached = np.zeros(len(self._nodes), dtype=bool)
+        reached[hit[hit >= 0]] = True
+        return reached
 
-    def _relay_ok(self, node: Coord) -> bool:
-        """A frame node can relay only while it stays enabled/clean."""
-        status = self.state.labeling.status(node)
-        return status in (NodeStatus.ENABLED, NodeStatus.CLEAN)
+    def _extent_at(self, position: int) -> Optional[Region]:
+        lo = self._lo[position]
+        if lo[0] == _BIG:
+            return None
+        return Region(tuple(lo.tolist()), tuple(self._hi[position].tolist()))
 
     # ------------------------------------------------------------------ #
     # public protocol surface
@@ -255,6 +306,7 @@ class IdentificationProtocol:
         if self._elapsed > self.ttl:
             self._finish(stable=False)
             return False
+        self._observe()
         if self._phase == "identify":
             self._identification_round()
         else:
@@ -277,43 +329,48 @@ class IdentificationProtocol:
     # ------------------------------------------------------------------ #
     def _identification_round(self) -> None:
         self._identification_rounds += 1
+        relay = self._relay
+        active = self._active
         # Activation wave: an inactive frame node becomes active when an
         # active neighbour relays the identification message to it.
-        newly_active: Set[Coord] = set()
-        for node in self._active:
-            if not self._relay_ok(node):
-                self._stable = False
-                continue
-            for neighbor in self.mesh.neighbors(node):
-                if neighbor in self._frame and neighbor not in self._active:
-                    if not self._relay_ok(neighbor):
-                        self._stable = False
-                        continue
-                    newly_active.add(neighbor)
-        # Partial-extent exchange among active nodes: every active node merges
-        # its own observation with what its active neighbours knew at the
-        # start of the round (synchronous one-hop information flow).
-        snapshot = dict(self._partial)
-        progressed = bool(newly_active)
-        for node in self._active | newly_active:
-            if not self._relay_ok(node):
-                continue
-            before = self._partial.get(node)
-            self._activate(node, None)
-            for neighbor in self.mesh.neighbors(node):
-                if neighbor in self._active and neighbor in snapshot:
-                    self._merge(node, snapshot[neighbor])
-            if self._partial.get(node) != before:
+        if (active & ~relay).any():
+            self._stable = False
+        fresh = self._reached(active & relay) & ~active
+        if (fresh & ~relay).any():
+            self._stable = False
+        fresh &= relay
+        progressed = bool(fresh.any())
+        # Partial-extent exchange: every active node merges its own
+        # observation with what its active neighbours knew at the start of
+        # the round (synchronous one-hop information flow).  All new values
+        # are computed from the old arrays before any is written.
+        update = np.flatnonzero((active | fresh) & relay)
+        if update.size:
+            lo, hi = self._lo, self._hi
+            nb = self._nb[update]
+            src = np.where(nb >= 0, nb, 0)
+            heard = ((nb >= 0) & active[src])[:, :, None]
+            new_lo = np.minimum(
+                np.minimum(lo[update], self._obs_lo[update]),
+                np.where(heard, lo[src], _BIG).min(axis=1),
+            )
+            new_hi = np.maximum(
+                np.maximum(hi[update], self._obs_hi[update]),
+                np.where(heard, hi[src], -_BIG).max(axis=1),
+            )
+            if (new_lo != lo[update]).any() or (new_hi != hi[update]).any():
                 progressed = True
-        self._active |= newly_active
+            lo[update] = new_lo
+            hi[update] = new_hi
+        active |= fresh
 
-        formed = self._partial.get(self.opposite_corner)
-        if formed is not None and formed == self.block.extent:
+        o = self._opposite
+        if (self._lo[o] == self._ext_lo).all() and (self._hi[o] == self._ext_hi).all():
             # Block information is formed at the opposite corner; start the
             # back-propagation of the identified record (Figure 6).
             self._phase = "distribute"
-            self._distribution_front = {self.opposite_corner}
-            self._deliver(self.opposite_corner)
+            self._front[o] = True
+            self._deliver(self._front)
             return
         if not progressed:
             # The wave has covered everything it can and no partial extent is
@@ -321,33 +378,28 @@ class IdentificationProtocol:
             # block — the block changed shape mid-flight (unstable).
             self._finish(stable=False)
 
-    def _deliver(self, node: Coord) -> None:
-        if node in self._informed:
-            return
-        self._informed.add(node)
-        self.state.add_block_info(node, BlockRecord(self.block.extent, self.version))
+    def _deliver(self, nodes: np.ndarray) -> None:
+        """Hand the identified record to the frame nodes of the ``nodes`` mask."""
+        self._informed |= nodes
+        store = self.state.add_block_info_at
+        for index in self._nodes[nodes].tolist():
+            store(index, self._record)
 
     def _distribution_round(self) -> None:
         self._distribution_rounds += 1
-        new_front: Set[Coord] = set()
-        for node in self._distribution_front:
-            for neighbor in self.mesh.neighbors(node):
-                if neighbor in self._frame and neighbor not in self._informed:
-                    if not self._relay_ok(neighbor):
-                        self._stable = False
-                        continue
-                    self._deliver(neighbor)
-                    new_front.add(neighbor)
-        self._distribution_front = new_front
-        if not new_front:
-            self._finish(stable=self._stable and self._informed >= {
-                n for n in self._frame if self._relay_ok(n)
-            })
+        relay = self._relay
+        fresh = self._reached(self._front) & ~self._informed
+        if (fresh & ~relay).any():
+            self._stable = False
+        fresh &= relay
+        self._deliver(fresh)
+        self._front = fresh
+        if not fresh.any():
+            self._finish(stable=self._stable and not (relay & ~self._informed).any())
 
     def _finish(self, stable: bool) -> None:
-        extent = self.block.extent if stable or self._informed else None
         self._result = IdentificationResult(
-            extent=extent if stable else self._partial.get(self.opposite_corner),
+            extent=self.block.extent if stable else self._extent_at(self._opposite),
             initialization_corner=self.initialization_corner,
             opposite_corner=self.opposite_corner,
             identification_rounds=self._identification_rounds,
@@ -362,12 +414,12 @@ class IdentificationProtocol:
     @property
     def informed_nodes(self) -> Set[Coord]:
         """Frame nodes that already hold the identified block record."""
-        return set(self._informed)
+        return set(map(tuple, self._coords[self._informed].tolist()))
 
     @property
     def frame(self) -> Set[Coord]:
         """The block's adjacency frame inside the mesh."""
-        return set(self._frame)
+        return set(map(tuple, self._coords.tolist()))
 
 
 def identify_block(

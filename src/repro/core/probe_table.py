@@ -48,6 +48,7 @@ concatenated along the node axis so the whole stack classifies in one pass.
 
 from __future__ import annotations
 
+import weakref
 from itertools import repeat
 from typing import (
     TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -162,7 +163,10 @@ class _CellState:
     )
 
     def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
+        # Non-owning: the simulator owns its table, so a strong reference
+        # back would make every finished simulator wait for the cycle
+        # collector instead of being freed when its last user drops it.
+        self.sim = weakref.proxy(sim)
         self.router = sim.router
         self.view: Optional[object] = None
         self.classifier: Optional[VectorDecisionEngine] = None

@@ -126,7 +126,8 @@ class InformationState:
     """All fault information held across the mesh at one instant.
 
     Change-reporting contract: block/boundary records change only through
-    :meth:`add_block_info`, :meth:`add_boundary`, :meth:`cancel_stale` or
+    :meth:`add_block_info` / :meth:`add_block_info_at`, :meth:`add_boundary`
+    / :meth:`add_boundary_at`, :meth:`cancel_stale` or
     :meth:`clear_information`.  Each bumps :attr:`record_mutations` and
     stamps the nodes it touched, which is what :meth:`changed_nodes`
     reports to consumers holding per-node derived state (the vectorized
@@ -185,14 +186,11 @@ class InformationState:
     # ------------------------------------------------------------------ #
     def add_block_info(self, node: Sequence[int], record: BlockRecord) -> bool:
         """Store ``record`` at ``node``; returns True if it was new there."""
-        node = self.mesh.validate(node)
-        existing = self.node_blocks.setdefault(node, set())
-        if record in existing:
-            return False
-        existing.add(record)
-        self.record_mutations += 1
-        self._touch(node)
-        return True
+        return self._store(self.node_blocks, self.mesh.index_of(node), record)
+
+    def add_block_info_at(self, index: int, record: BlockRecord) -> bool:
+        """:meth:`add_block_info` for a node given by a valid linear index."""
+        return self._store(self.node_blocks, index, record)
 
     def blocks_known_at(self, node: Sequence[int]) -> FrozenSet[BlockRecord]:
         """Block records currently held by ``node``."""
@@ -207,14 +205,11 @@ class InformationState:
     # ------------------------------------------------------------------ #
     def add_boundary(self, node: Sequence[int], info: BoundaryInfo) -> bool:
         """Store boundary ``info`` at ``node``; returns True if it was new."""
-        node = self.mesh.validate(node)
-        existing = self.node_boundaries.setdefault(node, set())
-        if info in existing:
-            return False
-        existing.add(info)
-        self.record_mutations += 1
-        self._touch(node)
-        return True
+        return self._store(self.node_boundaries, self.mesh.index_of(node), info)
+
+    def add_boundary_at(self, index: int, info: BoundaryInfo) -> bool:
+        """:meth:`add_boundary` for a node given by a valid linear index."""
+        return self._store(self.node_boundaries, index, info)
 
     def boundaries_at(self, node: Sequence[int]) -> FrozenSet[BoundaryInfo]:
         """Boundary records currently held by ``node``."""
@@ -308,6 +303,21 @@ class InformationState:
     # ------------------------------------------------------------------ #
     # change reporting
     # ------------------------------------------------------------------ #
+    def _store(self, records: Dict[Coord, Set], index: int, record) -> bool:
+        """Add ``record`` to node ``index``'s set in ``records`` if it is new.
+
+        A new record counts as one record change and stamps the node.
+        """
+        node = self.mesh.coord_of(index)
+        existing = records.setdefault(node, set())
+        if record in existing:
+            return False
+        existing.add(record)
+        self.record_mutations += 1
+        self._stamps[index] = self.record_mutations
+        self._route_cache.pop(node, None)
+        return True
+
     def _touch(self, node: Coord) -> None:
         """Stamp ``node`` as changed at the current record change."""
         self._stamps[self.mesh.index_of(node)] = self.record_mutations

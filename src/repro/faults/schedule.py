@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 Coord = Tuple[int, ...]
 
@@ -64,6 +64,11 @@ class DynamicFaultSchedule:
         self.events = sorted(FaultEvent(e.time, tuple(e.node), e.kind) for e in self.events)
         self.initial_faults = {tuple(n) for n in self.initial_faults}
         self._validate()
+        #: Events grouped by step, so replay looks a step up instead of
+        #: scanning every event.
+        self._by_time: Dict[int, List[FaultEvent]] = {}
+        for event in self.events:
+            self._by_time.setdefault(event.time, []).append(event)
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -139,7 +144,7 @@ class DynamicFaultSchedule:
     # ------------------------------------------------------------------ #
     def events_at(self, time: int) -> List[FaultEvent]:
         """Events scheduled exactly at ``time``."""
-        return [e for e in self.events if e.time == time]
+        return list(self._by_time.get(time, ()))
 
     def faulty_set_at(self, time: int) -> Set[Coord]:
         """The set of faulty nodes after applying all events up to ``time``."""

@@ -127,14 +127,6 @@ class Region:
         hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
         return Region(lo, hi)
 
-    def union_bound(self, other: "Region") -> "Region":
-        """Smallest region containing both operands (bounding box union)."""
-        if other.n_dims != self.n_dims:
-            raise ValueError("region ranks differ")
-        lo = tuple(min(a, b) for a, b in zip(self.lo, other.lo))
-        hi = tuple(max(a, b) for a, b in zip(self.hi, other.hi))
-        return Region(lo, hi)
-
     def distance_to(self, point: Sequence[int]) -> int:
         """Manhattan distance from ``point`` to the nearest node of the region."""
         if len(point) != self.n_dims:

@@ -39,7 +39,7 @@ from repro.core.routing import (
     probe_step_limit,
 )
 from repro.core.state import InformationState
-from repro.faults.schedule import DynamicFaultSchedule, FaultEventKind
+from repro.faults.schedule import DynamicFaultSchedule, FaultEvent, FaultEventKind
 from repro.mesh.regions import Region
 from repro.mesh.topology import Mesh
 from repro.obs.profile import NULL_PROFILER
@@ -267,18 +267,16 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # protocol management
     # ------------------------------------------------------------------ #
-    def _current_extents(self) -> Set[Region]:
-        return {block.extent for block in extract_blocks(self.info.labeling)}
-
     def _start_new_identifications(self) -> None:
         """Reactively start identification for blocks without current records."""
-        current = self._current_extents()
+        blocks = extract_blocks(self.info.labeling)
+        current = {block.extent for block in blocks}
         removed_any = bool(self._identified_extents - current)
         if removed_any:
             self.info.cancel_stale(current)
             self._identified_extents &= current
         version = self.info.bump_version() if current - self._identified_extents else self.info.version
-        for block in extract_blocks(self.info.labeling):
+        for block in blocks:
             if block.extent in self._identified_extents:
                 continue
             self._identifications.append(
@@ -347,9 +345,9 @@ class Simulator:
         if self._recorder is not None:
             self._recorder.sample(self)
 
-    def _detect_faults(self, t: int) -> None:
-        """Phase 1 of step ``t``: apply this step's scheduled fault events."""
-        for event in self.schedule.events_at(t):
+    def _detect_faults(self, t: int, events: Sequence[FaultEvent]) -> None:
+        """Phase 1 of step ``t``: apply this step's scheduled fault ``events``."""
+        for event in events:
             if event.kind is FaultEventKind.FAULT:
                 self.info.labeling.make_faulty(event.node)
                 self._teardown_node(event.node, t)
@@ -398,10 +396,16 @@ class Simulator:
 
     def _step_information(self, t: int) -> None:
         """Phases 1–2 of step ``t``: fault detection + λ information rounds."""
+        events = self.schedule.events_at(t)
+        if not events and self._information_idle():
+            # With nothing to detect, relabel, identify, propagate or
+            # record, each of the λ rounds below would be a no-op.
+            self.stats.total_rounds += self.config.lam
+            return
         prof = self._profiler
         # 1. fault detection -------------------------------------------------
         with prof.span("fault_detect"):
-            self._detect_faults(t)
+            self._detect_faults(t, events)
 
         # 2. λ rounds of information exchange --------------------------------
         for _ in range(self.config.lam):
@@ -436,6 +440,16 @@ class Simulator:
                 self._pending_convergence = [
                     r for r in self._pending_convergence if r.stabilized_step is None
                 ]
+
+    def _information_idle(self) -> bool:
+        """True when the labeling is stable and no information work is left."""
+        return (
+            self._labeling_stable
+            and not self._labeling_dirty
+            and not self._identifications
+            and not self._boundaries
+            and not self._pending_convergence
+        )
 
     def _step_messages(self, t: int) -> None:
         """Phase 3 of step ``t`` as a scalar probe loop (the parity oracle).

@@ -72,11 +72,6 @@ class TestGeometry:
         with pytest.raises(ValueError):
             Region((0,), (1,)).intersects(Region((0, 0), (1, 1)))
 
-    def test_union_bound(self):
-        a = Region((0, 0), (1, 1))
-        b = Region((3, 3), (4, 4))
-        assert a.union_bound(b) == Region((0, 0), (4, 4))
-
     def test_distance_to(self):
         region = Region((2, 2), (4, 4))
         assert region.distance_to((3, 3)) == 0

@@ -22,6 +22,9 @@ degenerates to a determinism check of the object path, which keeps the
 matrix uniform and guards the eligibility gate itself.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -249,3 +252,74 @@ class TestStackedSweepParity:
             run_batch(spec, engine="auto").to_json()
             == run_batch(spec, engine="serial").to_json()
         )
+
+
+@pytest.fixture
+def no_cycle_collector():
+    """Run the test with the cycle collector off: only refcounting frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.usefixtures("no_cycle_collector")
+class TestFinishedSimulatorsAreFreed:
+    """A simulator and its table hold no reference cycle, so a finished run
+    is freed as soon as its last user drops it."""
+
+    def test_solo_table(self):
+        cell = _cell("limited-global", "transpose", True, shape=(7, 7), faults=2)
+        sim = TestSharedTableCounters._vector_sim(cell)
+        table = weakref.ref(sim._table)
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+        assert table() is None
+
+    def test_joined_shared_table(self):
+        cells = [
+            _cell("limited-global", "transpose", True, shape=(7, 7), faults=2, seed=seed)
+            for seed in (1, 2)
+        ]
+        sims = [TestSharedTableCounters._vector_sim(cell) for cell in cells]
+        private = [weakref.ref(sim._table) for sim in sims]
+        shared = probe_table.ProbeTable(sims[0].mesh)
+        for sim in sims:
+            sim._join_table(shared)
+        # The private table each simulator built and abandoned is gone.
+        assert [ref() for ref in private] == [None, None]
+        for sim in sims:
+            sim.run()
+        refs = [weakref.ref(sim) for sim in sims]
+        del sims, sim
+        # The shared table, still referenced here, keeps no cell alive.
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_stacked_sweep(self, monkeypatch):
+        built = []
+
+        def recording_build(cell):
+            sim = build_simulator(cell)
+            built.append(weakref.ref(sim))
+            return sim
+
+        monkeypatch.setattr(
+            "repro.experiments.runner.build_simulator", recording_build
+        )
+        spec = ExperimentSpec(
+            name="stacked-freed",
+            mode="simulate",
+            mesh_shapes=((6, 6),),
+            scenarios=("transpose",),
+            fault_counts=(1,),
+            traffic_sizes=(6,),
+            seeds=(0, 1, 2),
+            contention=True,
+        )
+        run_batch(spec, engine="auto")
+        assert len(built) == 3
+        assert [ref() for ref in built] == [None, None, None]

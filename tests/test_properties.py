@@ -74,13 +74,6 @@ class TestRegionProperties:
     def test_distance_to_zero_iff_contained(self, region, point):
         assert (region.distance_to(point) == 0) == region.contains(point)
 
-    @given(regions(3, 8))
-    def test_union_bound_contains_both(self, region):
-        other = region.expand(1)
-        union = region.union_bound(other)
-        assert union.contains_region(region)
-        assert union.contains_region(other)
-
     @given(st.lists(coords(3, 8), min_size=1, max_size=10))
     def test_oracle_identify_contains_every_point(self, points):
         extent = oracle_identify(points)
