@@ -102,10 +102,9 @@ def compare_policies(
     if include_global:
         names.append("global-information")
     for name in names:
-        router = resolve_router(name)
-        routes = [
-            router.route(mesh, labeling, s, d, max_steps=max_steps) for s, d in pairs
-        ]
+        routes = resolve_router(name).route_batch(
+            mesh, labeling, pairs, max_steps=max_steps
+        )
         comparison.summaries[name] = summarize_routes(routes)
     return comparison
 

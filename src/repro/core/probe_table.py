@@ -34,16 +34,25 @@ visible to probe *i + 1* within the same step — exactly the scalar loop's
 semantics).  Decisions, per-message paths and statistics are byte-identical
 to the scalar oracle; the parity suite holds the two to that.
 
-:func:`table_eligible` says which simulators the table hosts: every policy
+:func:`table_eligible` says which routers the table hosts: every policy
 whose probes classify per direction over one information view — the
-Algorithm-3 policies over the simulator's own information, ``static-block``
-over its adjacent-only view.  ``global-information`` (a BFS planner), the
-scalar backend and meshes above 16 dimensions step the scalar objects.
+Algorithm-3 policies over the simulator's own information (offline: the
+router's distributed or bare view), ``static-block`` over its
+adjacent-only view.  ``global-information`` (a BFS planner), the scalar
+backend and meshes above 16 dimensions step the scalar objects online and
+route pair by pair offline.
 
-The table is multi-cell: several simulators sharing one mesh shape can
-attach to one table (the stacked sweep runner does), each with its own
+The table is multi-cell: several runs sharing one mesh shape can attach
+to one table (the stacked sweep runner does), each with its own
 information state, traffic and ledger.  Their classification tables are
 concatenated along the node axis so the whole stack classifies in one pass.
+
+A cell reads its run only through :class:`TableHost`.  The contract has two
+hosts: :class:`~repro.simulator.engine.Simulator`, whose message phase the
+table runs, and :class:`OfflineBatch`, one batch of offline routes
+classified over a router's offline view without contention (what
+:meth:`~repro.routing.Router.route_batch` runs for the routers the table
+hosts).
 """
 
 from __future__ import annotations
@@ -51,21 +60,22 @@ from __future__ import annotations
 import weakref
 from itertools import repeat
 from typing import (
-    TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+    TYPE_CHECKING, Any, Iterable, List, NamedTuple, Optional, Protocol, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
 
 from repro.backend import VECTOR, resolve_backend
+from repro.core.block_construction import LabelingState
 from repro.core.decision import DecisionTables, VectorDecisionEngine, classify_rows
-from repro.core.routing import RouteOutcome, RouteResult
+from repro.core.routing import InformationProvider, RouteOutcome, RouteResult, probe_step_limit
 from repro.mesh.topology import Mesh
 from repro.obs.profile import NULL_PROFILER
-from repro.pcs.circuit import Circuit
 from repro.routing import AlgorithmRouter, StaticBlockRouter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.simulator.engine import Simulator
+    from repro.pcs.circuit import ArrayCircuitLedger
 
 Coord = Tuple[int, ...]
 
@@ -96,8 +106,8 @@ class _Column(NamedTuple):
 
 #: Every per-row column, declared once.
 _COLUMNS: Tuple[_Column, ...] = (
-    # The message: owning cell, destination node index, the TrafficMessage
-    # itself, the step its probe expires at (start + lifetime), ledger
+    # The message: owning cell, destination node index, the host's message
+    # object, the step its probe expires at (start + lifetime), ledger
     # holder id and OUTCOME_* code.
     _Column("_cell", np.int32, None, None),
     _Column("_dest", np.int32, None, None),
@@ -140,13 +150,15 @@ _COLUMNS: Tuple[_Column, ...] = (
 
 
 def table_eligible(router: object, backend: Optional[str], n_dims: int) -> bool:
-    """Whether a :class:`ProbeTable` runs a simulator's message phase.
+    """Whether a :class:`ProbeTable` runs a simulator's message phase or
+    an offline batch.
 
-    The one gate :class:`~repro.simulator.engine.Simulator` and the shard
-    planner share.  It takes the vector backend (decision engine and array
-    ledger), a used-direction bitmask within 32 bits (at most 16
-    dimensions), and a router whose online probes are plain Algorithm-3
-    probes deciding against one information view (``online_view``).
+    The one gate :class:`~repro.simulator.engine.Simulator`, the shard
+    planner and :meth:`~repro.routing.Router.route_batch` share.  It takes
+    the vector backend (decision engine and array ledger), a used-direction
+    bitmask within 32 bits (at most 16 dimensions), and a router whose
+    probes are plain Algorithm-3 probes deciding against one information
+    view (``online_view`` and ``offline_view``).
     """
     return (
         resolve_backend(backend) == VECTOR
@@ -155,26 +167,74 @@ def table_eligible(router: object, backend: Optional[str], n_dims: int) -> bool:
     )
 
 
+class TableHost(Protocol):
+    """What one :class:`ProbeTable` cell reads of the run it steps probes for.
+
+    :class:`~repro.simulator.engine.Simulator` and :class:`OfflineBatch`
+    implement it.  Ledger holder ids are the table's own, counted per cell
+    from 0 in injection order.
+    """
+
+    mesh: Mesh
+    #: A router :func:`table_eligible` admits; rows classify under its policy.
+    router: Union[AlgorithmRouter, StaticBlockRouter]
+    #: The cell's link reservations, or ``None`` for a contention-free cell.
+    circuits: Optional["ArrayCircuitLedger"]
+    #: Steps past its message's ``start_time`` after which a row that has
+    #: not finished finishes EXHAUSTED (it is advanced before the check).
+    probe_lifetime: int
+
+    def decision_view(self) -> InformationProvider:
+        """The information the cell's rows classify over at this step."""
+        ...
+
+    def poll(self, t: int) -> Sequence[Any]:
+        """Messages injected at step ``t``: each has ``source``,
+        ``destination`` and ``start_time`` (and, in a contended cell,
+        ``flits``)."""
+        ...
+
+    def finish_message(
+        self, message: Any, result: RouteResult, *, finish_step: Optional[int]
+    ) -> None:
+        """Record a finished row; ``finish_step`` is ``None`` for a row
+        flushed when the run's step budget ran out."""
+        ...
+
+    def hold_circuit(
+        self, holder: int, stack: Sequence[Coord], message: Any, t: int
+    ) -> None:
+        """Contended cells only: hold a delivered row's circuit (its PCS
+        stack) for the message's data transfer."""
+        ...
+
+    def record_occupancy(self) -> None:
+        """Contended cells only: sample the reserved links after a step."""
+        ...
+
+
 class _CellState:
-    """One attached simulator: its router's view, classifier and ledger."""
+    """One attached host: its router's view, classifier and ledger."""
 
     __slots__ = (
-        "sim", "router", "view", "classifier", "ledger", "lifetime", "carry_token"
+        "host", "router", "view", "classifier", "ledger", "lifetime", "carry_token",
+        "next_holder",
     )
 
-    def __init__(self, sim: "Simulator") -> None:
-        # Non-owning: the simulator owns its table, so a strong reference
+    def __init__(self, host: TableHost) -> None:
+        # Non-owning: a simulator owns its table, so a strong reference
         # back would make every finished simulator wait for the cycle
         # collector instead of being freed when its last user drops it.
-        self.sim = weakref.proxy(sim)
-        self.router = sim.router
+        self.host = weakref.proxy(host)
+        self.router = host.router
         self.view: Optional[object] = None
         self.classifier: Optional[VectorDecisionEngine] = None
-        self.ledger = sim.circuits
-        self.lifetime = sim._probe_lifetime
+        self.ledger = host.circuits
+        self.lifetime = host.probe_lifetime
         #: Information token of the last classification — WAIT carryover is
         #: only valid while it is unchanged (a WAIT changes no probe state).
         self.carry_token: Optional[Tuple[int, int]] = None
+        self.next_holder = 0
 
     def engine(self) -> VectorDecisionEngine:
         """The classifier over the view this cell's router decides against.
@@ -182,7 +242,7 @@ class _CellState:
         Built once per view: once per run for the Algorithm-3 policies, once
         per labeling change for static-block's adjacent-only view.
         """
-        view = self.router.online_view(self.sim.info)
+        view = self.host.decision_view()
         if view is not self.view:
             self.view = view
             self.classifier = VectorDecisionEngine(view, self.router.policy)
@@ -229,14 +289,14 @@ class ProbeTable:
     # ------------------------------------------------------------------ #
     # cell management
     # ------------------------------------------------------------------ #
-    def attach(self, sim: "Simulator") -> int:
-        """Attach a simulator as one cell; returns its cell id."""
-        if sim.mesh.shape != self.mesh.shape:
+    def attach(self, host: TableHost) -> int:
+        """Attach a run as one cell; returns its cell id."""
+        if host.mesh.shape != self.mesh.shape:
             raise ValueError(
-                f"cell mesh {sim.mesh.shape} does not match table mesh {self.mesh.shape}"
+                f"cell mesh {host.mesh.shape} does not match table mesh {self.mesh.shape}"
             )
         cell = len(self._cells)
-        self._cells.append(_CellState(sim))
+        self._cells.append(_CellState(host))
         self._cell_count.append(0)
         self._offsets = np.arange(len(self._cells), dtype=np.int64) * self._size
         self._cell_is_free = np.array(
@@ -303,15 +363,14 @@ class ProbeTable:
             for c in cells:
                 cs = self._cells[c]
                 if cs.ledger is not None:
-                    cs.sim.stats.record_occupancy(cs.ledger.reserved_links)
+                    cs.host.record_occupancy()
 
     # ------------------------------------------------------------------ #
     # injection
     # ------------------------------------------------------------------ #
     def _inject(self, c: int, t: int) -> None:
         cs = self._cells[c]
-        sim = cs.sim
-        messages = sim._source.poll(t)
+        messages = cs.host.poll(t)
         if not messages:
             return
         index_of = self.mesh.index_of
@@ -323,12 +382,12 @@ class ProbeTable:
             "_dest": dest,
             "_msgs": messages,
             "_expiry": [m.start_time + cs.lifetime for m in messages],
-            "_holder": np.arange(sim._next_holder, sim._next_holder + k),
+            "_holder": np.arange(cs.next_holder, cs.next_holder + k),
             "_outc": np.where(src == dest, OUTCOME_DELIVERED, OUTCOME_NONE),
             "_stack": src,
             "_path": src,
         }
-        sim._next_holder += k
+        cs.next_holder += k
         for attr, dtype, width, fill in _COLUMNS:
             if fill is None and not width:
                 fresh = np.asarray(given[attr], dtype)
@@ -893,23 +952,15 @@ class ProbeTable:
     def _finish_row(self, r: int, t: int) -> None:
         """Record one finished row, mirroring the scalar finish order."""
         cs = self._cells[self._cell[r]]
-        sim = cs.sim
         message = self._msgs[r]
-        record = sim._finish_table_row(message, self._row_result(r), finish_step=t)
-        if sim._message_finished is not None:
-            sim._message_finished(record)
+        cs.host.finish_message(message, self._row_result(r), finish_step=t)
         ledger = cs.ledger
         if ledger is not None:
             holder = int(self._holder[r])
             if self._outc[r] == OUTCOME_DELIVERED:
                 coords = self._coord_tuples
-                circuit = Circuit.from_stack(
-                    [coords[i] for i in self._stack[r, : self._depth[r]].tolist()]
-                )
-                ledger.sync(holder, circuit.path)
-                hold = sim.config.transfer.hold_steps(circuit, message.flits)
-                ledger.hold_until(holder, t + hold)
-                sim.stats.circuits_reserved += 1
+                stack = [coords[i] for i in self._stack[r, : self._depth[r]].tolist()]
+                cs.host.hold_circuit(holder, stack, message, t)
             else:
                 ledger.release(holder)
 
@@ -924,9 +975,8 @@ class ProbeTable:
         if rows.size == 0:
             return
         cs = self._cells[cell]
-        sim = cs.sim
         for r in rows.tolist():
-            sim._finish_table_row(self._msgs[r], self._row_result(r), finish_step=None)
+            cs.host.finish_message(self._msgs[r], self._row_result(r), finish_step=None)
             if cs.ledger is not None:
                 cs.ledger.release(int(self._holder[r]))
         self._drop(rows)
@@ -965,3 +1015,74 @@ class ProbeTable:
         self._cell_count = np.bincount(
             self._cell, minlength=len(self._cells)
         ).tolist()
+
+
+class _Pair:
+    """One pair of an offline batch, as the table injects it.
+
+    Not a tuple: the table keeps messages in an object column, and numpy
+    would unpack tuples into a second axis.
+    """
+
+    __slots__ = ("source", "destination", "index")
+    start_time = 0
+
+    def __init__(self, source: Sequence[int], destination: Sequence[int], index: int):
+        self.source = source
+        self.destination = destination
+        #: Position in the batch, where the result goes.
+        self.index = index
+
+
+class OfflineBatch:
+    """A contention-free :class:`TableHost`: one batch of offline routes.
+
+    Every pair is injected at step 0 and classified over the router's
+    offline view, the view its :meth:`~repro.routing.Router.route` walks,
+    until it finishes.  The table advances a row before it checks expiry,
+    so a lifetime of ``limit - 1`` gives each row the ``limit`` steps of
+    :func:`~repro.core.routing.route_offline`; a limit of 0 takes no step
+    at all and so is not routed here.
+    """
+
+    circuits = None
+
+    def __init__(
+        self,
+        router: Union[AlgorithmRouter, StaticBlockRouter],
+        mesh: Mesh,
+        labeling: LabelingState,
+        pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],
+        *,
+        max_steps: Optional[int] = None,
+    ) -> None:
+        limit = max_steps if max_steps is not None else probe_step_limit(mesh)
+        if limit < 1:
+            raise ValueError("an offline batch on the table takes at least one step")
+        self.mesh = mesh
+        self.router = router
+        self.probe_lifetime = limit - 1
+        self._view = router.offline_view(mesh, labeling)
+        self._pairs = [_Pair(s, d, i) for i, (s, d) in enumerate(pairs)]
+        self._results: List[Optional[RouteResult]] = [None] * len(self._pairs)
+
+    def decision_view(self) -> InformationProvider:
+        return self._view
+
+    def poll(self, t: int) -> Sequence[_Pair]:
+        return self._pairs if t == 0 else ()
+
+    def finish_message(
+        self, message: _Pair, result: RouteResult, *, finish_step: Optional[int]
+    ) -> None:
+        self._results[message.index] = result
+
+    def route(self) -> List[RouteResult]:
+        """Step one table cell until every pair finished; results in pair order."""
+        table = ProbeTable(self.mesh)
+        cell = table.attach(self)
+        t = 0
+        while t == 0 or table.cell_rows(cell):
+            table.run_step(t, (cell,))
+            t += 1
+        return self._results

@@ -116,10 +116,9 @@ def _run_offline_cell(cell: ExperimentCell) -> Dict[str, float]:
         exclude=list(labeling.block_nodes),
     )
 
-    # The router derives whatever information view its policy assumes; its
-    # one-slot cache makes the whole batch share a single derivation.
-    router = resolve_router(cell.policy)
-    routes = [router.route(mesh, labeling, s, d) for s, d in pairs]
+    # The router derives whatever information view its policy assumes once
+    # for the whole batch.
+    routes = resolve_router(cell.policy).route_batch(mesh, labeling, pairs)
 
     summary = summarize_routes(routes)
     return {

@@ -25,9 +25,7 @@ from repro.core.routing import RoutingPolicy
 from repro.routing.algorithm import AlgorithmRouter
 from repro.routing.global_info import (
     GlobalInfoRouter,
-    GlobalInformationRouter,
     GlobalPathProbe,
-    route_global_information,
     shortest_usable_path,
 )
 from repro.routing.registry import (
@@ -66,7 +64,6 @@ register_router("global-information", GlobalInfoRouter)
 __all__ = [
     "AlgorithmRouter",
     "GlobalInfoRouter",
-    "GlobalInformationRouter",
     "GlobalPathProbe",
     "Router",
     "SetupProbe",
@@ -76,7 +73,6 @@ __all__ = [
     "available_routers",
     "register_router",
     "resolve_router",
-    "route_global_information",
     "route_with",
     "shortest_usable_path",
 ]

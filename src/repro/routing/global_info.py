@@ -22,10 +22,11 @@ only by *reservations* waits for a circuit to release.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.block_construction import LabelingState
 from repro.core.routing import LinkBlocked, RouteOutcome, RouteResult
+from repro.faults.status import NodeStatus
 from repro.mesh.topology import Mesh
 from repro.routing.registry import Router, SimulationInfo
 
@@ -34,7 +35,7 @@ Coord = Tuple[int, ...]
 
 def shortest_usable_path(
     mesh: Mesh,
-    blocked: Set[Coord],
+    blocked: Sequence[bool],
     source: Coord,
     destination: Coord,
     *,
@@ -42,110 +43,40 @@ def shortest_usable_path(
 ) -> Optional[List[Coord]]:
     """BFS shortest path avoiding ``blocked`` nodes (and reserved links).
 
-    Deterministic: neighbors are expanded in :meth:`Mesh.neighbors` order,
-    so repeated calls against the same configuration pick the same path.
+    ``blocked`` is a mask by node index (:meth:`Mesh.index_of`).  The
+    search runs on node indices and expands each node's
+    :attr:`Mesh.neighbor_table` row in column order, which is the order of
+    :meth:`Mesh.neighbors`, so repeated calls against the same
+    configuration pick the same path.  ``link_blocked`` is called with the
+    coordinates of the node and of its neighbor, in that order.
     """
-    if source in blocked or destination in blocked:
+    start = mesh.index_of(source)
+    goal = mesh.index_of(destination)
+    if blocked[start] or blocked[goal]:
         return None
-    if source == destination:
-        return [source]
-    parents: Dict[Coord, Coord] = {}
-    seen: Set[Coord] = {source}
-    frontier = deque([source])
+    coord_of = mesh.coord_of
+    if start == goal:
+        return [coord_of(start)]
+    rows = mesh.neighbor_table
+    parents = {start: -1}
+    frontier = deque([start])
     while frontier:
         node = frontier.popleft()
-        for neighbor in mesh.neighbors(node):
-            if neighbor in seen or neighbor in blocked:
+        for neighbor in rows[node].tolist():
+            if neighbor < 0 or neighbor in parents or blocked[neighbor]:
                 continue
-            if link_blocked is not None and link_blocked(node, neighbor):
+            if link_blocked is not None and link_blocked(coord_of(node), coord_of(neighbor)):
                 continue
             parents[neighbor] = node
-            if neighbor == destination:
-                path = [neighbor]
-                while path[-1] != source:
-                    path.append(parents[path[-1]])
+            if neighbor == goal:
+                path = []
+                while neighbor >= 0:
+                    path.append(coord_of(neighbor))
+                    neighbor = parents[neighbor]
                 path.reverse()
                 return path
-            seen.add(neighbor)
             frontier.append(neighbor)
     return None
-
-
-class GlobalInformationRouter:
-    """Shortest-path router with full knowledge of the fault configuration.
-
-    The offline interface bound to one labeling; the registry adapter
-    :class:`GlobalInfoRouter` builds on it.
-    """
-
-    def __init__(
-        self,
-        mesh: Mesh,
-        labeling: LabelingState,
-        *,
-        avoid_blocks: bool = True,
-    ) -> None:
-        self.mesh = mesh
-        self.labeling = labeling
-        self.avoid_blocks = avoid_blocks
-
-    def blocked_nodes(self) -> Set[Coord]:
-        """Nodes the router refuses to traverse."""
-        if self.avoid_blocks:
-            return set(self.labeling.block_nodes)
-        return set(self.labeling.faulty_nodes)
-
-    def shortest_path(
-        self, source: Sequence[int], destination: Sequence[int]
-    ) -> Optional[List[Coord]]:
-        """BFS shortest path avoiding the blocked nodes, or ``None``."""
-        source = self.mesh.validate(source)
-        destination = self.mesh.validate(destination)
-        return shortest_usable_path(
-            self.mesh, self.blocked_nodes(), source, destination
-        )
-
-    def route(
-        self, source: Sequence[int], destination: Sequence[int]
-    ) -> RouteResult:
-        """Route result along the globally-known shortest path."""
-        source = self.mesh.validate(source)
-        destination = self.mesh.validate(destination)
-        path = self.shortest_path(source, destination)
-        min_distance = self.mesh.distance(source, destination)
-        if path is None:
-            return RouteResult(
-                outcome=RouteOutcome.UNREACHABLE,
-                path=[source],
-                source=source,
-                destination=destination,
-                min_distance=min_distance,
-                forward_hops=0,
-                backtrack_hops=0,
-            )
-        return RouteResult(
-            outcome=RouteOutcome.DELIVERED,
-            path=path,
-            source=source,
-            destination=destination,
-            min_distance=min_distance,
-            forward_hops=len(path) - 1,
-            backtrack_hops=0,
-        )
-
-
-def route_global_information(
-    mesh: Mesh,
-    labeling: LabelingState,
-    source: Sequence[int],
-    destination: Sequence[int],
-    *,
-    avoid_blocks: bool = True,
-) -> RouteResult:
-    """Convenience wrapper around :class:`GlobalInformationRouter`."""
-    return GlobalInformationRouter(mesh, labeling, avoid_blocks=avoid_blocks).route(
-        source, destination
-    )
 
 
 class GlobalPathProbe:
@@ -175,13 +106,15 @@ class GlobalPathProbe:
         source: Sequence[int],
         destination: Sequence[int],
         *,
-        avoid_blocks: bool = True,
+        router: Optional["GlobalInfoRouter"] = None,
         wait_timeout: Optional[int] = None,
     ) -> None:
         self.mesh = mesh
         self.source = mesh.validate(source)
         self.destination = mesh.validate(destination)
-        self.avoid_blocks = avoid_blocks
+        #: Whose blocked-node mask the plans avoid: the probes of one
+        #: router share its one-slot mask cache.
+        self._router = router if router is not None else GlobalInfoRouter()
         #: Consecutive fenced-in steps tolerated before the probe releases
         #: its held links and restarts from the source.
         self.wait_timeout = (
@@ -219,11 +152,6 @@ class GlobalPathProbe:
     def circuit_stack(self) -> Sequence[Coord]:
         """The held circuit: the whole path (global probes never backtrack)."""
         return self.path
-
-    def _blocked_nodes(self, labeling: LabelingState) -> Set[Coord]:
-        if self.avoid_blocks:
-            return labeling.block_nodes
-        return labeling.faulty_nodes
 
     def step(
         self,
@@ -296,7 +224,7 @@ class GlobalPathProbe:
         reservations means wait (count a setup retry, keep no plan so the
         next step replans again).
         """
-        blocked = self._blocked_nodes(labeling)
+        blocked = self._router.blocked_mask(labeling)
         plan = shortest_usable_path(
             self.mesh, blocked, current, self.destination, link_blocked=link_blocked
         )
@@ -331,12 +259,40 @@ class GlobalPathProbe:
 
 
 class GlobalInfoRouter(Router):
-    """Registry adapter for global-information routing (offline + online)."""
+    """Global-information routing: the shortest usable path, offline and online.
+
+    Offline, :meth:`route` returns a BFS shortest path; online, each
+    :class:`GlobalPathProbe` follows one hop by hop.  Both avoid the nodes
+    of :meth:`blocked_mask`: every block member with ``avoid_blocks``,
+    else the faulty nodes only.
+    """
 
     name = "global-information"
 
     def __init__(self, *, avoid_blocks: bool = True) -> None:
         self.avoid_blocks = avoid_blocks
+        #: One-slot cache of the blocked-node mask, keyed by labeling
+        #: identity + mutation counter like the other routers' views, so a
+        #: batch over one labeling (or a simulation between fault events)
+        #: builds it once.
+        self._mask: Optional[Tuple[LabelingState, int, List[bool]]] = None
+
+    def blocked_mask(self, labeling: LabelingState) -> List[bool]:
+        """Per node index, whether the router refuses to traverse the node."""
+        cached = self._mask
+        if (
+            cached is not None
+            and cached[0] is labeling
+            and cached[1] == labeling.mutations
+        ):
+            return cached[2]
+        codes = labeling.codes
+        if self.avoid_blocks:
+            mask = (codes >= NodeStatus.DISABLED.code).tolist()
+        else:
+            mask = (codes == NodeStatus.FAULTY.code).tolist()
+        self._mask = (labeling, labeling.mutations, mask)
+        return mask
 
     def route(
         self,
@@ -349,13 +305,25 @@ class GlobalInfoRouter(Router):
     ) -> RouteResult:
         # max_steps is accepted for interface uniformity; a BFS route never
         # wanders, so there is nothing to cut short.
-        return GlobalInformationRouter(
-            mesh, labeling, avoid_blocks=self.avoid_blocks
-        ).route(source, destination)
+        source = mesh.validate(source)
+        destination = mesh.validate(destination)
+        path = shortest_usable_path(
+            mesh, self.blocked_mask(labeling), source, destination
+        )
+        outcome = RouteOutcome.DELIVERED
+        if path is None:
+            outcome, path = RouteOutcome.UNREACHABLE, [source]
+        return RouteResult(
+            outcome=outcome,
+            path=path,
+            source=source,
+            destination=destination,
+            min_distance=mesh.distance(source, destination),
+            forward_hops=len(path) - 1,
+            backtrack_hops=0,
+        )
 
     def probe(
         self, mesh: Mesh, source: Sequence[int], destination: Sequence[int]
     ) -> GlobalPathProbe:
-        return GlobalPathProbe(
-            mesh, source, destination, avoid_blocks=self.avoid_blocks
-        )
+        return GlobalPathProbe(mesh, source, destination, router=self)

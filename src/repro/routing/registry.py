@@ -3,7 +3,8 @@
 A :class:`Router` bundles the two ways a policy is exercised in this repo:
 
 * **offline** — :meth:`Router.route` runs the policy to completion against a
-  stabilized labeling (the setting of the paper's comparison tables);
+  stabilized labeling (the setting of the paper's comparison tables), and
+  :meth:`Router.route_batch` routes a whole batch of pairs that way;
 * **online** — :meth:`Router.probe` creates a :class:`SetupProbe` that the
   step-synchronous simulator advances one hop per simulation step against
   whatever (possibly still-converging) information exists at that step.
@@ -23,6 +24,7 @@ from typing import (
     Callable,
     ClassVar,
     Dict,
+    List,
     Optional,
     Protocol,
     Sequence,
@@ -110,6 +112,33 @@ class Router(ABC):
         (fully distributed records, adjacent-only records, the raw labeling)
         from ``labeling`` itself, so callers never special-case policies.
         """
+
+    def route_batch(
+        self,
+        mesh: Mesh,
+        labeling: LabelingState,
+        pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],
+        *,
+        max_steps: Optional[int] = None,
+    ) -> List[RouteResult]:
+        """Route every ``(source, destination)`` pair as :meth:`route` does.
+
+        Results come back in pair order and equal :meth:`route`'s.  A
+        router the probe table hosts
+        (:func:`~repro.core.probe_table.table_eligible`) routes the batch as
+        rows of one contention-free table cell; every other router, and
+        every router on the scalar backend or above 16 dimensions, calls
+        :meth:`route` per pair, the oracle the table is held to.
+        """
+        # Imported here: the probe table imports the routers of this package.
+        from repro.core.probe_table import OfflineBatch, table_eligible
+
+        # A cap of 0 steps takes none, and the table always takes one.
+        if (max_steps is None or max_steps > 0) and table_eligible(
+            self, None, mesh.n_dims
+        ):
+            return OfflineBatch(self, mesh, labeling, pairs, max_steps=max_steps).route()
+        return [self.route(mesh, labeling, s, d, max_steps=max_steps) for s, d in pairs]
 
     @abstractmethod
     def probe(

@@ -57,7 +57,7 @@ class StaticBlockRouter(Router):
             Tuple[LabelingState, int, InformationState, DecisionCache]
         ] = None
 
-    def adjacent_view(self, mesh: Mesh, labeling: LabelingState) -> InformationState:
+    def offline_view(self, mesh: Mesh, labeling: LabelingState) -> InformationState:
         """Adjacent-only information for ``labeling``, rebuilt on mutation.
 
         The one-slot cache is shared by every probe of one simulation, so a
@@ -72,7 +72,7 @@ class StaticBlockRouter(Router):
         probe table classifies this router's cells over it, building one
         classifier per view.
         """
-        return self.adjacent_view(info.mesh, info.labeling)
+        return self.offline_view(info.mesh, info.labeling)
 
     def _view_entry(
         self, mesh: Mesh, labeling: LabelingState

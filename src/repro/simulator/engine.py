@@ -34,6 +34,7 @@ from repro.core.identification import IdentificationProtocol
 from repro.core.probe_table import ProbeTable, table_eligible
 from repro.core.routing import (
     DecisionCache,
+    InformationProvider,
     LinkBlocked,
     RouteOutcome,
     probe_step_limit,
@@ -216,7 +217,9 @@ class Simulator:
         self._probes: List[
             Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked]]
         ] = []
-        self._probe_lifetime = (
+        #: Steps past its start after which a probe still in flight
+        #: finishes EXHAUSTED.
+        self.probe_lifetime = (
             self.config.max_probe_lifetime
             if self.config.max_probe_lifetime is not None
             else probe_step_limit(mesh)
@@ -237,8 +240,10 @@ class Simulator:
 
         #: The message phase's fast path: when :func:`table_eligible` admits
         #: the configuration, probes live as rows of a :class:`ProbeTable`
-        #: and ``step`` never builds a probe object.  Decisions, paths and
-        #: stats are byte-identical to the scalar probe loop, the oracle the
+        #: (this simulator is the cell's
+        #: :class:`~repro.core.probe_table.TableHost`) and ``step`` never
+        #: builds a probe object.  Decisions, paths and stats are
+        #: byte-identical to the scalar probe loop, the oracle the
         #: parity suite holds the table to; anything else — the scalar
         #: backend, the global-information router, >16-dimensional meshes —
         #: steps that loop.
@@ -385,9 +390,7 @@ class Simulator:
                 if node in getattr(probe, "circuit_stack", ()):
                     if self.circuits is not None:
                         self.circuits.release(holder)
-                    record = self._finish_probe(message, probe, finish_step=t)
-                    if self._message_finished is not None:
-                        self._message_finished(record)
+                    self._finish_probe(message, probe, finish_step=t)
                 else:
                     remaining.append(entry)
             self._probes = remaining
@@ -460,7 +463,7 @@ class Simulator:
         """
         # 3. message injection, reception, routing decision, sending ---------
         ledger = self.circuits
-        for message in self._source.poll(t):
+        for message in self.poll(t):
             self.mesh.validate(message.source)
             self.mesh.validate(message.destination)
             probe = self.router.probe(self.mesh, message.source, message.destination)
@@ -474,7 +477,7 @@ class Simulator:
             ledger.release_expired(t)
 
         cache = self._decision_cache
-        lifetime = self._probe_lifetime
+        lifetime = self.probe_lifetime
         remaining: List[
             Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked]]
         ] = []
@@ -502,46 +505,68 @@ class Simulator:
                     ledger.sync(holder, stack)  # multi-hop moves: full resync
             expired = (t - message.start_time) >= lifetime
             if outcome is not None or expired:
-                record = self._finish_probe(message, probe, finish_step=t)
-                if self._message_finished is not None:
-                    self._message_finished(record)
+                self._finish_probe(message, probe, finish_step=t)
                 if ledger is not None:
                     if outcome is RouteOutcome.DELIVERED:
-                        # The data circuit is the held stack with loop
-                        # excursions cut back to their first visit; the
-                        # excursion links (all still held) are released
-                        # before the data-phase hold.
-                        circuit = Circuit.from_stack(probe.circuit_stack)
-                        ledger.sync(holder, circuit.path)
-                        hold = self.config.transfer.hold_steps(circuit, message.flits)
-                        ledger.hold_until(holder, t + hold)
-                        self.stats.circuits_reserved += 1
+                        self.hold_circuit(holder, probe.circuit_stack, message, t)
                     else:
                         ledger.release(holder)
             else:
                 remaining.append(entry)
         self._probes = remaining
         if ledger is not None:
-            self.stats.record_occupancy(ledger.reserved_links)
+            self.record_occupancy()
 
     def _finish_probe(
         self, message: TrafficMessage, probe: SetupProbe, *, finish_step: Optional[int]
-    ) -> MessageRecord:
+    ) -> None:
         """Record a finished (or flushed) probe's message statistics."""
-        record = MessageRecord(
-            message=message, result=probe.result(), finish_step=finish_step
-        )
-        self.stats.messages.append(record)
+        self.finish_message(message, probe.result(), finish_step=finish_step)
         self.stats.timeout_releases += getattr(probe, "timeout_releases", 0)
-        return record
 
-    def _finish_table_row(
+    # ------------------------------------------------------------------ #
+    # the probe table's host contract (shared with the scalar loop)
+    # ------------------------------------------------------------------ #
+    def decision_view(self) -> InformationProvider:
+        """The information this simulator's router classifies over now."""
+        return self.router.online_view(self.info)
+
+    def poll(self, t: int) -> Sequence[TrafficMessage]:
+        """The messages the traffic source injects at step ``t``."""
+        return self._source.poll(t)
+
+    def finish_message(
         self, message: TrafficMessage, result: "RouteResult", *, finish_step: Optional[int]
-    ) -> MessageRecord:
-        """Record one finished :class:`ProbeTable` row's message statistics."""
+    ) -> None:
+        """Record a finished probe's message statistics.
+
+        A probe that finished at a step goes back to the source's
+        feedback; one flushed at the step budget (``finish_step`` is
+        ``None``) does not.
+        """
         record = MessageRecord(message=message, result=result, finish_step=finish_step)
         self.stats.messages.append(record)
-        return record
+        if finish_step is not None and self._message_finished is not None:
+            self._message_finished(record)
+
+    def hold_circuit(
+        self, holder: int, stack: Sequence[Coord], message: TrafficMessage, t: int
+    ) -> None:
+        """Hold a delivered probe's circuit for the message's data transfer.
+
+        The data circuit is the held stack with loop excursions cut back to
+        their first visit; the excursion links (all still held) are released
+        before the data-phase hold.
+        """
+        circuit = Circuit.from_stack(stack)
+        self.circuits.sync(holder, circuit.path)
+        hold = self.config.transfer.hold_steps(circuit, message.flits)
+        self.circuits.hold_until(holder, t + hold)
+        self.stats.circuits_reserved += 1
+
+    def record_occupancy(self) -> None:
+        """Sample the reserved links at the end of a contended step."""
+        self.stats.record_occupancy(self.circuits.reserved_links)
 
     def _join_table(self, table: "ProbeTable") -> int:
         """Re-home this simulator's probes onto a shared multi-cell table.

@@ -11,10 +11,10 @@ from repro.core.state import InformationState
 from repro.faults.injection import uniform_random_faults
 from repro.mesh.topology import Mesh
 from repro.routing import (
-    GlobalInformationRouter,
+    GlobalInfoRouter,
     StaticBlockRouter,
     adjacent_only_information,
-    route_global_information,
+    resolve_router,
 )
 from repro.workloads.scenarios import FIGURE1_FAULTS
 from repro.workloads.traffic import random_pairs
@@ -22,11 +22,20 @@ from repro.workloads.traffic import random_pairs
 NO_INFORMATION = RoutingPolicy.no_information()
 
 
+def _global_router():
+    router = resolve_router("global-information")
+    assert isinstance(router, GlobalInfoRouter) and router.avoid_blocks
+    return router
+
+
+def _masked(mesh, mask):
+    return {node for node, blocked in zip(mesh.nodes(), mask) if blocked}
+
+
 class TestGlobalInformationRouter:
     def test_matches_bfs_shortest_path(self, mesh3d):
         labeling = build_blocks(mesh3d, FIGURE1_FAULTS).state
-        router = GlobalInformationRouter(mesh3d, labeling)
-        result = router.route((4, 2, 4), (4, 9, 4))
+        result = _global_router().route(mesh3d, labeling, (4, 2, 4), (4, 9, 4))
         assert result.delivered
         expected = shortest_path_length(
             mesh3d, set(labeling.block_nodes), (4, 2, 4), (4, 9, 4)
@@ -35,25 +44,49 @@ class TestGlobalInformationRouter:
 
     def test_avoid_blocks_vs_faults_only(self, mesh3d):
         labeling = build_blocks(mesh3d, FIGURE1_FAULTS).state
-        strict = GlobalInformationRouter(mesh3d, labeling, avoid_blocks=True)
-        lenient = GlobalInformationRouter(mesh3d, labeling, avoid_blocks=False)
-        assert strict.blocked_nodes() >= lenient.blocked_nodes()
+        strict = _global_router().blocked_mask(labeling)
+        lenient = GlobalInfoRouter(avoid_blocks=False).blocked_mask(labeling)
+        assert _masked(mesh3d, strict) == labeling.block_nodes
+        assert _masked(mesh3d, lenient) == labeling.faulty_nodes
+        assert _masked(mesh3d, strict) >= _masked(mesh3d, lenient)
+
+    def test_avoid_blocks_false_crosses_disabled_nodes(self, mesh2d):
+        # A disabled node may be crossed when only faults are avoided.
+        labeling = build_blocks(mesh2d, [(4, 5), (5, 4)]).state
+        assert labeling.disabled_nodes == {(4, 4), (5, 5)}
+        disabled = (5, 5)
+        strict = _global_router().route(mesh2d, labeling, disabled, (9, 9))
+        lenient = GlobalInfoRouter(avoid_blocks=False).route(
+            mesh2d, labeling, disabled, (9, 9)
+        )
+        assert strict.outcome is RouteOutcome.UNREACHABLE and strict.path == [disabled]
+        assert lenient.delivered and lenient.detours == 0
 
     def test_unreachable_destination(self, mesh2d):
         faults = [(4, 5), (6, 5), (5, 4), (5, 6)]
         labeling = build_blocks(mesh2d, faults).state
-        result = route_global_information(mesh2d, labeling, (0, 0), (5, 5))
+        result = _global_router().route(mesh2d, labeling, (0, 0), (5, 5))
         assert result.outcome is RouteOutcome.UNREACHABLE
 
     def test_source_equals_destination(self, mesh2d):
         labeling = build_blocks(mesh2d, []).state
-        result = route_global_information(mesh2d, labeling, (3, 3), (3, 3))
+        result = _global_router().route(mesh2d, labeling, (3, 3), (3, 3))
         assert result.delivered and result.hops == 0
 
     def test_fault_free_is_minimal(self, mesh3d):
         labeling = build_blocks(mesh3d, []).state
-        result = route_global_information(mesh3d, labeling, (0, 0, 0), (9, 9, 9))
+        result = _global_router().route(mesh3d, labeling, (0, 0, 0), (9, 9, 9))
         assert result.detours == 0
+
+    def test_blocked_mask_cached_per_labeling_state(self, mesh2d):
+        labeling = build_blocks(mesh2d, [(4, 5), (5, 4)]).state
+        router = _global_router()
+        first = router.blocked_mask(labeling)
+        assert router.blocked_mask(labeling) is first
+        labeling.make_faulty((2, 2))
+        second = router.blocked_mask(labeling)
+        assert second is not first
+        assert second[mesh2d.index_of((2, 2))] and not first[mesh2d.index_of((2, 2))]
 
 
 class TestNoInformationBaseline:
@@ -120,9 +153,9 @@ class TestRelativeQuality:
     def test_global_information_is_lower_bound(self, mesh3d):
         labeling = build_blocks(mesh3d, FIGURE1_FAULTS).state
         info = distribute_information(mesh3d, labeling)
-        router = GlobalInformationRouter(mesh3d, labeling)
+        router = _global_router()
         for source, destination in [((0, 4, 4), (4, 7, 4)), ((4, 2, 4), (4, 9, 4))]:
             limited = route_offline(info, source, destination)
-            ideal = router.route(source, destination)
+            ideal = router.route(mesh3d, labeling, source, destination)
             assert limited.delivered and ideal.delivered
             assert ideal.hops <= limited.hops

@@ -147,10 +147,10 @@ class TestStaticBlockOnline:
         mesh = Mesh.cube(8, 2)
         labeling = _labeling(mesh)
         router = resolve_router("static-block")
-        first = router.adjacent_view(mesh, labeling)
-        assert router.adjacent_view(mesh, labeling) is first
+        first = router.offline_view(mesh, labeling)
+        assert router.offline_view(mesh, labeling) is first
         labeling.make_faulty((1, 1))
-        second = router.adjacent_view(mesh, labeling)
+        second = router.offline_view(mesh, labeling)
         assert second is not first
 
     def test_probe_sees_only_adjacent_information(self):
@@ -158,7 +158,7 @@ class TestStaticBlockOnline:
         mesh = Mesh.cube(10, 2)
         labeling = _labeling(mesh)
         router = resolve_router("static-block")
-        view = router.adjacent_view(mesh, labeling)
+        view = router.offline_view(mesh, labeling)
         assert not view.blocks_known_at((0, 0))
         assert view.blocks_known_at((2, 5))  # frame node next to the block
 

@@ -277,7 +277,7 @@ class TestDecisionCache:
     def test_cached_equals_uncached(self, router):
         from repro.core.block_construction import build_blocks
         from repro.core.routing import DecisionCache, route_offline
-        from repro.routing import StaticBlockRouter, resolve_router
+        from repro.routing import resolve_router
         from repro.workloads.congestion import transpose_scenario
 
         scenario = transpose_scenario(radix=6, n_dims=2, dynamic_faults=3, seed=2)
@@ -285,10 +285,7 @@ class TestDecisionCache:
         faults = sorted({event.node for event in scenario.schedule.events})
         labeling = build_blocks(mesh, faults).state
         policy = resolve_router(router)
-        if isinstance(policy, StaticBlockRouter):
-            info = policy.adjacent_view(mesh, labeling)
-        else:
-            info = policy.offline_view(mesh, labeling)
+        info = policy.offline_view(mesh, labeling)
         cache = DecisionCache(info, policy.policy)  # shared across routes
         blocked = labeling.block_nodes
         pairs = [
