@@ -1,4 +1,4 @@
-"""Struct-of-arrays probe engine + stacked multi-cell sweep benchmarks.
+"""Probe-table engine + stacked multi-cell sweep benchmarks.
 
 Two comparisons, both parity-gated before anything is timed:
 

@@ -16,8 +16,8 @@ operations over flat representations:
 
 :class:`VectorDecisionEngine` compiles those per-node tables for one
 information view and policy; :func:`classify_rows` classifies every row of
-the struct-of-arrays :class:`~repro.core.probe_table.ProbeTable` in one
-pass: per-node masks (usable, disabled-neighbor, spare-along-block) are
+the :class:`~repro.core.probe_table.ProbeTable` in one pass: per-node
+masks (usable, disabled-neighbor, spare-along-block) are
 gathered by node index, the destination-dependent parts (preferred
 directions, detour demotion, remaining-offset ordering) are computed for the
 whole batch at once, and a single stable argsort recovers exactly the scalar
@@ -214,9 +214,10 @@ def classify_rows(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Classify and order a batch of decision rows in one pass.
 
-    Every input is a column the :class:`~repro.core.probe_table.ProbeTable`
-    keeps per probe.  ``node_idx`` indexes into ``tables`` (already
-    cell-offset for stacked runs); ``cur_idx``/``dest_idx`` are the
+    Every input holds one value per row of the
+    :class:`~repro.core.probe_table.ProbeTable`.  ``node_idx`` indexes
+    into ``tables`` (already cell-offset for stacked runs);
+    ``cur_idx``/``dest_idx`` are the
     *cell-local* linear indices of the current node and the destination
     (keying the pre-signed coordinate and detour bit tables); ``rev_col`` is
     the reversed incoming direction (surface index, ``-1`` for probes
@@ -436,7 +437,7 @@ class VectorDecisionEngine:
     def tables(self) -> Tuple[DecisionTables, Tuple[int, int]]:
         """The (refreshed-on-demand) classification tables plus their token.
 
-        The struct-of-arrays probe table classifies against these (via
+        The probe table classifies against these (via
         :func:`classify_rows`), concatenating the tables of its cells; the
         token is the information's validity key, so callers can cache
         derived state.

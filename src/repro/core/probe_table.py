@@ -1,38 +1,42 @@
-"""Struct-of-arrays probe engine: the vectorized message phase.
+"""Probe table: the message phase's fast path.
 
 This is the simulator's one fast path for Algorithm-3 path setup.  Its
 parity oracle is the scalar loop (``Simulator._step_messages``), which
 keeps one :class:`~repro.core.routing.RoutingProbe` object per in-flight
-message and steps them one by one.  This module keeps *all* in-flight
-probes' state as flat numpy columns instead, one row per probe:
+message and steps it through the scalar decision.  The table keeps one
+:class:`_Row` per in-flight probe instead, a ``__slots__`` object whose
+fields are plain Python values over linear node indices:
 
-* the PCS stack as a ``(probes, depth_cap)`` int32 node-index matrix with a
-  per-probe depth pointer (plus a parallel matrix of the link slot entered
-  at each push, so backtracks release by precomputed slot);
-* per-probe used-direction state as a ``(probes, size)`` uint32 bitmask
-  (bit ``j`` = direction column ``j`` of :attr:`Mesh.directions`);
-* outcome codes, blocked/retry counters, waited flags and the full
-  traversal log as further columns (the log's length and the stack depth
-  together give the forward and backtrack hop counts).
+* the PCS stack (the source at position 0), the link slot entered at each
+  push (so a backtrack releases by slot) and the reversed entry direction
+  per position (-1 at the source): the INCOMING surface index, so
+  classification never reconstructs it from coordinate diffs;
+* used-direction bits per node it forwarded from (bit ``j`` = direction
+  column ``j`` of :attr:`Mesh.directions`);
+* the traversal log (source first; every forward hop pushes and every
+  backtrack pops, and both append to the log, so its length and the stack
+  depth give the forward and backtrack hop counts);
+* blocked-hop and setup-retry counters, the WAIT state and the carryover
+  candidates of its last classification.
 
-Every column is declared once, in the module-level :data:`_COLUMNS`
-registry: its attribute name, dtype, trailing width (none, stack depth,
-path length, mesh size or ``2n``) and the value a fresh row starts with.
-Table construction, injection, compaction and width growth are each one
-loop over that registry.  Columns are exact-length: injection concatenates
-the fresh rows and compaction drops finished ones, so the live rows are
-always whole columns.  No other module reads the column format — the
-step recorder gets its in-flight counters from :meth:`ProbeTable.cell_counters`.
-
-One :meth:`ProbeTable.run_step` call is then a handful of array passes:
-candidates for every probe needing a decision are gathered in one
-:func:`~repro.core.decision.classify_rows` call, contention-free probes
-advance/backtrack by masked column writes, and contended probes run a lean
-sequential scan against the :class:`~repro.pcs.circuit.ArrayCircuitLedger`
-holder column (sequential because a reservation taken by probe *i* must be
-visible to probe *i + 1* within the same step — exactly the scalar loop's
-semantics).  Decisions, per-message paths and statistics are byte-identical
-to the scalar oracle; the parity suite holds the two to that.
+One :meth:`ProbeTable.run_step` call is one batched decision and one loop.
+Every row needing a decision is classified in a single
+:func:`~repro.core.decision.classify_rows` call; then one loop walks every
+row in table order, contended and contention-free cells alike, moving each
+probe one hop forward or back (or WAITing, or restarting its setup) and
+finishing it inline.  The walk is sequential because Algorithm 3's PCS
+setup is: a probe reserves or releases one link per hop, and a reservation
+or release by row *i* must be visible to row *i + 1* of the same cell
+within the same step — exactly the scalar loop's semantics.  (Rows were
+once numpy columns.  The contended walk read them one row at a time
+anyway, so for contended cells the columns only added a per-step round
+trip to Python values and back; every cell also paid a concatenation per
+injection and a compaction per finish.  Contention-free rows used to
+advance by masked column writes; as objects each costs Python work per
+step, which is cheaper up to a few hundred rows a step and dearer at
+thousands.)  Decisions, per-message paths and statistics are
+byte-identical to the scalar oracle; the parity suite holds the two to
+that.
 
 :func:`table_eligible` says which routers the table hosts: every policy
 whose probes classify per direction over one information view — the
@@ -58,9 +62,8 @@ hosts).
 from __future__ import annotations
 
 import weakref
-from itertools import repeat
 from typing import (
-    TYPE_CHECKING, Any, Iterable, List, NamedTuple, Optional, Protocol, Sequence, Tuple,
+    TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple,
     Union,
 )
 
@@ -78,75 +81,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.pcs.circuit import ArrayCircuitLedger
 
 Coord = Tuple[int, ...]
-
-#: Outcome codes of the ``_outc`` column.
-OUTCOME_NONE = -1
-OUTCOME_DELIVERED = 0
-OUTCOME_UNREACHABLE = 1
-
-_OUTCOMES = {
-    OUTCOME_DELIVERED: RouteOutcome.DELIVERED,
-    OUTCOME_UNREACHABLE: RouteOutcome.UNREACHABLE,
-    OUTCOME_NONE: RouteOutcome.EXHAUSTED,
-}
-
-
-class _Column(NamedTuple):
-    """One per-row column of :class:`ProbeTable`, held as attribute ``attr``."""
-
-    attr: str
-    dtype: object
-    #: ``None`` for a 1-D column, else the name of the table attribute
-    #: holding the trailing width.
-    width: Optional[str]
-    #: A fresh row's value; ``None`` means :meth:`ProbeTable._inject` gives
-    #: it per row (a matrix column at position 0, zeros after it).
-    fill: Optional[int]
-
-
-#: Every per-row column, declared once.
-_COLUMNS: Tuple[_Column, ...] = (
-    # The message: owning cell, destination node index, the host's message
-    # object, the step its probe expires at (start + lifetime), ledger
-    # holder id and OUTCOME_* code.
-    _Column("_cell", np.int32, None, None),
-    _Column("_dest", np.int32, None, None),
-    _Column("_msgs", object, None, None),
-    _Column("_expiry", np.int64, None, None),
-    _Column("_holder", np.int64, None, None),
-    _Column("_outc", np.int8, None, None),
-    # The PCS stack (the source node index at position 0) under its depth
-    # pointer, the link slot entered at each push, and the reversed entry
-    # direction per position (-1 at the source): the INCOMING surface
-    # index, so classification never reconstructs it from coordinate diffs.
-    _Column("_depth", np.int32, None, 1),
-    _Column("_stack", np.int32, "_depth_cap", None),
-    _Column("_sslot", np.int32, "_depth_cap", 0),
-    _Column("_sdir", np.int8, "_depth_cap", -1),
-    # Used-direction bitmask per node.
-    _Column("_used", np.uint32, "_size", 0),
-    # Traversal log (source at position 0) and its length.  Every forward
-    # hop pushes and every backtrack pops, and both append to the log, so
-    # depth and length determine the forward and backtrack hop counts.
-    _Column("_plen", np.int32, None, 1),
-    _Column("_path", np.int32, "_path_cap", None),
-    # Blocked hop and setup-retry counters.
-    _Column("_blk", np.int64, None, 0),
-    _Column("_rty", np.int64, None, 0),
-    _Column("_waited", bool, None, 0),
-    # Ledger release-epoch at the row's last full WAIT scan (-1 = must
-    # scan).  While the cell's epoch is unchanged no link was freed, so a
-    # parked waiter's candidates are provably still all blocked.
-    _Column("_wepoch", np.int64, None, -1),
-    # Carryover candidates (valid while ``_cvalid``): sorted directions,
-    # their next nodes and link slots, and the candidate count with rule-1
-    # backtracks encoded as -1 (zero is a genuine empty candidate list).
-    _Column("_cdirs", np.int8, "_two_n", 0),
-    _Column("_cnext", np.int32, "_two_n", 0),
-    _Column("_cslot", np.int32, "_two_n", 0),
-    _Column("_cn", np.int16, None, 0),
-    _Column("_cvalid", bool, None, 0),
-)
 
 
 def table_eligible(router: object, backend: Optional[str], n_dims: int) -> bool:
@@ -214,14 +148,14 @@ class TableHost(Protocol):
 
 
 class _CellState:
-    """One attached host: its router's view, classifier and ledger."""
+    """One attached host: its router's view, classifier, ledger and rows."""
 
     __slots__ = (
-        "host", "router", "view", "classifier", "ledger", "lifetime", "carry_token",
-        "next_holder",
+        "host", "router", "view", "classifier", "ledger", "lifetime", "index",
+        "offset", "carry_token", "carry_gen", "next_holder", "rows",
     )
 
-    def __init__(self, host: TableHost) -> None:
+    def __init__(self, host: TableHost, index: int) -> None:
         # Non-owning: a simulator owns its table, so a strong reference
         # back would make every finished simulator wait for the cycle
         # collector instead of being freed when its last user drops it.
@@ -231,10 +165,18 @@ class _CellState:
         self.classifier: Optional[VectorDecisionEngine] = None
         self.ledger = host.circuits
         self.lifetime = host.probe_lifetime
-        #: Information token of the last classification — WAIT carryover is
-        #: only valid while it is unchanged (a WAIT changes no probe state).
+        #: Cell id, and where its nodes start in concatenated tables.
+        self.index = index
+        self.offset = index * host.mesh.size
+        #: Information token of the last classification, and a counter
+        #: bumped whenever it changes: a WAITing row's candidates carry
+        #: over only while the counter is the one it was classified under
+        #: (a WAIT changes no probe state).
         self.carry_token: Optional[Tuple[int, int]] = None
+        self.carry_gen = 0
         self.next_holder = 0
+        #: In-flight rows of this cell.
+        self.rows = 0
 
     def engine(self) -> VectorDecisionEngine:
         """The classifier over the view this cell's router decides against.
@@ -249,8 +191,53 @@ class _CellState:
         return self.classifier
 
 
+class _Row:
+    """One in-flight probe: its message, PCS state and counters."""
+
+    __slots__ = (
+        "cs", "message", "dest", "expiry", "holder", "outcome",
+        "stack", "slots", "rdirs", "used", "path",
+        "blocked", "retries", "waited", "wepoch", "cdirs", "count", "carry_gen",
+    )
+
+    def __init__(
+        self, cs: _CellState, message: Any, src: int, dest: int, holder: int
+    ) -> None:
+        self.cs = cs
+        self.message = message
+        self.dest = dest
+        #: The step the probe expires at (start + lifetime).
+        self.expiry = message.start_time + cs.lifetime
+        #: Ledger holder id.
+        self.holder = holder
+        #: ``None`` while the probe is in flight.
+        self.outcome = RouteOutcome.DELIVERED if src == dest else None
+        # The PCS stack, the link slot entered at each push and the
+        # reversed entry direction per position.
+        self.stack = [src]
+        self.slots = [-1]
+        self.rdirs = [-1]
+        #: Used-direction bits per node index.
+        self.used: Dict[int, int] = {}
+        #: Traversal log.
+        self.path = [src]
+        self.blocked = 0
+        self.retries = 0
+        self.waited = False
+        #: Ledger release epoch at the row's last full WAIT scan (-1 = must
+        #: scan).  While the cell's epoch is unchanged no link was freed, so
+        #: a parked waiter's candidates are provably still all blocked.
+        self.wepoch = -1
+        #: Candidates of the last classification, in priority order, and
+        #: how many are real (-1 = a rule-1 backtrack; zero is a genuine
+        #: empty candidate list).
+        self.cdirs: List[int] = []
+        self.count = 0
+        self.carry_gen = -1
+
+
 class ProbeTable:
-    """All in-flight probes of one or more same-shape cells, as flat columns."""
+    """All in-flight probes of one or more same-shape cells, one row each."""
 
     def __init__(self, mesh: Mesh) -> None:
         self.mesh = mesh
@@ -260,31 +247,18 @@ class ProbeTable:
         self._size = mesh.size
         if self._two_n > 32:
             raise ValueError("used-direction bitmask supports at most 16 dimensions")
-        self._neighbors = mesh.neighbor_table
-        self._slots = mesh.link_slot_table
+        # Per node index, per direction column: the neighbor and the link
+        # slot (-1 off-mesh), as lists the row walk indexes directly.
+        self._neighbors = mesh.neighbor_table.tolist()
+        self._slots = mesh.link_slot_table.tolist()
         self._coord_tuples = tuple(mesh.nodes())
 
         self._cells: List[_CellState] = []
-        self._cell_count: List[int] = []
-        self._offsets = np.zeros(0, dtype=np.int64)
-        self._cell_is_free = np.zeros(0, dtype=bool)
-        self._any_free = False
-        self._any_contended = False
+        #: Every in-flight row, in table (injection) order.
+        self._rows: List[_Row] = []
         self._concat_tokens: Optional[List[Tuple[int, int]]] = None
         self._concat_tables: Optional[DecisionTables] = None
         self._concat_hasc: List[bool] = []
-        self._arange = np.zeros(0, dtype=np.int64)
-
-        # -- the _COLUMNS (exact row count; dropped as probes finish) -----
-        self._depth_cap = 8
-        self._path_cap = 16
-        # High-water stack depth / path length (capacity growth triggers);
-        # a fresh row has both at 1.
-        self._hw_depth = 1
-        self._hw_plen = 1
-        for attr, dtype, width, _fill in _COLUMNS:
-            shape = (0, getattr(self, width)) if width else 0
-            setattr(self, attr, np.zeros(shape, dtype=dtype))
 
     # ------------------------------------------------------------------ #
     # cell management
@@ -296,33 +270,36 @@ class ProbeTable:
                 f"cell mesh {host.mesh.shape} does not match table mesh {self.mesh.shape}"
             )
         cell = len(self._cells)
-        self._cells.append(_CellState(host))
-        self._cell_count.append(0)
-        self._offsets = np.arange(len(self._cells), dtype=np.int64) * self._size
-        self._cell_is_free = np.array(
-            [cs.ledger is None for cs in self._cells], dtype=bool
-        )
-        self._any_free = bool(self._cell_is_free.any())
-        self._any_contended = not self._cell_is_free.all()
+        self._cells.append(_CellState(host, cell))
         self._concat_tokens = None
         self._concat_tables = None
         self._concat_hasc = []
         return cell
 
+    @property
+    def _cell(self) -> np.ndarray:
+        """Each row's cell id, in table order (its size is the row count).
+
+        Built on demand for instrumentation: perfbench's tracer reads the
+        row count off it when a step starts.
+        """
+        return np.array([row.cs.index for row in self._rows], dtype=np.int32)
+
     def cell_rows(self, cell: int) -> int:
-        """Number of in-flight probes of ``cell`` (O(1) — kept current by
-        inject/drop, so per-step ``_work_remaining`` polls stay cheap)."""
-        return self._cell_count[cell]
+        """Number of in-flight probes of ``cell`` (O(1), so per-step
+        ``_work_remaining`` polls stay cheap)."""
+        return self._cells[cell].rows
 
     def cell_counters(self, cell: int) -> Tuple[int, int, int, int]:
         """``(in_flight, blocked_hops, setup_retries, waiting)`` over the
         in-flight probes of ``cell`` — the step recorder's counter read."""
-        rows = slice(None) if len(self._cells) == 1 else self._cell == cell
+        cs = self._cells[cell]
+        rows = [row for row in self._rows if row.cs is cs]
         return (
-            self._cell_count[cell],
-            int(self._blk[rows].sum()),
-            int(self._rty[rows].sum()),
-            int(np.count_nonzero(self._waited[rows])),
+            cs.rows,
+            sum(row.blocked for row in rows),
+            sum(row.retries for row in rows),
+            sum(row.waited for row in rows),
         )
 
     # ------------------------------------------------------------------ #
@@ -347,57 +324,30 @@ class ProbeTable:
                 ledger = self._cells[c].ledger
                 if ledger is not None:
                     ledger.release_expired(t)
-        if len(self._cell):
+        if self._rows:
             with profiler.span("decision_batch"):
                 self._classify()
-                self._ensure_capacity()
             with profiler.span("probe_advance"):
-                fin: List[int] = []
-                if self._any_free:
-                    self._advance_free(fin, t)
-                if self._any_contended:
-                    self._advance_contended(fin, t)
-                if fin:
-                    self._drop(fin)
+                self._advance(t)
         with profiler.span("occupancy"):
             for c in cells:
                 cs = self._cells[c]
                 if cs.ledger is not None:
                     cs.host.record_occupancy()
 
-    # ------------------------------------------------------------------ #
-    # injection
-    # ------------------------------------------------------------------ #
     def _inject(self, c: int, t: int) -> None:
         cs = self._cells[c]
         messages = cs.host.poll(t)
         if not messages:
             return
         index_of = self.mesh.index_of
-        k = len(messages)
-        src = np.array([index_of(m.source) for m in messages], dtype=np.int32)
-        dest = np.array([index_of(m.destination) for m in messages], dtype=np.int32)
-        given = {
-            "_cell": [c] * k,
-            "_dest": dest,
-            "_msgs": messages,
-            "_expiry": [m.start_time + cs.lifetime for m in messages],
-            "_holder": np.arange(cs.next_holder, cs.next_holder + k),
-            "_outc": np.where(src == dest, OUTCOME_DELIVERED, OUTCOME_NONE),
-            "_stack": src,
-            "_path": src,
-        }
-        cs.next_holder += k
-        for attr, dtype, width, fill in _COLUMNS:
-            if fill is None and not width:
-                fresh = np.asarray(given[attr], dtype)
-            else:
-                shape = (k, getattr(self, width)) if width else k
-                fresh = np.full(shape, fill, dtype) if fill else np.zeros(shape, dtype)
-                if fill is None:  # a matrix column's source entry
-                    fresh[:, 0] = given[attr]
-            setattr(self, attr, np.concatenate([getattr(self, attr), fresh]))
-        self._cell_count[c] += k
+        rows = self._rows
+        holder = cs.next_holder
+        for m in messages:
+            rows.append(_Row(cs, m, index_of(m.source), index_of(m.destination), holder))
+            holder += 1
+        cs.next_holder = holder
+        cs.rows += len(messages)
 
     # ------------------------------------------------------------------ #
     # classification
@@ -502,442 +452,149 @@ class ProbeTable:
         row nor the information, so its classification still holds.
         """
         tables, tokens = self._tables()
-        for c, cs in enumerate(self._cells):
-            if tokens[c] != cs.carry_token:
-                if cs.carry_token is not None:
-                    self._cvalid[self._cell == c] = False
-                cs.carry_token = tokens[c]
+        for cs, token in zip(self._cells, tokens):
+            if token != cs.carry_token:
+                cs.carry_token = token
+                cs.carry_gen += 1
 
-        # Finished-but-uncompacted rows (src == dst injections) classify
-        # harmlessly — the advance checks the outcome first — so the only
-        # skip worth testing for is the WAIT carry.
-        sel = np.flatnonzero(~(self._waited & self._cvalid))
-        if sel.size == 0:
+        # Finished rows (src == dst injections) classify harmlessly — the
+        # advance checks the outcome first — so the only skip worth testing
+        # for is the WAIT carry.
+        rows = [
+            row for row in self._rows
+            if not row.waited or row.carry_gen != row.cs.carry_gen
+        ]
+        if not rows:
             return
-        dm1 = self._depth[sel] - 1
-        cur = self._stack[sel, dm1]
-        dest = self._dest[sel]
-        used_bits = self._used[sel, cur]
-        # Rule 1 compares positions, not stack depth: a probe that looped
-        # forward back onto its source coordinate is "at source" here.
-        at_source = cur == self._stack[sel, 0]
-        rev = self._sdir[sel, dm1]
-
+        cur = [row.stack[-1] for row in rows]
+        cur_idx = np.array(cur)
         if len(self._cells) > 1:
-            node_idx = cur + self._offsets[self._cell[sel]]
+            node_idx = np.array([row.cs.offset + c for row, c in zip(rows, cur)])
         else:
-            node_idx = cur
+            node_idx = cur_idx
         backtrack, sorted_dirs, counts, _keys = classify_rows(
-            tables, node_idx, cur, dest, rev, used_bits, at_source
+            tables,
+            node_idx,
+            cur_idx,
+            np.array([row.dest for row in rows]),
+            np.array([row.rdirs[-1] for row in rows]),
+            np.array([row.used.get(c, 0) for row, c in zip(rows, cur)], dtype=np.uint32),
+            # Rule 1 compares positions, not stack depth: a probe that
+            # looped forward back onto its source coordinate is "at
+            # source" here.
+            np.array([row.stack[0] == c for row, c in zip(rows, cur)]),
         )
-        cur_col = cur[:, None]
-        self._cdirs[sel] = sorted_dirs
-        self._cn[sel] = np.where(backtrack, -1, counts)
-        self._cnext[sel] = self._neighbors[cur_col, sorted_dirs]
-        self._cslot[sel] = self._slots[cur_col, sorted_dirs]
-        self._cvalid[sel] = True
-        # Fresh candidates: any parked waiter here must do a full scan.
-        self._wepoch[sel] = -1
-
-    def _ensure_capacity(self) -> None:
-        """Grow the stack/path matrices so one more hop always fits.
-
-        Keyed off the high-water depth/path-length marks the advance passes
-        maintain, so no per-step column reduction is needed.
-        """
-        for cap_attr, high in (
-            ("_depth_cap", self._hw_depth), ("_path_cap", self._hw_plen)
+        for row, dirs, count, bt in zip(
+            rows, sorted_dirs.tolist(), counts.tolist(), backtrack.tolist()
         ):
-            cap = getattr(self, cap_attr)
-            if high + 1 >= cap:
-                new_cap = max(cap * 2, high + 2)
-                pad = ((0, 0), (0, new_cap - cap))
-                for attr, _dtype, width, _fill in _COLUMNS:
-                    if width == cap_attr:
-                        setattr(self, attr, np.pad(getattr(self, attr), pad))
-                setattr(self, cap_attr, new_cap)
+            row.cdirs = dirs
+            row.count = -1 if bt else count
+            row.carry_gen = row.cs.carry_gen
+            # Fresh candidates: a parked waiter here must do a full scan.
+            row.wepoch = -1
 
     # ------------------------------------------------------------------ #
-    # contention-free advance (bulk)
+    # the advance
     # ------------------------------------------------------------------ #
-    def _advance_free(self, fin: List[int], t: int) -> None:
-        free_rows = self._cell_is_free[self._cell]
-        act = np.flatnonzero(free_rows & (self._outc == OUTCOME_NONE))
-        if act.size:
-            counts = self._cn[act]
-            # A non-positive count means BACKTRACK (rule-1 rows store -1,
-            # and rule 1 never fires at the source, so the at-source case
-            # is genuine exhaustion → UNREACHABLE).
-            bt = counts <= 0
-            at_src = self._depth[act] == 1
-            unreach = bt & at_src
-            if unreach.any():
-                self._outc[act[unreach]] = OUTCOME_UNREACHABLE
-            pop = bt & ~at_src
-            if pop.any():
-                r = act[pop]
-                self._depth[r] -= 1
-                retreat = self._stack[r, self._depth[r] - 1]
-                self._path[r, self._plen[r]] = retreat
-                self._plen[r] += 1
-            adv = ~bt
-            if adv.any():
-                r = act[adv]
-                cur = self._stack[r, self._depth[r] - 1]
-                d0 = self._cdirs[r, 0].astype(np.int64)
-                self._used[r, cur] |= np.uint32(1) << d0.astype(np.uint32)
-                nxt = self._cnext[r, 0]
-                self._stack[r, self._depth[r]] = nxt
-                self._sdir[r, self._depth[r]] = np.where(
-                    d0 < self._n, d0 + self._n, d0 - self._n
-                ).astype(np.int8)
-                self._depth[r] += 1
-                self._path[r, self._plen[r]] = nxt
-                self._plen[r] += 1
-                self._hw_depth = max(self._hw_depth, int(self._depth[r].max()))
-                delivered = nxt == self._dest[r]
-                if delivered.any():
-                    self._outc[r[delivered]] = OUTCOME_DELIVERED
-            if (pop | adv).any():
-                self._hw_plen = max(self._hw_plen, int(self._plen[act].max()))
-        rows_all = np.flatnonzero(free_rows)
-        if rows_all.size:
-            done = (self._outc[rows_all] != OUTCOME_NONE) | (self._expiry[rows_all] <= t)
-            if done.any():
-                finished = rows_all[done]
-                for r in finished.tolist():
-                    self._finish_row(r, t)
-                fin.extend(finished.tolist())
+    def _advance(self, t: int) -> None:
+        """Move every row one step in table order, finishing rows inline.
 
-    # ------------------------------------------------------------------ #
-    # contended advance (sequential, exact scalar semantics)
-    # ------------------------------------------------------------------ #
-    def _advance_contended(self, fin: List[int], t: int) -> None:
-        """Advance every contended cell's rows in one extraction pass.
-
-        Rows are walked grouped by cell (stable order within each cell —
-        the scalar sequential-visibility contract is per cell), so the
-        column extraction, the writeback and the batched matrix writes all
-        happen once per step regardless of how many cells are stacked.
+        A finishing row releases its links at once (a delivery's excursion
+        links, or a failure's whole circuit), so rows later in the walk see
+        them, as they see every hop's reservation or release.
         """
-        # Gridlock short-circuit: a cell where every in-flight row is parked
-        # (waiting, release-epoch current, unexpired) cannot move, release
-        # or reserve anything this step, so the whole cell's step collapses
-        # to the exact counter bumps the scalar scan would make.  A single
-        # non-parked row disqualifies its cell — its releases could unblock
-        # parked rows mid-pass, which only the sequential walk can see.
-        #
-        # Single-cell fast path: the rows are the whole table, so columns
-        # extract as views, without the fancy-index copy.
-        if len(self._cells) == 1:
-            count_rows = self._cell.size
-            if count_rows == 0:
-                return
-            parked = (
-                self._waited
-                & (self._wepoch == self._cells[0].ledger._epoch)
-                & (self._expiry > t)
-            )
-            if parked.all():
-                self._rty += 1
-                self._blk += self._cn
-                return
-            rows = slice(None)
-            if self._arange.size < count_rows:
-                self._arange = np.arange(
-                    max(count_rows, 2 * self._arange.size), dtype=np.int64
-                )
-            ridx = self._arange[:count_rows]
-            rlist: Sequence[int] = range(count_rows)
-            cell_stream: Iterable[int] = repeat(0)
-        else:
-            contended_row = ~self._cell_is_free[self._cell]
-            epochs = np.fromiter(
-                (
-                    0 if cs.ledger is None else cs.ledger._epoch
-                    for cs in self._cells
-                ),
-                dtype=np.int64,
-                count=len(self._cells),
-            )
-            parked = (
-                self._waited
-                & (self._wepoch == epochs[self._cell])
-                & (self._expiry > t)
-            )
-            counts_arr = np.bincount(self._cell, minlength=len(self._cells))
-            allfast = (
-                (
-                    np.bincount(
-                        self._cell, weights=parked, minlength=len(self._cells)
-                    ).astype(np.int64)
-                    == counts_arr
-                )
-                & (counts_arr > 0)
-                & ~self._cell_is_free
-            )
-            if allfast.any():
-                av = allfast[self._cell]
-                self._rty[av] += 1
-                self._blk[av] += self._cn[av]
-                contended_row &= ~av
-            rows_all = np.flatnonzero(contended_row)
-            if rows_all.size == 0:
-                return
-            rows = rows_all[np.argsort(self._cell[rows_all], kind="stable")]
-            ridx = rows
-            rlist = rows.tolist()
-            cell_stream = self._cell[rows].tolist()
-
-        # The per-hop reserve/release bookkeeping is inlined against the
-        # current cell's ledger columns (the scan already proved the slot
-        # free or ours), with the reserved-link count batched into
-        # ``res_delta`` and flushed at every cell switch and finish.
-        ledger = None
-        holder_col = refcount = release_col = held_map = None
-        cell_epoch = 0
-        cur_c = -1
-
-        stack = self._stack
-        sslot = self._sslot
-        path = self._path
-
-        # The per-row columns the walk mutates, as Python lists; each
-        # finishing row and, after the walk, every row write them back.
-        synced = (self._depth, self._plen, self._blk, self._rty,
-                  self._waited, self._wepoch)
-        lists = [col[rows].tolist() for col in synced]
-        depth_l, plen_l, blk_l, rty_l, waited_l, wep_l = lists
-        # Per-row geometry at the pre-step depth, extracted in bulk: the
-        # current node (used-bit updates), the retreat node one below it
-        # (backtrack path entries) and the entry slot (backtrack releases).
-        dm1 = self._depth[rows] - 1
-
-        # Deferred matrix writes: each row moves at most one hop per step
-        # and no row reads another row's stack/path/used, so the per-move
-        # scalar stores batch into a few fancy-index writes after the loop.
-        f_r: List[int] = []  # forward movers: row, pre-depth, pre-plen,
-        f_d: List[int] = []  # next node, slot taken, direction, from-node
-        f_p: List[int] = []
-        f_nxt: List[int] = []
-        f_slot: List[int] = []
-        f_dir: List[int] = []
-        f_cur: List[int] = []
-        b_r: List[int] = []  # backtrackers: row, pre-plen, retreat node
-        b_p: List[int] = []
-        b_ret: List[int] = []
-        rs_r: List[int] = []  # restarters: used mask clears
-        res_delta = 0
-        hw_d = 0
-        hw_p = 0
-
-        # One zip stream per read-only column: iterating fourteen parallel
-        # lists through a single zip is markedly cheaper than fourteen
-        # ``lst[i]`` index expressions per row.  depth/plen appear both in
-        # the stream (pre-step values — each row only mutates its own index,
-        # after zip has already read it) and as mutable lists for writeback.
-        stream = zip(
-            rlist,
-            cell_stream,
-            self._outc[rows].tolist(),
-            depth_l,
-            plen_l,
-            self._cn[rows].tolist(),
-            self._holder[rows].tolist(),
-            self._dest[rows].tolist(),
-            self._cslot[rows].tolist(),
-            self._cnext[rows].tolist(),
-            self._cdirs[rows].tolist(),
-            (self._expiry[rows] <= t).tolist(),
-            stack[ridx, dm1].tolist(),
-            stack[ridx, np.maximum(dm1 - 1, 0)].tolist(),
-            sslot[ridx, dm1].tolist(),
-        )
-        for i, (r, c, outcome, depth, plen, count, mine, dest, row_slots,
-                row_next, row_dirs, expired, cur, ret, tslot) in enumerate(
-                    stream):
-            if c != cur_c:
-                if res_delta:
-                    ledger._reserved_count += res_delta
-                    res_delta = 0
-                ledger = self._cells[c].ledger
-                holder_col = ledger._holder
-                refcount = ledger._refcount
-                release_col = ledger._release
-                held_map = ledger._held
-                cell_epoch = ledger._epoch
-                cur_c = c
-            moved = 0
-            if outcome == OUTCOME_NONE and waited_l[i] and wep_l[i] == cell_epoch:
-                # Parked waiter: no link in this cell was freed since its
-                # last full scan (and its candidates are unchanged), so every
-                # candidate is provably still blocked.  The scalar scan would
-                # re-count the same blocks and wait again.
-                rty_l[i] += 1
-                blk_l[i] += count
-            elif outcome == OUTCOME_NONE:
-                stay = False  # WAIT or RESTART: no move, but expiry still runs
-                decision_backtrack = False
-                if count <= 0:
-                    if count == 0 and depth == 1 and (blk_l[i] or rty_l[i]):
-                        # RESTART: exhaustion contaminated by reservations.
-                        rs_r.append(r)
-                        rty_l[i] += 1
-                        waited_l[i] = False
-                        stay = True
-                    else:
-                        decision_backtrack = True
+        kept: List[_Row] = []
+        for row in self._rows:
+            if row.outcome is None:
+                ledger = row.cs.ledger
+                if row.waited and row.wepoch == ledger._epoch:
+                    # Parked waiter: no link in this cell was freed since its
+                    # last full scan (and its candidates are unchanged), so
+                    # every candidate is provably still blocked.  The scalar
+                    # scan would re-count the same blocks and wait again.
+                    row.retries += 1
+                    row.blocked += row.count
                 else:
-                    forward = -1
-                    blocked = 0
-                    for j in range(count):
-                        owner = holder_col[row_slots[j]]
-                        if owner >= 0 and owner != mine:
-                            blocked += 1
-                            continue
-                        forward = j
+                    self._move(row, ledger)
+            if row.outcome is not None or row.expiry <= t:
+                self._finish(row, t)
+            else:
+                kept.append(row)
+        self._rows = kept
+
+    def _move(self, row: _Row, ledger: Optional["ArrayCircuitLedger"]) -> None:
+        """One Algorithm-3 decision of a row that is not parked.
+
+        A contended row (``ledger`` given) skips, and counts as blocked,
+        every candidate whose link another holder has, and reserves or
+        releases the link it moves over; a contention-free row takes its
+        first candidate.
+        """
+        row.waited = False
+        stack = row.stack
+        count = row.count
+        if count > 0:
+            cur = stack[-1]
+            dirs = row.cdirs
+            j = 0
+            if ledger is not None:
+                holders = ledger._holder
+                links = self._slots[cur]
+                for j in range(count):
+                    owner = holders[links[dirs[j]]]
+                    if owner < 0 or owner == row.holder:
                         break
-                    if blocked:
-                        blk_l[i] += blocked
-                    if forward < 0:
-                        rty_l[i] += 1
-                        if depth == 1:
-                            waited_l[i] = True  # WAIT: nothing to release
-                            wep_l[i] = cell_epoch  # park until a release
-                            stay = True
-                        else:
-                            decision_backtrack = True
-                if not stay:
-                    waited_l[i] = False
-                    if decision_backtrack:
-                        if depth == 1:
-                            outcome = OUTCOME_UNREACHABLE
-                        else:
-                            # Inline ledger.release_slot(mine, entry slot).
-                            slot = tslot
-                            held = held_map.get(mine)
-                            if held is not None and slot in held:
-                                rc = refcount[slot] - 1
-                                if rc <= 0:
-                                    refcount[slot] = 0
-                                    if release_col[slot] != -1:
-                                        release_col[slot] = -1
-                                    held.discard(slot)
-                                    if holder_col[slot] == mine:
-                                        holder_col[slot] = -1
-                                        res_delta -= 1
-                                        ledger._epoch += 1
-                                        cell_epoch += 1
-                                    if not held:
-                                        del held_map[mine]
-                                else:
-                                    refcount[slot] = rc
-                            depth_l[i] = depth - 1
-                            moved = 2
-                            b_r.append(r)
-                            b_p.append(plen)
-                            b_ret.append(ret)
-                            p1 = plen + 1
-                            plen_l[i] = p1
-                            if p1 > hw_p:
-                                hw_p = p1
-                    else:
-                        slot = row_slots[forward]
-                        nxt = row_next[forward]
-                        moved = 1
-                        f_r.append(r)
-                        f_d.append(depth)
-                        f_p.append(plen)
-                        f_nxt.append(nxt)
-                        f_slot.append(slot)
-                        f_dir.append(row_dirs[forward])
-                        f_cur.append(cur)
-                        d1 = depth + 1
-                        depth_l[i] = d1
-                        if d1 > hw_d:
-                            hw_d = d1
-                        p1 = plen + 1
-                        plen_l[i] = p1
-                        if p1 > hw_p:
-                            hw_p = p1
-                        # Inline ledger.reserve_slot(mine, slot): the scan
-                        # above proved the slot free or already ours.
-                        if holder_col[slot] < 0:
-                            holder_col[slot] = mine
-                            res_delta += 1
-                        held = held_map.get(mine)
-                        if held is None:
-                            held_map[mine] = {slot}
-                        else:
-                            held.add(slot)
-                        refcount[slot] += 1
-                        if nxt == dest:
-                            outcome = OUTCOME_DELIVERED
-            if outcome != OUTCOME_NONE or expired:
-                # Finish inline: sync this row's columns and pending matrix
-                # writes first (the record and circuit read them), then the
-                # finish releases — a delivery's excursion links (or a
-                # failure's whole circuit) free up for probes later in this
-                # loop.
-                self._outc[r] = outcome
-                for col, values in zip(synced, lists):
-                    col[r] = values[i]
-                if moved == 1:
-                    stack[r, depth] = f_nxt[-1]
-                    sslot[r, depth] = f_slot[-1]
-                    path[r, plen] = f_nxt[-1]
-                elif moved == 2:
-                    path[r, plen] = b_ret[-1]
-                ledger._reserved_count += res_delta
-                res_delta = 0
-                self._finish_row(r, t)
-                # The finish may have released the row's circuit links;
-                # parked waiters later in this pass must see that.
-                cell_epoch = ledger._epoch
-                fin.append(r)
-
-        # ``outc`` never changes for surviving rows (every outcome
-        # assignment finishes the row inline above), so it needs no
-        # writeback.
-        for col, values in zip(synced, lists):
-            col[rows] = values
-
-        n = self._n
-        if f_r:
-            fr = np.array(f_r, dtype=np.int64)
-            fd = np.array(f_d, dtype=np.int64)
-            fdir = np.array(f_dir, dtype=np.int64)
-            nx = np.array(f_nxt, dtype=np.int32)
-            self._used[fr, f_cur] |= (np.uint32(1) << fdir).astype(np.uint32)
-            stack[fr, fd] = nx
-            sslot[fr, fd] = np.array(f_slot, dtype=np.int32)
-            self._sdir[fr, fd] = np.where(fdir < n, fdir + n, fdir - n).astype(
-                np.int8
-            )
-            path[fr, f_p] = nx
-        if b_r:
-            path[np.array(b_r, dtype=np.int64), b_p] = np.array(
-                b_ret, dtype=np.int32
-            )
-        if rs_r:
-            self._used[np.array(rs_r, dtype=np.int64)] = 0
-        ledger._reserved_count += res_delta
-        if hw_d > self._hw_depth:
-            self._hw_depth = hw_d
-        if hw_p > self._hw_plen:
-            self._hw_plen = hw_p
+                else:
+                    j = count
+                row.blocked += j
+            if j < count:
+                d = dirs[j]
+                nxt = self._neighbors[cur][d]
+                slot = self._slots[cur][d]
+                row.used[cur] = row.used.get(cur, 0) | 1 << d
+                stack.append(nxt)
+                row.slots.append(slot)
+                row.rdirs.append((d + self._n) % self._two_n)
+                row.path.append(nxt)
+                if ledger is not None:
+                    ledger.reserve_slot(row.holder, slot)
+                if nxt == row.dest:
+                    row.outcome = RouteOutcome.DELIVERED
+                return
+            row.retries += 1
+            if len(stack) == 1:
+                # WAIT: nothing to release; park until a link of this cell
+                # is freed.
+                row.waited = True
+                row.wepoch = ledger._epoch
+                return
+        elif len(stack) == 1:
+            if count == 0 and (row.blocked or row.retries):
+                # RESTART: exhaustion contaminated by reservations.
+                row.used.clear()
+                row.retries += 1
+            else:
+                row.outcome = RouteOutcome.UNREACHABLE
+            return
+        # BACKTRACK one hop, releasing the link retreated over.
+        stack.pop()
+        row.rdirs.pop()
+        slot = row.slots.pop()
+        row.path.append(stack[-1])
+        if ledger is not None:
+            ledger.release_slot(row.holder, slot)
 
     # ------------------------------------------------------------------ #
     # finishing
     # ------------------------------------------------------------------ #
-    def _row_result(self, r: int) -> RouteResult:
+    def _result(self, row: _Row) -> RouteResult:
         coords = self._coord_tuples
-        depth, plen = int(self._depth[r]), int(self._plen[r])
-        path = [coords[i] for i in self._path[r, :plen].tolist()]
+        depth, plen = len(row.stack), len(row.path)
+        path = [coords[i] for i in row.path]
         source = path[0]
-        destination = coords[self._dest[r]]
+        destination = coords[row.dest]
         return RouteResult(
-            outcome=_OUTCOMES[int(self._outc[r])],
+            outcome=row.outcome or RouteOutcome.EXHAUSTED,
             path=path,
             source=source,
             destination=destination,
@@ -945,24 +602,23 @@ class ProbeTable:
             # depth - 1 = forward - backtrack; plen - 1 = forward + backtrack.
             forward_hops=(plen + depth) // 2 - 1,
             backtrack_hops=(plen - depth) // 2,
-            blocked_hops=int(self._blk[r]),
-            setup_retries=int(self._rty[r]),
+            blocked_hops=row.blocked,
+            setup_retries=row.retries,
         )
 
-    def _finish_row(self, r: int, t: int) -> None:
+    def _finish(self, row: _Row, t: int) -> None:
         """Record one finished row, mirroring the scalar finish order."""
-        cs = self._cells[self._cell[r]]
-        message = self._msgs[r]
-        cs.host.finish_message(message, self._row_result(r), finish_step=t)
+        cs = row.cs
+        cs.host.finish_message(row.message, self._result(row), finish_step=t)
         ledger = cs.ledger
         if ledger is not None:
-            holder = int(self._holder[r])
-            if self._outc[r] == OUTCOME_DELIVERED:
+            if row.outcome is RouteOutcome.DELIVERED:
                 coords = self._coord_tuples
-                stack = [coords[i] for i in self._stack[r, : self._depth[r]].tolist()]
-                cs.host.hold_circuit(holder, stack, message, t)
+                stack = [coords[i] for i in row.stack]
+                cs.host.hold_circuit(row.holder, stack, row.message, t)
             else:
-                ledger.release(holder)
+                ledger.release(row.holder)
+        cs.rows -= 1
 
     def flush_cell(self, cell: int) -> None:
         """Flush ``cell``'s in-flight probes (step budget ran out).
@@ -971,15 +627,16 @@ class ProbeTable:
         recorded with no finish step (no source feedback), its reservations
         released, and its row removed.
         """
-        rows = np.flatnonzero(self._cell == cell)
-        if rows.size == 0:
-            return
         cs = self._cells[cell]
-        for r in rows.tolist():
-            cs.host.finish_message(self._msgs[r], self._row_result(r), finish_step=None)
+        flushed = [row for row in self._rows if row.cs is cs]
+        if not flushed:
+            return
+        for row in flushed:
+            cs.host.finish_message(row.message, self._result(row), finish_step=None)
             if cs.ledger is not None:
-                cs.ledger.release(int(self._holder[r]))
-        self._drop(rows)
+                cs.ledger.release(row.holder)
+        self._rows = [row for row in self._rows if row.cs is not cs]
+        cs.rows = 0
 
     def teardown_node(self, cell: int, node: Coord, t: int) -> None:
         """Tear down ``cell``'s rows standing on or routed through ``node``.
@@ -988,50 +645,29 @@ class ProbeTable:
         (``Simulator._teardown_node``): rows whose stack crosses the failed
         node finish EXHAUSTED in insertion order, with the usual source
         feedback and ledger release through the normal finish path — so the
-        flat-column engine stays byte-identical to the scalar loop.
+        table stays byte-identical to the scalar loop.
         """
-        rows = np.flatnonzero(self._cell == cell)
-        if rows.size == 0:
-            return
+        cs = self._cells[cell]
         node_idx = self.mesh.index_of(node)
-        depth = self._depth[rows]
-        onstack = (self._stack[rows] == node_idx) & (
-            np.arange(self._depth_cap)[None, :] < depth[:, None]
-        )
-        doomed = rows[onstack.any(axis=1)]
-        if doomed.size == 0:
+        kept: List[_Row] = []
+        doomed: List[_Row] = []
+        for row in self._rows:
+            (doomed if row.cs is cs and node_idx in row.stack else kept).append(row)
+        if not doomed:
             return
-        for r in doomed.tolist():
-            self._finish_row(r, t)
-        self._drop(doomed)
-
-    def _drop(self, rows: Sequence[int]) -> None:
-        """Compact every column past the finished (already recorded) ``rows``."""
-        keep = np.ones(self._cell.size, dtype=bool)
-        keep[rows] = False
-        keep = np.flatnonzero(keep)
-        for attr, _dtype, _width, _fill in _COLUMNS:
-            setattr(self, attr, getattr(self, attr)[keep])
-        self._cell_count = np.bincount(
-            self._cell, minlength=len(self._cells)
-        ).tolist()
+        for row in doomed:
+            self._finish(row, t)
+        self._rows = kept
 
 
-class _Pair:
-    """One pair of an offline batch, as the table injects it.
+class _Pair(NamedTuple):
+    """One pair of an offline batch, as the table injects it."""
 
-    Not a tuple: the table keeps messages in an object column, and numpy
-    would unpack tuples into a second axis.
-    """
-
-    __slots__ = ("source", "destination", "index")
-    start_time = 0
-
-    def __init__(self, source: Sequence[int], destination: Sequence[int], index: int):
-        self.source = source
-        self.destination = destination
-        #: Position in the batch, where the result goes.
-        self.index = index
+    source: Sequence[int]
+    destination: Sequence[int]
+    #: Position in the batch, where the result goes.
+    index: int
+    start_time: int = 0
 
 
 class OfflineBatch:

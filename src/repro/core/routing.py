@@ -144,7 +144,7 @@ class ProbeHeader:
     ``trace`` is the probe's full traversal log — every node visited, in
     order, backtracks included — maintained by :meth:`push` / :meth:`pop`
     themselves so there is exactly one source of truth for the reported
-    path (scalar probes and the struct-of-arrays table share it).
+    path of a scalar probe.
     """
 
     destination: Coord

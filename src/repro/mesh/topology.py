@@ -262,8 +262,8 @@ class Mesh:
 
         Entry ``[i, j]`` is the canonical link slot (:meth:`link_index`) of
         the link from node ``i`` to its neighbor in ``self.directions[j]``,
-        or ``-1`` off-mesh.  With it the struct-of-arrays probe engine turns
-        every reserve/release into one table read instead of an endpoint-pair
+        or ``-1`` off-mesh.  With it the probe table turns every
+        reserve/release into one table read instead of an endpoint-pair
         lookup.
         """
         try:

@@ -2,13 +2,13 @@
 
 A :class:`StepRecorder` attached to a :class:`~repro.simulator.engine.Simulator`
 samples one row per simulation step into preallocated growable numpy
-columns.  Sampling reads the engine's existing flat state — the probe
-table's per-cell counter sums (:meth:`ProbeTable.cell_counters`), the
-circuit ledger's reserved-link count, a :func:`numpy.bincount` over the
-labeling status codes (cached on the labeling's mutation stamp, so stable
-steps skip it) — plus O(1) aggregates, and folds each finished
-:class:`~repro.simulator.stats.MessageRecord` exactly once, so an enabled
-recorder costs array reads per step, not per-probe Python.  A simulator
+columns.  Sampling reads the engine's existing state — the probe
+table's per-cell counter sums (:meth:`ProbeTable.cell_counters`, one pass
+over the in-flight rows), the circuit ledger's reserved-link count, a
+:func:`numpy.bincount` over the labeling status codes (cached on the
+labeling's mutation stamp, so stable steps skip it) — plus O(1)
+aggregates, and folds each finished
+:class:`~repro.simulator.stats.MessageRecord` exactly once.  A simulator
 without a recorder pays nothing: the engine's only hook is an
 ``is not None`` check after the step.
 
@@ -112,9 +112,9 @@ class StepRecorder:
             self._fin_retries += result.setup_retries
         self._seen_messages = len(messages)
 
-        # In-flight counter sums, from the probe table's flat columns when
-        # the struct-of-arrays engine is active, else from the probe objects
-        # of the scalar loop (its oracle).
+        # In-flight counter sums, from the probe table's rows when it runs
+        # the message phase, else from the probe objects of the scalar loop
+        # (its oracle).
         table = sim._table
         if table is not None:
             in_flight, blk, rty, waiting = table.cell_counters(sim._table_cell)

@@ -331,9 +331,9 @@ class ArrayCircuitLedger:
     def reserve_slot(self, holder: int, index: int) -> None:
         """:meth:`reserve_link` by precomputed canonical link slot.
 
-        The struct-of-arrays probe engine carries each candidate's slot
-        through its tables, so the per-hop reserve needs no endpoint-pair
-        lookup at all.
+        The probe table reads each hop's slot off
+        :attr:`Mesh.link_slot_table`, so the per-hop reserve needs no
+        endpoint-pair lookup at all.
         """
         owner = self._holder[index]
         if owner >= 0 and owner != holder:
@@ -421,14 +421,16 @@ class ArrayCircuitLedger:
         Same teardown semantics as the dict ledger: releasing through
         :meth:`release` resets the release column for the dropped links, so
         the stale ``_expiries`` heap entry of a torn-down transfer hold is a
-        no-op when it comes due.
+        no-op when it comes due.  A holder is doomed when its held slots
+        meet the slots of the node's incident links.
         """
-        target = tuple(node)
-        link_of_index = self.mesh.link_of_index
+        incident = {
+            slot
+            for slot in self.mesh.link_slot_table[self.mesh.index_of(node)].tolist()
+            if slot >= 0
+        }
         doomed = [
-            holder
-            for holder, held in self._held.items()
-            if any(target in link_of_index(index) for index in held)
+            holder for holder, held in self._held.items() if not held.isdisjoint(incident)
         ]
         for holder in doomed:
             self.release(holder)

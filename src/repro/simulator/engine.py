@@ -457,7 +457,7 @@ class Simulator:
     def _step_messages(self, t: int) -> None:
         """Phase 3 of step ``t`` as a scalar probe loop (the parity oracle).
 
-        Table-eligible configurations route through the struct-of-arrays
+        Table-eligible configurations route through the
         :class:`~repro.core.probe_table.ProbeTable` instead (see ``_table``);
         decisions and statistics are byte-identical.
         """

@@ -1,8 +1,9 @@
-"""Parity suite for the struct-of-arrays probe engine.
+"""Parity suite for the probe-table engine.
 
 The probe table (:mod:`repro.core.probe_table`) is the message phase's
-fast path: flat-column array passes instead of per-object stepping.  Its
-oracle is the scalar :class:`~repro.core.routing.RoutingProbe` loop
+fast path: one batched classification and one row walk per step instead of
+per-object stepping.  Its oracle is the scalar
+:class:`~repro.core.routing.RoutingProbe` loop
 (``Simulator._step_messages``), which a simulator runs once ``sim._table``
 is cleared.  This suite holds the two to byte-identity — per-message
 outcomes and paths AND the aggregated :class:`SimulationStats` summary —
@@ -13,7 +14,8 @@ is held to the same bar at the JSON export level: a multi-shape,
 multi-policy grid must serialize identically to the serial engine's output.
 On a shared table, each cell's in-flight counters
 (:meth:`~repro.core.probe_table.ProbeTable.cell_counters`, which the step
-recorder reads) must match its solo table's at every step.
+recorder reads) must match its solo table's at every step, contended and
+contention-free cells side by side.
 
 The table hosts every policy with a per-direction classifier, static-block
 included (over its adjacent-only view).  ``global-information`` plans by
@@ -158,16 +160,23 @@ class TestSharedTableCounters:
         return Simulator(mesh, schedule=schedule, traffic=traffic,
                          config=config, recorder=recorder)
 
-    def test_shared_table_counters_match_solo_tables(self):
-        """Contended cells joined to one table, stepped in lockstep the way
-        the stacked runner does, report at every step the in-flight
-        counters their solo tables report — and so record the same
-        :class:`StepRecorder` series."""
+    @pytest.mark.parametrize("members", (
+        (("limited-global", 1, True), ("static-block", 2, True),
+         ("limited-global", 3, True)),
+        # A contention-free cell between contended ones: the table walks
+        # both kinds of rows in one loop.
+        (("limited-global", 1, True), ("limited-global", 4, False),
+         ("static-block", 2, True), ("limited-global", 3, True)),
+    ), ids=("contended", "mixed"))
+    def test_shared_table_counters_match_solo_tables(self, members):
+        """Cells joined to one table, stepped in lockstep the way the
+        stacked runner does, report at every step the in-flight counters
+        their solo tables report — and so record the same
+        :class:`StepRecorder` series and end with the same statistics."""
         cells = [
-            _cell(policy, "random", True, shape=(7, 7), messages=20, seed=seed,
-                  flits=64)
-            for policy, seed in (("limited-global", 1), ("static-block", 2),
-                                 ("limited-global", 3))
+            _cell(policy, "random", contention, shape=(7, 7), messages=20,
+                  seed=seed, flits=64)
+            for policy, seed, contention in members
         ]
         solo = [self._vector_sim(cell, StepRecorder()) for cell in cells]
         joined = [self._vector_sim(cell) for cell in cells]
@@ -198,10 +207,13 @@ class TestSharedTableCounters:
                 peak[i] = tuple(map(max, peak[i], counters))
             t += 1
 
-        # Every cell really had several probes in flight, blocked and parked.
-        assert all(min(p) > 1 for p in peak), peak
+        # Every cell really had several probes in flight, and every
+        # contended cell had them blocked and parked.
+        for cell, p in zip(cells, peak):
+            assert min(p) > 1 if cell.contention else p[0] > 1, peak
         for i, sim in enumerate(solo):
             assert not sim._work_remaining()
+            assert _fingerprint(joined[i].stats) == _fingerprint(sim.stats), i
             for name in recorders[i].columns:
                 assert np.array_equal(recorders[i].column(name),
                                       sim._recorder.column(name)), (i, name)

@@ -472,6 +472,46 @@ class TestLedgerParity:
         self._assert_ledgers_identical(scalar, vector)
         assert scalar.reserved_links == 0
 
+    @pytest.mark.parametrize("shape", [(8, 8), (5, 5, 5)])
+    def test_release_crossing(self, shape):
+        """Fault teardown drops the same holders on both ledgers: probes in
+        setup and delivered circuits in their transfer hold alike."""
+        mesh = Mesh(shape)
+        nodes = list(mesh.nodes())
+        rng = np.random.default_rng(len(nodes))
+        scalar = LiveCircuitLedger()
+        vector = ArrayCircuitLedger(mesh)
+        dropped = 0
+        for holder in range(240):
+            # A walk of up to eight hops over links no other holder has.
+            stack = [nodes[rng.integers(len(nodes))]]
+            for _ in range(rng.integers(0, 9)):
+                moves = [
+                    v for v in mesh.neighbors(stack[-1])
+                    if not scalar.is_blocked(holder, stack[-1], v)
+                ]
+                if not moves:
+                    break
+                nxt = moves[rng.integers(len(moves))]
+                scalar.reserve_link(holder, stack[-1], nxt)
+                vector.reserve_link(holder, stack[-1], nxt)
+                stack.append(nxt)
+            if rng.random() < 0.5:  # delivered: hold the circuit a while
+                path = Circuit.from_stack(stack).path
+                release = holder + int(rng.integers(1, 40))
+                for ledger in (scalar, vector):
+                    ledger.sync(holder, path)
+                    ledger.hold_until(holder, release)
+            if holder % 3 == 2:
+                node = nodes[rng.integers(len(nodes))]
+                count = scalar.release_crossing(node)
+                assert vector.release_crossing(node) == count
+                dropped += count
+                self._assert_ledgers_identical(scalar, vector)
+            assert scalar.release_expired(holder) == vector.release_expired(holder)
+            self._assert_ledgers_identical(scalar, vector)
+        assert dropped > 40
+
     def test_foreign_link_raises_on_both(self):
         mesh = Mesh.cube(4, 2)
         scalar = LiveCircuitLedger()
