@@ -48,8 +48,19 @@ route pair by pair offline.
 
 The table is multi-cell: several runs sharing one mesh shape can attach
 to one table (the stacked sweep runner does), each with its own
-information state, traffic and ledger.  Their classification tables are
-concatenated along the node axis so the whole stack classifies in one pass.
+information state, traffic and ledger.  The table owns one
+:class:`~repro.core.decision.DecisionTables` store laid out cell after cell
+on one node axis; each cell's
+:class:`~repro.core.decision.VectorDecisionEngine` compiles into its own
+slice, the first engine of a step whose information moved refreshes every
+stale slice in one pass, and the whole stack classifies in one
+:func:`~repro.core.decision.classify_rows` pass.
+
+A delivered contended row is finished by link slot: the host receives the
+row's index stack and entry slots, cuts loop excursions on indices and
+holds exactly the remaining slots (:meth:`TableHost.hold_circuit`), so no
+finish goes back to coordinates to rebuild a
+:class:`~repro.pcs.circuit.Circuit`.
 
 A cell reads its run only through :class:`TableHost`.  The contract has two
 hosts: :class:`~repro.simulator.engine.Simulator`, whose message phase the
@@ -136,10 +147,20 @@ class TableHost(Protocol):
         ...
 
     def hold_circuit(
-        self, holder: int, stack: Sequence[Coord], message: Any, t: int
+        self, holder: int, stack: Sequence[int], slots: Sequence[int],
+        message: Any, t: int,
     ) -> None:
-        """Contended cells only: hold a delivered row's circuit (its PCS
-        stack) for the message's data transfer."""
+        """Contended cells only: hold a delivered row's circuit for the
+        message's data transfer.
+
+        ``stack`` is the row's PCS stack as node indices (the source
+        first) and ``slots`` the link slot entered at each position (-1 at
+        the source); ``holder`` still holds every link of the stack.  The
+        host cuts each loop excursion back to its first visit (as
+        :meth:`~repro.pcs.circuit.Circuit.from_stack` does on coordinates),
+        makes the holder hold exactly the remaining slots and holds them for
+        the transfer.
+        """
         ...
 
     def record_occupancy(self) -> None:
@@ -151,11 +172,12 @@ class _CellState:
     """One attached host: its router's view, classifier, ledger and rows."""
 
     __slots__ = (
-        "host", "router", "view", "classifier", "ledger", "lifetime", "index",
-        "offset", "carry_token", "carry_gen", "next_holder", "rows",
+        "host", "router", "view", "classifier", "store", "ledger", "lifetime",
+        "index", "offset", "carry_token", "carry_gen", "next_holder", "rows",
+        "blocked", "retries", "waiting",
     )
 
-    def __init__(self, host: TableHost, index: int) -> None:
+    def __init__(self, host: TableHost, index: int, store: DecisionTables) -> None:
         # Non-owning: a simulator owns its table, so a strong reference
         # back would make every finished simulator wait for the cycle
         # collector instead of being freed when its last user drops it.
@@ -163,9 +185,12 @@ class _CellState:
         self.router = host.router
         self.view: Optional[object] = None
         self.classifier: Optional[VectorDecisionEngine] = None
+        #: The table's decision store; the classifier compiles into slice
+        #: ``index``.
+        self.store = store
         self.ledger = host.circuits
         self.lifetime = host.probe_lifetime
-        #: Cell id, and where its nodes start in concatenated tables.
+        #: Cell id, and where its nodes start in the store.
         self.index = index
         self.offset = index * host.mesh.size
         #: Information token of the last classification, and a counter
@@ -175,8 +200,12 @@ class _CellState:
         self.carry_token: Optional[Tuple[int, int]] = None
         self.carry_gen = 0
         self.next_holder = 0
-        #: In-flight rows of this cell.
+        #: In-flight rows of this cell and the sums of their blocked hops,
+        #: setup retries and WAIT flags, kept as the rows move and finish.
         self.rows = 0
+        self.blocked = 0
+        self.retries = 0
+        self.waiting = 0
 
     def engine(self) -> VectorDecisionEngine:
         """The classifier over the view this cell's router decides against.
@@ -187,7 +216,9 @@ class _CellState:
         view = self.host.decision_view()
         if view is not self.view:
             self.view = view
-            self.classifier = VectorDecisionEngine(view, self.router.policy)
+            self.classifier = VectorDecisionEngine(
+                view, self.router.policy, self.store, self.index
+            )
         return self.classifier
 
 
@@ -244,7 +275,6 @@ class ProbeTable:
         n = mesh.n_dims
         self._n = n
         self._two_n = 2 * n
-        self._size = mesh.size
         if self._two_n > 32:
             raise ValueError("used-direction bitmask supports at most 16 dimensions")
         # Per node index, per direction column: the neighbor and the link
@@ -256,9 +286,8 @@ class ProbeTable:
         self._cells: List[_CellState] = []
         #: Every in-flight row, in table (injection) order.
         self._rows: List[_Row] = []
-        self._concat_tokens: Optional[List[Tuple[int, int]]] = None
-        self._concat_tables: Optional[DecisionTables] = None
-        self._concat_hasc: List[bool] = []
+        #: Every cell's decision tables, one slice per cell.
+        self._store = DecisionTables(mesh)
 
     # ------------------------------------------------------------------ #
     # cell management
@@ -270,10 +299,7 @@ class ProbeTable:
                 f"cell mesh {host.mesh.shape} does not match table mesh {self.mesh.shape}"
             )
         cell = len(self._cells)
-        self._cells.append(_CellState(host, cell))
-        self._concat_tokens = None
-        self._concat_tables = None
-        self._concat_hasc = []
+        self._cells.append(_CellState(host, cell, self._store))
         return cell
 
     @property
@@ -292,15 +318,10 @@ class ProbeTable:
 
     def cell_counters(self, cell: int) -> Tuple[int, int, int, int]:
         """``(in_flight, blocked_hops, setup_retries, waiting)`` over the
-        in-flight probes of ``cell`` — the step recorder's counter read."""
+        in-flight probes of ``cell`` — the step recorder's counter read
+        (O(1): running sums kept as rows move and finish)."""
         cs = self._cells[cell]
-        rows = [row for row in self._rows if row.cs is cs]
-        return (
-            cs.rows,
-            sum(row.blocked for row in rows),
-            sum(row.retries for row in rows),
-            sum(row.waited for row in rows),
-        )
+        return cs.rows, cs.blocked, cs.retries, cs.waiting
 
     # ------------------------------------------------------------------ #
     # the step
@@ -340,11 +361,17 @@ class ProbeTable:
         messages = cs.host.poll(t)
         if not messages:
             return
-        index_of = self.mesh.index_of
+        index = self.mesh.coord_index
         rows = self._rows
         holder = cs.next_holder
         for m in messages:
-            rows.append(_Row(cs, m, index_of(m.source), index_of(m.destination), holder))
+            try:
+                src, dest = index[m.source], index[m.destination]
+            except (KeyError, TypeError):
+                # Not a coordinate tuple of this mesh: index_of validates
+                # (an off-mesh endpoint raises) and takes any sequence.
+                src, dest = self.mesh.index_of(m.source), self.mesh.index_of(m.destination)
+            rows.append(_Row(cs, m, src, dest, holder))
             holder += 1
         cs.next_holder = holder
         cs.rows += len(messages)
@@ -353,96 +380,15 @@ class ProbeTable:
     # classification
     # ------------------------------------------------------------------ #
     def _tables(self) -> Tuple[DecisionTables, List[Tuple[int, int]]]:
-        """Per-step classification tables (concatenated for multi-cell).
+        """The store and every cell's information token for this step.
 
-        The concatenation is *patched*, not rebuilt: information tokens
-        churn cell-by-cell (every identification round bumps one), and with
-        many stacked cells some token changes almost every step.  Only the
-        changed cell's node-axis slices — raw tables plus the packed
-        composite keys and detour bits — are copied in.
+        Every cell's engine is resolved first (a new view binds a new engine
+        to its slice), so the first ``tables()`` call that finds a token
+        moved refreshes every stale slice in one pass and the other calls
+        find theirs current.
         """
-        if len(self._cells) == 1:
-            tables, token = self._cells[0].engine().tables()
-            return tables, [token]
-        per: List[DecisionTables] = []
-        tokens: List[Tuple[int, int]] = []
-        for cs in self._cells:
-            tables, token = cs.engine().tables()
-            per.append(tables)
-            tokens.append(token)
-        old_tokens = self._concat_tokens
-        if tokens == old_tokens and self._concat_tables is not None:
-            return self._concat_tables, tokens
-        concat = self._concat_tables
-        if concat is not None and concat.detour_bits is not None:
-            size = self._size
-            for c, (tb, token) in enumerate(zip(per, tokens)):
-                if old_tokens is not None and token == old_tokens[c]:
-                    continue
-                sl = slice(c * size, (c + 1) * size)
-                concat.node_codes[sl] = tb.node_codes
-                concat.usable[sl] = tb.usable
-                concat.disabled_nb[sl] = tb.disabled_nb
-                concat.along[sl] = tb.along
-                concat.base_key[sl] = tb.base_key
-                concat.disabled_flag[sl] = tb.disabled_flag
-                concat.usable_bits[sl] = tb.usable_bits
-                if tb.detour_bits is not None:
-                    concat.detour_bits[sl] = tb.detour_bits
-                else:
-                    concat.detour_bits[sl] = 0
-                self._concat_hasc[c] = tb.has_constraints
-            concat.has_constraints = any(self._concat_hasc)
-            self._concat_tokens = tokens
-            return concat, tokens
-        # Full (re)build: first call, or the detour table exceeds its cap
-        # (the CSR constraint arrays must then stay consistent because the
-        # classifier's reduceat fallback reads them).  Each cell's
-        # ``c_start`` entries shift by the number of constraint rows of the
-        # cells before it.
-        row_offset = 0
-        c_start_parts = []
-        for tables in per:
-            c_start_parts.append(tables.c_start + row_offset)
-            row_offset += tables.c_prism.shape[0]
-        n_nodes = len(per) * self._size
-        detour_bits = None
-        if n_nodes * self._size <= DecisionTables.DETOUR_TABLE_CAP:
-            # Cells without a detour table (no geometry) get all-zero bits,
-            # so later per-cell patches always have a target.
-            detour_bits = np.concatenate(
-                [
-                    tb.detour_bits
-                    if tb.detour_bits is not None
-                    else np.zeros((self._size, self._size), dtype=np.uint32)
-                    for tb in per
-                ]
-            )
-        first = per[0]
-        stacked = DecisionTables(
-            node_codes=np.concatenate([tb.node_codes for tb in per]),
-            usable=np.concatenate([tb.usable for tb in per]),
-            disabled_nb=np.concatenate([tb.disabled_nb for tb in per]),
-            along=np.concatenate([tb.along for tb in per]),
-            c_start=np.concatenate(c_start_parts),
-            c_count=np.concatenate([tb.c_count for tb in per]),
-            c_prism=np.concatenate([tb.c_prism for tb in per]),
-            c_target_lo=np.concatenate([tb.c_target_lo for tb in per]),
-            c_target_hi=np.concatenate([tb.c_target_hi for tb in per]),
-            dims=first.dims,
-            signs=first.signs,
-            perm=first.perm,
-            span=first.span,
-            n=first.n,
-            two_n=first.two_n,
-            size=first.size,
-            coords=first.coords,
-            detour_bits=detour_bits,
-        )
-        self._concat_hasc = [tb.has_constraints for tb in per]
-        self._concat_tokens = tokens
-        self._concat_tables = stacked
-        return stacked, tokens
+        engines = [cs.engine() for cs in self._cells]
+        return self._store, [engine.tables()[1] for engine in engines]
 
     def _classify(self) -> None:
         """One classification pass over every row needing a decision.
@@ -506,31 +452,36 @@ class ProbeTable:
         kept: List[_Row] = []
         for row in self._rows:
             if row.outcome is None:
-                ledger = row.cs.ledger
-                if row.waited and row.wepoch == ledger._epoch:
+                cs = row.cs
+                if row.waited and row.wepoch == cs.ledger._epoch:
                     # Parked waiter: no link in this cell was freed since its
                     # last full scan (and its candidates are unchanged), so
                     # every candidate is provably still blocked.  The scalar
                     # scan would re-count the same blocks and wait again.
                     row.retries += 1
                     row.blocked += row.count
+                    cs.retries += 1
+                    cs.blocked += row.count
                 else:
-                    self._move(row, ledger)
+                    self._move(row, cs)
             if row.outcome is not None or row.expiry <= t:
                 self._finish(row, t)
             else:
                 kept.append(row)
         self._rows = kept
 
-    def _move(self, row: _Row, ledger: Optional["ArrayCircuitLedger"]) -> None:
+    def _move(self, row: _Row, cs: _CellState) -> None:
         """One Algorithm-3 decision of a row that is not parked.
 
-        A contended row (``ledger`` given) skips, and counts as blocked,
-        every candidate whose link another holder has, and reserves or
-        releases the link it moves over; a contention-free row takes its
+        A contended row (its cell has a ledger) skips, and counts as
+        blocked, every candidate whose link another holder has, and reserves
+        or releases the link it moves over; a contention-free row takes its
         first candidate.
         """
-        row.waited = False
+        ledger = cs.ledger
+        if row.waited:
+            row.waited = False
+            cs.waiting -= 1
         stack = row.stack
         count = row.count
         if count > 0:
@@ -547,6 +498,7 @@ class ProbeTable:
                 else:
                     j = count
                 row.blocked += j
+                cs.blocked += j
             if j < count:
                 d = dirs[j]
                 nxt = self._neighbors[cur][d]
@@ -562,10 +514,12 @@ class ProbeTable:
                     row.outcome = RouteOutcome.DELIVERED
                 return
             row.retries += 1
+            cs.retries += 1
             if len(stack) == 1:
                 # WAIT: nothing to release; park until a link of this cell
                 # is freed.
                 row.waited = True
+                cs.waiting += 1
                 row.wepoch = ledger._epoch
                 return
         elif len(stack) == 1:
@@ -573,6 +527,7 @@ class ProbeTable:
                 # RESTART: exhaustion contaminated by reservations.
                 row.used.clear()
                 row.retries += 1
+                cs.retries += 1
             else:
                 row.outcome = RouteOutcome.UNREACHABLE
             return
@@ -613,12 +568,13 @@ class ProbeTable:
         ledger = cs.ledger
         if ledger is not None:
             if row.outcome is RouteOutcome.DELIVERED:
-                coords = self._coord_tuples
-                stack = [coords[i] for i in row.stack]
-                cs.host.hold_circuit(row.holder, stack, row.message, t)
+                cs.host.hold_circuit(row.holder, row.stack, row.slots, row.message, t)
             else:
                 ledger.release(row.holder)
         cs.rows -= 1
+        cs.blocked -= row.blocked
+        cs.retries -= row.retries
+        cs.waiting -= row.waited
 
     def flush_cell(self, cell: int) -> None:
         """Flush ``cell``'s in-flight probes (step budget ran out).
@@ -636,7 +592,7 @@ class ProbeTable:
             if cs.ledger is not None:
                 cs.ledger.release(row.holder)
         self._rows = [row for row in self._rows if row.cs is not cs]
-        cs.rows = 0
+        cs.rows = cs.blocked = cs.retries = cs.waiting = 0
 
     def teardown_node(self, cell: int, node: Coord, t: int) -> None:
         """Tear down ``cell``'s rows standing on or routed through ``node``.

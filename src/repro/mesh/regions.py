@@ -42,6 +42,12 @@ class Region:
             raise ValueError(f"empty region: lo={self.lo} hi={self.hi}")
         object.__setattr__(self, "lo", tuple(self.lo))
         object.__setattr__(self, "hi", tuple(self.hi))
+        # Regions key the information records' dicts and sets; hashing one
+        # would otherwise rebuild and hash the corner tuples every time.
+        object.__setattr__(self, "_hash", hash((self.lo, self.hi)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------ #
     # constructors

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.mesh.coords import manhattan, offsets_toward
 from repro.mesh.directions import Direction, all_directions
@@ -368,6 +368,20 @@ class Mesh:
         for c, s in zip(coord, self.shape):
             idx = idx * s + c
         return idx
+
+    @property
+    def coord_index(self) -> Dict[Coord, int]:
+        """Memoized dict from every node's coordinate tuple to its
+        :meth:`index_of` index: one hash lookup, no validation.  A
+        coordinate missing from it is not a node of this mesh (or not a
+        tuple); :meth:`index_of` is the validating form."""
+        try:
+            return self._coord_index
+        except AttributeError:
+            pass
+        table = {coord: i for i, coord in enumerate(self.nodes())}
+        object.__setattr__(self, "_coord_index", table)
+        return table
 
     def coord_of(self, index: int) -> Coord:
         """Inverse of :meth:`index_of` (O(1) via a lazily built table)."""

@@ -115,6 +115,34 @@ class Circuit:
         )
 
 
+def loop_free_slots(stack: Sequence[int], slots: Sequence[int]) -> List[int]:
+    """:meth:`Circuit.from_stack` on node indices: the circuit's link slots.
+
+    ``stack`` is a probe's PCS stack as node indices and ``slots`` the link
+    slot entered at each position (-1 at the source).  Each loop excursion
+    is cut back to its first visit, as :meth:`Circuit.from_stack` cuts it,
+    and the entry slots of the remaining hops are returned in path order,
+    so their count is the circuit's length.  Like :class:`Circuit`, it
+    rejects a hop over no link and a path that visits a node twice.
+    """
+    nodes: List[int] = []
+    kept: List[int] = []
+    for node, slot in zip(stack, slots):
+        if node in nodes:
+            cut = nodes.index(node) + 1
+            del nodes[cut:]
+            del kept[cut:]
+        else:
+            nodes.append(node)
+            kept.append(slot)
+    del kept[0]
+    if min(kept, default=0) < 0:
+        raise ValueError(f"stack {list(stack)} takes a hop over no link")
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("a reserved circuit cannot visit a node twice")
+    return kept
+
+
 @dataclass
 class LiveCircuitLedger:
     """Per-step link reservations for circuits in setup and in transfer.
@@ -375,6 +403,19 @@ class ArrayCircuitLedger:
         for u, v in zip(stack, stack[1:]):
             index = link_index(u, v)
             counts[index] = counts.get(index, 0) + 1
+        self._sync_counts(holder, counts)
+
+    def sync_slots(self, holder: int, slots: Sequence[int]) -> None:
+        """:meth:`sync` by canonical link slot, for a loop-free circuit.
+
+        ``holder`` ends holding exactly ``slots`` (each once, as
+        :func:`loop_free_slots` returns them); the probe table's delivered
+        rows are held this way, with no coordinate round trip.
+        """
+        self._sync_counts(holder, dict.fromkeys(slots, 1))
+
+    def _sync_counts(self, holder: int, counts: Dict[int, int]) -> None:
+        """Make ``holder`` hold exactly ``counts``' slots, at those counts."""
         held = self._held.get(holder, set())
         for index in held - counts.keys():
             if self._holder[index] == holder:

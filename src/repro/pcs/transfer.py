@@ -41,20 +41,28 @@ class TransferModel:
 
     def data_latency(self, circuit: Circuit, message_flits: int) -> float:
         """Latency of streaming ``message_flits`` flits over ``circuit``."""
+        return self.hop_data_latency(circuit.length, message_flits)
+
+    def hop_data_latency(self, hops: int, message_flits: int) -> float:
+        """:meth:`data_latency` of a circuit of ``hops`` links."""
         if message_flits < 0:
             raise ValueError("message_flits must be non-negative")
-        pipeline_fill = self.data_hop_latency * circuit.length
+        pipeline_fill = self.data_hop_latency * hops
         streaming = self.flit_injection_latency * message_flits
         return pipeline_fill + streaming
 
     def hold_steps(self, circuit: Circuit, message_flits: int) -> int:
-        """Simulation steps a delivered circuit stays reserved for its data.
+        """Simulation steps a delivered circuit stays reserved for its data."""
+        return self.hop_hold_steps(circuit.length, message_flits)
+
+    def hop_hold_steps(self, hops: int, message_flits: int) -> int:
+        """:meth:`hold_steps` of a circuit of ``hops`` links.
 
         One simulation step is one setup hop (``setup_hop_latency``), so the
         data latency is converted at that rate and rounded up; even an empty
         message holds the circuit for one step (the acknowledgment flit).
         """
-        latency = self.data_latency(circuit, message_flits)
+        latency = self.hop_data_latency(hops, message_flits)
         return max(1, math.ceil(latency / self.setup_hop_latency))
 
     def end_to_end(self, result: RouteResult, message_flits: int) -> float:

@@ -44,7 +44,7 @@ from repro.faults.schedule import DynamicFaultSchedule, FaultEvent, FaultEventKi
 from repro.mesh.regions import Region
 from repro.mesh.topology import Mesh
 from repro.obs.profile import NULL_PROFILER
-from repro.pcs.circuit import Circuit, CircuitLedger, make_live_ledger
+from repro.pcs.circuit import Circuit, CircuitLedger, loop_free_slots, make_live_ledger
 from repro.pcs.transfer import TransferModel
 from repro.routing import AlgorithmRouter, Router, SetupProbe, resolve_router
 from repro.simulator.stats import ConvergenceRecord, MessageRecord, SimulationStats
@@ -508,7 +508,7 @@ class Simulator:
                 self._finish_probe(message, probe, finish_step=t)
                 if ledger is not None:
                     if outcome is RouteOutcome.DELIVERED:
-                        self.hold_circuit(holder, probe.circuit_stack, message, t)
+                        self._hold_stack(holder, probe.circuit_stack, message, t)
                     else:
                         ledger.release(holder)
             else:
@@ -550,17 +550,36 @@ class Simulator:
             self._message_finished(record)
 
     def hold_circuit(
+        self,
+        holder: int,
+        stack: Sequence[int],
+        slots: Sequence[int],
+        message: TrafficMessage,
+        t: int,
+    ) -> None:
+        """Hold a delivered table row's circuit for the message's data transfer.
+
+        The data circuit is the row's index stack with loop excursions cut
+        back to their first visit (:func:`~repro.pcs.circuit.loop_free_slots`);
+        the holder is synced to exactly its link slots, which releases the
+        excursion links, before the data-phase hold.
+        """
+        kept = loop_free_slots(stack, slots)
+        self.circuits.sync_slots(holder, kept)
+        self._hold(holder, len(kept), message, t)
+
+    def _hold_stack(
         self, holder: int, stack: Sequence[Coord], message: TrafficMessage, t: int
     ) -> None:
-        """Hold a delivered probe's circuit for the message's data transfer.
-
-        The data circuit is the held stack with loop excursions cut back to
-        their first visit; the excursion links (all still held) are released
-        before the data-phase hold.
-        """
+        """The scalar loop's :meth:`hold_circuit` (its oracle): the same
+        hold, through :meth:`Circuit.from_stack` on coordinates."""
         circuit = Circuit.from_stack(stack)
         self.circuits.sync(holder, circuit.path)
-        hold = self.config.transfer.hold_steps(circuit, message.flits)
+        self._hold(holder, circuit.length, message, t)
+
+    def _hold(self, holder: int, hops: int, message: TrafficMessage, t: int) -> None:
+        """Keep ``holder``'s circuit of ``hops`` links for the data transfer."""
+        hold = self.config.transfer.hop_hold_steps(hops, message.flits)
         self.circuits.hold_until(holder, t + hold)
         self.stats.circuits_reserved += 1
 

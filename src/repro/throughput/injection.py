@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -195,6 +195,10 @@ class OpenLoopSource:
         #: Nodes whose injection port currently has a setup in flight (the
         #: value is the attempt number of the in-flight setup).
         self._busy: dict = {}
+        #: Positions in :attr:`nodes` of the nodes whose port is free and
+        #: whose queue is not empty: the only nodes emission visits.
+        self._ready: Set[int] = set()
+        self._position = {node: i for i, node in enumerate(self.nodes)}
 
     def _pick_hotspot(self, hotspot: Optional[Coord]) -> Coord:
         if hotspot is not None:
@@ -215,27 +219,30 @@ class OpenLoopSource:
         if self.stop is None or step < self.stop:
             # Generation: open-loop, independent of network state.
             mask = self.process.injecting(self.rng, len(self.nodes))
-            for index in np.flatnonzero(mask):
-                source = self.nodes[int(index)]
+            for index in np.flatnonzero(mask).tolist():
+                source = self.nodes[index]
                 destination = self._destination(source)
                 if destination is None:
                     continue
                 self._queues[source].append((step, destination, step, 0))
+                if source not in self._busy:
+                    self._ready.add(index)
                 self.generated += 1
                 self.generation_log.append(step)
         else:
             return []  # generation (and emission) stop together
-        # Emission: one message per free injection port (heads still backing
-        # off after a failed attempt keep their port idle this step).
+        # Emission: one message per free injection port, in node order
+        # (heads still backing off after a failed attempt keep their port
+        # idle this step).
         out: List[TrafficMessage] = []
-        for node in self.nodes:
-            if node in self._busy:
-                continue
+        for index in sorted(self._ready):
+            node = self.nodes[index]
             queue = self._queues[node]
-            if not queue or queue[0][2] > step:
+            if queue[0][2] > step:
                 continue
             created, destination, _ready, attempt = queue.popleft()
             self._busy[node] = attempt
+            self._ready.discard(index)
             out.append(
                 TrafficMessage(
                     source=node,
@@ -259,6 +266,7 @@ class OpenLoopSource:
         """
         message = record.message
         attempt = self._busy.pop(message.source, 0)
+        queue = self._queues[message.source]
         if self.retry_failed and not record.delivered:
             created = (
                 message.created_time
@@ -267,9 +275,9 @@ class OpenLoopSource:
             )
             finish = record.finish_step if record.finish_step is not None else 0
             ready = finish + 1 + self.retry_backoff * (attempt + 1)
-            self._queues[message.source].appendleft(
-                (created, message.destination, ready, attempt + 1)
-            )
+            queue.appendleft((created, message.destination, ready, attempt + 1))
+        if queue:
+            self._ready.add(self._position[message.source])
 
     def exhausted(self, step: int) -> bool:
         return self.stop is not None and step >= self.stop

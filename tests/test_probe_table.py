@@ -14,8 +14,8 @@ is held to the same bar at the JSON export level: a multi-shape,
 multi-policy grid must serialize identically to the serial engine's output.
 On a shared table, each cell's in-flight counters
 (:meth:`~repro.core.probe_table.ProbeTable.cell_counters`, which the step
-recorder reads) must match its solo table's at every step, contended and
-contention-free cells side by side.
+recorder reads) must match its solo table's, and a recount over its rows,
+at every step, contended and contention-free cells side by side.
 
 The table hosts every policy with a per-direction classifier, static-block
 included (over its adjacent-only view).  ``global-information`` plans by
@@ -32,12 +32,13 @@ import pytest
 
 from repro.backend import VECTOR, resolve_backend
 from repro.core import probe_table
+from repro.core.block_construction import build_blocks
 from repro.experiments import ExperimentSpec, run_batch
 from repro.experiments.runner import _simulate_scenario, build_simulator
 from repro.faults.schedule import DynamicFaultSchedule
 from repro.mesh.topology import Mesh
 from repro.obs.recorder import StepRecorder
-from repro.routing import available_routers
+from repro.routing import available_routers, resolve_router
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.workloads.traffic import to_traffic
 
@@ -150,6 +151,17 @@ class TestProbeTableScalarParity:
         assert len(built) == 1
 
 
+def _recount(table, cell):
+    """``cell_counters``' sums recounted over the cell's in-flight rows."""
+    rows = [row for row in table._rows if row.cs.index == cell]
+    return (
+        len(rows),
+        sum(row.blocked for row in rows),
+        sum(row.retries for row in rows),
+        sum(row.waited for row in rows),
+    )
+
+
 class TestSharedTableCounters:
     @staticmethod
     def _vector_sim(cell, recorder=None):
@@ -204,6 +216,10 @@ class TestSharedTableCounters:
                 solo[i].step()
                 counters = table.cell_counters(joined[i]._table_cell)
                 assert counters == solo[i]._table.cell_counters(0), (t, i)
+                # The running sums obey the table's conservation law: they
+                # equal a recount over the cell's in-flight rows.
+                assert counters == _recount(table, joined[i]._table_cell), (t, i)
+                assert solo[i]._table.cell_counters(0) == _recount(solo[i]._table, 0)
                 peak[i] = tuple(map(max, peak[i], counters))
             t += 1
 
@@ -217,6 +233,36 @@ class TestSharedTableCounters:
             for name in recorders[i].columns:
                 assert np.array_equal(recorders[i].column(name),
                                       sim._recorder.column(name)), (i, name)
+
+
+class TestInjection:
+    """Rows index their endpoints through :attr:`Mesh.coord_index`."""
+
+    @staticmethod
+    def _route(pairs, shape=(6, 6)):
+        mesh = Mesh(shape)
+        labeling = build_blocks(mesh, [(2, 2)]).state
+        router = resolve_router("limited-global")
+        return probe_table.OfflineBatch(router, mesh, labeling, pairs).route()
+
+    @pytest.mark.parametrize("pair", (
+        ((0, 0), (6, 0)),
+        ((-1, 0), (3, 3)),
+        ((0, 0), (1, 1, 1)),
+        ([0, 7], [3, 3]),
+    ))
+    def test_off_mesh_endpoint_raises(self, pair):
+        with pytest.raises(ValueError, match="is not a node of mesh"):
+            self._route([pair])
+
+    def test_any_coordinate_sequence_injects(self):
+        """Lists and numpy integers index like tuples."""
+        pairs = [((0, 0), (5, 4)), ((5, 5), (0, 1))]
+        expected = self._route(pairs)
+        lists = [(list(s), list(d)) for s, d in pairs]
+        numpy = [(tuple(np.array(s)), tuple(np.array(d))) for s, d in pairs]
+        assert self._route(lists) == expected
+        assert self._route(numpy) == expected
 
 
 class TestStackedSweepParity:

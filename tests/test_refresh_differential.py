@@ -1,12 +1,14 @@
 """Differential refresh suite for the vectorized decision engine.
 
-:class:`~repro.core.decision.VectorDecisionEngine` keeps its tables between
-refreshes and recompiles only what changed: the status masks when the
-labeling moved, the geometry rows of the nodes
-:meth:`~repro.core.state.InformationState.changed_nodes` reports.  Its
-oracle is an engine built from scratch on the same state, which compiles
-every node.  These tests drive real information churn and, after every
-token change, hold the long-lived engine's tables to the fresh engine's:
+:class:`~repro.core.decision.VectorDecisionEngine` compiles into its cell's
+slice of a :class:`~repro.core.decision.DecisionTables` store (a probe
+table's, shared by every cell of the table) and recompiles only what
+changed: the status masks when the labeling moved, the geometry rows of the
+nodes :meth:`~repro.core.state.InformationState.changed_nodes` reports,
+every stale cell of the store in one pass.  Its oracle is a one-cell engine
+built anew on the same state, which compiles every node.  These
+tests drive real information churn and, after every token change, hold the
+long-lived engine's slice to the fresh engine's tables:
 
 * stacked 8x8 and 5x5x5 simulate cells with dynamic faults, over the five
   policies the probe table hosts (static-block over its adjacent-only
@@ -14,6 +16,11 @@ token change, hold the long-lived engine's tables to the fresh engine's:
 * throughput cells with fault arrivals and repairs, so ``cancel_stale``
   removes records;
 * ``clear_information()`` followed by a fresh distribution.
+
+A stacked group also refreshes once per step: every table runs at most one
+refresh pass (one relabel, one compile, one derive) per step, and after it
+every cell's slice equals its solo table's, with and without the detour
+table.
 """
 
 import numpy as np
@@ -24,6 +31,7 @@ from repro.core import decision
 from repro.core.block_construction import build_blocks
 from repro.core.decision import DecisionTables, VectorDecisionEngine
 from repro.core.distribution import distribute_information
+from repro.core.probe_table import ProbeTable
 from repro.core.routing import RoutingPolicy
 from repro.core.state import InformationState
 from repro.experiments import ExperimentSpec, run_batch
@@ -44,38 +52,61 @@ HOSTED = (
     "no-disabled-avoid",
 )
 
-#: Node-indexed table arrays plus the CSR constraint rows, compared exactly.
-ARRAYS = (
+#: Node-indexed table arrays, compared exactly over an engine's slice.
+NODE_ARRAYS = (
     "node_codes",
     "usable",
     "disabled_nb",
     "along",
-    "c_start",
     "c_count",
-    "c_prism",
-    "c_target_lo",
-    "c_target_hi",
     "base_key",
     "disabled_flag",
     "usable_bits",
 )
 
+#: The CSR constraint rows, compared over the slice's own rows.
+CSR_ARRAYS = ("c_prism", "c_target_lo", "c_target_hi")
 
-def assert_tables_equal(live: DecisionTables, fresh: DecisionTables) -> None:
-    for name in ARRAYS:
-        np.testing.assert_array_equal(
-            getattr(live, name), getattr(fresh, name), err_msg=name
-        )
-    assert live.has_constraints == fresh.has_constraints
-    if fresh.detour_bits is None:
-        assert live.detour_bits is None
-    else:
-        np.testing.assert_array_equal(live.detour_bits, fresh.detour_bits)
+
+def cell_slice(engine: VectorDecisionEngine) -> dict:
+    """``engine``'s slice of its store, as a one-cell engine would hold it:
+    its node rows, ``c_start`` relative to the slice's first constraint row,
+    its constraint rows and its detour bits (``None`` without a table)."""
+    store = engine.store
+    rows = slice(engine.cell * store.size, (engine.cell + 1) * store.size)
+    start, count = store.c_start[rows], store.c_count[rows]
+    first = int(start[0])
+    csr = slice(first, first + int(count.sum()))
+    out = {name: getattr(store, name)[rows] for name in NODE_ARRAYS}
+    out.update({name: getattr(store, name)[csr] for name in CSR_ARRAYS})
+    out["c_start"] = start - first
+    out["has_constraints"] = bool(count.any())
+    bits = store.detour_bits
+    out["detour_bits"] = None if bits is None else bits[rows]
+    return out
+
+
+def assert_slice_equal(live: VectorDecisionEngine, fresh: VectorDecisionEngine) -> None:
+    """``live``'s slice equals the tables of ``fresh``, a one-cell engine.
+
+    Beyond the detour table cap neither holds detour bits and the CSR rows
+    carry the detour test; a fresh one-cell store keeps its table whenever a
+    larger live store does.
+    """
+    assert fresh.store.rows == fresh.store.size
+    got, want = cell_slice(live), cell_slice(fresh)
+    for name in NODE_ARRAYS + CSR_ARRAYS + ("c_start",):
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+    assert got["has_constraints"] == want["has_constraints"]
+    if want["detour_bits"] is None:
+        assert got["detour_bits"] is None
+    elif got["detour_bits"] is not None:
+        np.testing.assert_array_equal(got["detour_bits"], want["detour_bits"])
 
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Check every engine refresh against a freshly built engine.
+    """Check every engine refresh against a freshly built one-cell engine.
 
     Returns counters: ``refreshes`` (token changes seen), ``incremental``
     (refreshes of an engine that had refreshed before) and ``policies``
@@ -93,8 +124,9 @@ def checked(monkeypatch):
             seen["incremental"] += self in last
             seen["policies"].add(self.policy.name)
             last[self] = token
-            fresh, _ = original(VectorDecisionEngine(self.info, self.policy))
-            assert_tables_equal(result[0], fresh)
+            fresh = VectorDecisionEngine(self.info, self.policy)
+            original(fresh)
+            assert_slice_equal(self, fresh)
         return result
 
     monkeypatch.setattr(VectorDecisionEngine, "tables", tables)
@@ -171,6 +203,93 @@ class TestLongLivedEqualsFresh:
                 info.add_boundary(node, record)
         assert engine.tables()[0].has_constraints
         assert checked["refreshes"] == 3
+
+
+class TestOnePassPerStep:
+    @needs_table
+    @pytest.mark.parametrize(
+        "cap", (DecisionTables.DETOUR_TABLE_CAP, 0), ids=("detour-table", "csr-only")
+    )
+    def test_stacked_group_refreshes_once_per_step(self, monkeypatch, cap):
+        """Five hosted policies stacked on 8x8 and 5x5x5 tables with dynamic
+        faults: on every classifying step each table brings every cell's
+        slice current in exactly one refresh pass (one relabel, one compile,
+        one derive at most) when some cell's information moved and in none
+        otherwise, and after every pass each cell's slice equals its solo
+        table's."""
+        monkeypatch.setattr(DecisionTables, "DETOUR_TABLE_CAP", cap)
+        calls = []
+        for name in ("refresh", "_relabel", "_compile", "derive"):
+            def counted(self, *args, _name=name, _original=getattr(DecisionTables, name),
+                        **kwargs):
+                engines = [ref() for ref in self._engines.values()]
+                if _name != "refresh" or any(
+                    e is not None and e.token() != e._token for e in engines
+                ):
+                    calls.append((self, _name))
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(DecisionTables, name, counted)
+        tabled = []
+        tables = ProbeTable._tables
+
+        def recorded(self):
+            tabled.append(self)
+            return tables(self)
+
+        monkeypatch.setattr(ProbeTable, "_tables", recorded)
+
+        seen = {"passes": 0, "batched": 0, "cells": set()}
+        run_step = ProbeTable.run_step
+
+        def stepped(self, t, cells, *args, **kwargs):
+            before = [(cs.classifier, cs.classifier and cs.classifier._token)
+                      for cs in self._cells]
+            calls.clear()
+            tabled.clear()
+            run_step(self, t, cells, *args, **kwargs)
+            mine = [name for store, name in calls if store is self._store]
+            if self not in tabled:
+                assert not mine, (t, mine)
+                return
+            assert len(mine) == len(set(mine)), (t, mine)
+            moved = [
+                cs for cs, old in zip(self._cells, before)
+                if old != (cs.classifier, cs.classifier._token)
+            ]
+            assert ("refresh" in mine) == bool(moved), (t, mine)
+            for cs in self._cells:
+                engine = cs.classifier
+                assert engine._token == engine.token(), (t, cs.index)
+            if moved:
+                seen["passes"] += 1
+                seen["batched"] += len(moved) > 1
+                for cs in self._cells:
+                    engine = cs.classifier
+                    seen["cells"].add(engine.policy.name)
+                    fresh = VectorDecisionEngine(engine.info, engine.policy)
+                    fresh.tables()
+                    assert_slice_equal(engine, fresh)
+                assert (self._store.detour_bits is None) == (cap == 0)
+
+        monkeypatch.setattr(ProbeTable, "run_step", stepped)
+        spec = ExperimentSpec(
+            name="refresh-one-pass",
+            mode="simulate",
+            mesh_shapes=((8, 8), (5, 5, 5)),
+            policies=HOSTED,
+            scenarios=("transpose",),
+            fault_counts=(2,),
+            fault_intervals=(3,),
+            lams=(2,),
+            traffic_sizes=(10,),
+            seeds=(0, 1),
+            contention=True,
+            flits=(16,),
+        )
+        run_batch(spec, engine="auto")
+        assert seen["cells"] == set(HOSTED)
+        assert seen["passes"] > 10 and seen["batched"] > 10, seen
 
 
 class TestBeyondDetourCap:

@@ -131,6 +131,50 @@ class TestOpenLoopSource:
         retried = [m for m in source.poll(14) if m.source == message.source]
         assert len(retried) == 1
 
+    def test_emission_scans_only_free_ports_with_queued_heads(self):
+        """Emission visits only the nodes whose port is free and whose
+        queue holds a message, in node order: after every poll and every
+        finish that set is exactly what a scan over all nodes finds, so
+        each step emits what the scan would."""
+        from repro.core.routing import RouteOutcome, RouteResult
+        from repro.simulator.stats import MessageRecord
+
+        mesh, source = self._source(retry_backoff=2)
+        rng = np.random.default_rng(7)
+        in_flight = []
+
+        def scan():
+            return {
+                i for i, node in enumerate(source.nodes)
+                if node not in source._busy and source._queues[node]
+            }
+
+        for step in range(120):
+            emitted = source.poll(step)
+            order = [source.nodes.index(m.source) for m in emitted]
+            assert order == sorted(order)
+            assert source._ready == scan()
+            in_flight += emitted
+            rng.shuffle(in_flight)
+            for message in in_flight[: int(rng.integers(0, 4))]:
+                outcome = RouteOutcome.DELIVERED if rng.random() < 0.5 \
+                    else RouteOutcome.EXHAUSTED
+                result = RouteResult(
+                    outcome=outcome,
+                    path=[message.source],
+                    source=message.source,
+                    destination=message.destination,
+                    min_distance=1,
+                    forward_hops=0,
+                    backtrack_hops=0,
+                )
+                source.message_finished(
+                    MessageRecord(message=message, result=result, finish_step=step)
+                )
+                in_flight.remove(message)
+                assert source._ready == scan()
+        assert source.injected > 60 and source.queued > 0
+
     def test_transpose_pattern_reverses_coordinates(self):
         mesh = Mesh((6, 6))
         source = OpenLoopSource(

@@ -35,7 +35,14 @@ from repro.core.state import InformationState
 from repro.faults.injection import uniform_random_faults
 from repro.faults.schedule import DynamicFaultSchedule, FaultEvent, FaultEventKind
 from repro.mesh.topology import Mesh
-from repro.pcs.circuit import ArrayCircuitLedger, Circuit, LiveCircuitLedger
+from repro.pcs.circuit import (
+    ArrayCircuitLedger,
+    Circuit,
+    LiveCircuitLedger,
+    ReservationError,
+    loop_free_slots,
+)
+from repro.pcs.transfer import TransferModel
 from repro.routing import available_routers
 from repro.routing.static_block import adjacent_only_information
 from repro.simulator.engine import SimulationConfig, Simulator
@@ -512,6 +519,78 @@ class TestLedgerParity:
             self._assert_ledgers_identical(scalar, vector)
         assert dropped > 40
 
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 4, 4)])
+    def test_slot_hold_matches_circuit_hold(self, shape):
+        """A delivered probe-table row is held by slot: its index stack cut
+        by :func:`loop_free_slots`, synced by ``sync_slots`` and held for
+        the hop-count formula.  On random walks that reserve and release
+        hop by hop the way the table does, loops back onto their own stacks
+        included, it leaves the same reserved links, the same holder per
+        link and the same release steps as :meth:`Circuit.from_stack` +
+        ``sync`` + ``hold_steps`` on the dict ledger."""
+        mesh = Mesh(shape)
+        nodes = list(mesh.nodes())
+        neighbors = mesh.neighbor_table.tolist()
+        link_slots = mesh.link_slot_table.tolist()
+        model = TransferModel()
+        rng = np.random.default_rng(sum(shape))
+        scalar = LiveCircuitLedger()
+        vector = ArrayCircuitLedger(mesh)
+        looped = held = 0
+        for holder in range(400):
+            stack, slots = [int(rng.integers(mesh.size))], [-1]
+            for _ in range(int(rng.integers(0, 16))):
+                tail = stack[-1]
+                if len(stack) > 1 and rng.random() < 0.2:  # backtrack a hop
+                    stack.pop()
+                    vector.release_slot(holder, slots.pop())
+                    scalar.release_link(holder, nodes[tail], nodes[stack[-1]])
+                    continue
+                moves = [
+                    (v, slot)
+                    for v, slot in zip(neighbors[tail], link_slots[tail])
+                    if v >= 0 and not scalar.is_blocked(holder, nodes[tail], nodes[v])
+                ]
+                if not moves:
+                    break
+                nxt, slot = moves[int(rng.integers(len(moves)))]
+                vector.reserve_slot(holder, slot)
+                scalar.reserve_link(holder, nodes[tail], nodes[nxt])
+                stack.append(nxt)
+                slots.append(slot)
+            looped += len(set(stack)) < len(stack)
+            if rng.random() < 0.75:  # delivered: hold the circuit
+                flits = int(rng.integers(0, 96))
+                kept = loop_free_slots(stack, slots)
+                circuit = Circuit.from_stack([nodes[i] for i in stack])
+                assert {mesh.link_of_index(i) for i in kept} == circuit.links
+                release = holder + model.hop_hold_steps(len(kept), flits)
+                assert release == holder + model.hold_steps(circuit, flits)
+                vector.sync_slots(holder, kept)
+                vector.hold_until(holder, release)
+                scalar.sync(holder, circuit.path)
+                scalar.hold_until(holder, release)
+                held += 1
+            else:  # failed: release everything
+                vector.release(holder)
+                scalar.release(holder)
+            assert scalar.release_expired(holder) == vector.release_expired(holder)
+            self._assert_ledgers_identical(scalar, vector)
+            assert scalar._link_holder == {
+                mesh.link_of_index(i): owner
+                for i, owner in enumerate(vector._holder)
+                if owner >= 0
+            }
+        assert scalar.release_expired(10_000) == vector.release_expired(10_000)
+        assert scalar.reserved_links == vector.reserved_links == 0
+        assert looped > 20 and held > 200, (looped, held)
+
+    def test_loop_free_slots_rejects_invalid_circuits(self):
+        assert loop_free_slots([5], [-1]) == []
+        assert loop_free_slots([0, 1, 2, 1, 4], [-1, 10, 11, 11, 12]) == [10, 12]
+        with pytest.raises(ValueError):
+            loop_free_slots([0, 2], [-1, -1])
+
     def test_foreign_link_raises_on_both(self):
         mesh = Mesh.cube(4, 2)
         scalar = LiveCircuitLedger()
@@ -520,6 +599,8 @@ class TestLedgerParity:
             ledger.sync(1, [(0, 0), (1, 0)])
             with pytest.raises(Exception):
                 ledger.reserve_link(2, (0, 0), (1, 0))
+        with pytest.raises(ReservationError):
+            vector.sync_slots(2, [mesh.link_index((0, 0), (1, 0))])
 
     def test_double_crossing_refcount(self):
         mesh = Mesh.cube(4, 2)
