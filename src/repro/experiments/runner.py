@@ -4,26 +4,32 @@
 into a :class:`~repro.experiments.results.CellResult`; :func:`run_batch`
 runs a whole grid through one of two engines:
 
-* ``engine="auto"`` (the default) — same-shape probe-table-eligible
+* ``engine="auto"`` (the default) — the stacked executor
+  (:mod:`repro.experiments.stacked`): same-shape probe-table-eligible
   simulate cells step in lockstep on shared
-  :class:`~repro.core.probe_table.ProbeTable` groups (see
-  :mod:`repro.experiments.stacked`).  With ``workers > 1`` the planner
+  :class:`~repro.core.probe_table.ProbeTable` groups, and the policies of
+  one offline configuration route over one setting
+  (:func:`_offline_setting`: mesh, faults, labeling and pairs), built
+  once.  With ``workers > 1`` the planner
   (:mod:`repro.experiments.shard`) partitions the cells into stacked and
-  serial shards and dispatches them across a *persistent*
-  :class:`~concurrent.futures.ProcessPoolExecutor`;
-* ``engine="serial"`` — the stacking oracle: one cell at a time, in
-  serial chunks across the pool when ``workers > 1``.
+  serial shards, offline cells in the serial engine's chunks (a setting
+  is then shared within a chunk), and dispatches them across a
+  *persistent* :class:`~concurrent.futures.ProcessPoolExecutor`;
+* ``engine="serial"`` — the oracle: one cell at a time, each built from
+  scratch, in serial chunks across the pool when ``workers > 1``.
 
 Both engines build one shard list and hand it to one dispatcher, which
 runs the shards in-process when ``workers <= 1`` and over the pool
 otherwise.
 
 Every cell is self-contained and rebuilds its scenario from primitive cell
-parameters plus the deterministic ``cell_seed``, so cells are cheap to
-pickle, workers need no shared state, and a batch produces **identical
-results for any worker count and either engine** — the JSON export of a
-serial run, a 4-worker run and an auto-sharded run are byte-for-byte
-equal.
+parameters plus the deterministic ``cell_seed`` (the policies of one
+configuration share that seed, so they get equal scenarios, which is what
+lets the stacked executor build an offline setting once for all of them).
+Cells are cheap to pickle, workers need no shared state, and a batch
+produces **identical results for any worker count and either engine** —
+the JSON export of a serial run, a 4-worker run and an auto-sharded run
+are byte-for-byte equal.
 
 Passing a :class:`~repro.experiments.cache.ResultCache` makes repeated
 work free: cells whose fingerprint is already on disk skip simulation
@@ -48,7 +54,7 @@ import numpy as np
 from repro.analysis.metrics import summarize_routes
 from repro.backend import ENV_VAR as BACKEND_ENV_VAR
 from repro.backend import resolve_backend
-from repro.core.block_construction import build_blocks
+from repro.core.block_construction import LabelingState, build_blocks
 from repro.experiments.cache import ResultCache
 from repro.experiments.results import BatchResult, CellResult
 from repro.experiments.shard import Shard, _split, plan_shards
@@ -66,10 +72,15 @@ from repro.workloads.congestion import (
 from repro.workloads.traffic import random_pairs, to_traffic
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.core.probe_table import ProbeTable
     from repro.obs.profile import PhaseProfiler
     from repro.obs.recorder import StepRecorder
 
 Coord = Tuple[int, ...]
+
+#: What every policy of one offline configuration routes over: the mesh,
+#: its stabilized labeling and the ``(source, destination)`` pairs.
+OfflineSetting = Tuple[Mesh, LabelingState, Tuple[Tuple[Coord, Coord], ...]]
 
 #: Engines :func:`run_batch` accepts.
 ENGINES = ("auto", "serial")
@@ -103,7 +114,14 @@ def _offline_faults(
     return faults
 
 
-def _run_offline_cell(cell: ExperimentCell) -> Dict[str, float]:
+def _offline_setting(cell: ExperimentCell) -> OfflineSetting:
+    """The mesh, stabilized labeling and message pairs of an offline cell.
+
+    Derived from ``cell.cell_seed`` and the configuration axes alone, so
+    every policy of one configuration gets an equal setting: the serial
+    engine builds it per cell, the stacked executor once per
+    configuration and routes each policy over it.
+    """
     mesh = Mesh(cell.shape)
     rng = np.random.default_rng(cell.cell_seed)
     faults = _offline_faults(mesh, cell.faults, rng)
@@ -115,9 +133,14 @@ def _run_offline_cell(cell: ExperimentCell) -> Dict[str, float]:
         min_distance=max(2, mesh.diameter // 2),
         exclude=list(labeling.block_nodes),
     )
+    return mesh, labeling, tuple(pairs)
 
+
+def _offline_metrics(cell: ExperimentCell, setting: OfflineSetting) -> Dict[str, float]:
+    """Metrics row of ``cell``'s policy routing every pair of ``setting``."""
+    mesh, labeling, pairs = setting
     # The router derives whatever information view its policy assumes once
-    # for the whole batch.
+    # for the whole batch; it reads the labeling and pairs, never writes.
     routes = resolve_router(cell.policy).route_batch(mesh, labeling, pairs)
 
     summary = summarize_routes(routes)
@@ -192,12 +215,14 @@ def build_simulator(
     *,
     recorder: Optional["StepRecorder"] = None,
     profiler: Optional["PhaseProfiler"] = None,
+    table: Optional["ProbeTable"] = None,
 ) -> Simulator:
     """The simulator of one simulate-mode cell.
 
     Shared by both engines and by ``repro-mesh simulate``, so every door
     constructs byte-identical scenarios.  ``recorder`` and ``profiler``
-    are the simulator's optional observers.
+    are the simulator's optional observers; ``table`` is the shared probe
+    table of a stacked group (see :class:`Simulator`).
     """
     mesh, schedule, traffic = _simulate_scenario(cell)
     return Simulator(
@@ -209,6 +234,7 @@ def build_simulator(
         ),
         recorder=recorder,
         profiler=profiler,
+        table=table,
     )
 
 
@@ -255,7 +281,7 @@ def _run_throughput_cell(cell: ExperimentCell) -> Dict[str, float]:
 def run_cell(cell: ExperimentCell) -> CellResult:
     """Execute one cell and return its metrics (pure function of the cell)."""
     if cell.mode == "offline":
-        metrics = _run_offline_cell(cell)
+        metrics = _offline_metrics(cell, _offline_setting(cell))
     elif cell.mode == "simulate":
         metrics = _run_simulate_cell(cell)
     elif cell.mode == "throughput":
@@ -528,8 +554,9 @@ def run_batch(
     keyword-only.
 
     ``engine`` selects the execution strategy (see module docstring):
-    ``"auto"`` stacks same-shape eligible cells, in-process or in shards
-    across ``workers`` processes; ``"serial"``, the stacking oracle, runs
+    ``"auto"`` stacks same-shape eligible cells and builds each offline
+    configuration once for all its policies, in-process or in shards
+    across ``workers`` processes; ``"serial"``, the oracle, runs
     cell-at-a-time (chunked across workers).  Because each cell reseeds
     from its own deterministic ``cell_seed``, the outcome — including the
     canonical JSON export — is identical for both engines and every
@@ -609,7 +636,8 @@ def run_batch(
     if pending:
         if workers <= 1:
             # One in-process shard: the stacked executor groups eligible
-            # cells by shape itself and runs everything else serially.
+            # cells by shape and offline cells by configuration itself, and
+            # runs everything else serially.
             kind = "serial" if engine == "serial" else "stacked"
             shards = [Shard(kind=kind, cells=tuple(pending))]
         else:

@@ -1,26 +1,43 @@
-"""Stacked multi-cell execution: same-shape sweep cells step together.
+"""Stacked multi-cell execution: cells that share work do it once.
 
 A sweep grid usually varies seed, fault count, policy or traffic over one
-mesh shape.  The serial engine steps each cell's simulator to completion
-alone, so every simulation step pays the fixed numpy dispatch cost of the
-vectorized classification on a handful of in-flight probes.  The stacked
-engine instead joins every probe-table-eligible simulate-mode cell of one
-shape onto a shared :class:`~repro.core.probe_table.ProbeTable` and runs
-the group in lockstep: one classification pass per step covers all cells'
-probes, amortizing the fixed cost across the whole group.
+mesh shape.  The serial engine runs each cell alone, from scratch.  The
+stacked executor shares what cells have in common, in two ways.
 
-Results are byte-identical to the serial engine's.  Cells stay fully
+**Simulate cells step together.**  Alone, every simulation step pays the
+fixed numpy dispatch cost of the vectorized classification on a handful
+of in-flight probes.  The executor instead builds every
+probe-table-eligible simulate-mode cell of one shape onto one shared
+:class:`~repro.core.probe_table.ProbeTable` (the group's first simulator
+builds it, the others attach to it as they are built) and runs the group
+in lockstep: one classification pass per step covers all cells' probes,
+amortizing the fixed cost across the whole group.  Cells stay fully
 independent — each keeps its own information state, traffic source,
 statistics and circuit ledger — and the shared classification is a pure
 per-row function, so stacking changes *where* rows are classified, never
 what any cell observes.  That independence is also why the sharded
 executor (:mod:`repro.experiments.shard`) may split one shape group into
 several sub-groups across worker processes: group membership is invisible
-to every member.  The table is the message phase's fast path and hosts
-every Algorithm-3 and static-block cell.  The simulate cells it cannot
-host (scalar backend, the global-information router) step the scalar probe
-loop, the table's parity oracle, and throughput/offline cells run as in
-the serial engine — cell by cell.
+to every member.
+
+**Offline policies share one setting.**  The cells of one offline
+configuration differ only in policy and share one ``cell_seed``, so they
+route over equal inputs: the mesh, the faults, the stabilized labeling
+and the message pairs (:func:`~repro.experiments.runner._offline_setting`).
+The executor builds that setting once per configuration (per run of a
+configuration's cells in the subset it is given) and calls each policy's
+:meth:`~repro.routing.Router.route_batch` over it, the way
+:func:`~repro.analysis.metrics.compare_policies` compares policies on
+one fault set.  Routers only read the setting, and each keeps its own
+views and tables.  In-process the whole grid is one subset, so each
+configuration is built once; over the pool, offline cells keep the
+serial engine's chunks, and a configuration that straddles two chunks is
+built once in each.
+
+Results are byte-identical to the serial engine's, the oracle.  The
+simulate cells the table cannot host (scalar backend, the
+global-information router) step the scalar probe loop, the table's parity
+oracle, and throughput cells run as in the serial engine — cell by cell.
 
 :func:`run_cells_stacked` is the composable unit: it runs any indexed
 subset of a grid's cells, in-process for ``run_batch(engine="auto")`` and
@@ -33,6 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.probe_table import ProbeTable
 from repro.experiments.results import CellResult
+from repro.experiments.shard import probe_table_eligible
 from repro.experiments.spec import ExperimentCell
 
 if False:  # pragma: no cover - import cycle guard for annotations
@@ -43,6 +61,16 @@ _Member = Tuple[int, ExperimentCell, "Simulator"]
 
 #: Callback fired as each cell's result lands: ``(grid index, result)``.
 OnResult = Callable[[int, CellResult], None]
+
+
+def setting_key(cell: ExperimentCell) -> Tuple[object, ...]:
+    """Cells with equal keys route over one offline setting.
+
+    The configuration axes and the ``cell_seed`` the setting is drawn
+    from: everything an offline cell's inputs depend on, with its policy
+    left out.
+    """
+    return (cell.config_key(), cell.cell_seed)
 
 
 def _run_group(
@@ -90,18 +118,27 @@ def run_cells_stacked(
     *,
     on_result: Optional[OnResult] = None,
 ) -> List[Tuple[int, CellResult]]:
-    """Run an indexed subset of a grid, stacking what the table can host.
+    """Run an indexed subset of a grid, sharing what its cells share.
 
     Probe-table-eligible simulate cells are grouped by mesh shape and
-    stepped in lockstep on one shared table per group; everything else
-    (other modes, ineligible policies/backends) runs serially through the
-    same construction paths as the serial engine, so results are
-    byte-identical either way.  Returns ``(grid index, result)`` pairs in
-    completion order; ``on_result`` additionally fires as each lands.
-    This function is self-contained and picklable work — it is what a
-    sharded pool worker executes for a stacked shard.
+    stepped in lockstep on one table per group: the group's first
+    simulator builds the table and every later member is built onto it.
+    Consecutive offline cells of one configuration (equal
+    :func:`setting_key`) route every policy over one setting, built when
+    the first of them arrives; each cell lands as soon as its own routes
+    finish.  Everything else runs alone through the serial engine's
+    :func:`~repro.experiments.runner.run_cell`.  Results are
+    byte-identical to the serial engine's.  Returns ``(grid index,
+    result)`` pairs in completion order; ``on_result`` additionally fires
+    as each lands.  This function is self-contained and picklable work —
+    it is what a sharded pool worker executes for a stacked shard.
     """
-    from repro.experiments.runner import _simulate_metrics, build_simulator, run_cell
+    from repro.experiments.runner import (
+        _offline_metrics,
+        _offline_setting,
+        build_simulator,
+        run_cell,
+    )
 
     out: List[Tuple[int, CellResult]] = []
 
@@ -111,24 +148,24 @@ def run_cells_stacked(
             on_result(index, result)
 
     groups: Dict[Tuple[int, ...], List[_Member]] = {}
+    current: Optional[Tuple[object, ...]] = None
+    setting = None
     for index, cell in cells:
-        if cell.mode != "simulate":
+        if cell.mode == "offline":
+            # The grid puts policies innermost, so a configuration's cells
+            # arrive together and one setting at a time is enough.
+            key = setting_key(cell)
+            if key != current:
+                current, setting = key, _offline_setting(cell)
+            land(index, CellResult(cell=cell, metrics=_offline_metrics(cell, setting)))
+        elif probe_table_eligible(cell):
+            members = groups.setdefault(cell.shape, [])
+            table = members[0][2]._table if members else None
+            members.append((index, cell, build_simulator(cell, table=table)))
+        else:
             land(index, run_cell(cell))
-            continue
-        sim = build_simulator(cell)
-        if sim._table is None:
-            # Not probe-table eligible: run this simulator to completion
-            # alone (same construction path as the serial engine).
-            land(index, CellResult(
-                cell=cell, metrics=_simulate_metrics(cell, sim.run())
-            ))
-            continue
-        groups.setdefault(cell.shape, []).append((index, cell, sim))
 
     for members in groups.values():
-        table = ProbeTable(members[0][2].mesh)
-        for _, _, sim in members:
-            sim._join_table(table)
-        _run_group(table, members, land)
+        _run_group(members[0][2]._table, members, land)
 
     return out

@@ -32,6 +32,7 @@ from repro.service.jobs import (
     Job,
     JobManager,
     QueueFull,
+    SpecTooLarge,
     UnknownJob,
 )
 from repro.service.server import ExperimentService, make_service
@@ -49,6 +50,7 @@ __all__ = [
     "QueueFull",
     "RUNNING",
     "STATES",
+    "SpecTooLarge",
     "TERMINAL_STATES",
     "UnknownJob",
     "make_service",

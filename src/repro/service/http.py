@@ -20,6 +20,12 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 #: spec is a few KB; anything megabytes-sized is not a spec.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Specs that expand to more cells than this are refused with 413 and
+#: never queued.  A spec well under :data:`MAX_BODY_BYTES` can still ask
+#: for hundreds of thousands of cells; the largest grids the project runs
+#: (its tests, CI, examples and benchmarks) have about a hundred.
+MAX_SPEC_CELLS = 10_000
+
 _REASONS = {
     200: "OK",
     202: "Accepted",

@@ -10,7 +10,9 @@ A :class:`Job` is one submitted experiment spec moving through the states
 * **bounded in-flight work** — at most ``max_running`` jobs execute at
   once on a thread pool, and at most ``max_queued`` may wait; a submit
   beyond that raises :class:`QueueFull`, which the HTTP layer answers
-  with ``429 Retry-After`` (backpressure instead of an unbounded queue);
+  with ``429 Retry-After`` (backpressure instead of an unbounded queue).
+  A spec of more than :data:`~repro.service.http.MAX_SPEC_CELLS` cells
+  raises :class:`SpecTooLarge` (HTTP 413) and is never queued;
 * **streaming** — each job records an NDJSON line per finished cell, in
   completion order, appended by the ``on_cell_done`` hook of
   :func:`~repro.experiments.runner.run_batch`; streamers replay the
@@ -50,6 +52,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.results import RESULT_SCHEMA
 from repro.experiments.runner import BatchCancelled, run_batch, shutdown_pool
 from repro.experiments.spec import SPEC_SCHEMA, ExperimentSpec
+from repro.service.http import MAX_SPEC_CELLS
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -67,6 +70,10 @@ class QueueFull(Exception):
     def __init__(self, message: str, retry_after: int) -> None:
         super().__init__(message)
         self.retry_after = retry_after
+
+
+class SpecTooLarge(Exception):
+    """Admission refused: the spec exceeds the cell budget (HTTP 413)."""
 
 
 class Draining(Exception):
@@ -213,6 +220,7 @@ class JobManager:
         ``payload`` is either a bare ``repro.spec/v1`` document or an
         envelope ``{"spec": {...}, "priority": N}``.  Raises
         :class:`ValueError` on malformed payloads (HTTP 400),
+        :class:`SpecTooLarge` past the cell budget (HTTP 413),
         :class:`QueueFull` past capacity (HTTP 429) and :class:`Draining`
         during shutdown (HTTP 503).
         """
@@ -234,6 +242,11 @@ class JobManager:
                 )
             priority = raw
         spec = ExperimentSpec.from_dict(spec_payload)
+        if spec.cell_count > MAX_SPEC_CELLS:
+            raise SpecTooLarge(
+                f"spec expands to {spec.cell_count} cells; the cell budget is "
+                f"{MAX_SPEC_CELLS} cells per job"
+            )
 
         with self._lock:
             if self._draining:

@@ -21,8 +21,10 @@ DELETE ``/v1/jobs/{id}``              alias for cancel
 ====== ============================== ==========================================
 
 Backpressure: a submit past ``max_queued`` answers ``429`` with a
-``Retry-After`` header.  On SIGTERM/SIGINT the listener closes, accepted
-jobs drain, and the persistent process pool is shut down before exit.
+``Retry-After`` header, and a spec of more cells than
+:data:`~repro.service.http.MAX_SPEC_CELLS` answers ``413``.  On
+SIGTERM/SIGINT the listener closes, accepted jobs drain, and the
+persistent process pool is shut down before exit.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from repro.service.jobs import (
     InvalidTransition,
     JobManager,
     QueueFull,
+    SpecTooLarge,
     TERMINAL_STATES,
     UnknownJob,
 )
@@ -285,6 +288,8 @@ class ExperimentService:
             )
             await writer.drain()
             return
+        except SpecTooLarge as exc:
+            raise ProtocolError(413, str(exc))
         except ValueError as exc:
             raise ProtocolError(400, str(exc))
         writer.write(

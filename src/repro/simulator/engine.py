@@ -152,6 +152,7 @@ class Simulator:
         config: Optional[SimulationConfig] = None,
         recorder: Optional["StepRecorder"] = None,
         profiler: Optional["PhaseProfiler"] = None,
+        table: Optional[ProbeTable] = None,
     ) -> None:
         self.mesh = mesh
         #: Opt-in observability hooks.  The recorder (None by default, one
@@ -246,12 +247,16 @@ class Simulator:
         #: byte-identical to the scalar probe loop, the oracle the
         #: parity suite holds the table to; anything else — the scalar
         #: backend, the global-information router, >16-dimensional meshes —
-        #: steps that loop.
+        #: steps that loop.  A ``table`` passed in is shared with other
+        #: same-shape cells (the stacked sweep runner's lockstep groups);
+        #: otherwise the simulator builds its own.
         self._table: Optional[ProbeTable] = None
         self._table_cell = -1
         if table_eligible(self.router, self._backend, mesh.n_dims):
-            self._table = ProbeTable(mesh)
+            self._table = table if table is not None else ProbeTable(mesh)
             self._table_cell = self._table.attach(self)
+        elif table is not None:
+            raise ValueError("simulator configuration is not probe-table eligible")
 
         if self.config.preconverge_initial_faults and self.schedule.initial_faults:
             self._preconverge()
@@ -586,20 +591,6 @@ class Simulator:
     def record_occupancy(self) -> None:
         """Sample the reserved links at the end of a contended step."""
         self.stats.record_occupancy(self.circuits.reserved_links)
-
-    def _join_table(self, table: "ProbeTable") -> int:
-        """Re-home this simulator's probes onto a shared multi-cell table.
-
-        The stacked sweep runner calls this before step 0 so several
-        same-shape simulators step their message phases in one table pass.
-        """
-        if self._table is None:
-            raise ValueError("simulator configuration is not probe-table eligible")
-        if self._step != 0 or self._table.cell_rows(self._table_cell):
-            raise ValueError("cannot join a shared probe table after stepping")
-        self._table = table
-        self._table_cell = table.attach(self)
-        return self._table_cell
 
     @property
     def in_flight(self) -> int:

@@ -124,6 +124,10 @@ class TestProbeTableScalarParity:
                 assert eligible is None
         bfs = build_simulator(_cell("global-information", "random", True))
         assert bfs._table is None
+        # Nor does an ineligible cell join a shared table.
+        with pytest.raises(ValueError, match="not probe-table eligible"):
+            build_simulator(_cell("global-information", "random", True),
+                            table=probe_table.ProbeTable(bfs.mesh))
 
     @pytest.mark.skipif(resolve_backend() != VECTOR, reason="table needs vector")
     def test_static_block_classifier_built_once_per_view(self, monkeypatch):
@@ -164,13 +168,14 @@ def _recount(table, cell):
 
 class TestSharedTableCounters:
     @staticmethod
-    def _vector_sim(cell, recorder=None):
-        """``cell``'s simulator on a probe table whatever the default backend."""
+    def _vector_sim(cell, recorder=None, table=None):
+        """``cell``'s simulator on a probe table whatever the default
+        backend: ``table`` if given, else its own."""
         mesh, schedule, traffic = _simulate_scenario(cell)
         config = SimulationConfig(lam=cell.lam, router=cell.policy,
                                   contention=cell.contention, backend=VECTOR)
         return Simulator(mesh, schedule=schedule, traffic=traffic,
-                         config=config, recorder=recorder)
+                         config=config, recorder=recorder, table=table)
 
     @pytest.mark.parametrize("members", (
         (("limited-global", 1, True), ("static-block", 2, True),
@@ -191,11 +196,9 @@ class TestSharedTableCounters:
             for policy, seed, contention in members
         ]
         solo = [self._vector_sim(cell, StepRecorder()) for cell in cells]
-        joined = [self._vector_sim(cell) for cell in cells]
+        table = probe_table.ProbeTable(Mesh(cells[0].shape))
+        joined = [self._vector_sim(cell, table=table) for cell in cells]
         recorders = [StepRecorder() for _ in cells]
-        table = probe_table.ProbeTable(joined[0].mesh)
-        for sim in joined:
-            sim._join_table(table)
 
         peak = [(0, 0, 0, 0)] * len(cells)
         active = range(len(cells))
@@ -293,6 +296,34 @@ class TestStackedSweepParity:
         stacked = run_batch(spec, engine="auto")
         assert stacked.to_json() == serial.to_json()
 
+    def test_one_table_per_stacked_group(self, monkeypatch):
+        """Each same-shape group builds exactly one table — its first
+        simulator's, which every later member is built onto — and the JSON
+        still equals the serial engine's.  Under the scalar backend no cell
+        is eligible and no table is built."""
+        spec = ExperimentSpec(
+            name="stacked-one-table",
+            mode="simulate",
+            mesh_shapes=((6, 6), (5, 5, 5)),
+            policies=("limited-global", "static-block"),
+            scenarios=("transpose",),
+            fault_counts=(1,),
+            traffic_sizes=(6,),
+            seeds=(0, 1, 2),
+            contention=True,
+        )
+        serial = run_batch(spec, engine="serial").to_json()
+        built = []
+        original = probe_table.ProbeTable.__init__
+
+        def counting(table, mesh):
+            built.append(mesh.shape)
+            original(table, mesh)
+
+        monkeypatch.setattr(probe_table.ProbeTable, "__init__", counting)
+        assert run_batch(spec, engine="auto").to_json() == serial
+        assert built == ([(6, 6), (5, 5, 5)] if resolve_backend() == VECTOR else [])
+
     def test_parity_stacked_uncontended(self):
         spec = ExperimentSpec(
             name="stacked-parity-nc",
@@ -343,13 +374,10 @@ class TestFinishedSimulatorsAreFreed:
             _cell("limited-global", "transpose", True, shape=(7, 7), faults=2, seed=seed)
             for seed in (1, 2)
         ]
-        sims = [TestSharedTableCounters._vector_sim(cell) for cell in cells]
-        private = [weakref.ref(sim._table) for sim in sims]
-        shared = probe_table.ProbeTable(sims[0].mesh)
-        for sim in sims:
-            sim._join_table(shared)
-        # The private table each simulator built and abandoned is gone.
-        assert [ref() for ref in private] == [None, None]
+        shared = probe_table.ProbeTable(Mesh(cells[0].shape))
+        sims = [TestSharedTableCounters._vector_sim(cell, table=shared)
+                for cell in cells]
+        assert all(sim._table is shared for sim in sims)
         for sim in sims:
             sim.run()
         refs = [weakref.ref(sim) for sim in sims]
@@ -360,8 +388,8 @@ class TestFinishedSimulatorsAreFreed:
     def test_stacked_sweep(self, monkeypatch):
         built = []
 
-        def recording_build(cell):
-            sim = build_simulator(cell)
+        def recording_build(cell, **kwargs):
+            sim = build_simulator(cell, **kwargs)
             built.append(weakref.ref(sim))
             return sim
 

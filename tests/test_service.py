@@ -27,9 +27,11 @@ from repro.service import (
     InvalidTransition,
     JobManager,
     QueueFull,
+    SpecTooLarge,
     UnknownJob,
     make_service,
 )
+from repro.service.http import MAX_SPEC_CELLS
 
 WAIT = 30.0  # generous; every wait in here normally resolves in ms
 
@@ -225,6 +227,22 @@ class TestJobLifecycle:
         finally:
             manager.shutdown()
 
+    def test_spec_over_cell_budget_refused_and_not_queued(self, gated):
+        manager = JobManager(max_running=1, max_queued=1)
+        try:
+            with pytest.raises(SpecTooLarge, match=f"cell budget is {MAX_SPEC_CELLS} cells"):
+                manager.submit(spec_payload(seeds=list(range(MAX_SPEC_CELLS + 1))))
+            assert manager.jobs() == []
+            job = manager.submit(spec_payload(seeds=list(range(MAX_SPEC_CELLS))))
+            assert job.cells_total == MAX_SPEC_CELLS
+            assert gated.entered.wait(WAIT)
+            manager.cancel(job.id)
+            gated.step()
+            assert job.done.wait(WAIT)
+            assert job.state == CANCELLED
+        finally:
+            manager.shutdown()
+
     def test_drain_refuses_new_work(self):
         manager = JobManager()
         try:
@@ -396,6 +414,15 @@ class TestServiceHTTP:
         status, _, body = request(live, "POST", "/v1/jobs", b"not json")
         assert status == 400
         assert "not valid JSON" in body["error"]
+
+    def test_submit_over_cell_budget_413(self, live):
+        before = len(request(live, "GET", "/v1/jobs")[2]["jobs"])
+        payload = spec_payload(name="too-big", seeds=list(range(MAX_SPEC_CELLS + 1)))
+        status, _, body = request(live, "POST", "/v1/jobs", payload)
+        assert status == 413
+        assert f"{MAX_SPEC_CELLS + 1} cells" in body["error"]
+        assert f"cell budget is {MAX_SPEC_CELLS} cells" in body["error"]
+        assert len(request(live, "GET", "/v1/jobs")[2]["jobs"]) == before
 
     def test_unknown_job_404(self, live):
         status, _, body = request(live, "GET", "/v1/jobs/j-999999")
