@@ -61,6 +61,12 @@ class LabelingState:
     #: when the labeling actually moved.
     mutations: int = field(default=0, compare=False)
 
+    #: :func:`extract_blocks`' result and the ``mutations`` value it was
+    #: extracted at, so every consumer of one labeling shares one walk.
+    _blocks: Optional[Tuple[int, Tuple[FaultyBlock, ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
     def __post_init__(self) -> None:
         import numpy as np
 
@@ -412,29 +418,51 @@ def extract_blocks(state: LabelingState) -> List[FaultyBlock]:
 
     Connectivity is mesh adjacency.  For a stabilized labeling each component
     is a filled hyper-rectangle; the function does not assume it so callers
-    can also inspect transient states.
+    can also inspect transient states.  Blocks come ordered by their first
+    member in row-major order.
+
+    The walk runs on linear node indices and is memoized on ``state`` by
+    :attr:`LabelingState.mutations`, so the simulator, the information
+    distribution, static-block's adjacent view and the boundary merges
+    share one extraction per labeling.
     """
+    memo = state._blocks
+    if memo is None or memo[0] != state.mutations:
+        memo = state._blocks = (state.mutations, _walk_blocks(state))
+    return list(memo[1])
+
+
+def _walk_blocks(state: LabelingState) -> Tuple[FaultyBlock, ...]:
+    import numpy as np
+
     mesh = state.mesh
-    members = state.block_nodes
-    faulty = state.faulty_nodes
-    seen: Set[Coord] = set()
+    codes = state.codes
+    members = np.flatnonzero(codes >= _DISABLED)
+    if not members.size:
+        return ()
+    # Each member's neighbour indices (-1 off-mesh, never a member).
+    adjacent = dict(zip(members.tolist(), mesh.neighbor_table[members].tolist()))
+    faulty = set(np.flatnonzero(codes == _FAULTY).tolist())
+    coord_of = mesh.coord_of
+    seen: Set[int] = set()
     blocks: List[FaultyBlock] = []
-    for start in sorted(members):
+    for start in adjacent:
         if start in seen:
             continue
-        component: Set[Coord] = set()
-        frontier = [start]
         seen.add(start)
+        component = [start]
+        frontier = [start]
         while frontier:
-            node = frontier.pop()
-            component.add(node)
-            for neighbor in mesh.neighbors(node):
-                if neighbor in members and neighbor not in seen:
+            for neighbor in adjacent[frontier.pop()]:
+                if neighbor in adjacent and neighbor not in seen:
                     seen.add(neighbor)
+                    component.append(neighbor)
                     frontier.append(neighbor)
+        component.sort()
         blocks.append(
             FaultyBlock.from_nodes(
-                sorted(component), faulty_nodes=sorted(component & faulty)
+                [coord_of(i) for i in component],
+                faulty_nodes=[coord_of(i) for i in component if i in faulty],
             )
         )
-    return blocks
+    return tuple(blocks)

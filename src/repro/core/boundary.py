@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.block_construction import extract_blocks
 from repro.core.faulty_block import FaultyBlock, dangerous_prism_of_extent
 from repro.core.state import BoundaryInfo, InformationState
 from repro.faults.status import NodeStatus
@@ -179,9 +180,6 @@ class BoundaryProtocol:
         #: (block extent, dim, side) combinations already merged into, used to
         #: avoid re-seeding the same boundary twice.
         self._merged: Set[Tuple[Region, Region, int, int]] = set()
-        #: Block per member node, built once per labeling change.
-        self._blocks_at = -1
-        self._block_of: Dict[Coord, FaultyBlock] = {}
 
     # ------------------------------------------------------------------ #
     # seeding
@@ -325,16 +323,13 @@ class BoundaryProtocol:
                 store(key[0], infos[key[1]])
 
     def _member_block(self, index: int) -> Optional[FaultyBlock]:
-        """The stabilized block containing node ``index`` (if any)."""
-        labeling = self.state.labeling
-        if self._blocks_at != labeling.mutations:
-            from repro.core.block_construction import extract_blocks
-
-            self._blocks_at = labeling.mutations
-            self._block_of = {
-                node: block for block in extract_blocks(labeling) for node in block.nodes
-            }
-        return self._block_of.get(self.mesh.coord_of(index))
+        """The block containing node ``index`` (if any), from the labeling's
+        shared extraction."""
+        node = self.mesh.coord_of(index)
+        for block in extract_blocks(self.state.labeling):
+            if node in block.nodes:
+                return block
+        return None
 
     def _merge_into_block(self, blocked_node: int, info_id: int) -> None:
         second = self._member_block(blocked_node)

@@ -31,14 +31,23 @@ preserved.  Instability handling is also preserved: if a relay node turns
 faulty or disabled while the process runs, the affected message is
 discarded and the process reports the block as unstable; a TTL bounds the
 lifetime of every message.
+
+Everything about a frame that does not depend on the labeling — its node
+indices, its neighbour table, the Chebyshev stencil and the default
+corners — depends only on the block extent and the mesh shape, and every
+fault and repair re-identifies blocks whose extents the process has seen
+before.  :func:`frame_geometry` builds it once per ``(extent, shape)`` and
+shares it read-only through a small bounded cache.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,12 +55,19 @@ from repro.core.faulty_block import FaultyBlock, frame_coords
 from repro.core.state import BlockRecord, InformationState
 from repro.faults.status import NodeStatus
 from repro.mesh.regions import Region
+from repro.mesh.topology import Mesh
 
 Coord = Tuple[int, ...]
 
-#: Bound of an empty partial extent: ``lo = +_BIG``, ``hi = -_BIG``.
+#: The empty bound of a merged ``[lo, -hi]`` partial extent, and the flag
+#: value of a row that sends nothing.
 _BIG = 1 << 40
 _DISABLED = NodeStatus.DISABLED.code
+
+#: What :func:`frame_geometry` may keep: each frame is charged its arrays'
+#: bytes plus :data:`_FRAME_OVERHEAD` for its Python objects.
+FRAME_CACHE_BYTES = 2 << 20
+_FRAME_OVERHEAD = 1024
 
 
 @lru_cache(maxsize=None)
@@ -61,6 +77,170 @@ def _chebyshev_offsets(n_dims: int) -> np.ndarray:
     offsets = offsets[np.abs(offsets).sum(axis=1) > 0]
     offsets.setflags(write=False)
     return offsets
+
+
+@lru_cache(maxsize=32)
+def _node_bounds(shape: Tuple[int, ...]) -> np.ndarray:
+    """Every node's own merged bound ``[c, -c, _BIG]`` in a mesh of ``shape``.
+
+    ``(size + 1, 2n + 1)``: row ``size`` (the off-mesh sentinel) is empty,
+    and the last column is the no-sender flag, so an observation gathered
+    from it merges into a protocol's bound rows as they are.
+    """
+    coords = np.indices(shape).reshape(len(shape), -1).T
+    size, n = coords.shape
+    bounds = np.full((size + 1, 2 * n + 1), _BIG, dtype=np.int64)
+    bounds[:size, :n] = coords
+    bounds[:size, n:2 * n] = -coords
+    bounds.setflags(write=False)
+    return bounds
+
+
+def _index_dtype(limit: int) -> np.dtype:
+    """The narrowest unsigned integer dtype holding ``0 .. limit``."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if limit <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+class FrameGeometry(NamedTuple):
+    """The labeling-independent geometry of one extent's adjacency frame.
+
+    Shared read-only by every :class:`IdentificationProtocol` on the same
+    extent and mesh shape; index arrays use the narrowest dtype that holds
+    their sentinel.
+    """
+
+    #: Frame nodes as linear indices, in row-major order.
+    nodes: np.ndarray
+    #: ``(frame, 2n)`` frame position of each node's neighbour per
+    #: direction; ``len(nodes)`` (the off-frame sentinel) where the
+    #: neighbour is off the mesh or off the frame.
+    nb: np.ndarray
+    #: ``(frame, 3^n - 1)`` Chebyshev-1 neighbours as linear indices; the
+    #: mesh size (the off-mesh sentinel) where a neighbour is off the mesh.
+    stencil: np.ndarray
+    #: Frame positions of the default initialization corner and of the
+    #: corner opposite it (``-1`` for an empty frame).
+    init: int
+    opposite: int
+
+
+class _FrameCache:
+    """Frames by ``(extent, mesh shape)``, least recently used dropped first
+    once their charge passes ``limit`` bytes.  Keyed on the shape, so it
+    holds neither a mesh nor a state; safe to share between threads."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        #: Bytes charged for the frames held.
+        self.size = 0
+        self._frames: "OrderedDict[Tuple[Region, Tuple[int, ...]], FrameGeometry]" = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+
+    def get(self, extent: Region, mesh: Mesh) -> FrameGeometry:
+        key = (extent, mesh.shape)
+        with self._lock:
+            frame = self._frames.get(key)
+            if frame is not None:
+                self._frames.move_to_end(key)
+                return frame
+        frame = _build_frame(extent, mesh)
+        with self._lock:
+            if key not in self._frames:
+                self._frames[key] = frame
+                self.size += _charge(frame)
+                while self.size > self.limit:
+                    self.size -= _charge(self._frames.popitem(last=False)[1])
+        return frame
+
+
+def _charge(frame: FrameGeometry) -> int:
+    return _FRAME_OVERHEAD + frame.nodes.nbytes + frame.nb.nbytes + frame.stencil.nbytes
+
+
+_FRAME_CACHE = _FrameCache(FRAME_CACHE_BYTES)
+
+
+def frame_geometry(extent: Region, mesh: Mesh) -> FrameGeometry:
+    """The frame geometry of ``extent`` in ``mesh``.
+
+    Built once per ``(extent, mesh shape)`` and shared through a bounded
+    cache (:data:`FRAME_CACHE_BYTES`); a miss builds from ``mesh``'s own
+    tables.
+    """
+    return _FRAME_CACHE.get(extent, mesh)
+
+
+def _build_frame(extent: Region, mesh: Mesh) -> FrameGeometry:
+    shape = mesh.shape
+    coords = frame_coords(extent, shape)
+    size = len(coords)
+    nodes = np.ravel_multi_index(tuple(coords.T), shape).astype(np.int64)
+    local = np.full(mesh.size + 1, size, dtype=np.int64)
+    local[nodes] = np.arange(size)
+    # Off-mesh neighbours are -1 and read local[-1], the sentinel.
+    nb = local[mesh.neighbor_table[nodes]]
+    around = coords[:, None, :] + _chebyshev_offsets(mesh.n_dims)[None, :, :]
+    on_mesh = ((around >= 0) & (around < np.array(shape))).all(axis=2)
+    stencil = np.where(
+        on_mesh, np.ravel_multi_index(tuple(around.T), shape, mode="clip").T, mesh.size
+    )
+    init = opposite = -1
+    if size:
+        corners = [p for p in extent.block_corner_points() if mesh.contains(p)]
+        # Block touches the mesh surface everywhere diagonally; fall back
+        # to an arbitrary frame node as the initiator.
+        corner = max(corners) if corners else tuple(coords[-1].tolist())
+        init = _position(nodes, mesh, corner)
+        opposite = _position(nodes, mesh, _opposite_of(extent, corner, nodes, mesh))
+    frame = FrameGeometry(
+        nodes=nodes.astype(_index_dtype(mesh.size)),
+        nb=nb.astype(_index_dtype(size)),
+        stencil=stencil.astype(_index_dtype(mesh.size)),
+        init=init,
+        opposite=opposite,
+    )
+    for array in frame[:3]:
+        array.setflags(write=False)
+    return frame
+
+
+def _position(nodes: np.ndarray, mesh: Mesh, node: Coord) -> Optional[int]:
+    """Frame position of ``node``, or ``None`` when it is not on the frame."""
+    if not mesh.contains(node):
+        return None
+    index = mesh.index_of(node)
+    position = int(np.searchsorted(nodes, index))
+    if position < len(nodes) and int(nodes[position]) == index:
+        return position
+    return None
+
+
+def _opposite_of(extent: Region, corner: Coord, nodes: np.ndarray, mesh: Mesh) -> Coord:
+    """The n-level corner diagonally opposite ``corner`` (clipped to mesh)."""
+    opposite = []
+    for c, a, b in zip(corner, extent.lo, extent.hi):
+        if c <= a - 1:
+            opposite.append(b + 1)
+        elif c >= b + 1:
+            opposite.append(a - 1)
+        else:
+            # Initiator not a full corner in this dimension; mirror within
+            # the span (keeps the node on the frame).
+            opposite.append(a + b - c)
+    candidate = tuple(opposite)
+    if _position(nodes, mesh, candidate) is not None:
+        return candidate
+    # Clipped by the mesh surface: fall back to the frame node farthest
+    # from the initiator.  Ties go to the first in the iteration order of
+    # the frame *set* built in row-major order, which is part of the
+    # protocol's output contract.
+    frame = set(map(mesh.coord_of, nodes.tolist()))
+    return max(frame, key=lambda p: mesh.distance(corner, p))
 
 
 def oracle_identify(nodes: Iterable[Sequence[int]]) -> Region:
@@ -120,11 +300,13 @@ class IdentificationProtocol:
     Use :meth:`round` to advance one exchange round (the simulator calls it
     ``λ`` times per step) or :meth:`run` to iterate to completion.
 
-    The frame runs on linear node indices: it is an index array in row-major
-    order with a frame-local neighbour table, the active, informed and front
-    sets are boolean masks over it, and the partial extents are ``(frame, n)``
-    lo/hi arrays, an empty extent being the inverted box ``(+BIG, -BIG)`` so
-    that merging is a plain min/max.
+    The frame runs on linear node indices over the shared
+    :class:`FrameGeometry`.  What each frame node knows is one row of a
+    merged bound array: its partial extent as ``[lo, -hi]``, then a sender
+    flag, 0 while the node is active and relaying.  Inactive rows and the
+    off-frame sentinel row hold the empty bound ``_BIG``, so a round's merge
+    is one gather through the frame's neighbour table and one ``min``: the
+    sender column of the result says which nodes the wave reached.
     """
 
     def __init__(
@@ -141,111 +323,55 @@ class IdentificationProtocol:
         self.block = block
         self.version = version
         self.ttl = ttl if ttl is not None else 4 * (mesh.diameter + 1)
-        self._record = BlockRecord(block.extent, version)
-        self._ext_lo = np.array(block.extent.lo, dtype=np.int64)
-        self._ext_hi = np.array(block.extent.hi, dtype=np.int64)
-
-        coords = frame_coords(block.extent, mesh.shape)
-        if not len(coords):
+        extent = block.extent
+        self._record = BlockRecord(extent, version)
+        self._frame = frame = frame_geometry(extent, mesh)
+        size = len(frame.nodes)
+        if not size:
             raise ValueError("block has no adjacency frame inside the mesh")
-        #: Frame nodes as linear indices, in row-major order.
-        self._nodes = np.ravel_multi_index(tuple(coords.T), mesh.shape)
-        self._coords = coords
-        size = len(self._nodes)
-        local = np.full(mesh.size, -1, dtype=np.int64)
-        local[self._nodes] = np.arange(size)
-        table = mesh.neighbor_table[self._nodes]
-        #: Frame-local neighbour table: position of each node's neighbour in
-        #: every direction, or -1 when the neighbour is off-mesh or off-frame.
-        self._nb = np.where(table >= 0, local[table], -1)
+        self._nb = frame.nb.astype(np.intp)
 
-        corners = block.corners(mesh)
-        if not corners:
-            # Block touches the mesh surface everywhere diagonally; fall back
-            # to an arbitrary frame node as the initiator.
-            corners = [tuple(coords[-1].tolist())]
         if initialization_corner is not None:
             init = tuple(initialization_corner)
-            if self._position(init) is None:
-                raise ValueError(
-                    f"{init} is not on the adjacency frame of {block.extent}"
-                )
+            start = _position(frame.nodes, mesh, init)
+            if start is None:
+                raise ValueError(f"{init} is not on the adjacency frame of {extent}")
+            self.initialization_corner: Coord = init
+            self.opposite_corner: Coord = _opposite_of(extent, init, frame.nodes, mesh)
+            self._opposite = _position(frame.nodes, mesh, self.opposite_corner)
         else:
-            init = max(corners)
-        self.initialization_corner: Coord = init
-        self.opposite_corner: Coord = self._opposite_of(init)
-        self._opposite = self._position(self.opposite_corner)
+            start, self._opposite = frame.init, frame.opposite
+            self.initialization_corner = mesh.coord_of(int(frame.nodes[start]))
+            self.opposite_corner = mesh.coord_of(int(frame.nodes[self._opposite]))
 
-        # Identification-wave state: which frame nodes the wave activated and
-        # the best partial extent each one currently knows.
-        n = mesh.n_dims
-        self._lo = np.full((size, n), _BIG, dtype=np.int64)
-        self._hi = np.full((size, n), -_BIG, dtype=np.int64)
+        #: Column of the sender flag, and the identified extent as the
+        #: opposite corner's bound must read it.
+        self._w = w = 2 * mesh.n_dims
+        self._target = list(extent.lo) + [-h for h in extent.hi]
+        self._bounds = np.full((size + 1, w + 1), _BIG, dtype=np.int64)
+        self._head = self._bounds[:size]
         self._active = np.zeros(size, dtype=bool)
-        self._front = np.zeros(size, dtype=bool)
         self._informed = np.zeros(size, dtype=bool)
-        #: Chebyshev-1 stencil around every frame node: neighbour coordinates
-        #: ``(frame, 3^n - 1, n)`` and a gather index into the status codes
-        #: (clipped into the mesh where the neighbour is off it, which
-        #: ``_on_mesh`` masks out).
-        around = coords[:, None, :] + _chebyshev_offsets(n)[None, :, :]
-        self._on_mesh = ((around >= 0) & (around < np.array(mesh.shape))).all(axis=2)
-        self._around = around
-        self._around_index = np.ravel_multi_index(tuple(around.T), mesh.shape, mode="clip").T
-        #: Labeling mutation stamp the relay mask and observations belong to.
-        self._observed_at = -1
+        #: Distribution front, with a False off-frame sentinel.
+        self._front = np.zeros(size + 1, dtype=bool)
 
-        self._phase = "identify"
+        self._identifying = True
         self._identification_rounds = 0
         self._distribution_rounds = 0
         self._elapsed = 0
         self._stable = True
         self._result: Optional[IdentificationResult] = None
 
-        start = self._position(init)
         self._observe()
-        self._lo[start] = self._obs_lo[start]
-        self._hi[start] = self._obs_hi[start]
+        self._head[start] = self._obs[start]
+        self._head[start, w] = 0 if self._relay[start] else _BIG
         self._active[start] = True
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-    def _position(self, node: Coord) -> Optional[int]:
-        """Frame position of ``node``, or ``None`` when it is not on the frame."""
-        if not self.mesh.contains(node):
-            return None
-        index = self.mesh.index_of(node)
-        position = int(np.searchsorted(self._nodes, index))
-        if position < len(self._nodes) and self._nodes[position] == index:
-            return position
-        return None
-
-    def _opposite_of(self, corner: Coord) -> Coord:
-        """The n-level corner diagonally opposite ``corner`` (clipped to mesh)."""
-        lo, hi = self.block.extent.lo, self.block.extent.hi
-        opposite = []
-        for c, a, b in zip(corner, lo, hi):
-            if c <= a - 1:
-                opposite.append(b + 1)
-            elif c >= b + 1:
-                opposite.append(a - 1)
-            else:
-                # Initiator not a full corner in this dimension; mirror within
-                # the span (keeps the node on the frame).
-                opposite.append(a + b - c)
-        candidate = tuple(opposite)
-        if self._position(candidate) is not None:
-            return candidate
-        # Clipped by the mesh surface: fall back to the frame node farthest
-        # from the initiator.  Ties go to the first in the iteration order of
-        # the frame *set* built in row-major order, which is part of the
-        # protocol's output contract.
-        frame = set(map(tuple, self._coords.tolist()))
-        return max(frame, key=lambda p: self.mesh.distance(corner, p))
-
     def _observe(self) -> None:
-        """Refresh the relay mask and observed extents if the labeling moved.
+        """Re-derive the relay mask and observed extents from the labeling.
 
         A frame node learns the positions of the block members in its
         immediate (Chebyshev-1) neighbourhood: adjacent nodes see them
@@ -257,30 +383,24 @@ class IdentificationProtocol:
         proportional to the block perimeter without tracking the per-section
         sub-messages explicitly.  A frame node can relay only while it stays
         enabled or clean.
+
+        Runs at set-up and whenever the labeling moved.  Only then can an
+        active node stop relaying, so the next identification round checks
+        for it (:attr:`_check_relay`).
         """
         labeling = self.state.labeling
-        if labeling.mutations == self._observed_at:
-            return
         self._observed_at = labeling.mutations
+        frame = self._frame
         codes = labeling.codes
-        self._relay = codes[self._nodes] < _DISABLED
-        member = (codes[self._around_index] >= _DISABLED) & self._on_mesh
-        seen = member[:, :, None]
-        self._obs_lo = np.where(seen, self._around, _BIG).min(axis=1)
-        self._obs_hi = np.where(seen, self._around, -_BIG).max(axis=1)
-
-    def _reached(self, senders: np.ndarray) -> np.ndarray:
-        """Mask of frame nodes one hop from a node of the ``senders`` mask."""
-        hit = self._nb[senders].ravel()
-        reached = np.zeros(len(self._nodes), dtype=bool)
-        reached[hit[hit >= 0]] = True
-        return reached
-
-    def _extent_at(self, position: int) -> Optional[Region]:
-        lo = self._lo[position]
-        if lo[0] == _BIG:
-            return None
-        return Region(tuple(lo.tolist()), tuple(self._hi[position].tolist()))
+        self._relay = relay = codes[frame.nodes] < _DISABLED
+        self._all_relay = bool(relay.all())
+        self._check_relay = not self._all_relay
+        stencil = frame.stencil.astype(np.intp)
+        # Off-mesh entries hold the mesh size: ``take`` clips them onto a
+        # real node, and the sentinel row of the bounds reads empty anyway.
+        seen = np.where(codes.take(stencil, mode="clip") >= _DISABLED, stencil, len(codes))
+        self._obs = _node_bounds(self.mesh.shape)[seen].min(axis=1)
+        self._head[:, self._w] = np.where(self._active & relay, 0, _BIG)
 
     # ------------------------------------------------------------------ #
     # public protocol surface
@@ -300,18 +420,19 @@ class IdentificationProtocol:
 
         Returns ``True`` while the protocol still has work to do.
         """
-        if self.done:
+        if self._result is not None:
             return False
         self._elapsed += 1
         if self._elapsed > self.ttl:
             self._finish(stable=False)
             return False
-        self._observe()
-        if self._phase == "identify":
+        if self.state.labeling.mutations != self._observed_at:
+            self._observe()
+        if self._identifying:
             self._identification_round()
         else:
             self._distribution_round()
-        return not self.done
+        return self._result is None
 
     def run(self, max_rounds: Optional[int] = None) -> IdentificationResult:
         """Run rounds until completion and return the result."""
@@ -329,48 +450,39 @@ class IdentificationProtocol:
     # ------------------------------------------------------------------ #
     def _identification_round(self) -> None:
         self._identification_rounds += 1
-        relay = self._relay
-        active = self._active
-        # Activation wave: an inactive frame node becomes active when an
-        # active neighbour relays the identification message to it.
-        if (active & ~relay).any():
-            self._stable = False
-        fresh = self._reached(active & relay) & ~active
-        if (fresh & ~relay).any():
-            self._stable = False
-        fresh &= relay
-        progressed = bool(fresh.any())
-        # Partial-extent exchange: every active node merges its own
-        # observation with what its active neighbours knew at the start of
-        # the round (synchronous one-hop information flow).  All new values
-        # are computed from the old arrays before any is written.
-        update = np.flatnonzero((active | fresh) & relay)
-        if update.size:
-            lo, hi = self._lo, self._hi
-            nb = self._nb[update]
-            src = np.where(nb >= 0, nb, 0)
-            heard = ((nb >= 0) & active[src])[:, :, None]
-            new_lo = np.minimum(
-                np.minimum(lo[update], self._obs_lo[update]),
-                np.where(heard, lo[src], _BIG).min(axis=1),
-            )
-            new_hi = np.maximum(
-                np.maximum(hi[update], self._obs_hi[update]),
-                np.where(heard, hi[src], -_BIG).max(axis=1),
-            )
-            if (new_lo != lo[update]).any() or (new_hi != hi[update]).any():
-                progressed = True
-            lo[update] = new_lo
-            hi[update] = new_hi
-        active |= fresh
+        w, head = self._w, self._head
+        if self._check_relay:
+            # An active node that stopped relaying discards its message.
+            self._check_relay = False
+            if (self._active & ~self._relay).any():
+                self._stable = False
+        # Every node merges what its neighbours knew at the start of the
+        # round (synchronous one-hop information flow): inactive rows and
+        # the sentinel are empty, and a zero in the sender column means an
+        # active relaying neighbour handed the message on.
+        heard = self._bounds[self._nb].min(axis=1)
+        np.minimum(heard, head, out=heard)
+        update = heard[:, w] == 0
+        if not self._all_relay:
+            relay = self._relay
+            if (update & ~self._active & ~relay).any():
+                # A node the wave reached cannot relay it.
+                self._stable = False
+            update &= relay
+            np.copyto(heard, head, where=~update[:, None])
+        # Every active node also merges its own observation; elsewhere
+        # ``heard`` already equals the old row (empty while all relay).
+        np.minimum(heard, self._obs, out=heard, where=update[:, None])
+        progressed = bool((heard != head).any())
+        head[...] = heard
+        self._active |= update
 
-        o = self._opposite
-        if (self._lo[o] == self._ext_lo).all() and (self._hi[o] == self._ext_hi).all():
+        if self._bounds[self._opposite].tolist()[:w] == self._target:
             # Block information is formed at the opposite corner; start the
             # back-propagation of the identified record (Figure 6).
-            self._phase = "distribute"
-            self._front[o] = True
-            self._deliver(self._front)
+            self._identifying = False
+            self._front[self._opposite] = True
+            self._deliver(self._front[:-1])
             return
         if not progressed:
             # The wave has covered everything it can and no partial extent is
@@ -382,24 +494,36 @@ class IdentificationProtocol:
         """Hand the identified record to the frame nodes of the ``nodes`` mask."""
         self._informed |= nodes
         store = self.state.add_block_info_at
-        for index in self._nodes[nodes].tolist():
+        for index in self._frame.nodes[nodes].tolist():
             store(index, self._record)
 
     def _distribution_round(self) -> None:
         self._distribution_rounds += 1
-        relay = self._relay
-        fresh = self._reached(self._front) & ~self._informed
-        if (fresh & ~relay).any():
-            self._stable = False
-        fresh &= relay
+        fresh = self._front[self._nb].any(axis=1)
+        fresh &= ~self._informed
+        if not self._all_relay:
+            relay = self._relay
+            if (fresh & ~relay).any():
+                self._stable = False
+            fresh &= relay
         self._deliver(fresh)
-        self._front = fresh
+        self._front[:-1] = fresh
         if not fresh.any():
-            self._finish(stable=self._stable and not (relay & ~self._informed).any())
+            self._finish(
+                stable=self._stable and not (self._relay & ~self._informed).any()
+            )
 
     def _finish(self, stable: bool) -> None:
+        if stable:
+            extent: Optional[Region] = self.block.extent
+        else:
+            lo = self._head[self._opposite].tolist()
+            n = self.mesh.n_dims
+            extent = None if lo[0] == _BIG else Region(
+                tuple(lo[:n]), tuple(-h for h in lo[n:2 * n])
+            )
         self._result = IdentificationResult(
-            extent=self.block.extent if stable else self._extent_at(self._opposite),
+            extent=extent,
             initialization_corner=self.initialization_corner,
             opposite_corner=self.opposite_corner,
             identification_rounds=self._identification_rounds,
@@ -414,12 +538,12 @@ class IdentificationProtocol:
     @property
     def informed_nodes(self) -> Set[Coord]:
         """Frame nodes that already hold the identified block record."""
-        return set(map(tuple, self._coords[self._informed].tolist()))
+        return set(map(self.mesh.coord_of, self._frame.nodes[self._informed].tolist()))
 
     @property
     def frame(self) -> Set[Coord]:
         """The block's adjacency frame inside the mesh."""
-        return set(map(tuple, self._coords.tolist()))
+        return set(map(self.mesh.coord_of, self._frame.nodes.tolist()))
 
 
 def identify_block(

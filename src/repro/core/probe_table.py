@@ -228,7 +228,8 @@ class _Row:
     __slots__ = (
         "cs", "message", "dest", "expiry", "holder", "outcome",
         "stack", "slots", "rdirs", "used", "path",
-        "blocked", "retries", "waited", "wepoch", "cdirs", "count", "carry_gen",
+        "blocked", "retries", "waited", "wepoch", "wslots", "cdirs", "count",
+        "carry_gen",
     )
 
     def __init__(
@@ -255,10 +256,13 @@ class _Row:
         self.blocked = 0
         self.retries = 0
         self.waited = False
-        #: Ledger release epoch at the row's last full WAIT scan (-1 = must
-        #: scan).  While the cell's epoch is unchanged no link was freed, so
-        #: a parked waiter's candidates are provably still all blocked.
+        #: Ledger release epoch at which the row's candidates were last known
+        #: all blocked (its last full WAIT scan, or a later check of their
+        #: slots; -1 = must scan), and the link slots of those candidates.
+        #: While none of the slots was freed after the epoch, a parked
+        #: waiter's candidates are provably still all blocked.
         self.wepoch = -1
+        self.wslots: Sequence[int] = ()
         #: Candidates of the last classification, in priority order, and
         #: how many are real (-1 = a rule-1 backtrack; zero is a genuine
         #: empty candidate list).
@@ -453,11 +457,27 @@ class ProbeTable:
         for row in self._rows:
             if row.outcome is None:
                 cs = row.cs
-                if row.waited and row.wepoch == cs.ledger._epoch:
-                    # Parked waiter: no link in this cell was freed since its
-                    # last full scan (and its candidates are unchanged), so
-                    # every candidate is provably still blocked.  The scalar
-                    # scan would re-count the same blocks and wait again.
+                parked = False
+                if row.waited:
+                    epoch = cs.ledger._epoch
+                    wepoch = row.wepoch
+                    if wepoch != epoch and wepoch >= 0:
+                        # Links of the cell were freed since the row's last
+                        # full scan; only a free of its own candidates can
+                        # unblock it.
+                        freed = cs.ledger._freed
+                        for slot in row.wslots:
+                            if freed[slot] > wepoch:
+                                break
+                        else:
+                            row.wepoch = wepoch = epoch
+                    parked = wepoch == epoch
+                if parked:
+                    # Parked waiter: none of its candidate links was freed
+                    # since its last full scan (and its candidates are
+                    # unchanged), so every candidate is provably still
+                    # blocked.  The scalar scan would re-count the same
+                    # blocks and wait again.
                     row.retries += 1
                     row.blocked += row.count
                     cs.retries += 1
@@ -516,11 +536,12 @@ class ProbeTable:
             row.retries += 1
             cs.retries += 1
             if len(stack) == 1:
-                # WAIT: nothing to release; park until a link of this cell
-                # is freed.
+                # WAIT: nothing to release; park until one of the blocked
+                # candidate links is freed.
                 row.waited = True
                 cs.waiting += 1
                 row.wepoch = ledger._epoch
+                row.wslots = [links[d] for d in dirs[:count]]
                 return
         elif len(stack) == 1:
             if count == 0 and (row.blocked or row.retries):

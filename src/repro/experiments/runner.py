@@ -355,15 +355,17 @@ _POOL_WORKERS = 0
 
 
 def _shared_pool(workers: int) -> ProcessPoolExecutor:
-    """The shared executor, (re)built only when the size changes.
+    """The shared executor, with at least ``workers`` processes.
 
     Keeping the pool alive across :func:`run_batch` calls is what makes a
     sweep *service* cheap: repeated and overlapping sweeps reuse warm
     worker processes instead of paying interpreter + import start-up per
-    batch.
+    batch.  The pool is rebuilt only for a batch that needs more processes
+    than it has, never to shrink it: a smaller batch submits fewer shards
+    to the live pool.
     """
     global _POOL, _POOL_WORKERS
-    if _POOL is not None and _POOL_WORKERS != workers:
+    if _POOL is not None and _POOL_WORKERS < workers:
         _POOL.shutdown(wait=True)
         _POOL = None
     if _POOL is None:
@@ -471,35 +473,46 @@ def _dispatch_shards(
     backend = resolve_backend()
     rebuilds = 0
     pool = _shared_pool(workers)
-    pending: Dict[Future, Tuple[Shard, int]] = {
-        pool.submit(_execute_shard, shard, backend): (shard, 0) for shard in shards
-    }
+    pending: Dict[Future, Tuple[Shard, int]] = {}
+
+    def submit(items: Sequence[Tuple[Shard, int]]) -> List[Tuple[Shard, int]]:
+        """Submit ``items``; returns those refused because a worker died
+        while they were being submitted (the pool is broken then)."""
+        for k, (shard, attempt) in enumerate(items):
+            try:
+                future = pool.submit(_execute_shard, shard, backend)
+            except BrokenProcessPool:
+                return list(items[k:])
+            pending[future] = (shard, attempt)
+        return []
+
     try:
-        while pending:
-            done, _ = wait(
-                pending, timeout=shard_timeout, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                # Inactivity: nothing completed within the budget.  The
-                # pool may be wedged (a worker stuck in native code never
-                # breaks the executor) — abandon it and finish in-process.
-                outstanding = list(pending.values())
-                pending.clear()
-                note("timeout", len(outstanding), "serial")
-                _abandon_pool()
-                run_inline(outstanding)
-                break
-            lost: List[Tuple[Shard, int]] = []
-            for future in done:
-                shard, attempt = pending.pop(future)
-                try:
-                    pairs, seconds = future.result()
-                except BrokenProcessPool:
-                    lost.append((shard, attempt))
-                    continue
-                for index, result in pairs:
-                    land(index, result)
-                record(shard.kind, len(pairs), seconds)
+        lost = submit([(shard, 0) for shard in shards])
+        while pending or lost:
+            if pending:
+                done, _ = wait(
+                    pending, timeout=shard_timeout, return_when=FIRST_COMPLETED
+                )
+                if not done:
+                    # Inactivity: nothing completed within the budget.  The
+                    # pool may be wedged (a worker stuck in native code never
+                    # breaks the executor) — abandon it and finish in-process.
+                    outstanding = list(pending.values()) + lost
+                    pending.clear()
+                    note("timeout", len(outstanding), "serial")
+                    _abandon_pool()
+                    run_inline(outstanding)
+                    break
+                for future in done:
+                    shard, attempt = pending.pop(future)
+                    try:
+                        pairs, seconds = future.result()
+                    except BrokenProcessPool:
+                        lost.append((shard, attempt))
+                        continue
+                    for index, result in pairs:
+                        land(index, result)
+                    record(shard.kind, len(pairs), seconds)
             if not lost:
                 continue
             # A dead worker breaks the whole executor: every still-pending
@@ -516,21 +529,20 @@ def _dispatch_shards(
                 break
             note("pool-broken", len(lost), "retried")
             pool = _shared_pool(workers)
+            retry: List[Tuple[Shard, int]] = []
             for shard, attempt in lost:
                 if attempt >= MAX_SHARD_ATTEMPTS:
-                    run_inline([(shard, attempt)])
-                elif attempt == 0 and len(shard.cells) > 1:
-                    for chunk in _split(shard.cells, 2):
-                        half = Shard(kind=shard.kind, cells=chunk)
-                        pending[pool.submit(_execute_shard, half, backend)] = (
-                            half,
-                            attempt + 1,
-                        )
-                else:
-                    pending[pool.submit(_execute_shard, shard, backend)] = (
-                        shard,
-                        attempt + 1,
+                    continue
+                if attempt == 0 and len(shard.cells) > 1:
+                    retry.extend(
+                        (Shard(kind=shard.kind, cells=chunk), attempt + 1)
+                        for chunk in _split(shard.cells, 2)
                     )
+                else:
+                    retry.append((shard, attempt + 1))
+            exhausted = [item for item in lost if item[1] >= MAX_SHARD_ATTEMPTS]
+            lost = submit(retry)
+            run_inline(exhausted)
     except BaseException:
         shutdown_pool()
         raise

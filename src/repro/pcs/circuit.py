@@ -330,11 +330,15 @@ class ArrayCircuitLedger:
         #: clearing itself is the vectorized column sweep.
         self._expiries: List[Tuple[int, int]] = []
         self._reserved_count = 0
-        #: Bumped whenever a link transitions held -> free.  A probe waiting
-        #: on an all-blocked candidate list can only be unblocked by such a
-        #: transition (reserves only ever block more), so the probe engine
-        #: parks waiters and skips their re-scan while the epoch is unchanged.
+        #: Bumped whenever a link transitions held -> free, and each slot
+        #: stamped with the epoch of its last such transition.  A probe
+        #: waiting on an all-blocked candidate list can only be unblocked by
+        #: a free of one of its candidates (a slot changes holder only
+        #: through a free; reserves only ever block more), so the probe
+        #: engine parks waiters and skips their re-scan while the epoch is
+        #: unchanged or none of their candidate slots was stamped since.
         self._epoch = 0
+        self._freed: List[int] = [0] * slots
 
     def blocked_for(self, holder: int):
         """The :data:`~repro.core.routing.LinkBlocked` predicate of ``holder``."""
@@ -389,6 +393,7 @@ class ArrayCircuitLedger:
                 self._holder[index] = -1
                 self._reserved_count -= 1
                 self._epoch += 1
+                self._freed[index] = self._epoch
             if not held:
                 del self._held[holder]
 
@@ -422,6 +427,7 @@ class ArrayCircuitLedger:
                 self._holder[index] = -1
                 self._reserved_count -= 1
                 self._epoch += 1
+                self._freed[index] = self._epoch
             self._refcount[index] = 0
             self._release[index] = -1
         for index in counts.keys() - held:
@@ -449,6 +455,7 @@ class ArrayCircuitLedger:
                 self._release[index] = -1
                 self._reserved_count -= 1
                 self._epoch += 1
+                self._freed[index] = self._epoch
 
     def hold_until(self, holder: int, release_step: int) -> None:
         """Keep ``holder``'s current links reserved until ``release_step``."""
@@ -491,6 +498,7 @@ class ArrayCircuitLedger:
                     self._holder[index] = -1
                     self._reserved_count -= 1
                     self._epoch += 1
+                    self._freed[index] = self._epoch
                 self._refcount[index] = 0
             self._release[due] = -1
         released = 0

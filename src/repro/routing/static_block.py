@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.core.block_construction import LabelingState, extract_blocks
+from repro.core.identification import frame_geometry
 from repro.core.routing import (
     DecisionCache,
     LinkBlocked,
@@ -41,8 +42,8 @@ def adjacent_only_information(
     info = InformationState(mesh=mesh, labeling=labeling, version=version)
     for block in extract_blocks(labeling):
         record = BlockRecord(extent=block.extent, version=version)
-        for node in block.frame_nodes(mesh):
-            info.add_block_info(node, record)
+        for index in frame_geometry(block.extent, mesh).nodes.tolist():
+            info.add_block_info_at(index, record)
     return info
 
 

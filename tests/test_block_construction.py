@@ -1,7 +1,11 @@
 """Unit tests for the enabled/disabled/clean labeling (Definitions 1/4, Algorithm 1)."""
 
+import random
+
 import pytest
 
+from repro.backend import SCALAR, VECTOR
+from repro.core import block_construction
 from repro.core.block_construction import (
     LabelingState,
     build_blocks,
@@ -9,6 +13,7 @@ from repro.core.block_construction import (
     labeling_round,
     run_block_construction,
 )
+from repro.core.faulty_block import FaultyBlock
 from repro.faults.status import NodeStatus
 from repro.mesh.regions import Region
 from repro.mesh.topology import Mesh
@@ -201,3 +206,114 @@ class TestExtractBlocks:
             assert not members & set(block.nodes)
             members |= set(block.nodes)
         assert members == result.state.block_nodes
+
+
+def _oracle_blocks(state):
+    """Components of faulty∪disabled nodes by a walk over coordinate
+    tuples: the reference :func:`extract_blocks`' index walk must match."""
+    mesh = state.mesh
+    members = state.block_nodes
+    faulty = state.faulty_nodes
+    seen = set()
+    blocks = []
+    for start in sorted(members):
+        if start in seen:
+            continue
+        component = set()
+        frontier = [start]
+        seen.add(start)
+        while frontier:
+            node = frontier.pop()
+            component.add(node)
+            for neighbor in mesh.neighbors(node):
+                if neighbor in members and neighbor not in seen:
+                    seen.add(neighbor)
+                    frontier.append(neighbor)
+        blocks.append(
+            FaultyBlock.from_nodes(sorted(component), faulty_nodes=sorted(component & faulty))
+        )
+    return blocks
+
+
+def _random_labeling(rng, shape):
+    """Random statuses: most labelings are transient, with blocks that are
+    not rectangles."""
+    state = LabelingState(mesh=Mesh(shape))
+    weights = rng.choice(((6, 1, 1, 1), (3, 1, 2, 1), (12, 1, 1, 0)))
+    statuses = (NodeStatus.ENABLED, NodeStatus.FAULTY, NodeStatus.DISABLED, NodeStatus.CLEAN)
+    for node in state.mesh.nodes():
+        state.set_status(node, rng.choices(statuses, weights)[0])
+    return state
+
+
+class TestExtractBlocksOnIndices:
+    @pytest.mark.parametrize("shape", ((7, 7), (5, 4, 5), (4, 3, 3, 4)))
+    def test_matches_coordinate_walk(self, shape):
+        rng = random.Random(f"extract-blocks/{shape}")
+        irregular = 0
+        for case in range(40):
+            if case % 4 == 0:
+                mesh = Mesh(shape)
+                faults = rng.sample(list(mesh.nodes()), rng.randint(1, 5))
+                state = build_blocks(mesh, faults).state
+            else:
+                state = _random_labeling(rng, shape)
+            blocks = extract_blocks(state)
+            assert blocks == _oracle_blocks(state), (shape, case)
+            irregular += sum(not block.is_rectangular for block in blocks)
+        assert irregular > 10  # transient, non-rectangular blocks covered
+
+    def test_memo_follows_every_mutation(self, mesh2d):
+        state = build_blocks(mesh2d, [(3, 3), (4, 4)]).state
+        first = extract_blocks(state)
+        assert extract_blocks(state)[0] is first[0]  # one walk per labeling
+
+        def members():
+            blocks = extract_blocks(state)
+            assert blocks == _oracle_blocks(state)
+            return {node for block in blocks for node in block.nodes}
+
+        state.set_status((7, 7), NodeStatus.DISABLED)
+        assert (7, 7) in members()
+        state.make_faulty((1, 8))
+        assert (1, 8) in members()
+        state.recover((1, 8))
+        assert (1, 8) not in members()
+        for backend, spot in ((SCALAR, (7, 3)), (VECTOR, (1, 3))):
+            # A disabled node next to a clean one turns clean in the round.
+            state.set_status(spot, NodeStatus.DISABLED)
+            state.set_status((spot[0], spot[1] + 1), NodeStatus.CLEAN)
+            assert spot in members()
+            assert labeling_round(state, backend=backend)
+            assert spot not in members()
+        copy = state.copy()
+        copy.make_faulty((8, 1))
+        assert (8, 1) in {n for b in extract_blocks(copy) for n in b.nodes}
+        assert (8, 1) not in members()
+        state.make_faulty((1, 1))
+        assert (1, 1) in members()
+        assert (1, 1) not in {n for b in extract_blocks(copy) for n in b.nodes}
+
+    def test_returned_list_is_the_callers(self, mesh2d):
+        state = build_blocks(mesh2d, [(3, 3), (4, 4)]).state
+        extract_blocks(state).clear()
+        assert len(extract_blocks(state)) == 1
+
+    def test_offline_consumers_share_one_walk(self, monkeypatch, mesh3d):
+        """The information distribution, static-block's adjacent view and
+        the boundary merges read one extraction of a stable labeling."""
+        from repro.core.distribution import distribute_information
+        from repro.routing.static_block import adjacent_only_information
+
+        walks = []
+        walk = block_construction._walk_blocks
+        monkeypatch.setattr(
+            block_construction, "_walk_blocks",
+            lambda state: walks.append(state) or walk(state),
+        )
+        # Two blocks in one column: the boundary walkers of one merge into
+        # the other.
+        state = build_blocks(mesh3d, [(4, 4, 2), (4, 4, 6), (5, 5, 6)]).state
+        distribute_information(mesh3d, state)
+        adjacent_only_information(mesh3d, state)
+        assert walks == [state]

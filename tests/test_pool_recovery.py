@@ -11,10 +11,12 @@ with SIGKILL.
 """
 
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.experiments import ExperimentSpec, run_batch
+from repro.experiments import runner
 from repro.experiments.runner import CRASH_ENV_VAR, shutdown_pool
 from repro.obs.telemetry import PoolIncident, SweepTelemetry
 
@@ -76,6 +78,51 @@ class TestWorkerCrashRecovery:
         disturbed = run_batch(pool_spec(), workers=2)
         assert disturbed.telemetry.incidents
         assert "incidents" not in json.loads(disturbed.to_json())
+
+
+class TestPoolReuse:
+    def test_smaller_batches_reuse_the_live_pool(self, monkeypatch, fresh_pool):
+        """A batch planning fewer shards than the live pool has processes
+        submits to it as it is; only a batch needing more rebuilds it."""
+        built = []
+
+        class Counting(runner.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", Counting)
+        small, large = (
+            pool_spec(mode="offline", seeds=seeds, lams=(2,))
+            for seeds in ((0,), (0, 1, 2, 3))
+        )
+        assert (len(small.cells()), len(large.cells())) == (2, 8)
+        for spec in (small, large) * 3:
+            pooled = run_batch(spec, workers=4).to_json()
+            assert pooled == run_batch(spec, engine="serial").to_json()
+        assert built == [2, 4]
+
+    def test_pool_broken_during_submission_is_retried(self, monkeypatch, fresh_pool):
+        """A worker dying while the batch is still being submitted makes
+        ``submit`` itself raise; the refused shards are retried like the
+        lost ones."""
+        baseline = run_batch(pool_spec(), engine="serial").to_json()
+
+        class BreaksOnSecondSubmit(runner.ProcessPoolExecutor):
+            submitted = 0
+
+            def submit(self, *args, **kwargs):
+                type(self).submitted += 1
+                if type(self).submitted == 2:
+                    raise BrokenProcessPool("a worker died during submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        disturbed = run_batch(pool_spec(), workers=2)
+        assert disturbed.to_json() == baseline
+        kinds = [(i.kind, i.action) for i in disturbed.telemetry.incidents]
+        assert ("pool-broken", "retried") in kinds
+        assert sum(s.cells for s in disturbed.telemetry.shards) == len(pool_spec().cells())
 
 
 class TestInactivityTimeout:

@@ -40,6 +40,7 @@ from repro.mesh.topology import Mesh
 from repro.obs.recorder import StepRecorder
 from repro.routing import available_routers, resolve_router
 from repro.simulator.engine import SimulationConfig, Simulator
+from repro.simulator.traffic import TrafficMessage
 from repro.workloads.traffic import to_traffic
 
 POLICIES = available_routers()
@@ -153,6 +154,77 @@ class TestProbeTableScalarParity:
         stats = sim.run().stats
         assert sim._table is not None and stats.steps > 10
         assert len(built) == 1
+
+
+class TestWaiterParking:
+    @staticmethod
+    def _sim(backend):
+        """A 6x6 contended run whose corner waiter W, at (0,0) for (5,5),
+        finds both its links held: by A's transfer until step 6 and by B's
+        until step 11.  C's and D's holds free other links of the cell at
+        steps 2 and 4, while W waits."""
+        def message(source, destination, start, flits):
+            return TrafficMessage(source, destination, start_time=start, flits=flits)
+
+        traffic = [
+            message((1, 0), (0, 0), 0, 100),  # A: holds (1,0)-(0,0) until 6
+            message((0, 1), (0, 0), 0, 200),  # B: holds (0,1)-(0,0) until 11
+            message((3, 3), (3, 4), 0, 20),   # C: freed at step 2
+            message((4, 4), (4, 5), 0, 60),   # D: freed at step 4
+            message((0, 0), (5, 5), 1, 8),    # W
+        ]
+        return Simulator(
+            Mesh((6, 6)), traffic=traffic,
+            config=SimulationConfig(contention=True, backend=backend),
+        )
+
+    @pytest.mark.skipif(resolve_backend() != VECTOR, reason="table needs vector")
+    def test_waiter_rescans_only_when_its_own_link_frees(self):
+        sim = self._sim(VECTOR)
+        table = sim._table
+        rescans = []
+        move = table._move
+
+        def recording_move(row, cs):
+            if row.waited:
+                rescans.append((sim.current_step, row.message.source))
+            move(row, cs)
+
+        table._move = recording_move
+        stats = sim.run().stats
+        # Other links of the cell were freed at steps 2 and 4, but not W's;
+        # W's first candidate frees at step 6, and W rescans then.
+        assert rescans == [(6, (0, 0))]
+        waiter = stats.messages[-1]
+        assert waiter.message.source == (0, 0)
+        assert waiter.result.setup_retries == 5  # waited in steps 1-5
+        assert waiter.result.blocked_hops == 10
+        oracle = self._sim(VECTOR)
+        oracle._table = None  # the scalar probe loop
+        assert _fingerprint(stats) == _fingerprint(oracle.run().stats)
+
+    def test_ledger_stamps_every_freed_slot(self):
+        from repro.pcs.circuit import ArrayCircuitLedger
+
+        mesh = Mesh((4, 4))
+        ledger = ArrayCircuitLedger(mesh)
+        a, b, c, d = (mesh.link_index(u, v) for u, v in (
+            ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((2, 2), (2, 3)), ((3, 3), (3, 2)),
+        ))
+        ledger.reserve_slot(1, a)
+        ledger.reserve_slot(1, b)
+        ledger.reserve_slot(2, c)
+        ledger.reserve_slot(3, d)
+        ledger.release_slot(1, a)
+        assert ledger._freed[a] == ledger._epoch == 1
+        ledger.sync_slots(1, [])          # frees b
+        assert ledger._freed[b] == 2
+        ledger.hold_until(2, 5)
+        ledger.release_expired(5)         # frees c
+        assert ledger._freed[c] == 3
+        ledger.release(3)                 # frees d
+        assert ledger._freed[d] == 4
+        assert ledger.reserved_links == 0
 
 
 def _recount(table, cell):
