@@ -10,7 +10,6 @@ Two things are measured here:
   backend (the probe table's fast path, the default) and on the scalar
   backend (the reference labeling and the scalar probe loop, the parity
   oracle).  The acceptance bar is vector >= 2x on this timed section.
-  ``test_bench_step_batched`` times the default configuration.
 
 Every timed comparison is parity-gated first: the compared paths are
 asserted to produce byte-identical statistics and per-message paths.
@@ -71,15 +70,6 @@ def test_decision_parity_vector_vs_scalar():
     """Parity gate for the decision-engine comparison below."""
     assert _fingerprint(_high_load_run(VECTOR)) == _fingerprint(
         _high_load_run(SCALAR)
-    )
-
-
-def test_bench_step_batched(benchmark):
-    """Contended step loop in the default configuration."""
-    stats = benchmark(_high_load_run)
-    print(
-        f"\ndefault backend:  {stats.steps} steps, "
-        f"{len(stats.messages)} messages, delivery {stats.delivery_rate:.2f}"
     )
 
 

@@ -70,7 +70,6 @@ from repro.routing import (
     available_routers,
     register_router,
     resolve_router,
-    route_with,
 )
 from repro.simulator import SimulationConfig, SimulationResult, Simulator
 
@@ -119,7 +118,6 @@ __all__ = [
     "resolve_backend",
     "resolve_router",
     "route_offline",
-    "route_with",
     "run_block_construction",
     "uniform_random_faults",
 ]

@@ -45,7 +45,6 @@ from repro.core.faulty_block import FaultyBlock, dangerous_prism_of_extent
 from repro.core.identification import (
     IdentificationProtocol,
     IdentificationResult,
-    identify_block,
     oracle_identify,
 )
 from repro.core.routing import (
@@ -94,7 +93,6 @@ __all__ = [
     "distribute_information",
     "distribute_information_with_report",
     "extract_blocks",
-    "identify_block",
     "is_safe_source",
     "labeling_round",
     "minimal_path_exists",

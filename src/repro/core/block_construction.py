@@ -171,11 +171,6 @@ class LabelingState:
         return self.nodes_with_status(NodeStatus.DISABLED)
 
     @property
-    def clean_nodes(self) -> Set[Coord]:
-        """Nodes currently in the transient clean state."""
-        return self.nodes_with_status(NodeStatus.CLEAN)
-
-    @property
     def block_nodes(self) -> Set[Coord]:
         """Faulty and disabled nodes (the members of faulty blocks)."""
         coord_of = self.mesh.coord_of

@@ -48,15 +48,15 @@ _NO_WALKERS = np.zeros(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------- #
-# prism geometry (module-level mirrors of the FaultyBlock methods, usable
-# with a bare extent — routing works from extents carried in records)
+# prism geometry on a bare extent (routing works from extents carried in
+# records)
 # ---------------------------------------------------------------------- #
 def dangerous_prism(
     extent: Region, mesh: Mesh, dim: int, side: int
 ) -> Optional[Region]:
     """The dangerous area of ``extent`` on ``side`` of dimension ``dim``.
 
-    See :meth:`repro.core.faulty_block.FaultyBlock.dangerous_prism`.
+    See :func:`repro.core.faulty_block.dangerous_prism_of_extent`.
     """
     return dangerous_prism_of_extent(extent, mesh, dim, side)
 

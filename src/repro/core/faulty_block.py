@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mesh.directions import Direction, direction_from_surface, opposite_surface
+from repro.mesh.directions import direction_from_surface
 from repro.mesh.regions import Region
 from repro.mesh.topology import Mesh
 
@@ -66,13 +66,19 @@ def frame_coords(extent: Region, shape: Tuple[int, ...]) -> np.ndarray:
 def dangerous_prism_of_extent(
     extent: Region, mesh: Mesh, dim: int, side: int
 ) -> Optional[Region]:
-    """The dangerous area of a block with the given ``extent``.
+    """The dangerous area on ``side`` of a block with ``extent`` along ``dim``.
 
-    Standalone version of :meth:`FaultyBlock.dangerous_prism` usable with a
-    bare extent (as carried by block/boundary information records) without
-    materializing the block's node set.  The geometry only depends on
-    ``(extent, mesh shape, dim, side)``, so results are memoized — the
-    routing hot path resolves the same prisms at every hop.
+    A routing message located inside this prism whose destination lies in
+    the prism on the other side (``-side``) has every minimal path cut by
+    the block.  The prism spans the extent in every dimension except
+    ``dim`` and stretches from the block face to the outmost surface of the
+    mesh on ``side``; it is ``None`` when the block touches the mesh surface
+    on that side (no room for a dangerous area).
+
+    It takes a bare extent (as carried by block/boundary information
+    records), so no block node set is materialized.  The geometry only
+    depends on ``(extent, mesh shape, dim, side)``, so results are memoized
+    — the routing hot path resolves the same prisms at every hop.
     """
     if side not in (-1, +1):
         raise ValueError("side must be ±1")
@@ -257,58 +263,6 @@ class FaultyBlock:
                 surface = clipped
             out[index] = surface
         return out
-
-    def surface_direction(self, surface_index: int) -> Direction:
-        """Direction pointing from the block towards surface ``S_i``."""
-        return direction_from_surface(surface_index, self.n_dims)
-
-    def opposite_surface_index(self, surface_index: int) -> int:
-        """Index of the surface opposite ``S_i``  (``(i+n) mod 2n``)."""
-        return opposite_surface(surface_index, self.n_dims)
-
-    # ------------------------------------------------------------------ #
-    # dangerous prisms
-    # ------------------------------------------------------------------ #
-    def dangerous_prism(self, mesh: Mesh, dim: int, side: int) -> Optional[Region]:
-        """The dangerous area on ``side`` of the block along ``dim``.
-
-        A routing message located inside this prism whose destination lies in
-        the *opposite* prism (see :meth:`opposite_prism`) has every minimal
-        path cut by the block.  The prism spans the block's extent in every
-        dimension except ``dim`` and stretches from the block face to the
-        outmost surface of the mesh on ``side``.
-
-        Returns ``None`` when the block touches the mesh surface on that side
-        (no room for a dangerous area).
-        """
-        return dangerous_prism_of_extent(self.extent, mesh, dim, side)
-
-    def opposite_prism(self, mesh: Mesh, dim: int, side: int) -> Optional[Region]:
-        """The prism on the opposite side of the block from ``dangerous_prism``."""
-        return self.dangerous_prism(mesh, dim, -side)
-
-    # ------------------------------------------------------------------ #
-    # misc
-    # ------------------------------------------------------------------ #
-    def blocks_minimal_paths(
-        self, mesh: Mesh, current: Sequence[int], destination: Sequence[int]
-    ) -> bool:
-        """True iff this block cuts every minimal path from ``current`` to ``destination``.
-
-        This is exactly the dangerous-area condition: the two endpoints lie in
-        opposite prisms of the block along some dimension.
-        """
-        current = tuple(current)
-        destination = tuple(destination)
-        for dim in range(self.n_dims):
-            for side in (-1, +1):
-                prism = self.dangerous_prism(mesh, dim, side)
-                opposite = self.opposite_prism(mesh, dim, side)
-                if prism is None or opposite is None:
-                    continue
-                if prism.contains(current) and opposite.contains(destination):
-                    return True
-        return False
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         spans = ", ".join(f"{a}:{b}" for a, b in zip(self.extent.lo, self.extent.hi))

@@ -544,14 +544,3 @@ class IdentificationProtocol:
     def frame(self) -> Set[Coord]:
         """The block's adjacency frame inside the mesh."""
         return set(map(self.mesh.coord_of, self._frame.nodes.tolist()))
-
-
-def identify_block(
-    state: InformationState,
-    block: FaultyBlock,
-    *,
-    version: int = 0,
-) -> IdentificationResult:
-    """Run a full identification process for ``block`` on ``state``."""
-    protocol = IdentificationProtocol(state, block, version=version)
-    return protocol.run()

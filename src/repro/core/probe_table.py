@@ -38,13 +38,13 @@ thousands.)  Decisions, per-message paths and statistics are
 byte-identical to the scalar oracle; the parity suite holds the two to
 that.
 
-:func:`table_eligible` says which routers the table hosts: every policy
-whose probes classify per direction over one information view — the
-Algorithm-3 policies over the simulator's own information (offline: the
-router's distributed or bare view), ``static-block`` over its
-adjacent-only view.  ``global-information`` (a BFS planner), the scalar
-backend and meshes above 16 dimensions step the scalar objects online and
-route pair by pair offline.
+:func:`table_eligible` says which routers the table hosts: every
+:class:`~repro.routing.AlgorithmRouter`, whose probes classify per direction
+over one information view — the simulator's own information for most
+policies (offline: the router's distributed or bare view), the
+adjacent-only view for ``static-block``.  ``global-information`` (a BFS
+planner), the scalar backend and meshes above 16 dimensions step the scalar
+objects online and route pair by pair offline.
 
 The table is multi-cell: several runs sharing one mesh shape can attach
 to one table (the stacked sweep runner does), each with its own
@@ -75,7 +75,6 @@ from __future__ import annotations
 import weakref
 from typing import (
     TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple,
-    Union,
 )
 
 import numpy as np
@@ -86,7 +85,7 @@ from repro.core.decision import DecisionTables, VectorDecisionEngine, classify_r
 from repro.core.routing import InformationProvider, RouteOutcome, RouteResult, probe_step_limit
 from repro.mesh.topology import Mesh
 from repro.obs.profile import NULL_PROFILER
-from repro.routing import AlgorithmRouter, StaticBlockRouter
+from repro.routing import AlgorithmRouter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.pcs.circuit import ArrayCircuitLedger
@@ -101,14 +100,15 @@ def table_eligible(router: object, backend: Optional[str], n_dims: int) -> bool:
     The one gate :class:`~repro.simulator.engine.Simulator`, the shard
     planner and :meth:`~repro.routing.Router.route_batch` share.  It takes
     the vector backend (decision engine and array ledger), a used-direction
-    bitmask within 32 bits (at most 16 dimensions), and a router whose
-    probes are plain Algorithm-3 probes deciding against one information
-    view (``online_view`` and ``offline_view``).
+    bitmask within 32 bits (at most 16 dimensions), and an
+    :class:`~repro.routing.AlgorithmRouter`, whose probes are plain
+    Algorithm-3 probes deciding against one information view
+    (``online_view`` and ``offline_view``).
     """
     return (
         resolve_backend(backend) == VECTOR
         and 2 * n_dims <= 32
-        and type(router) in (AlgorithmRouter, StaticBlockRouter)
+        and isinstance(router, AlgorithmRouter)
     )
 
 
@@ -122,7 +122,7 @@ class TableHost(Protocol):
 
     mesh: Mesh
     #: A router :func:`table_eligible` admits; rows classify under its policy.
-    router: Union[AlgorithmRouter, StaticBlockRouter]
+    router: AlgorithmRouter
     #: The cell's link reservations, or ``None`` for a contention-free cell.
     circuits: Optional["ArrayCircuitLedger"]
     #: Steps past its message's ``start_time`` after which a row that has
@@ -662,7 +662,7 @@ class OfflineBatch:
 
     def __init__(
         self,
-        router: Union[AlgorithmRouter, StaticBlockRouter],
+        router: AlgorithmRouter,
         mesh: Mesh,
         labeling: LabelingState,
         pairs: Sequence[Tuple[Sequence[int], Sequence[int]]],

@@ -14,10 +14,8 @@ modules here provide:
 
 from repro.faults.injection import (
     FaultInjectionError,
-    block_seed_faults,
     clustered_faults,
     dynamic_schedule,
-    recovery_schedule,
     uniform_random_faults,
 )
 from repro.faults.links import LinkFault, LinkFaultSet, endpoints_as_node_faults
@@ -39,13 +37,11 @@ __all__ = [
     "LinkFault",
     "LinkFaultSet",
     "NodeStatus",
-    "block_seed_faults",
     "burst_schedule",
     "clustered_faults",
     "dynamic_schedule",
     "endpoints_as_node_faults",
     "mtbf_schedule",
-    "recovery_schedule",
     "uniform_random_faults",
     "workload_schedule",
 ]

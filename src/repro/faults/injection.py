@@ -101,43 +101,6 @@ def clustered_faults(
     return [candidates[int(i)] for i in picks]
 
 
-def block_seed_faults(
-    mesh: Mesh,
-    extent: Region,
-    rng: np.random.Generator,
-    *,
-    density: float = 0.5,
-    minimum: int = 1,
-) -> List[Coord]:
-    """Faults sampled inside ``extent`` so labeling produces (roughly) that block.
-
-    A fraction ``density`` of the nodes of ``extent`` is made faulty; the
-    corners of the extent are always included so the stabilized faulty block
-    spans the whole extent (labeling fills in concave gaps as *disabled*).
-    """
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must be in (0, 1]")
-    clipped = mesh.clip_region(extent)
-    if clipped is None or clipped != extent:
-        raise FaultInjectionError(f"extent {extent} is not fully inside mesh {mesh.shape}")
-    interior = mesh.interior_region(1)
-    if not interior.contains_region(extent):
-        raise FaultInjectionError(
-            "extent touches the outmost surface; the paper assumes interior faults"
-        )
-    points = list(extent.iter_points())
-    corners = set(extent.corner_points())
-    target = max(minimum, int(round(density * len(points))), len(corners))
-    chosen: Set[Coord] = set(corners)
-    remaining = [p for p in points if p not in chosen]
-    rng.shuffle(remaining)
-    for p in remaining:
-        if len(chosen) >= target:
-            break
-        chosen.add(p)
-    return sorted(chosen)
-
-
 def dynamic_schedule(
     faults: Sequence[Sequence[int]],
     *,
@@ -184,25 +147,3 @@ def dynamic_schedule(
         events=events,
         initial_faults={tuple(f) for f in (initial or [])},
     )
-
-
-def recovery_schedule(
-    recoveries: Sequence[Sequence[int]],
-    *,
-    initial: Sequence[Sequence[int]],
-    start_time: int = 0,
-    interval: int = 8,
-) -> DynamicFaultSchedule:
-    """Build a schedule where initially-faulty nodes recover one per interval."""
-    initial_set = {tuple(f) for f in initial}
-    events: List[FaultEvent] = []
-    time = start_time
-    for node in recoveries:
-        node = tuple(node)
-        if node not in initial_set:
-            raise FaultInjectionError(
-                f"cannot schedule recovery of {node}: it is not initially faulty"
-            )
-        events.append(FaultEvent(time, node, FaultEventKind.RECOVERY))
-        time += interval
-    return DynamicFaultSchedule(events=events, initial_faults=initial_set)

@@ -5,11 +5,9 @@ items.  Each event makes one node faulty or recovers one faulty node at an
 integer simulation *step*.  The schedule exposes the quantities used
 throughout the paper's analysis:
 
-* ``F``            — total number of fault occurrences,
+* ``f_1 .. f_F``   — the fault occurrences, in time order,
 * ``t_i``          — the occurrence step of the ``i``-th fault,
-* ``d_i``          — the interval ``t_{i+1} - t_i`` between occurrences,
-* ``p(t)``         — the number of faults that occurred at or before ``t``
-  (the paper's ``p = max{l | t_l <= t}`` for a routing started at ``t``).
+* ``d_i``          — the interval ``t_{i+1} - t_i`` between occurrences.
 """
 
 from __future__ import annotations
@@ -78,12 +76,6 @@ class DynamicFaultSchedule:
         """A schedule with a fixed fault set present from step 0 onwards."""
         return cls(events=[], initial_faults={tuple(f) for f in faults})
 
-    def with_event(self, event: FaultEvent) -> "DynamicFaultSchedule":
-        """A new schedule with ``event`` appended (schedules are immutable-ish)."""
-        return DynamicFaultSchedule(
-            events=[*self.events, event], initial_faults=set(self.initial_faults)
-        )
-
     def _validate(self) -> None:
         faulty: Set[Coord] = set(self.initial_faults)
         for event in self.events:
@@ -115,11 +107,6 @@ class DynamicFaultSchedule:
         return [e for e in self.events if e.kind is FaultEventKind.RECOVERY]
 
     @property
-    def total_faults(self) -> int:
-        """``F`` — number of dynamic fault occurrences (initial faults excluded)."""
-        return len(self.fault_events)
-
-    @property
     def occurrence_times(self) -> Tuple[int, ...]:
         """The occurrence steps ``t_1 .. t_F``."""
         return tuple(e.time for e in self.fault_events)
@@ -129,10 +116,6 @@ class DynamicFaultSchedule:
         """The intervals ``d_i = t_{i+1} - t_i`` (length ``F - 1``)."""
         times = self.occurrence_times
         return tuple(b - a for a, b in zip(times, times[1:]))
-
-    def faults_before(self, time: int) -> int:
-        """``p`` — how many dynamic faults occurred at or before ``time``."""
-        return sum(1 for e in self.fault_events if e.time <= time)
 
     @property
     def horizon(self) -> int:
@@ -157,16 +140,6 @@ class DynamicFaultSchedule:
             else:
                 faulty.discard(event.node)
         return faulty
-
-    def timeline(self) -> Iterator[Tuple[int, Set[Coord]]]:
-        """Yield ``(time, faulty_set)`` for every step with at least one event."""
-        times = sorted({e.time for e in self.events})
-        for t in times:
-            yield t, self.faulty_set_at(t)
-
-    def all_nodes_ever_faulty(self) -> Set[Coord]:
-        """Every node that is faulty at any point (initial or dynamic)."""
-        return set(self.initial_faults) | {e.node for e in self.fault_events}
 
     def __len__(self) -> int:
         return len(self.events)

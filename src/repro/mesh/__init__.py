@@ -14,11 +14,9 @@ limited-global fault information model operates:
 
 from repro.mesh.coords import (
     add,
-    component_delta,
     is_adjacent,
     manhattan,
     offsets_toward,
-    subtract,
 )
 from repro.mesh.directions import (
     Direction,
@@ -29,7 +27,7 @@ from repro.mesh.directions import (
     opposite_surface,
     surface_index,
 )
-from repro.mesh.regions import Region, bounding_region
+from repro.mesh.regions import Region
 from repro.mesh.topology import Mesh
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "Region",
     "add",
     "all_directions",
-    "bounding_region",
-    "component_delta",
     "direction_between",
     "direction_from_surface",
     "is_adjacent",
@@ -47,6 +43,5 @@ __all__ = [
     "offsets_toward",
     "opposite",
     "opposite_surface",
-    "subtract",
     "surface_index",
 ]

@@ -7,7 +7,7 @@ against a particular mesh lives in :class:`repro.mesh.topology.Mesh`.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.mesh.directions import Direction
 
@@ -33,13 +33,6 @@ def add(coord: Sequence[int], delta: Sequence[int]) -> Coord:
     return tuple(a + b for a, b in zip(coord, delta))
 
 
-def subtract(u: Sequence[int], v: Sequence[int]) -> Coord:
-    """Component-wise difference ``u - v``."""
-    if len(u) != len(v):
-        raise ValueError(f"coordinate ranks differ: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def manhattan(u: Sequence[int], v: Sequence[int]) -> int:
     """Manhattan (mesh) distance ``D(u, v) = sum_i |u_i - v_i|``.
 
@@ -56,11 +49,6 @@ def is_adjacent(u: Sequence[int], v: Sequence[int]) -> bool:
     if len(u) != len(v):
         return False
     return manhattan(u, v) == 1
-
-
-def component_delta(u: Sequence[int], v: Sequence[int], dim: int) -> int:
-    """Signed offset from ``u`` to ``v`` along dimension ``dim``."""
-    return v[dim] - u[dim]
 
 
 def offsets_toward(u: Sequence[int], d: Sequence[int]) -> Tuple[int, ...]:
@@ -90,24 +78,3 @@ def preferred_directions(u: Sequence[int], d: Sequence[int]) -> Tuple[Direction,
         if offset != 0:
             dirs.append(Direction(dim, offset))
     return tuple(dirs)
-
-
-def iter_line(u: Sequence[int], direction: Direction, length: int) -> Iterator[Coord]:
-    """Yield ``length`` successive coordinates starting one hop from ``u``.
-
-    Used by the boundary-propagation oracle to walk straight lines towards
-    the outmost surface of the mesh.
-    """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    current = tuple(u)
-    for _ in range(length):
-        current = direction.apply(current)
-        yield current
-
-
-def clamp(coord: Sequence[int], lo: Sequence[int], hi: Sequence[int]) -> Coord:
-    """Clamp ``coord`` component-wise into the inclusive box ``[lo, hi]``."""
-    if not len(coord) == len(lo) == len(hi):
-        raise ValueError("coordinate ranks differ")
-    return tuple(min(max(c, a), b) for c, a, b in zip(coord, lo, hi))

@@ -13,7 +13,7 @@ surface index ``i >= n`` is the positive side of dimension ``i - n``.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 Coord = Tuple[int, ...]
 
@@ -116,10 +116,3 @@ def direction_between(u: Sequence[int], v: Sequence[int]) -> Direction:
     if found is None:
         raise ValueError(f"{tuple(u)} and {tuple(v)} are the same node")
     return found
-
-
-def directions_along_dims(dims: Sequence[int]) -> Iterator[Direction]:
-    """Both directions for each dimension in ``dims`` (helper for sweeps)."""
-    for dim in dims:
-        yield Direction(dim, -1)
-        yield Direction(dim, +1)

@@ -133,14 +133,6 @@ class Region:
         hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
         return Region(lo, hi)
 
-    def distance_to(self, point: Sequence[int]) -> int:
-        """Manhattan distance from ``point`` to the nearest node of the region."""
-        if len(point) != self.n_dims:
-            raise ValueError("coordinate rank differs from region rank")
-        return sum(
-            max(a - p, 0, p - b) for p, a, b in zip(point, self.lo, self.hi)
-        )
-
     # ------------------------------------------------------------------ #
     # derived regions
     # ------------------------------------------------------------------ #
@@ -150,16 +142,6 @@ class Region:
             raise ValueError("margin must be non-negative")
         lo = tuple(a - margin for a in self.lo)
         hi = tuple(b + margin for b in self.hi)
-        return Region(lo, hi)
-
-    def shrink(self, margin: int = 1) -> "Region | None":
-        """Region shrunk by ``margin`` hops, or ``None`` if it vanishes."""
-        if margin < 0:
-            raise ValueError("margin must be non-negative")
-        lo = tuple(a + margin for a in self.lo)
-        hi = tuple(b - margin for b in self.hi)
-        if any(a > b for a, b in zip(lo, hi)):
-            return None
         return Region(lo, hi)
 
     def clip(self, lo: Sequence[int], hi: Sequence[int]) -> "Region | None":
@@ -219,13 +201,6 @@ class Region:
         ranges = [range(a, b + 1) for a, b in zip(self.lo, self.hi)]
         return (tuple(p) for p in product(*ranges))
 
-    def boundary_points(self) -> Iterator[Coord]:
-        """Nodes of the region that lie on at least one of its faces."""
-        inner = self.shrink(1)
-        for point in self.iter_points():
-            if inner is None or not inner.contains(point):
-                yield point
-
     def __len__(self) -> int:
         return self.volume
 
@@ -233,8 +208,3 @@ class Region:
         if not isinstance(point, (tuple, list)):
             return False
         return self.contains(tuple(point))
-
-
-def bounding_region(points: Iterable[Sequence[int]]) -> Region:
-    """Convenience alias for :meth:`Region.from_points`."""
-    return Region.from_points(points)

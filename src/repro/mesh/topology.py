@@ -150,20 +150,6 @@ class Mesh:
                 dirs.append(Direction(dim, offset))
         return dirs
 
-    def spare_directions(
-        self, u: Sequence[int], destination: Sequence[int]
-    ) -> List[Direction]:
-        """In-mesh directions that do not move ``u`` closer to ``destination``.
-
-        The paper calls the corresponding neighbors *spare neighbors*.
-        """
-        preferred = set(self.preferred_directions(u, destination))
-        return [
-            d
-            for d in self._directions
-            if d not in preferred and self.contains(d.apply(u))
-        ]
-
     # ------------------------------------------------------------------ #
     # mesh-surface queries (the paper's "outmost surface")
     # ------------------------------------------------------------------ #
@@ -190,13 +176,6 @@ class Mesh:
     def clip_region(self, region: Region) -> Region | None:
         """Intersection of ``region`` with the mesh extent."""
         return region.intersection(self.extent)
-
-    def distance_to_surface(self, coord: Sequence[int], direction: Direction) -> int:
-        """Hops from ``coord`` to the outmost surface along ``direction``."""
-        coord = self.validate(coord)
-        if direction.sign > 0:
-            return self.shape[direction.dim] - 1 - coord[direction.dim]
-        return coord[direction.dim]
 
     # ------------------------------------------------------------------ #
     # flat-index views (the vectorized engines' working representation)

@@ -1,10 +1,8 @@
-"""Runtime observability: metrics, per-step recording, profiling, telemetry.
+"""Runtime observability: per-step recording, profiling, telemetry.
 
-The simulator and the experiment runner are instrumented with four
+The simulator and the experiment runner are instrumented with three
 opt-in layers that cost next to nothing when off:
 
-* :mod:`repro.obs.registry` — a small metrics registry (counters, gauges,
-  histograms) any layer can write into and a report can snapshot;
 * :mod:`repro.obs.recorder` — :class:`StepRecorder`, a vectorized
   per-step time-series recorder sampling directly from the simulator's
   flat numpy columns (probe-table counters, ledger occupancy, labeling
@@ -27,15 +25,10 @@ unchanged.
 
 from repro.obs.profile import PhaseProfiler
 from repro.obs.recorder import StepRecorder
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.telemetry import TELEMETRY_VERSION, ShardRecord, SweepTelemetry
 from repro.obs.trace import TRACE_SCHEMA, Trace, read_trace, trace_records, write_trace
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "PhaseProfiler",
     "ShardRecord",
     "StepRecorder",

@@ -10,7 +10,7 @@ bookkeeping, which lives here:
 * :mod:`repro.pcs.circuit` — circuit reservations derived from a finished
   probe, and the simulator's live link-reservation ledgers;
 * :mod:`repro.pcs.transfer` — the (trivially pipelined) data-phase model
-  used to convert a path length into an end-to-end message latency.
+  used to convert a circuit length into its data-transmission hold time.
 """
 
 from repro.pcs.circuit import (
@@ -21,7 +21,7 @@ from repro.pcs.circuit import (
     ReservationError,
     make_live_ledger,
 )
-from repro.pcs.transfer import TransferModel, transfer_latency
+from repro.pcs.transfer import TransferModel
 
 __all__ = [
     "ArrayCircuitLedger",
@@ -31,5 +31,4 @@ __all__ = [
     "ReservationError",
     "TransferModel",
     "make_live_ledger",
-    "transfer_latency",
 ]

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.backend import VECTOR, resolve_backend
-from repro.core.routing import RouteOutcome, RouteResult
 from repro.mesh.coords import canonical_link, is_adjacent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -51,37 +50,14 @@ class Circuit:
         object.__setattr__(self, "path", path)
 
     @classmethod
-    def from_route(cls, result: RouteResult) -> "Circuit":
-        """The circuit held after a successful path setup.
-
-        The probe's final stack is its path with every backtracked excursion
-        removed; it is reconstructed here by replaying the visited sequence
-        and dropping loops.
-        """
-        if result.outcome is not RouteOutcome.DELIVERED:
-            raise ReservationError(
-                f"cannot reserve a circuit for a {result.outcome.value} routing"
-            )
-        stack: List[Coord] = []
-        for node in result.path:
-            if node in stack:
-                # Backtrack released everything after the earlier visit.
-                while stack and stack[-1] != node:
-                    stack.pop()
-            else:
-                stack.append(node)
-        return cls(tuple(stack))
-
-    @classmethod
     def from_stack(cls, stack: Sequence[Sequence[int]]) -> "Circuit":
         """The circuit held by a probe's final stack, loop excursions dropped.
 
         A probe stack contains no backtracked prefixes (those were popped),
         but a forward move back onto the probe's own path leaves the loop on
         the stack; the effective data circuit cuts each loop back to the
-        first visit.  Unlike :meth:`from_route` this never looks at released
-        links — every link of the result is on the given stack — which is
-        the invariant the live reservation ledger relies on at delivery.
+        first visit.  Every link of the result is on the given stack, which
+        is the invariant the live reservation ledger relies on at delivery.
         """
         out: List[Coord] = []
         for node in (tuple(n) for n in stack):

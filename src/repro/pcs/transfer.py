@@ -3,10 +3,9 @@
 Once a circuit is reserved, PCS streams the message over it in a pipelined
 fashion, so the transmission latency is (path length) x (per-hop header
 latency) + (message length / bandwidth).  The paper's evaluation quantities
-are all about the *setup* phase, but end-to-end comparisons (e.g. against a
-hypothetical router with global tables whose setup never detours) need a way
-to convert the path-setup step count and circuit length into a latency
-figure; this module provides that conversion.
+are all about the *setup* phase; the simulator's circuit phase uses this
+model to convert a delivered circuit's length and message size into the
+steps the circuit stays reserved for its data.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.routing import RouteResult
 from repro.pcs.circuit import Circuit
 
 
@@ -35,16 +33,8 @@ class TransferModel:
     #: Time to push one flit onto the circuit.
     flit_injection_latency: float = 0.05
 
-    def setup_latency(self, result: RouteResult) -> float:
-        """Latency of the path-setup phase (every hop, including backtracks)."""
-        return self.setup_hop_latency * result.hops
-
-    def data_latency(self, circuit: Circuit, message_flits: int) -> float:
-        """Latency of streaming ``message_flits`` flits over ``circuit``."""
-        return self.hop_data_latency(circuit.length, message_flits)
-
     def hop_data_latency(self, hops: int, message_flits: int) -> float:
-        """:meth:`data_latency` of a circuit of ``hops`` links."""
+        """Latency of streaming ``message_flits`` flits over ``hops`` links."""
         if message_flits < 0:
             raise ValueError("message_flits must be non-negative")
         pipeline_fill = self.data_hop_latency * hops
@@ -65,17 +55,3 @@ class TransferModel:
         latency = self.hop_data_latency(hops, message_flits)
         return max(1, math.ceil(latency / self.setup_hop_latency))
 
-    def end_to_end(self, result: RouteResult, message_flits: int) -> float:
-        """Total latency: path setup plus pipelined data transmission."""
-        circuit = Circuit.from_route(result)
-        return self.setup_latency(result) + self.data_latency(circuit, message_flits)
-
-
-def transfer_latency(
-    result: RouteResult,
-    message_flits: int = 64,
-    model: TransferModel | None = None,
-) -> float:
-    """Convenience wrapper computing the end-to-end latency of one routing."""
-    model = model or TransferModel()
-    return model.end_to_end(result, message_flits)

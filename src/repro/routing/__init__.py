@@ -19,6 +19,13 @@ Registered names (in registration order):
 ``no-information``      backtracking PCS, adjacent-fault detection only
 ``global-information``  idealized shortest path with full fault knowledge
 ======================  ====================================================
+
+The first five are one :class:`AlgorithmRouter` each: the same Algorithm-3
+probe under different :class:`~repro.core.routing.RoutingPolicy` flags.
+``static-block`` differs from them only in which nodes hold block
+information, so :class:`StaticBlockRouter` subclasses it and overrides the
+view it builds.  ``global-information`` is a BFS planner of its own
+(:class:`GlobalInfoRouter`).
 """
 
 from repro.core.routing import RoutingPolicy
@@ -34,13 +41,8 @@ from repro.routing.registry import (
     available_routers,
     register_router,
     resolve_router,
-    route_with,
 )
-from repro.routing.static_block import (
-    StaticBlockProbe,
-    StaticBlockRouter,
-    adjacent_only_information,
-)
+from repro.routing.static_block import StaticBlockRouter, adjacent_only_information
 
 register_router(
     "limited-global", lambda: AlgorithmRouter(RoutingPolicy.limited_global())
@@ -67,12 +69,10 @@ __all__ = [
     "GlobalPathProbe",
     "Router",
     "SetupProbe",
-    "StaticBlockProbe",
     "StaticBlockRouter",
     "adjacent_only_information",
     "available_routers",
     "register_router",
     "resolve_router",
-    "route_with",
     "shortest_usable_path",
 ]

@@ -1,12 +1,15 @@
 """Registry adapters for the Algorithm-3 (probe-based) policies.
 
-``limited-global``, ``boundary-only``, ``no-disabled-avoid`` and
-``no-information`` are all the same backtracking PCS probe run with
-different :class:`~repro.core.routing.RoutingPolicy` flags; this adapter
-derives the offline information view each flag set assumes and hands the
-simulator plain :class:`~repro.core.routing.RoutingProbe` objects deciding
-against the simulator's own information (:meth:`AlgorithmRouter.online_view`),
-which the probe table hosts as flat rows.
+``limited-global``, ``boundary-only``, ``no-disabled-avoid``,
+``no-information`` and ``static-block`` are all the same backtracking PCS
+probe run with different :class:`~repro.core.routing.RoutingPolicy` flags
+over different information views.  An :class:`AlgorithmRouter` builds the
+offline view its flags assume (:meth:`AlgorithmRouter.offline_view`) and
+names the view its online probes decide against
+(:meth:`AlgorithmRouter.online_view`); the simulator's scalar loop and the
+probe table both classify over that view.  A policy that differs only in
+which nodes hold information overrides those two views and nothing else
+(:class:`~repro.routing.static_block.StaticBlockRouter`).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class AlgorithmRouter(Router):
         #: One-slot cache of the offline information view (plus the per-node
         #: decision cache built over it), keyed by labeling identity +
         #: mutation counter so batch routing over one stabilized
-        #: configuration distributes the information exactly once.
+        #: configuration builds the view exactly once.
         self._view: Optional[
             Tuple[LabelingState, int, InformationProvider, DecisionCache]
         ] = None
@@ -47,11 +50,22 @@ class AlgorithmRouter(Router):
     def offline_view(self, mesh: Mesh, labeling: LabelingState) -> InformationProvider:
         """The information state this policy routes against offline.
 
+        Built by :meth:`_build_view` once per labeling mutation; the cache
+        is shared by every route and probe reading it, so a labeling change
+        costs one rebuild.
+        """
+        return self._view_entry(mesh, labeling)[0]
+
+    def _build_view(self, mesh: Mesh, labeling: LabelingState) -> InformationProvider:
+        """The uncached view of ``labeling`` that this policy assumes.
+
         Policies that read block or boundary records get the full
         distributed information; an information-free policy routes against
         the bare labeling (adjacent-fault detection only).
         """
-        return self._view_entry(mesh, labeling)[0]
+        if self.policy.use_block_info or self.policy.use_boundary_info:
+            return distribute_information(mesh, labeling)
+        return InformationState(mesh=mesh, labeling=labeling)
 
     def _view_entry(
         self, mesh: Mesh, labeling: LabelingState
@@ -63,10 +77,7 @@ class AlgorithmRouter(Router):
             and cached[1] == labeling.mutations
         ):
             return cached[2], cached[3]
-        if self.policy.use_block_info or self.policy.use_boundary_info:
-            info: InformationProvider = distribute_information(mesh, labeling)
-        else:
-            info = InformationState(mesh=mesh, labeling=labeling)
+        info = self._build_view(mesh, labeling)
         cache = DecisionCache(info, self.policy)
         self._view = (labeling, labeling.mutations, info, cache)
         return info, cache
@@ -98,7 +109,6 @@ class AlgorithmRouter(Router):
     def online_view(self, info: SimulationInfo) -> InformationProvider:
         """The information this router's online probes decide against.
 
-        Plain Algorithm-3 probes read the simulator's own information; the
-        probe table classifies this router's cells over it.
+        Plain Algorithm-3 probes read the simulator's own information.
         """
         return info

@@ -49,11 +49,11 @@ class SimulationInfo(InformationProvider, Protocol):
     """What an online probe may read from the simulator's information.
 
     The plain :class:`~repro.core.routing.InformationProvider` protocol is
-    enough for the Algorithm-3 probes, but the static-block and
-    global-information probes additionally derive their own views from the
-    *current labeling* — so the registry's online contract explicitly
-    includes it.  :class:`~repro.core.state.InformationState` (what the
-    simulator steps probes with) satisfies this protocol.
+    enough for the Algorithm-3 probes, but static-block's online view and
+    the global-information probes are derived from the *current labeling*,
+    so the registry's online contract explicitly includes it.
+    :class:`~repro.core.state.InformationState` (the simulator's own
+    information) satisfies this protocol.
     """
 
     labeling: LabelingState
@@ -178,18 +178,3 @@ def resolve_router(name: str) -> Router:
 def available_routers() -> Tuple[str, ...]:
     """Every registered policy name, in registration order."""
     return tuple(_FACTORIES)
-
-
-def route_with(
-    name: str,
-    mesh: Mesh,
-    labeling: LabelingState,
-    source: Sequence[int],
-    destination: Sequence[int],
-    *,
-    max_steps: Optional[int] = None,
-) -> RouteResult:
-    """Resolve ``name`` and route one message offline (convenience)."""
-    return resolve_router(name).route(
-        mesh, labeling, source, destination, max_steps=max_steps
-    )

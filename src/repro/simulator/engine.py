@@ -198,15 +198,12 @@ class Simulator:
         )
         self._next_holder = 0
 
-        #: Per-node decision cache of the scalar probe loop; only
-        #: Algorithm-3 probes (plain :class:`RoutingProbe`) read the engine's
-        #: own information state, so only those sims get one — the
-        #: static-block and global-information probes derive their own views.
-        self._decision_cache: Optional[DecisionCache] = (
-            DecisionCache(self.info, self.router.policy)
-            if isinstance(self.router, AlgorithmRouter)
-            else None
-        )
+        #: Per-node decision cache of the scalar probe loop over
+        #: :meth:`decision_view`, rebuilt whenever that view object changes:
+        #: once per run for most Algorithm-3 policies, once per labeling
+        #: change for static-block's adjacent-only view.  Global-information
+        #: probes read the simulator's own state and take no cache.
+        self._decision_cache: Optional[DecisionCache] = None
 
         self._identified_extents: Set[Region] = set()
         self._identifications: List[IdentificationProtocol] = []
@@ -481,7 +478,13 @@ class Simulator:
             # Data transmissions finishing before this step free their links.
             ledger.release_expired(t)
 
-        cache = self._decision_cache
+        if isinstance(self.router, AlgorithmRouter):
+            view = self.decision_view()
+            cache = self._decision_cache
+            if cache is None or cache.info is not view:
+                cache = self._decision_cache = DecisionCache(view, self.router.policy)
+        else:
+            view, cache = self.info, None
         lifetime = self.probe_lifetime
         remaining: List[
             Tuple[TrafficMessage, SetupProbe, int, Optional[LinkBlocked]]
@@ -489,13 +492,11 @@ class Simulator:
         for entry in self._probes:
             message, probe, holder, blocked = entry
             if ledger is None:
-                outcome = probe.step(self.info, decision_cache=cache)
+                outcome = probe.step(view, decision_cache=cache)
             else:
                 stack = probe.circuit_stack
                 prev_len, prev_tail = len(stack), stack[-1]
-                outcome = probe.step(
-                    self.info, link_blocked=blocked, decision_cache=cache
-                )
+                outcome = probe.step(view, link_blocked=blocked, decision_cache=cache)
                 # Mirror the probe's partial circuit incrementally (a probe
                 # moves at most one hop per step): a forward hop reserves its
                 # link — visible to probes later in this loop — and a
@@ -533,7 +534,8 @@ class Simulator:
     # the probe table's host contract (shared with the scalar loop)
     # ------------------------------------------------------------------ #
     def decision_view(self) -> InformationProvider:
-        """The information this simulator's router classifies over now."""
+        """The information this simulator's Algorithm-3 router classifies
+        over now; the probe table and the scalar loop both decide over it."""
         return self.router.online_view(self.info)
 
     def poll(self, t: int) -> Sequence[TrafficMessage]:

@@ -27,7 +27,6 @@ from repro.workloads.scenarios import (
     two_block_scenario,
 )
 from repro.workloads.traffic import (
-    corner_to_corner_pairs,
     random_pairs,
     to_traffic,
     transpose_pairs,
@@ -36,7 +35,6 @@ from repro.workloads.traffic import (
 __all__ = [
     "DynamicRoutingScenario",
     "bursty_scenario",
-    "corner_to_corner_pairs",
     "figure1_scenario",
     "figure4_recovery_scenario",
     "hotspot_pairs",

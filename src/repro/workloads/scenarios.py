@@ -8,7 +8,7 @@ faults producing the block ``[3:5, 5:6, 3:4]``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,16 +33,6 @@ class DynamicRoutingScenario:
     traffic: Tuple[TrafficMessage, ...] = ()
     #: The block extent(s) the paper says should emerge, when applicable.
     expected_extents: Tuple[Region, ...] = ()
-
-    def with_traffic(self, traffic: Sequence[TrafficMessage]) -> "DynamicRoutingScenario":
-        """The same scenario with a different traffic batch."""
-        return DynamicRoutingScenario(
-            name=self.name,
-            mesh=self.mesh,
-            schedule=self.schedule,
-            traffic=tuple(traffic),
-            expected_extents=self.expected_extents,
-        )
 
 
 # ---------------------------------------------------------------------- #

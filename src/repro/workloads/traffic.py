@@ -58,21 +58,6 @@ def random_pairs(
     return pairs
 
 
-def corner_to_corner_pairs(mesh: Mesh) -> List[Pair]:
-    """Every pair of opposite mesh corners (the longest minimal paths)."""
-    lo = tuple([0] * mesh.n_dims)
-    hi = tuple(s - 1 for s in mesh.shape)
-    corners = mesh.extent.corner_points()
-    pairs: List[Pair] = []
-    for corner in corners:
-        opposite = tuple(
-            h if c == l else l for c, l, h in zip(corner, lo, hi)
-        )
-        if (opposite, corner) not in pairs:
-            pairs.append((corner, opposite))
-    return pairs
-
-
 def transpose_pairs(mesh: Mesh, *, limit: Optional[int] = None) -> List[Pair]:
     """Transpose traffic: node ``(u_1, ..., u_n)`` sends to ``(u_n, ..., u_1)``.
 

@@ -190,7 +190,7 @@ class TestDefinition4Recovery:
             state.recover(fault)
         run_block_construction(state)
         assert state.disabled_nodes == set()
-        assert state.clean_nodes == set()
+        assert state.nodes_with_status(NodeStatus.CLEAN) == set()
         assert state.faulty_nodes == set()
 
 

@@ -6,6 +6,7 @@ The gate script lives next to the benchmarks rather than in the package
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -89,13 +90,20 @@ class TestMain:
         )
 
     def test_committed_baselines_are_loadable(self):
-        """The baselines the CI gate reads must stay valid bench JSON."""
+        """The baselines the CI gate reads must stay valid bench JSON, and
+        every name in them must be a bench that still exists: the gate
+        silently skips a name no run reports."""
+        benches = set()
+        for bench_file in _SCRIPT.parent.glob("bench_*.py"):
+            benches.update(re.findall(r"^def (test_bench_\w+)\(", bench_file.read_text(), re.M))
         baselines = _SCRIPT.parent / "baselines"
         paths = sorted(baselines.glob("BENCH_*.json"))
         assert len(paths) >= 3  # labeling, throughput, decision
         for path in paths:
             means = check_regression.load_means(str(path))
             assert means and all(m > 0 for m in means.values())
+            stale = sorted(name for name in means if name.split("[")[0] not in benches)
+            assert not stale, f"{path.name} names benches that no longer exist: {stale}"
 
     def test_rejects_nonpositive_tolerance(self, tmp_path):
         baseline = _bench_json(tmp_path / "base.json", {"a": 1.0})

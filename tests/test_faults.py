@@ -1,14 +1,11 @@
 """Unit tests for node status, fault schedules and fault injection."""
 
-import numpy as np
 import pytest
 
 from repro.faults.injection import (
     FaultInjectionError,
-    block_seed_faults,
     clustered_faults,
     dynamic_schedule,
-    recovery_schedule,
     uniform_random_faults,
 )
 from repro.faults.schedule import DynamicFaultSchedule, FaultEvent, FaultEventKind
@@ -49,7 +46,7 @@ class TestFaultEvent:
 class TestDynamicFaultSchedule:
     def test_static_schedule(self):
         schedule = DynamicFaultSchedule.static([(1, 1), (2, 2)])
-        assert schedule.total_faults == 0
+        assert schedule.fault_events == []
         assert schedule.faulty_set_at(0) == {(1, 1), (2, 2)}
         assert schedule.horizon == 0
 
@@ -57,12 +54,9 @@ class TestDynamicFaultSchedule:
         schedule = dynamic_schedule(
             [(1, 1), (2, 2), (3, 3)], start_time=4, interval=[5, 7]
         )
-        assert schedule.total_faults == 3
+        assert len(schedule.fault_events) == 3
         assert schedule.occurrence_times == (4, 9, 16)
         assert schedule.intervals == (5, 7)
-        assert schedule.faults_before(3) == 0
-        assert schedule.faults_before(4) == 1
-        assert schedule.faults_before(100) == 3
 
     def test_faulty_set_evolves(self):
         schedule = dynamic_schedule([(1, 1), (2, 2)], start_time=2, interval=4)
@@ -90,22 +84,9 @@ class TestDynamicFaultSchedule:
                 events=[FaultEvent(1, (1, 1), FaultEventKind.RECOVERY)]
             )
 
-    def test_events_at_and_timeline(self):
+    def test_events_at(self):
         schedule = dynamic_schedule([(1, 1), (2, 2)], start_time=0, interval=3)
         assert [e.node for e in schedule.events_at(3)] == [(2, 2)]
-        timeline = list(schedule.timeline())
-        assert timeline[0][0] == 0
-        assert timeline[-1][1] == {(1, 1), (2, 2)}
-
-    def test_with_event_appends(self):
-        schedule = DynamicFaultSchedule.static([(1, 1)])
-        extended = schedule.with_event(FaultEvent(5, (2, 2)))
-        assert extended.total_faults == 1
-        assert schedule.total_faults == 0  # original untouched
-
-    def test_all_nodes_ever_faulty(self):
-        schedule = dynamic_schedule([(2, 2)], initial=[(1, 1)])
-        assert schedule.all_nodes_ever_faulty() == {(1, 1), (2, 2)}
 
     def test_len_and_iter(self):
         schedule = dynamic_schedule([(1, 1), (2, 2)])
@@ -148,22 +129,6 @@ class TestClusteredFaults:
             clustered_faults(mesh2d, 100, rng, spread=1, seed_node=(5, 5))
 
 
-class TestBlockSeedFaults:
-    def test_corners_always_included(self, mesh3d, rng):
-        extent = Region((3, 3, 3), (5, 5, 5))
-        faults = block_seed_faults(mesh3d, extent, rng, density=0.3)
-        assert set(extent.corner_points()) <= set(faults)
-        assert all(extent.contains(f) for f in faults)
-
-    def test_rejects_surface_touching_extent(self, mesh3d, rng):
-        with pytest.raises(FaultInjectionError):
-            block_seed_faults(mesh3d, Region((0, 3, 3), (2, 5, 5)), rng)
-
-    def test_rejects_bad_density(self, mesh3d, rng):
-        with pytest.raises(ValueError):
-            block_seed_faults(mesh3d, Region((3, 3, 3), (4, 4, 4)), rng, density=0.0)
-
-
 class TestScheduleBuilders:
     def test_dynamic_schedule_interval_list_too_short(self):
         with pytest.raises(ValueError):
@@ -172,14 +137,3 @@ class TestScheduleBuilders:
     def test_dynamic_schedule_negative_interval(self):
         with pytest.raises(ValueError):
             dynamic_schedule([(1, 1), (2, 2)], interval=-1)
-
-    def test_recovery_schedule(self):
-        schedule = recovery_schedule(
-            [(1, 1), (2, 2)], initial=[(1, 1), (2, 2), (3, 3)], interval=5
-        )
-        assert len(schedule.recovery_events) == 2
-        assert schedule.faulty_set_at(100) == {(3, 3)}
-
-    def test_recovery_schedule_requires_initial_fault(self):
-        with pytest.raises(FaultInjectionError):
-            recovery_schedule([(9, 9)], initial=[(1, 1)])

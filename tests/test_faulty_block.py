@@ -133,16 +133,6 @@ class TestDefinition3Surfaces:
         assert s1 == Region((3, 4, 3), (5, 4, 4))
         assert s4 == Region((3, 7, 3), (5, 7, 4))
 
-    def test_opposite_surface_index(self, figure1_block):
-        assert figure1_block.opposite_surface_index(1) == 4
-        assert figure1_block.opposite_surface_index(4) == 1
-
-    def test_surface_direction(self, figure1_block):
-        assert figure1_block.surface_direction(0).dim == 0
-        assert figure1_block.surface_direction(0).sign == -1
-        assert figure1_block.surface_direction(5).dim == 2
-        assert figure1_block.surface_direction(5).sign == +1
-
     def test_surfaces_clipped_when_block_near_mesh_edge(self):
         mesh = Mesh.cube(8, 2)
         block = FaultyBlock(Region((0, 3), (1, 4)))
@@ -153,37 +143,20 @@ class TestDefinition3Surfaces:
 
 
 class TestDangerousPrisms:
-    def test_prism_below_block(self, figure1_block, mesh3d):
-        prism = figure1_block.dangerous_prism(mesh3d, dim=1, side=-1)
+    def test_prism_below_block(self, mesh3d):
+        prism = dangerous_prism_of_extent(FIGURE1_EXTENT, mesh3d, dim=1, side=-1)
         assert prism == Region((3, 0, 3), (5, 4, 4))
 
-    def test_opposite_prism(self, figure1_block, mesh3d):
-        opposite = figure1_block.opposite_prism(mesh3d, dim=1, side=-1)
+    def test_opposite_prism(self, mesh3d):
+        opposite = dangerous_prism_of_extent(FIGURE1_EXTENT, mesh3d, dim=1, side=+1)
         assert opposite == Region((3, 7, 3), (5, 9, 4))
 
     def test_prism_none_when_block_touches_surface(self):
         mesh = Mesh.cube(8, 2)
-        block = FaultyBlock(Region((0, 3), (1, 4)))
-        assert block.dangerous_prism(mesh, dim=0, side=-1) is None
-        assert block.dangerous_prism(mesh, dim=0, side=+1) is not None
+        extent = Region((0, 3), (1, 4))
+        assert dangerous_prism_of_extent(extent, mesh, dim=0, side=-1) is None
+        assert dangerous_prism_of_extent(extent, mesh, dim=0, side=+1) is not None
 
-    def test_prism_requires_valid_side(self, figure1_block, mesh3d):
+    def test_prism_requires_valid_side(self, mesh3d):
         with pytest.raises(ValueError):
-            figure1_block.dangerous_prism(mesh3d, dim=0, side=0)
-
-    def test_extent_level_function_matches_method(self, figure1_block, mesh3d):
-        for dim in range(3):
-            for side in (-1, +1):
-                assert dangerous_prism_of_extent(
-                    FIGURE1_EXTENT, mesh3d, dim, side
-                ) == figure1_block.dangerous_prism(mesh3d, dim, side)
-
-    def test_blocks_minimal_paths(self, figure1_block, mesh3d):
-        """S1/S4 criterion: below S1 with destination over S4 has no minimal path."""
-        below = (4, 2, 4)
-        above = (4, 9, 4)
-        aside = (8, 2, 4)
-        assert figure1_block.blocks_minimal_paths(mesh3d, below, above)
-        assert figure1_block.blocks_minimal_paths(mesh3d, above, below)
-        assert not figure1_block.blocks_minimal_paths(mesh3d, aside, above)
-        assert not figure1_block.blocks_minimal_paths(mesh3d, below, aside)
+            dangerous_prism_of_extent(FIGURE1_EXTENT, mesh3d, dim=0, side=0)

@@ -14,7 +14,6 @@ from repro.core.identification import (
     FrameGeometry,
     IdentificationProtocol,
     frame_geometry,
-    identify_block,
     oracle_identify,
 )
 from repro.core.state import InformationState
@@ -40,7 +39,7 @@ class TestOracle:
 class TestIdentificationProtocol:
     def test_identifies_figure1_block(self, mesh3d):
         info, blocks = converged_state(mesh3d, FIGURE1_FAULTS)
-        result = identify_block(info, blocks[0])
+        result = IdentificationProtocol(info, blocks[0]).run()
         assert result.stable
         assert result.extent == FIGURE1_EXTENT
 
@@ -81,7 +80,7 @@ class TestIdentificationProtocol:
             info, blocks = converged_state(
                 scenario.mesh, scenario.schedule.initial_faults
             )
-            rounds[scenario.name] = identify_block(info, blocks[0]).total_rounds
+            rounds[scenario.name] = IdentificationProtocol(info, blocks[0]).run().total_rounds
         assert rounds[large.name] > rounds[small.name]
 
         # Same block in a much larger mesh: round count unchanged.
@@ -89,7 +88,7 @@ class TestIdentificationProtocol:
         info, blocks = converged_state(
             same_small.mesh, same_small.schedule.initial_faults
         )
-        assert identify_block(info, blocks[0]).total_rounds == pytest.approx(
+        assert IdentificationProtocol(info, blocks[0]).run().total_rounds == pytest.approx(
             rounds[small.name], abs=2
         )
 
@@ -115,7 +114,7 @@ class TestIdentificationProtocol:
             info, blocks = converged_state(
                 scenario.mesh, scenario.schedule.initial_faults
             )
-            result = identify_block(info, blocks[0])
+            result = IdentificationProtocol(info, blocks[0]).run()
             assert result.stable
             assert result.extent == scenario.expected_extents[0]
 
@@ -130,6 +129,36 @@ class TestIdentificationProtocol:
         result = protocol.run()
         assert not result.stable
 
+    def test_relay_that_fails_and_recovers_reports_unstable(self):
+        """The initiating corner fails before round 4 and recovers before
+        round 7: the block ends as it began and the wave still forms it at
+        the opposite corner, so only the check that an active node stopped
+        relaying sees the discarded message."""
+
+        class NoRelayCheck(IdentificationProtocol):
+            def _identification_round(self):
+                self._check_relay = False
+                super()._identification_round()
+
+        def run(protocol_class):
+            mesh = Mesh((6, 6))
+            info, blocks = converged_state(mesh, [(3, 2)])
+            protocol = protocol_class(info, blocks[0], initialization_corner=(4, 3))
+            for number in range(1, protocol.ttl + 2):
+                if number == 4:
+                    info.labeling.make_faulty((4, 3))
+                elif number == 7:
+                    info.labeling.recover((4, 3))
+                if not protocol.round():
+                    break
+            return protocol.result
+
+        result = run(IdentificationProtocol)
+        assert result.extent == Region((3, 2), (3, 2))
+        assert result.stable is False
+        # The check alone decides it: without it the same run reads stable.
+        assert run(NoRelayCheck).stable is True
+
     def test_ttl_expiry_reports_unstable(self, mesh3d):
         info, blocks = converged_state(mesh3d, FIGURE1_FAULTS)
         protocol = IdentificationProtocol(info, blocks[0], ttl=1)
@@ -138,7 +167,7 @@ class TestIdentificationProtocol:
 
     def test_version_is_stamped(self, mesh3d):
         info, blocks = converged_state(mesh3d, FIGURE1_FAULTS)
-        result = identify_block(info, blocks[0], version=7)
+        result = IdentificationProtocol(info, blocks[0], version=7).run()
         assert result.version == 7
         record = next(iter(info.blocks_known_at(blocks[0].corners(mesh3d)[0])))
         assert record.version == 7
@@ -196,7 +225,7 @@ class TestSharedFrameGeometry:
         for extent in extents:
             frame_geometry(extent, mesh)
         info, blocks = converged_state(mesh, [(4, 4)])
-        assert identify_block(info, blocks[0]).stable
+        assert IdentificationProtocol(info, blocks[0]).run().stable
         frames = self.cache._frames
         assert len(frames) == 8 and self.cache.size == 8 * charge
         assert list(frames)[-1] == (blocks[0].extent, (9, 9))  # the latest use

@@ -4,28 +4,21 @@ import pytest
 
 from repro.mesh.coords import (
     add,
-    clamp,
-    component_delta,
     is_adjacent,
-    iter_line,
     manhattan,
     offsets_toward,
     preferred_directions,
-    subtract,
 )
 from repro.mesh.directions import Direction
 
 
 class TestArithmetic:
-    def test_add_subtract_roundtrip(self):
+    def test_add(self):
         assert add((1, 2, 3), (4, 5, 6)) == (5, 7, 9)
-        assert subtract((5, 7, 9), (4, 5, 6)) == (1, 2, 3)
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(ValueError):
             add((1, 2), (1, 2, 3))
-        with pytest.raises(ValueError):
-            subtract((1, 2), (1,))
         with pytest.raises(ValueError):
             manhattan((1, 2), (1, 2, 3))
 
@@ -65,25 +58,3 @@ class TestOffsets:
     def test_no_preferred_at_destination(self):
         assert preferred_directions((3, 3), (3, 3)) == ()
 
-    def test_component_delta(self):
-        assert component_delta((2, 2), (5, 1), 0) == 3
-        assert component_delta((2, 2), (5, 1), 1) == -1
-
-
-class TestIterLine:
-    def test_walks_in_direction(self):
-        pts = list(iter_line((2, 2), Direction(1, -1), 3))
-        assert pts == [(2, 1), (2, 0), (2, -1)]
-
-    def test_zero_length(self):
-        assert list(iter_line((0, 0), Direction(0, 1), 0)) == []
-
-    def test_negative_length_raises(self):
-        with pytest.raises(ValueError):
-            list(iter_line((0, 0), Direction(0, 1), -1))
-
-
-def test_clamp():
-    assert clamp((5, -2, 9), (0, 0, 0), (7, 7, 7)) == (5, 0, 7)
-    with pytest.raises(ValueError):
-        clamp((1, 2), (0,), (5,))

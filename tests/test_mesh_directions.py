@@ -7,7 +7,6 @@ from repro.mesh.directions import (
     all_directions,
     direction_between,
     direction_from_surface,
-    directions_along_dims,
     opposite,
     opposite_surface,
     surface_index,
@@ -93,12 +92,3 @@ class TestDirectionBetween:
         with pytest.raises(ValueError):
             direction_between((0, 0), (0, 0, 0))
 
-
-def test_directions_along_dims():
-    dirs = list(directions_along_dims([0, 2]))
-    assert dirs == [
-        Direction(0, -1),
-        Direction(0, +1),
-        Direction(2, -1),
-        Direction(2, +1),
-    ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mesh.regions import Region, bounding_region
+from repro.mesh.regions import Region
 
 
 class TestConstruction:
@@ -26,9 +26,6 @@ class TestConstruction:
         region = Region.single((2, 3))
         assert region.volume == 1
         assert region.contains((2, 3))
-
-    def test_bounding_region_alias(self):
-        assert bounding_region([(0, 0), (2, 3)]) == Region((0, 0), (2, 3))
 
 
 class TestGeometry:
@@ -72,19 +69,11 @@ class TestGeometry:
         with pytest.raises(ValueError):
             Region((0,), (1,)).intersects(Region((0, 0), (1, 1)))
 
-    def test_distance_to(self):
-        region = Region((2, 2), (4, 4))
-        assert region.distance_to((3, 3)) == 0
-        assert region.distance_to((0, 3)) == 2
-        assert region.distance_to((6, 6)) == 4
-
 
 class TestDerivedRegions:
-    def test_expand_and_shrink(self):
+    def test_expand(self):
         region = Region((2, 2), (4, 4))
         assert region.expand(1) == Region((1, 1), (5, 5))
-        assert region.expand(1).shrink(1) == region
-        assert Region((2, 2), (2, 2)).shrink(1) is None
 
     def test_expand_negative_raises(self):
         with pytest.raises(ValueError):
@@ -133,13 +122,3 @@ class TestIteration:
         points = list(region)
         assert len(points) == region.volume == len(region)
         assert len(set(points)) == len(points)
-
-    def test_boundary_points(self):
-        region = Region((0, 0), (3, 3))
-        boundary = set(region.boundary_points())
-        assert (0, 0) in boundary
-        assert (3, 1) in boundary
-        assert (1, 1) not in boundary
-        # Degenerate regions are all boundary.
-        line = Region((0, 0), (0, 4))
-        assert set(line.boundary_points()) == set(line.iter_points())

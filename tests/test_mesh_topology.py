@@ -93,17 +93,6 @@ class TestRoutingClassification:
         dirs = mesh3d.preferred_directions((2, 5, 5), (5, 5, 0))
         assert set(dirs) == {Direction(0, +1), Direction(2, -1)}
 
-    def test_spare_directions_complement_preferred(self, mesh3d):
-        node, dest = (2, 5, 5), (5, 5, 0)
-        preferred = set(mesh3d.preferred_directions(node, dest))
-        spare = set(mesh3d.spare_directions(node, dest))
-        assert preferred.isdisjoint(spare)
-        # every in-mesh direction is one or the other
-        in_mesh = {
-            d for d in mesh3d.directions if mesh3d.contains(d.apply(node))
-        }
-        assert preferred | spare == in_mesh
-
     def test_no_preferred_at_destination(self, mesh3d):
         assert mesh3d.preferred_directions((4, 4, 4), (4, 4, 4)) == []
 
@@ -119,10 +108,6 @@ class TestSurfaces:
         assert interior == Region((1, 1, 1), (8, 8, 8))
         with pytest.raises(ValueError):
             Mesh.cube(2, 2).interior_region(1)
-
-    def test_distance_to_surface(self, mesh3d):
-        assert mesh3d.distance_to_surface((3, 5, 5), Direction(0, -1)) == 3
-        assert mesh3d.distance_to_surface((3, 5, 5), Direction(0, +1)) == 6
 
     def test_clip_region(self, mesh2d):
         region = Region((-3, 5), (15, 7))

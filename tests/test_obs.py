@@ -16,16 +16,11 @@ The load-bearing contracts:
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.experiments import ExperimentSpec, run_batch
 from repro.mesh import Mesh
 from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     PhaseProfiler,
     ShardRecord,
     StepRecorder,
@@ -61,45 +56,6 @@ def _contended_sim(backend=None, recorder=None, profiler=None,
         recorder=recorder,
         profiler=profiler,
     )
-
-
-class TestRegistry:
-    def test_counter_increments_and_rejects_negative(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_gauge_set_and_add(self):
-        g = Gauge("g")
-        g.set(3.0)
-        g.add(-1.5)
-        assert g.value == 1.5
-
-    def test_histogram_buckets_and_moments(self):
-        h = Histogram("h", bounds=(1, 2, 4))
-        for v in (0, 1, 2, 3, 100):
-            h.observe(v)
-        assert h.count == 5
-        assert h.total == 106.0
-        assert h.min == 0 and h.max == 100
-        # buckets: <=1 gets 0 and 1; <=2 gets 2; <=4 gets 3; overflow 100.
-        assert h.buckets == [2, 1, 1, 1]
-        snap = h.snapshot()
-        assert snap["mean"] == pytest.approx(21.2)
-
-    def test_registry_lazy_creation_and_type_clash(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        reg.gauge("b").set(2)
-        with pytest.raises(TypeError):
-            reg.counter("b")
-        snap = reg.snapshot()
-        assert set(snap) == {"a", "b"}
-        assert snap["b"] == {"type": "gauge", "value": 2.0}
-        assert reg.names() == ["a", "b"]
 
 
 class TestPhaseProfiler:

@@ -7,7 +7,6 @@ from repro.core.distribution import converged_information
 from repro.core.identification import oracle_identify
 from repro.core.routing import RouteOutcome, route_offline
 from repro.core.safety import is_safe_source, minimal_path_exists, shortest_path_length
-from repro.core.state import InformationState
 from repro.faults.status import NodeStatus
 from repro.mesh.coords import manhattan
 from repro.mesh.regions import Region
@@ -66,13 +65,8 @@ class TestRegionProperties:
             assert not a.intersects(b)
 
     @given(regions(3, 8))
-    def test_expand_shrink_roundtrip(self, region):
-        assert region.expand(1).shrink(1) == region
+    def test_expand_contains_region(self, region):
         assert region.expand(2).contains_region(region)
-
-    @given(regions(2, 10), coords(2, 10))
-    def test_distance_to_zero_iff_contained(self, region, point):
-        assert (region.distance_to(point) == 0) == region.contains(point)
 
     @given(st.lists(coords(3, 8), min_size=1, max_size=10))
     def test_oracle_identify_contains_every_point(self, points):

@@ -3,7 +3,8 @@
 Covers registry completeness (every policy name the CLI and the experiment
 spec accept resolves), the online/offline parity contract (a contention-free
 single-message simulation reproduces the offline route exactly, for every
-registered policy) and the online-only behaviors of the static-block and
+registered policy), the view every Algorithm-3 router decides over in the
+simulator, and the online-only behaviors of the static-block and
 global-information routers.
 """
 
@@ -12,20 +13,24 @@ import pytest
 from repro.cli import _build_parser
 from repro.core.block_construction import build_blocks
 from repro.core.routing import RouteOutcome
+from repro.core.state import InformationState
 from repro.experiments import ExperimentSpec
 from repro.faults.injection import dynamic_schedule
-from repro.faults.schedule import DynamicFaultSchedule
+from repro.faults.schedule import DynamicFaultSchedule, FaultEvent, FaultEventKind
 from repro.mesh.topology import Mesh
 from repro.routing import (
     AlgorithmRouter,
     Router,
+    RoutingPolicy,
     available_routers,
     register_router,
     resolve_router,
-    route_with,
 )
+from repro.routing import registry
+from repro.simulator import engine
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.simulator.traffic import TrafficMessage
+from repro.workloads.traffic import to_traffic
 
 EXPECTED_POLICIES = {
     "limited-global",
@@ -37,6 +42,11 @@ EXPECTED_POLICIES = {
 }
 
 FAULTS = [(3, 5), (4, 5), (5, 5), (4, 6)]
+
+#: The policies run by one Algorithm-3 probe (every one but the BFS planner).
+ALGORITHM_POLICIES = [
+    name for name in available_routers() if isinstance(resolve_router(name), AlgorithmRouter)
+]
 
 
 def _labeling(mesh):
@@ -92,7 +102,7 @@ class TestOfflineOnlineParity:
     )
     def test_parity(self, name, source, destination):
         mesh = Mesh.cube(10, 2)
-        offline = route_with(name, mesh, _labeling(mesh), source, destination)
+        offline = resolve_router(name).route(mesh, _labeling(mesh), source, destination)
         sim = Simulator(
             mesh,
             schedule=DynamicFaultSchedule.static(FAULTS),
@@ -113,7 +123,7 @@ class TestOfflineOnlineParity:
         walls = [(0, 1), (1, 1), (1, 0)]
         labeling = build_blocks(mesh, walls).state
         for name in sorted(EXPECTED_POLICIES):
-            offline = route_with(name, mesh, labeling, (7, 7), (0, 0))
+            offline = resolve_router(name).route(mesh, labeling, (7, 7), (0, 0))
             sim = Simulator(
                 mesh,
                 schedule=DynamicFaultSchedule.static(walls),
@@ -161,6 +171,112 @@ class TestStaticBlockOnline:
         view = router.offline_view(mesh, labeling)
         assert not view.blocks_known_at((0, 0))
         assert view.blocks_known_at((2, 5))  # frame node next to the block
+
+    def test_simulator_decides_over_adjacent_view(self):
+        """Online, static-block reads the adjacent-only view of the
+        simulator's current labeling, not the simulator's own information."""
+        mesh = Mesh.cube(10, 2)
+        sim = Simulator(
+            mesh,
+            schedule=DynamicFaultSchedule.static(FAULTS),
+            config=SimulationConfig(router="static-block"),
+        )
+        view = sim.decision_view()
+        assert view is not sim.info
+        assert view is sim.router.offline_view(mesh, sim.info.labeling)
+        # (2, 0) lies on a boundary the limited-global model propagates.
+        assert sim.info.boundaries_at((2, 0)) and not view.boundaries_at((2, 0))
+        sim.info.labeling.make_faulty((1, 1))
+        assert sim.decision_view() is not view
+
+
+def _sim(name, schedule, backend, *, contention=True):
+    mesh = Mesh.cube(8, 2)
+    pairs = [((0, 0), (7, 7)), ((7, 0), (0, 7)), ((0, 4), (7, 4)), ((4, 0), (4, 7))]
+    return Simulator(
+        mesh,
+        schedule=schedule,
+        traffic=to_traffic(pairs * 3, start_time=0, spacing=1, tag="d", flits=8),
+        config=SimulationConfig(router=name, contention=contention, backend=backend),
+    )
+
+
+class TestScalarDecisionView:
+    """The scalar loop decides over ``Simulator.decision_view()`` with one
+    decision cache, rebuilt only when that view object changes."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The view of every decision cache the simulator builds."""
+        views = []
+
+        class Counting(engine.DecisionCache):
+            def __init__(self, info, policy):
+                views.append(info)
+                super().__init__(info, policy)
+
+        monkeypatch.setattr(engine, "DecisionCache", Counting)
+        return views
+
+    @pytest.mark.parametrize("name", ALGORITHM_POLICIES)
+    def test_one_cache_per_run_under_static_faults(self, name, built):
+        sim = _sim(name, DynamicFaultSchedule.static([(3, 3), (3, 4), (5, 5)]), "scalar")
+        stats = sim.run().stats
+        assert sim._table is None and stats.steps > 10
+        assert len(built) == 1 and built[0] is sim.decision_view()
+
+    def test_static_block_cache_follows_relabels(self, built):
+        schedule = DynamicFaultSchedule(
+            initial_faults={(4, 4)},
+            events=[
+                FaultEvent(3, (3, 4)),
+                FaultEvent(7, (5, 5)),
+                FaultEvent(11, (4, 4), FaultEventKind.RECOVERY),
+            ],
+        )
+        sim = _sim("static-block", schedule, "scalar")
+        labelings = set()
+        while sim.current_step < 30:
+            sim.step()
+            assert sim._decision_cache.info is sim.decision_view()
+            labelings.add(sim.info.labeling.mutations)
+        # One cache per labeling the message phase saw, and none in between.
+        assert len(built) == len(labelings) > 1
+
+
+class _BareView(AlgorithmRouter):
+    """A policy of its own view: the bare labeling, derived per labeling."""
+
+    def __init__(self):
+        super().__init__(RoutingPolicy(name="bare-view"))
+
+    def _build_view(self, mesh, labeling):
+        return InformationState(mesh=mesh, labeling=labeling)
+
+    def online_view(self, info):
+        return self.offline_view(info.mesh, info.labeling)
+
+
+class TestAlgorithmRouterSubclass:
+    @pytest.mark.parametrize("contention", [False, True])
+    def test_subclass_runs_on_table_as_on_scalar_loop(self, monkeypatch, contention):
+        """Any :class:`AlgorithmRouter` is table eligible, and the table and
+        the scalar loop both decide over its online view."""
+        monkeypatch.setitem(registry._FACTORIES, "bare-view", _BareView)
+        schedule = DynamicFaultSchedule(
+            initial_faults={(4, 4)},
+            events=[FaultEvent(3, (3, 4)), FaultEvent(9, (4, 4), FaultEventKind.RECOVERY)],
+        )
+        outputs = {}
+        for backend in ("scalar", "vector"):
+            sim = _sim("bare-view", schedule, backend, contention=contention)
+            assert (sim._table is not None) == (backend == "vector")
+            stats = sim.run().stats
+            outputs[backend] = (
+                stats.summary(),
+                [(m.result.outcome, tuple(m.result.path)) for m in stats.messages],
+            )
+        assert outputs["scalar"] == outputs["vector"]
 
 
 class TestGlobalInformationOnline:

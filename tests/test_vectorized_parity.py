@@ -137,8 +137,14 @@ class TestScheduleReplayParity:
         )
 
     @pytest.mark.parametrize("contention", [False, True])
-    def test_dynamic_fault_replay(self, contention):
-        """Full simulator runs under both backends are byte-identical."""
+    @pytest.mark.parametrize("router", available_routers())
+    def test_dynamic_fault_replay(self, router, contention):
+        """Full simulator runs under both backends are byte-identical.
+
+        Faults arrive and recover mid-run, so static-block's scalar loop
+        and probe table both swap to a new adjacent-only view at every
+        relabel.
+        """
         mesh = Mesh.cube(10, 2)
         traffic = [
             TrafficMessage(source=(0, 0), destination=(9, 9), start_time=0, flits=16),
@@ -152,7 +158,9 @@ class TestScheduleReplayParity:
                 mesh,
                 schedule=self._schedule(),
                 traffic=list(traffic),
-                config=SimulationConfig(contention=contention, backend=backend),
+                config=SimulationConfig(
+                    router=router, contention=contention, backend=backend
+                ),
             )
             result = sim.run()
             outputs[backend] = (

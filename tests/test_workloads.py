@@ -1,10 +1,8 @@
 """Unit tests for traffic generators and the paper scenarios."""
 
-import numpy as np
 import pytest
 
 from repro.core.block_construction import build_blocks
-from repro.mesh.regions import Region
 from repro.mesh.topology import Mesh
 from repro.simulator.traffic import TrafficMessage
 from repro.workloads.scenarios import (
@@ -15,12 +13,7 @@ from repro.workloads.scenarios import (
     random_dynamic_scenario,
     two_block_scenario,
 )
-from repro.workloads.traffic import (
-    corner_to_corner_pairs,
-    random_pairs,
-    to_traffic,
-    transpose_pairs,
-)
+from repro.workloads.traffic import random_pairs, to_traffic, transpose_pairs
 
 
 class TestTrafficMessage:
@@ -59,12 +52,6 @@ class TestRandomPairs:
 
 
 class TestStructuredPairs:
-    def test_corner_to_corner(self, mesh3d):
-        pairs = corner_to_corner_pairs(mesh3d)
-        assert all(mesh3d.distance(s, d) == mesh3d.diameter for s, d in pairs)
-        # 2^n corners pair up into 2^(n-1) opposite pairs.
-        assert len(pairs) == 2 ** 2
-
     def test_transpose_pairs(self):
         mesh = Mesh.cube(4, 2)
         pairs = transpose_pairs(mesh)
@@ -121,16 +108,10 @@ class TestScenarios:
         scenario = random_dynamic_scenario(
             radix=10, n_dims=2, dynamic_faults=4, messages=6, seed=3
         )
-        assert scenario.schedule.total_faults == 4
+        schedule = scenario.schedule
+        assert len(schedule.fault_events) == 4
         assert len(scenario.traffic) == 6
-        fault_nodes = scenario.schedule.all_nodes_ever_faulty()
+        fault_nodes = schedule.initial_faults | {e.node for e in schedule.fault_events}
         for message in scenario.traffic:
             assert message.source not in fault_nodes
             assert message.destination not in fault_nodes
-
-    def test_with_traffic_builder(self):
-        scenario = figure1_scenario()
-        traffic = to_traffic([((0, 0, 0), (9, 9, 9))])
-        updated = scenario.with_traffic(traffic)
-        assert updated.traffic == tuple(traffic)
-        assert scenario.traffic == ()
