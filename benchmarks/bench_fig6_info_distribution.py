@@ -13,7 +13,6 @@ from _common import print_table
 from repro.core.block_construction import build_blocks
 from repro.core.distribution import distribute_information_with_report
 from repro.core.identification import IdentificationProtocol
-from repro.core.state import InformationState
 from repro.workloads.scenarios import FIGURE1_EXTENT, FIGURE1_FAULTS, figure1_scenario
 
 

@@ -15,7 +15,6 @@ from repro.analysis.convergence import measure_convergence
 from repro.analysis.metrics import compare_policies, memory_footprint_row
 from repro.core.block_construction import build_blocks
 from repro.faults.injection import uniform_random_faults
-from repro.mesh.topology import Mesh
 from repro.workloads.scenarios import parametric_block_scenario
 from repro.workloads.traffic import random_pairs
 

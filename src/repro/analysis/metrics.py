@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mean
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.block_construction import LabelingState, extract_blocks
 from repro.core.distribution import distribute_information
@@ -78,6 +78,14 @@ class PolicyComparison:
         return {name: getattr(summary, metric) for name, summary in self.summaries.items()}
 
 
+#: The policies :func:`compare_policies` routes, in table order: the paper's
+#: model, the no-information baseline, the static-block baseline and the
+#: global-information ideal.  ``repro-mesh compare`` sweeps the same tuple.
+COMPARED_POLICIES = (
+    "limited-global", "no-information", "static-block", "global-information"
+)
+
+
 def compare_policies(
     mesh: Mesh,
     labeling: LabelingState,
@@ -85,26 +93,21 @@ def compare_policies(
     *,
     include_static_block: bool = True,
     include_global: bool = True,
-    max_steps: Optional[int] = None,
 ) -> PolicyComparison:
     """Route every pair under each policy against the same stabilized faults.
 
-    Policies are resolved through the router registry, so the comparison
-    table automatically reflects :func:`repro.routing.available_routers`.
+    The policies are :data:`COMPARED_POLICIES`, less the static-block and
+    global-information baselines when their flags are off.
     """
     comparison = PolicyComparison(
         mesh_shape=mesh.shape, fault_count=len(labeling.faulty_nodes)
     )
-
-    names = ["limited-global", "no-information"]
-    if include_static_block:
-        names.append("static-block")
-    if include_global:
-        names.append("global-information")
-    for name in names:
-        routes = resolve_router(name).route_batch(
-            mesh, labeling, pairs, max_steps=max_steps
-        )
+    for name in COMPARED_POLICIES:
+        if (name == "static-block" and not include_static_block) or (
+            name == "global-information" and not include_global
+        ):
+            continue
+        routes = resolve_router(name).route_batch(mesh, labeling, pairs)
         comparison.summaries[name] = summarize_routes(routes)
     return comparison
 

@@ -6,15 +6,17 @@ Eight subcommands cover the workflows the experiments use:
   static fault set, under any policy;
 * ``repro-mesh simulate``    — run the step-synchronous simulator with a
   randomized dynamic-fault scenario and print the summary;
-* ``repro-mesh compare``     — the policy-comparison table for a randomized
-  static configuration;
+* ``repro-mesh compare``     — the policy-comparison table: an offline sweep
+  preset (spec name ``compare``, the four policies of
+  :func:`~repro.analysis.metrics.compare_policies`) on one stabilized
+  random fault configuration;
 * ``repro-mesh convergence`` — measure a/b/c for a parametric block;
 * ``repro-mesh sweep``       — run a declarative experiment grid through
   :mod:`repro.experiments`, optionally across worker processes, and emit
   canonical JSON;
 * ``repro-mesh throughput``  — open-loop saturation measurement: sweep
-  injection rates (or binary-search the saturation point) and print
-  per-policy load-latency/throughput curves;
+  injection rates (or binary-search the saturation point, or trace one
+  cell) and print per-policy load-latency/throughput curves;
 * ``repro-mesh report``      — render an observability artifact (a JSONL
   step trace from ``simulate --trace-out`` or a telemetry JSON from
   ``sweep --telemetry-out``) as an ASCII table with sparklines;
@@ -26,6 +28,15 @@ Eight subcommands cover the workflows the experiments use:
 The mesh is either the uniform ``--radix``/``--dims`` cube or an explicit
 rectangular ``--shape 16,8,4`` (the two options are mutually exclusive).
 
+Every command that runs a grid of experiment cells (``sweep``,
+``throughput`` and ``compare``) builds a ``repro.spec/v1`` payload and
+parses it with
+:meth:`~repro.experiments.spec.ExperimentSpec.from_dict`, the door the HTTP
+service uses too, so there is one seeding rule: a cell's seed derives from
+the spec name and its configuration axes, never from its policy or rate.
+``route`` (explicit faults and endpoints, not a grid) and ``simulate``
+(one hand-built cell whose ``--seed`` is its cell seed) stay outside it.
+
 The CLI is intentionally a thin veneer over the public API so that every
 number it prints can also be obtained programmatically.
 """
@@ -35,12 +46,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.convergence import measure_convergence
-from repro.analysis.metrics import compare_policies, contention_row
+from repro.analysis.metrics import COMPARED_POLICIES, contention_row
 from repro.analysis.throughput import throughput_rows
 from repro.backend import ENV_VAR as BACKEND_ENV_VAR
 from repro.backend import available_backends, resolve_backend
@@ -54,13 +66,12 @@ from repro.experiments import (
     ResultCache,
     run_batch,
 )
-from repro.experiments.runner import build_simulator
+from repro.experiments.runner import build_simulator, run_throughput_cell
 from repro.faults.injection import uniform_random_faults
 from repro.mesh.topology import Mesh
 from repro.routing import available_routers, resolve_router
-from repro.throughput import MeasurementWindows, load_curves, saturation_for_policy
+from repro.throughput import LoadCurve, LoadPoint, find_saturation
 from repro.workloads.scenarios import parametric_block_scenario
-from repro.workloads.traffic import random_pairs
 
 Coord = Tuple[int, ...]
 
@@ -399,7 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     throughput.add_argument("--radix", type=int, default=None, help="uniform mesh radix")
     throughput.add_argument("--dims", type=int, default=None, help="uniform mesh dimensionality")
-    throughput.add_argument("--seed", type=int, default=0, help="random seed")
     throughput.add_argument(
         "--policy", default="limited-global",
         help="comma-separated policy names (registered routers: "
@@ -437,15 +447,15 @@ def _build_parser() -> argparse.ArgumentParser:
     throughput.add_argument(
         "--trace-out", default=None,
         help="write the run's JSONL step trace (fault events included) here; "
-        "requires a single policy and a single rate",
+        "requires a single cell: one policy, one rate and one seed",
     )
     throughput.add_argument("--lam", type=int, default=2, help="information rounds per step (λ)")
     throughput.add_argument("--flits", type=int, default=64, help="message length in flits")
     throughput.add_argument("--warmup", type=int, default=64, help="warmup steps (uncounted)")
     throughput.add_argument("--measure", type=int, default=256, help="measurement window steps")
     throughput.add_argument("--drain", type=int, default=512, help="drain budget steps")
-    throughput.add_argument("--seeds", type=_parse_int_list, default=None,
-                            help="replicate seeds (defaults to --seed)")
+    throughput.add_argument("--seeds", type=_parse_int_list, default=(0,),
+                            help="replicate seeds, e.g. 0,1,2")
     throughput.add_argument("--workers", type=int, default=1, help="worker processes (1 = serial)")
     throughput.add_argument("--out", default=None, help="write curve JSON here")
     _add_backend_argument(throughput)
@@ -533,24 +543,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
     mesh = _mesh_from_args(args)
-    faults = uniform_random_faults(mesh, args.faults, rng)
-    labeling = build_blocks(mesh, faults).state
-    pairs = random_pairs(
-        mesh,
-        args.messages,
-        rng,
-        min_distance=max(2, mesh.diameter // 2),
-        exclude=list(labeling.block_nodes),
+    spec = _spec_from_payload(
+        {
+            "schema": SPEC_SCHEMA,
+            "name": "compare",
+            "mode": "offline",
+            "mesh_shapes": [list(mesh.shape)],
+            "policies": list(COMPARED_POLICIES),
+            "fault_counts": [args.faults],
+            "traffic_sizes": [args.messages],
+            "seeds": [args.seed],
+        }
     )
-    comparison = compare_policies(mesh, labeling, pairs)
+    batch = run_batch(spec)
     print(f"mesh {mesh}, {args.faults} faults, {args.messages} messages")
     print(f"{'policy':<20} {'delivery':>9} {'mean hops':>10} {'mean detours':>13}")
-    for name, summary in comparison.summaries.items():
+    for result in batch.results:
+        metrics = result.metrics
         print(
-            f"{name:<20} {summary.delivery_rate:>9.2f} {summary.mean_hops:>10.2f} "
-            f"{summary.mean_detours:>13.2f}"
+            f"{result.cell.policy:<20} {metrics['delivery_rate']:>9.2f} "
+            f"{metrics['mean_hops']:>10.2f} {metrics['mean_detours']:>13.2f}"
         )
     return 0
 
@@ -569,12 +582,21 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    """Build the sweep's spec — from ``--spec FILE.json`` or the grid flags.
+def _spec_from_payload(payload: object) -> ExperimentSpec:
+    """Parse a ``repro.spec/v1`` payload; an invalid one exits 2.
 
-    Both paths go through :meth:`ExperimentSpec.from_dict`, so a file, an
-    HTTP submission and a flag-built grid are validated identically.
+    Every command that runs experiment cells builds its spec here, through
+    :meth:`ExperimentSpec.from_dict`, so a file, an HTTP submission and a
+    flag-built grid are validated and seeded identically.
     """
+    try:
+        return ExperimentSpec.from_dict(payload)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _sweep_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    """Build the sweep's spec — from ``--spec FILE.json`` or the grid flags."""
     if args.spec is not None:
         if args.shape or args.radix is not None or args.dims is not None:
             raise argparse.ArgumentTypeError(
@@ -590,10 +612,7 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             raise argparse.ArgumentTypeError(f"cannot read --spec file: {exc}")
         except _json.JSONDecodeError as exc:
             raise argparse.ArgumentTypeError(f"--spec file is not valid JSON: {exc}")
-        try:
-            return ExperimentSpec.from_dict(payload)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
+        return _spec_from_payload(payload)
 
     shapes = _resolve_shapes(args.shape or [], args.radix, args.dims)
     scenarios: Tuple[str, ...] = ()
@@ -616,10 +635,7 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         "fault_rates": list(args.fault_rate),
         "repair_after": args.repair_after,
     }
-    try:
-        return ExperimentSpec.from_dict(payload)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return _spec_from_payload(payload)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -708,37 +724,39 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
         raise argparse.ArgumentTypeError(
             "throughput measures one mesh at a time; give --shape once"
         )
-    (shape,) = shapes
-    policies = tuple(p.strip() for p in args.policy.split(",") if p.strip())
-    windows = MeasurementWindows(
-        warmup=args.warmup, measure=args.measure, drain=args.drain
+    spec = _spec_from_payload(
+        {
+            "schema": SPEC_SCHEMA,
+            "name": "throughput",
+            "mode": "throughput",
+            "mesh_shapes": [list(shapes[0])],
+            "policies": [p.strip() for p in args.policy.split(",") if p.strip()],
+            "scenarios": [args.scenario],
+            "fault_counts": [args.faults],
+            "lams": [args.lam],
+            "flits": [args.flits],
+            "rates": list(args.rates),
+            "seeds": list(args.seeds),
+            "injection": args.injection,
+            "warmup": args.warmup,
+            "measure": args.measure,
+            "drain": args.drain,
+            "fault_rates": [args.fault_rate],
+            "repair_after": args.repair_after,
+        }
     )
-    seeds = args.seeds if args.seeds is not None else (args.seed,)
+    cells = spec.cells()
 
     if args.trace_out:
-        if len(policies) != 1 or len(args.rates) != 1 or args.saturation:
+        if len(cells) != 1 or args.saturation:
             raise argparse.ArgumentTypeError(
-                "--trace-out records one run: give a single --policy and a "
-                "single rate in --rates (and no --saturation)"
+                "--trace-out records one cell: give a single --policy, a "
+                "single rate in --rates and a single seed in --seeds (and no "
+                "--saturation)"
             )
-        from repro.throughput import run_throughput_point
-
-        result = run_throughput_point(
-            shape,
-            policies[0],
-            args.scenario,
-            args.rates[0],
-            faults=args.faults,
-            lam=args.lam,
-            flits=args.flits,
-            seed=seeds[0],
-            injection=args.injection,
-            windows=windows,
-            fault_rate=args.fault_rate,
-            repair_after=args.repair_after,
-            trace_out=args.trace_out,
-        )
-        _print_curve(policies[0], [result.to_row()])
+        (cell,) = cells
+        result = run_throughput_cell(cell, trace_out=args.trace_out)
+        _print_curve(cell.policy, [result.to_row()])
         if result.slo is not None:
             ttr = result.slo.time_to_recover
             print(
@@ -752,46 +770,30 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
         return 0
 
     if args.saturation:
-        for policy in policies:
-            rate, probed = saturation_for_policy(
-                shape,
-                policy,
-                pattern=args.scenario,
-                faults=args.faults,
-                lam=args.lam,
-                flits=args.flits,
-                seed=seeds[0],
-                injection=args.injection,
-                windows=windows,
-                fault_rate=args.fault_rate,
-                repair_after=args.repair_after,
+        if len(spec.seeds) != 1:
+            raise argparse.ArgumentTypeError(
+                "--saturation searches one cell per policy: give a single "
+                "seed in --seeds"
+            )
+        for policy in spec.policies:
+            # The rate is not part of the cell seed: every probe shares the
+            # curve's fault layout and injection stream.
+            cell = next(c for c in cells if c.policy == policy)
+            rate, probed = find_saturation(
+                lambda r: run_throughput_cell(replace(cell, rate=r))
             )
             print(f"policy {policy}: saturation rate ~ {rate:.4f} msg/node/step")
             _print_curve(policy, [p.__dict__ for p in probed])
         return 0
 
-    try:
-        batch, curves = load_curves(
-            shape,
-            policies,
-            args.rates,
-            pattern=args.scenario,
-            faults=args.faults,
-            lam=args.lam,
-            flits=args.flits,
-            seeds=seeds,
-            injection=args.injection,
-            windows=windows,
-            workers=args.workers,
-            fault_rate=args.fault_rate,
-            repair_after=args.repair_after,
-        )
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    batch = run_batch(spec, workers=args.workers)
     rows = throughput_rows(batch)
-    for policy in policies:
+    for policy in spec.policies:
         _print_curve(policy, rows[policy])
-        knee = curves[policy].knee()
+        curve = LoadCurve(
+            policy, tuple(LoadPoint.from_metrics(row) for row in rows[policy])
+        )
+        knee = curve.knee()
         if knee is not None:
             print(
                 f"  knee ~ rate {knee.rate:.4f} "

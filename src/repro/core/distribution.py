@@ -21,7 +21,6 @@ from typing import Dict, Sequence, Tuple
 
 from repro.core.block_construction import LabelingState, extract_blocks
 from repro.core.boundary import BoundaryProtocol
-from repro.core.faulty_block import FaultyBlock
 from repro.core.identification import IdentificationProtocol, IdentificationResult
 from repro.core.state import InformationState
 from repro.mesh.regions import Region

@@ -48,13 +48,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core.state import (
-    BlockRecord,
-    BoundaryInfo,
-    ExtentFrame,
-    PrismPair,
-    resolve_routing_geometry,
-)
+from repro.core.block_construction import LabelingState
+from repro.core.state import ExtentFrame, PrismPair
 from repro.faults.status import NodeStatus
 from repro.mesh.directions import Direction
 from repro.mesh.topology import Mesh
@@ -112,23 +107,38 @@ class RoutingPolicy:
 
 
 class InformationProvider(Protocol):
-    """What the routing decision needs to know at a node.
+    """What the routing decision reads at a node.
 
-    :class:`repro.core.state.InformationState` satisfies this protocol; the
-    simulator provides a time-varying implementation.  Providers may
-    additionally expose ``detour_constraints`` / ``known_extent_frames``
-    (see :class:`~repro.core.state.InformationState`) to serve the routing
-    geometry from a per-node cache; the classification falls back to
-    rebuilding it from the two record accessors otherwise.
+    :class:`repro.core.state.InformationState` is the provider, offline and
+    inside the simulator.  The decision reads a node's status and its
+    resolved routing geometry (``detour_constraints`` and
+    ``known_extent_frames``, served from the state's per-node cache);
+    :class:`DecisionCache` and the vectorized decision engine keep their
+    per-node inputs valid on ``labeling.mutations`` and
+    ``record_mutations``.
     """
 
     mesh: Mesh
+    labeling: LabelingState
+    record_mutations: int
 
     def status(self, node: Sequence[int]) -> NodeStatus: ...
 
-    def blocks_known_at(self, node: Sequence[int]) -> FrozenSet[BlockRecord]: ...
+    def detour_constraints(
+        self,
+        node: Sequence[int],
+        *,
+        use_block_info: bool = True,
+        use_boundary_info: bool = True,
+    ) -> Sequence[PrismPair]: ...
 
-    def boundaries_at(self, node: Sequence[int]) -> FrozenSet[BoundaryInfo]: ...
+    def known_extent_frames(
+        self,
+        node: Sequence[int],
+        *,
+        use_block_info: bool = True,
+        use_boundary_info: bool = True,
+    ) -> Sequence[ExtentFrame]: ...
 
 
 # ---------------------------------------------------------------------- #
@@ -239,9 +249,10 @@ class NodeContext:
     policy, never of the individual probe: the node's own status, the usable
     outgoing directions with their neighbor statuses (faulty neighbors
     already filtered out, in :attr:`Mesh.directions` order), and the node's
-    resolved routing geometry.  The per-probe parts of a decision (used
-    directions, incoming direction, destination-dependent ordering) are
-    applied on top by :func:`classify_directions`.
+    resolved routing geometry.  :func:`node_context` builds it; the
+    per-probe parts of a decision (used directions, incoming direction,
+    destination-dependent ordering) are applied on top by
+    :func:`classify_directions`.
     """
 
     status: NodeStatus
@@ -250,6 +261,32 @@ class NodeContext:
     usable: Tuple[Tuple[Direction, Coord, NodeStatus], ...]
     constraints: Tuple[PrismPair, ...]
     extent_frames: Tuple[ExtentFrame, ...]
+
+
+def node_context(
+    info: InformationProvider, node: Coord, policy: RoutingPolicy
+) -> NodeContext:
+    """The decision inputs at ``node`` under ``policy``."""
+    mesh = info.mesh
+    usable: List[Tuple[Direction, Coord, NodeStatus]] = []
+    for direction in mesh.directions:
+        neighbor = mesh.neighbor(node, direction)
+        if neighbor is None:
+            continue
+        status = info.status(neighbor)
+        if status is NodeStatus.FAULTY:
+            continue  # adjacent-fault detection: never forward into a fault
+        usable.append((direction, neighbor, status))
+    flags = dict(
+        use_block_info=policy.use_block_info,
+        use_boundary_info=policy.use_boundary_info,
+    )
+    return NodeContext(
+        status=info.status(node),
+        usable=tuple(usable),
+        constraints=tuple(info.detour_constraints(node, **flags)),
+        extent_frames=tuple(info.known_extent_frames(node, **flags)),
+    )
 
 
 class DecisionCache:
@@ -263,9 +300,9 @@ class DecisionCache:
     and over.  This cache resolves them once per node and keeps them valid
     *across* steps until the information actually mutates (a labeling
     status change or a block/boundary record change), which at steady state
-    means once per node for the whole run.  Contexts replicate exactly what
-    the uncached classification reads, so cached and uncached decisions are
-    identical.
+    means once per node for the whole run.  A cached context is the
+    :func:`node_context` an uncached decision builds, so cached and uncached
+    decisions are identical.
     """
 
     def __init__(self, info: InformationProvider, policy: RoutingPolicy) -> None:
@@ -273,30 +310,20 @@ class DecisionCache:
         self.policy = policy
         self._contexts: Dict[Coord, NodeContext] = {}
         self._token: Optional[Tuple[int, int]] = None
-        # Attribute lookups hoisted out of the per-decision token check.
-        self._labeling = getattr(info, "labeling", None)
-        self._has_record_mutations = hasattr(info, "record_mutations")
         #: Memo of preferred-direction sets keyed by (node, destination) —
         #: a pure function of the mesh, so never invalidated.
         self._preferred: Dict[Tuple[Coord, Coord], FrozenSet[Direction]] = {}
 
-    def _validity_token(self) -> Tuple[int, int]:
-        labeling = self._labeling
-        return (
-            labeling.mutations if labeling is not None else -1,
-            self.info.record_mutations if self._has_record_mutations else -1,  # type: ignore[attr-defined]
-        )
-
     def context(self, node: Coord) -> NodeContext:
         """The (possibly cached) decision context at ``node``."""
-        token = self._validity_token()
+        info = self.info
+        token = (info.labeling.mutations, info.record_mutations)
         if token != self._token:
             self._contexts.clear()
             self._token = token
         ctx = self._contexts.get(node)
         if ctx is None:
-            ctx = self._build(node)
-            self._contexts[node] = ctx
+            ctx = self._contexts[node] = node_context(info, node, self.policy)
         return ctx
 
     def preferred(self, node: Coord, destination: Coord) -> FrozenSet[Direction]:
@@ -308,52 +335,10 @@ class DecisionCache:
             self._preferred[key] = result
         return result
 
-    def _build(self, node: Coord) -> NodeContext:
-        info = self.info
-        mesh = info.mesh
-        usable: List[Tuple[Direction, Coord, NodeStatus]] = []
-        for direction in mesh.directions:
-            neighbor = mesh.neighbor(node, direction)
-            if neighbor is None:
-                continue
-            status = info.status(neighbor)
-            if status is NodeStatus.FAULTY:
-                continue  # adjacent-fault detection: never forward into a fault
-            usable.append((direction, neighbor, status))
-        constraints, frames = _routing_geometry(info, node, self.policy)
-        return NodeContext(
-            status=info.status(node),
-            usable=tuple(usable),
-            constraints=tuple(constraints),
-            extent_frames=tuple(frames),
-        )
-
 
 # ---------------------------------------------------------------------- #
 # direction classification
 # ---------------------------------------------------------------------- #
-def _routing_geometry(
-    info: InformationProvider, node: Coord, policy: RoutingPolicy
-) -> Tuple[Sequence[PrismPair], Sequence[ExtentFrame]]:
-    """Resolved detour constraints and extent frames known at ``node``.
-
-    Served from the provider's per-node cache when it has one
-    (:class:`~repro.core.state.InformationState` does); otherwise rebuilt
-    from the protocol's record accessors.
-    """
-    constraints_getter = getattr(info, "detour_constraints", None)
-    if constraints_getter is not None:
-        flags = dict(
-            use_block_info=policy.use_block_info,
-            use_boundary_info=policy.use_boundary_info,
-        )
-        return constraints_getter(node, **flags), info.known_extent_frames(node, **flags)
-
-    boundaries = info.boundaries_at(node) if policy.use_boundary_info else ()
-    blocks = info.blocks_known_at(node) if policy.use_block_info else ()
-    return resolve_routing_geometry(info.mesh, boundaries, blocks)
-
-
 def _is_detour_direction(
     node: Coord,
     destination: Coord,
@@ -390,33 +375,20 @@ def classify_directions(
     decreasing priority); within a class, preferred directions are ordered by
     decreasing remaining offset along their dimension, everything else by
     ``(dim, sign)`` for determinism.  ``context`` (from a
-    :class:`DecisionCache`) supplies the precomputed per-node inputs; the
-    classification is identical with or without it.
+    :class:`DecisionCache`) supplies the per-node inputs, built by
+    :func:`node_context` when it is not given.
     """
-    mesh = info.mesh
     node = tuple(node)
     destination = tuple(destination)
     used = used or frozenset()
-    if context is not None:
-        constraints, extent_frames = context.constraints, context.extent_frames
-        candidates_iter: Iterable[Tuple[Direction, Coord, NodeStatus]] = context.usable
-    else:
-        constraints, extent_frames = _routing_geometry(info, node, policy)
-        fresh: List[Tuple[Direction, Coord, NodeStatus]] = []
-        for direction in mesh.directions:
-            neighbor = mesh.neighbor(node, direction)
-            if neighbor is None:
-                continue
-            neighbor_status = info.status(neighbor)
-            if neighbor_status is NodeStatus.FAULTY:
-                continue  # adjacent-fault detection: never forward into a fault
-            fresh.append((direction, neighbor, neighbor_status))
-        candidates_iter = fresh
+    if context is None:
+        context = node_context(info, node, policy)
+    constraints, extent_frames = context.constraints, context.extent_frames
     if preferred is None:
-        preferred = set(mesh.preferred_directions(node, destination))
+        preferred = set(info.mesh.preferred_directions(node, destination))
 
     entries: List[Tuple[DirectionClass, Tuple[int, int, int], Direction]] = []
-    for direction, neighbor, neighbor_status in candidates_iter:
+    for direction, neighbor, neighbor_status in context.usable:
         if direction in used:
             continue
         if incoming is not None and direction == incoming.reversed():
@@ -459,17 +431,13 @@ def decision_candidates(
     changing any decision.
     """
     node = header.current
-    if cache is not None:
-        context = cache.context(node)
-        status = context.status
-        preferred: Optional[AbstractSet[Direction]] = cache.preferred(
-            node, header.destination
-        )
+    preferred: Optional[AbstractSet[Direction]] = None
+    if cache is None:
+        context = node_context(info, node, policy)
     else:
-        context = None
-        status = info.status(node)
-        preferred = None
-    if status is NodeStatus.DISABLED and node != header.source:
+        context = cache.context(node)
+        preferred = cache.preferred(node, header.destination)
+    if context.status is NodeStatus.DISABLED and node != header.source:
         return None
     return classify_directions(
         info,

@@ -27,8 +27,8 @@ whole fleets of scenarios can be swept, compared and persisted uniformly:
   ``BatchResult.telemetry`` — observational only, never part of the
   canonical JSON.
 
-The ``repro-mesh sweep`` CLI subcommand, the HTTP service
-(:mod:`repro.service`), the comparison benchmarks and
+The ``repro-mesh sweep``, ``throughput`` and ``compare`` CLI subcommands,
+the HTTP service (:mod:`repro.service`), the comparison benchmarks and
 ``examples/policy_comparison.py`` all route through this package.
 
 **Stable public surface.** ``__all__`` below *is* the supported API of

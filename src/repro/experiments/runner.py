@@ -1,8 +1,10 @@
 """Execution of experiment grids: stacked, sharded and cached.
 
 :func:`run_cell` turns one :class:`~repro.experiments.spec.ExperimentCell`
-into a :class:`~repro.experiments.results.CellResult`; :func:`run_batch`
-runs a whole grid through one of two engines:
+into a :class:`~repro.experiments.results.CellResult`, through
+:func:`build_simulator` for a simulate cell and :func:`run_throughput_cell`
+for a throughput cell (the CLI's single-cell runs call those two as well);
+:func:`run_batch` runs a whole grid through one of two engines:
 
 * ``engine="auto"`` (the default) — the stacked executor
   (:mod:`repro.experiments.stacked`): same-shape probe-table-eligible
@@ -75,6 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.probe_table import ProbeTable
     from repro.obs.profile import PhaseProfiler
     from repro.obs.recorder import StepRecorder
+    from repro.throughput.measure import ThroughputResult
 
 Coord = Tuple[int, ...]
 
@@ -238,6 +241,39 @@ def build_simulator(
     )
 
 
+def run_throughput_cell(
+    cell: ExperimentCell, *, trace_out: Optional[str] = None
+) -> "ThroughputResult":
+    """The windowed open-loop measurement of one throughput-mode cell.
+
+    Seeded by ``cell.cell_seed``, so every door that runs a cell
+    (:func:`run_cell`, ``repro-mesh throughput --trace-out`` and its
+    saturation search) measures the same run.  ``trace_out`` writes the
+    run's JSONL step trace there.
+    """
+    # Imported here, so run_throughput_point is looked up on its module at
+    # call time (a wrapper patched onto the module sees every cell).
+    from repro.throughput.measure import MeasurementWindows, run_throughput_point
+
+    return run_throughput_point(
+        cell.shape,
+        cell.policy,
+        cell.scenario,
+        cell.rate,
+        faults=cell.faults,
+        lam=cell.lam,
+        flits=cell.flits,
+        seed=cell.cell_seed,
+        injection=cell.injection,
+        windows=MeasurementWindows(
+            warmup=cell.warmup, measure=cell.measure, drain=cell.drain
+        ),
+        fault_rate=cell.fault_rate,
+        repair_after=cell.repair_after,
+        trace_out=trace_out,
+    )
+
+
 def _simulate_metrics(cell: ExperimentCell, result) -> Dict[str, float]:
     """Metrics row of one finished simulate-mode run."""
     stats = result.stats
@@ -254,30 +290,6 @@ def _run_simulate_cell(cell: ExperimentCell) -> Dict[str, float]:
     return _simulate_metrics(cell, build_simulator(cell).run())
 
 
-def _run_throughput_cell(cell: ExperimentCell) -> Dict[str, float]:
-    # Imported lazily: repro.throughput builds on the simulator and the
-    # workloads, and its saturation module calls back into run_batch.
-    from repro.throughput.measure import MeasurementWindows, run_throughput_point
-
-    result = run_throughput_point(
-        cell.shape,
-        cell.policy,
-        cell.scenario,
-        cell.rate,
-        faults=cell.faults,
-        lam=cell.lam,
-        flits=cell.flits,
-        seed=cell.cell_seed,
-        injection=cell.injection,
-        windows=MeasurementWindows(
-            warmup=cell.warmup, measure=cell.measure, drain=cell.drain
-        ),
-        fault_rate=cell.fault_rate,
-        repair_after=cell.repair_after,
-    )
-    return result.to_row()
-
-
 def run_cell(cell: ExperimentCell) -> CellResult:
     """Execute one cell and return its metrics (pure function of the cell)."""
     if cell.mode == "offline":
@@ -285,7 +297,7 @@ def run_cell(cell: ExperimentCell) -> CellResult:
     elif cell.mode == "simulate":
         metrics = _run_simulate_cell(cell)
     elif cell.mode == "throughput":
-        metrics = _run_throughput_cell(cell)
+        metrics = run_throughput_cell(cell).to_row()
     else:
         raise ValueError(f"unknown experiment mode {cell.mode!r}")
     return CellResult(cell=cell, metrics=metrics)

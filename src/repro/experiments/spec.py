@@ -16,10 +16,10 @@ batch produces identical results no matter how many workers ran it.
 
 The spec also *is* the wire format: :meth:`ExperimentSpec.to_dict` emits the
 versioned ``repro.spec/v1`` payload and :meth:`ExperimentSpec.from_dict` is
-the one canonical parser for it — the ``sweep`` CLI flags, ``--spec
-FILE.json`` and the HTTP service body (:mod:`repro.service`) all build their
-spec through it, so a grid means the same thing no matter which door it
-came in through.
+the one canonical parser for it — the ``sweep``, ``throughput`` and
+``compare`` CLI commands, ``sweep --spec FILE.json`` and the HTTP service
+body (:mod:`repro.service`) all build their spec through it, so a grid
+means the same thing no matter which door it came in through.
 """
 
 from __future__ import annotations
@@ -482,10 +482,11 @@ class ExperimentSpec:
     def from_dict(cls, data: object) -> "ExperimentSpec":
         """Parse the canonical ``repro.spec/v1`` payload into a spec.
 
-        This is *the* parser for the wire and file formats: the ``sweep``
-        CLI (both its grid flags and ``--spec FILE.json``), the HTTP
-        service body and round-trips of :meth:`to_dict` all come through
-        here, so every door validates identically.  Unknown keys, wrong
+        This is *the* parser for the wire and file formats: the CLI's
+        ``sweep`` (both its grid flags and ``--spec FILE.json``),
+        ``throughput`` and ``compare``, the HTTP service body and
+        round-trips of :meth:`to_dict` all come through here, so every door
+        validates identically.  Unknown keys, wrong
         types and out-of-range values are rejected with errors naming the
         offending field, and so is a payload without its ``schema`` tag.
         """

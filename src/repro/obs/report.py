@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.slo import compute_recovery_slo
 from repro.obs.telemetry import SweepTelemetry

@@ -28,7 +28,7 @@ from repro.core.routing import (
 )
 from repro.core.state import InformationState
 from repro.mesh.topology import Mesh
-from repro.routing.registry import Router, SimulationInfo
+from repro.routing.registry import Router
 
 Coord = Tuple[int, ...]
 
@@ -106,7 +106,7 @@ class AlgorithmRouter(Router):
     ) -> RoutingProbe:
         return RoutingProbe(mesh, source, destination, policy=self.policy)
 
-    def online_view(self, info: SimulationInfo) -> InformationProvider:
+    def online_view(self, info: InformationProvider) -> InformationProvider:
         """The information this router's online probes decide against.
 
         Plain Algorithm-3 probes read the simulator's own information.

@@ -25,10 +25,15 @@ from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.block_construction import LabelingState
-from repro.core.routing import LinkBlocked, RouteOutcome, RouteResult
+from repro.core.routing import (
+    InformationProvider,
+    LinkBlocked,
+    RouteOutcome,
+    RouteResult,
+)
 from repro.faults.status import NodeStatus
 from repro.mesh.topology import Mesh
-from repro.routing.registry import Router, SimulationInfo
+from repro.routing.registry import Router
 
 Coord = Tuple[int, ...]
 
@@ -155,7 +160,7 @@ class GlobalPathProbe:
 
     def step(
         self,
-        info: SimulationInfo,
+        info: InformationProvider,
         *,
         link_blocked: Optional[LinkBlocked] = None,
         decision_cache: object = None,

@@ -45,20 +45,6 @@ from repro.mesh.topology import Mesh
 Coord = Tuple[int, ...]
 
 
-class SimulationInfo(InformationProvider, Protocol):
-    """What an online probe may read from the simulator's information.
-
-    The plain :class:`~repro.core.routing.InformationProvider` protocol is
-    enough for the Algorithm-3 probes, but static-block's online view and
-    the global-information probes are derived from the *current labeling*,
-    so the registry's online contract explicitly includes it.
-    :class:`~repro.core.state.InformationState` (the simulator's own
-    information) satisfies this protocol.
-    """
-
-    labeling: LabelingState
-
-
 @runtime_checkable
 class SetupProbe(Protocol):
     """A path-setup probe the simulator advances one hop per step.
@@ -81,7 +67,7 @@ class SetupProbe(Protocol):
 
     def step(
         self,
-        info: SimulationInfo,
+        info: InformationProvider,
         *,
         link_blocked: Optional[LinkBlocked] = None,
         decision_cache: Optional["DecisionCache"] = None,

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from repro.core.block_construction import LabelingState, extract_blocks
 from repro.core.identification import frame_geometry
-from repro.core.routing import RoutingPolicy
+from repro.core.routing import InformationProvider, RoutingPolicy
 from repro.core.state import BlockRecord, InformationState
 from repro.mesh.topology import Mesh
 from repro.routing.algorithm import AlgorithmRouter
-from repro.routing.registry import SimulationInfo
 
 
 def adjacent_only_information(
@@ -45,6 +44,6 @@ class StaticBlockRouter(AlgorithmRouter):
     def _build_view(self, mesh: Mesh, labeling: LabelingState) -> InformationState:
         return adjacent_only_information(mesh, labeling)
 
-    def online_view(self, info: SimulationInfo) -> InformationState:
+    def online_view(self, info: InformationProvider) -> InformationState:
         """The adjacent-only view of the simulator's current labeling."""
         return self.offline_view(info.mesh, info.labeling)

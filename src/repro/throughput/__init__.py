@@ -10,12 +10,17 @@ offers load at a *rate* and measures what the network sustains:
 * :mod:`repro.throughput.measure` — the warmup / measure / drain windowed
   methodology producing steady-state accepted throughput, mean/p99 setup
   latency and a circuit-occupancy series;
-* :mod:`repro.throughput.saturation` — per-policy load–latency/throughput
-  curves through the experiment grid, plus a binary search for the knee of
-  the latency curve (the saturation point).
+* :mod:`repro.throughput.saturation` — per-policy load–latency curves and
+  their knee, plus a binary search for the knee of the latency curve (the
+  saturation point).
 
-The ``repro-mesh throughput`` CLI subcommand is a thin veneer over
-:func:`load_curves` and :func:`saturation_for_policy`.
+Curves run through the experiment grid: a ``throughput``-mode
+:class:`~repro.experiments.spec.ExperimentSpec` through
+:func:`~repro.experiments.run_batch`, read back with
+:func:`~repro.analysis.throughput.throughput_rows`.  The ``repro-mesh
+throughput`` CLI subcommand builds that spec; its ``--trace-out`` and
+``--saturation`` runs measure the spec's cells through
+:func:`~repro.experiments.runner.run_throughput_cell`.
 """
 
 from repro.throughput.injection import (
@@ -36,8 +41,6 @@ from repro.throughput.saturation import (
     LoadCurve,
     LoadPoint,
     find_saturation,
-    load_curves,
-    saturation_for_policy,
 )
 
 __all__ = [
@@ -51,9 +54,7 @@ __all__ = [
     "ThroughputResult",
     "WindowSample",
     "find_saturation",
-    "load_curves",
     "make_injection",
     "measure_open_loop",
     "run_throughput_point",
-    "saturation_for_policy",
 ]

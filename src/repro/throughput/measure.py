@@ -16,9 +16,10 @@ The standard three-phase methodology for steady-state throughput numbers:
 step by step through the three phases and samples a per-window series of
 injected/delivered counts and circuit occupancy from the simulator's
 :class:`~repro.simulator.stats.SimulationStats` along the way.
-:func:`run_throughput_point` is the self-contained entry the experiment
-runner and the saturation search share: mesh + faults + policy + rate in,
-:class:`ThroughputResult` out, deterministic in the seed.
+:func:`run_throughput_point` is the self-contained entry behind every
+throughput cell (:func:`repro.experiments.runner.run_throughput_cell`):
+mesh + faults + policy + rate in, :class:`ThroughputResult` out,
+deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -308,8 +309,6 @@ def run_throughput_point(
     seed: int = 0,
     injection: str = "bernoulli",
     windows: Optional[MeasurementWindows] = None,
-    contention: bool = True,
-    setup_timeout: Optional[int] = None,
     fault_rate: float = 0.0,
     repair_after: int = 0,
     fault_schedule: Optional[DynamicFaultSchedule] = None,
@@ -335,11 +334,11 @@ def run_throughput_point(
 
     Endpoints exclude every *block* node (faulty or disabled): a setup to a
     disabled node can never deliver, and the source retries failed setups.
-    ``setup_timeout`` bounds one setup attempt (default ``diameter + 2``
-    steps): a congested-network PCS setup aborts and retries rather than
-    wander — a wandering probe holds its whole partial circuit, so long
-    budgets make every failure expensive for everyone else, and the offline
-    worst-case walk bound would let one stuck probe hold links for the whole
+    One setup attempt lives at most ``max(8, diameter + 2)`` steps: a
+    congested-network PCS setup aborts and retries rather than wander — a
+    wandering probe holds its whole partial circuit, so long budgets make
+    every failure expensive for everyone else, and the offline worst-case
+    walk bound would let one stuck probe hold links for the whole
     measurement.
     """
     mesh = Mesh(tuple(shape))
@@ -373,10 +372,8 @@ def run_throughput_point(
     config = SimulationConfig(
         lam=lam,
         router=policy,
-        contention=contention,
-        max_probe_lifetime=(
-            setup_timeout if setup_timeout is not None else max(8, mesh.diameter + 2)
-        ),
+        contention=True,
+        max_probe_lifetime=max(8, mesh.diameter + 2),
         max_steps=10**9,  # the measurement horizon bounds the run
     )
     return measure_open_loop(

@@ -1,8 +1,5 @@
 """Unit tests for convergence analysis and comparison metrics."""
 
-import numpy as np
-import pytest
-
 from repro.analysis.convergence import (
     expected_boundary_rounds,
     expected_identification_rounds,

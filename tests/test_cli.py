@@ -150,6 +150,36 @@ class TestCompareCommand:
         for name in ("limited-global", "no-information", "global-information"):
             assert name in out
 
+    def test_compare_rows_equal_the_preset_sweep(self, capsys, tmp_path):
+        """``compare`` is the offline preset named ``compare``: each row it
+        prints is that cell's metrics from ``sweep --spec``."""
+        assert main(
+            ["compare", "--shape", "8,8", "--faults", "6", "--messages", "10",
+             "--seed", "4"]
+        ) == 0
+        printed = capsys.readouterr().out.splitlines()[2:]
+        spec_path = tmp_path / "compare.json"
+        spec_path.write_text(json.dumps({
+            "schema": "repro.spec/v1",
+            "name": "compare",
+            "mode": "offline",
+            "mesh_shapes": [[8, 8]],
+            "policies": ["limited-global", "no-information", "static-block",
+                         "global-information"],
+            "fault_counts": [6],
+            "traffic_sizes": [10],
+            "seeds": [4],
+        }))
+        out_path = tmp_path / "sweep.json"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out_path)]) == 0
+        cells = json.loads(out_path.read_text())["cells"]
+        assert printed == [
+            f"{cell['policy']:<20} {cell['metrics']['delivery_rate']:>9.2f} "
+            f"{cell['metrics']['mean_hops']:>10.2f} "
+            f"{cell['metrics']['mean_detours']:>13.2f}"
+            for cell in cells
+        ]
+
 
 class TestSweepCommand:
     SWEEP_ARGS = [

@@ -1,7 +1,5 @@
 """Unit tests for end-to-end information distribution (Algorithm 2 composition)."""
 
-import pytest
-
 from repro.core.block_construction import build_blocks
 from repro.core.distribution import (
     converged_information,

@@ -1,7 +1,5 @@
 """Edge-case coverage: rectangular meshes, 4-D constructions, mixed dynamics."""
 
-import pytest
-
 from repro.core.block_construction import build_blocks
 from repro.core.distribution import converged_information, distribute_information_with_report
 from repro.core.routing import RouteOutcome, route_offline

@@ -2,7 +2,6 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.block_construction import build_blocks
 from repro.core.boundary import compute_boundaries, dangerous_prism, opposite_prism
 from repro.core.distribution import converged_information
 from repro.core.faulty_block import FaultyBlock

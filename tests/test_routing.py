@@ -17,8 +17,6 @@ from repro.core.routing import (
 )
 from repro.core.state import InformationState
 from repro.mesh.directions import Direction
-from repro.mesh.regions import Region
-from repro.mesh.topology import Mesh
 from repro.workloads.scenarios import FIGURE1_FAULTS
 
 

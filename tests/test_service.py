@@ -17,7 +17,6 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.experiments import SPEC_SCHEMA
-from repro.experiments.runner import BatchCancelled
 from repro.service import (
     CANCELLED,
     DONE,

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.core.routing import RouteOutcome
-from repro.faults.schedule import FaultEventKind
 from repro.faults.injection import dynamic_schedule
-from repro.mesh.topology import Mesh
 from repro.routing import resolve_router
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.simulator.traffic import TrafficMessage

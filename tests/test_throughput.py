@@ -17,12 +17,12 @@ from repro.simulator.traffic import BatchSource, TrafficMessage
 from repro.throughput import (
     BernoulliInjection,
     BurstyInjection,
+    LoadCurve,
+    LoadPoint,
     MeasurementWindows,
     OpenLoopSource,
     find_saturation,
-    load_curves,
     make_injection,
-    measure_open_loop,
     run_throughput_point,
 )
 from repro.throughput.measure import ThroughputResult
@@ -532,17 +532,24 @@ class TestSaturation:
         assert flattens(offered, accepted)
 
     def test_load_curves_and_rows(self):
-        batch, curves = load_curves(
-            (6, 6),
-            ["limited-global"],
-            [0.01, 0.05],
-            pattern="uniform",
-            faults=2,
-            windows=MeasurementWindows(warmup=16, measure=64, drain=120),
+        spec = ExperimentSpec(
+            name="throughput",
+            mode="throughput",
+            mesh_shapes=((6, 6),),
+            policies=("limited-global",),
+            scenarios=("uniform",),
+            fault_counts=(2,),
+            rates=(0.01, 0.05),
+            warmup=16,
+            measure=64,
+            drain=120,
         )
-        curve = curves["limited-global"]
+        rows = throughput_rows(run_batch(spec))
+        curve = LoadCurve(
+            "limited-global",
+            tuple(LoadPoint.from_metrics(row) for row in rows["limited-global"]),
+        )
         assert [p.rate for p in curve.points] == [0.01, 0.05]
-        rows = throughput_rows(batch)
         assert [r["rate"] for r in rows["limited-global"]] == [0.01, 0.05]
 
 
@@ -557,7 +564,9 @@ class TestGlobalProbeTimeoutRelease:
         assert probe.step(info) is None
         assert probe.current == (1, 0)
 
-        fence = (lambda u, v: True)
+        def fence(u, v):
+            return True
+
         for _ in range(2):
             assert probe.step(info, link_blocked=fence) is None
             assert probe.current == (1, 0)  # waiting, still holding its link
@@ -713,6 +722,89 @@ class TestThroughputCli:
         payload = json.loads(out_path.read_text())
         assert payload["spec"]["mode"] == "throughput"
         assert payload["cells"][0]["rate"] == 0.01
+
+    #: One cell with dynamic faults and repairs, small enough for tier-1.
+    FAULT_CELL = [
+        "throughput", "--shape", "6,6", "--policy", "limited-global",
+        "--rates", "0.03", "--faults", "2", "--seeds", "3",
+        "--warmup", "16", "--measure", "64", "--drain", "120",
+        "--fault-rate", "0.05", "--repair-after", "24",
+    ]
+
+    def test_trace_out_prints_the_curve_row(self, capsys, tmp_path):
+        from repro.cli import main
+
+        assert main(self.FAULT_CELL) == 0
+        curve = capsys.readouterr().out.splitlines()
+        trace = tmp_path / "trace.jsonl"
+        assert main(self.FAULT_CELL + ["--trace-out", str(trace)]) == 0
+        traced = capsys.readouterr().out.splitlines()
+        # policy line, header and the one row: the trace records the very
+        # cell the curve prints.
+        assert traced[:3] == curve[:3]
+        assert "SLO over" in traced[3]
+        assert trace.read_text().count("\n") > 0
+
+    def test_saturation_probes_are_the_spec_cells(self, capsys, monkeypatch):
+        import contextlib
+        import io
+        from dataclasses import replace
+
+        from repro import cli
+        from repro.experiments import SPEC_SCHEMA, run_cell
+
+        probed = []
+        real = cli.run_throughput_cell
+
+        def spy(cell, **kwargs):
+            probed.append(cell)
+            return real(cell, **kwargs)
+
+        monkeypatch.setattr(cli, "run_throughput_cell", spy)
+        policies = ["limited-global", "no-information"]
+        code = cli.main(
+            [
+                "throughput", "--shape", "5,5", "--policy", ",".join(policies),
+                "--rates", "0.01", "--faults", "1", "--warmup", "8",
+                "--measure", "32", "--drain", "60", "--saturation",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        spec = ExperimentSpec.from_dict(
+            {
+                "schema": SPEC_SCHEMA, "name": "throughput",
+                "mode": "throughput", "mesh_shapes": [[5, 5]],
+                "policies": policies, "fault_counts": [1], "rates": [0.01],
+                "warmup": 8, "measure": 32, "drain": 60,
+            }
+        )
+        cells = {cell.policy: cell for cell in spec.cells()}
+        assert [c.policy for c in probed] == [p for p in policies for _ in range(8)]
+        for cell in probed:
+            assert cell == replace(cells[cell.policy], rate=cell.rate)
+            expected = io.StringIO()
+            with contextlib.redirect_stdout(expected):
+                cli._print_curve(cell.policy, [run_cell(cell).metrics])
+            row = expected.getvalue().splitlines()[-1]
+            block = out.split(f"policy {cell.policy}:\n", 1)[1]
+            assert row in block.split("policy ", 1)[0]
+
+    def test_spec_errors_exit_2(self, capsys, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["throughput", "--shape", "5,5", "--rates", "0"])
+        assert exc.value.code == 2
+        assert "rates must be within (0, 1]" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["throughput", "--shape", "5,5", "--rates", "0.01",
+                 "--seeds", "0,1", "--trace-out", str(tmp_path / "t.jsonl")]
+            )
+        assert exc.value.code == 2
+        assert "--trace-out records one cell" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
 
 
 class TestEngineLabelingSkip:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.block_construction import build_blocks
 from repro.core.distribution import converged_information
 from repro.core.routing import route_offline
-from repro.mesh.topology import Mesh
 from repro.viz.ascii import render_information, render_labeling, render_route
 from repro.workloads.scenarios import FIGURE1_FAULTS
 
