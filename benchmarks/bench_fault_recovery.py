@@ -14,19 +14,34 @@ result rows on both backends.  The timed units stay small (8x8, short
 windows) so the CI trajectory point (``BENCH_recovery.json``) is cheap.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from _common import print_table
 
 from repro.analysis.slo import compute_recovery_slo
+from repro.experiments import ExperimentSpec
 from repro.faults.workload import FaultWorkload, mtbf_schedule
 from repro.mesh.topology import Mesh
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.simulator.traffic import TrafficMessage
-from repro.throughput import MeasurementWindows, run_throughput_point
+from repro.throughput import run_throughput_point
 from repro.workloads.traffic import random_pairs
 
-WINDOWS = MeasurementWindows(warmup=32, measure=128, drain=256)
+
+def _cell(*, repair_after, warmup, measure, drain):
+    """The 8x8 limited-global uniform cell at rate 0.02 with 2 static faults
+    and an MTBF workload at 0.04, run with cell seed 3."""
+    (cell,) = ExperimentSpec(
+        mode="throughput", mesh_shapes=((8, 8),), fault_counts=(2,),
+        rates=(0.02,), fault_rates=(0.04,), repair_after=repair_after,
+        warmup=warmup, measure=measure, drain=drain,
+    ).cells()
+    return replace(cell, cell_seed=3)
+
+
+CELL = _cell(repair_after=24, warmup=32, measure=128, drain=256)
 
 
 def _faulty_run(backend):
@@ -76,17 +91,7 @@ def test_throughput_under_faults_parity(monkeypatch):
     rows = {}
     for backend in ("scalar", "vector"):
         monkeypatch.setenv("REPRO_BACKEND", backend)
-        rows[backend] = run_throughput_point(
-            (8, 8),
-            "limited-global",
-            "uniform",
-            0.02,
-            faults=2,
-            seed=3,
-            fault_rate=0.04,
-            repair_after=24,
-            windows=WINDOWS,
-        ).to_row()
+        rows[backend] = run_throughput_point(CELL).to_row()
     assert rows["scalar"] == rows["vector"]
     assert rows["vector"]["fault_events"] > 0
 
@@ -99,19 +104,7 @@ def test_bench_faulty_simulation(benchmark):
 
 def test_bench_throughput_point_under_faults(benchmark):
     """Windowed open-loop measurement with the fault workload + SLO scoring."""
-    result = benchmark(
-        lambda: run_throughput_point(
-            (8, 8),
-            "limited-global",
-            "uniform",
-            0.02,
-            faults=2,
-            seed=3,
-            fault_rate=0.04,
-            repair_after=24,
-            windows=WINDOWS,
-        )
-    )
+    result = benchmark(lambda: run_throughput_point(CELL))
     print(f"\nfault events: {result.fault_events}, slo: {result.slo.summary()}")
 
 
@@ -140,15 +133,7 @@ def test_bench_slo_scoring(benchmark):
 def test_recovery_slo_table():
     """Print the per-event SLO table of the canned run (informational)."""
     result = run_throughput_point(
-        (8, 8),
-        "limited-global",
-        "uniform",
-        0.02,
-        faults=2,
-        seed=3,
-        fault_rate=0.04,
-        repair_after=40,
-        windows=MeasurementWindows(warmup=48, measure=192, drain=384),
+        _cell(repair_after=40, warmup=48, measure=192, drain=384)
     )
     assert result.slo is not None
     print_table(

@@ -15,15 +15,18 @@ Every timed comparison is parity-gated first: the compared paths are
 asserted to produce byte-identical statistics and per-message paths.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from _common import print_table
 
 from repro.backend import SCALAR, VECTOR
+from repro.experiments import ExperimentSpec
 from repro.faults.injection import uniform_random_faults
 from repro.faults.schedule import DynamicFaultSchedule
 from repro.mesh.topology import Mesh
 from repro.simulator.engine import SimulationConfig, Simulator
-from repro.throughput import MeasurementWindows, run_throughput_point
+from repro.throughput import run_throughput_point
 from repro.workloads.traffic import to_traffic, transpose_pairs
 
 
@@ -118,17 +121,15 @@ def test_decision_speedup_table():
 
 def test_bench_saturation_curve(benchmark):
     """The headline load curve (also printed as a table)."""
-    windows = MeasurementWindows(warmup=30, measure=120, drain=240)
-    rates = (0.002, 0.005, 0.01, 0.02, 0.04, 0.08)
+    spec = ExperimentSpec(
+        mode="throughput", mesh_shapes=((8, 8),), scenarios=("transpose",),
+        fault_counts=(4,), rates=(0.002, 0.005, 0.01, 0.02, 0.04, 0.08),
+        warmup=30, measure=120, drain=240,
+    )
+    cells = [replace(cell, cell_seed=0) for cell in spec.cells()]
 
     def sweep():
-        return [
-            run_throughput_point(
-                (8, 8), "limited-global", "transpose", rate,
-                faults=4, seed=0, windows=windows,
-            )
-            for rate in rates
-        ]
+        return [run_throughput_point(cell) for cell in cells]
 
     results = benchmark(sweep)
     print_table(

@@ -65,12 +65,13 @@ from repro.experiments import (
     ExperimentSpec,
     ResultCache,
     run_batch,
+    run_cell,
 )
-from repro.experiments.runner import build_simulator, run_throughput_cell
+from repro.experiments.runner import build_simulator
 from repro.faults.injection import uniform_random_faults
 from repro.mesh.topology import Mesh
 from repro.routing import available_routers, resolve_router
-from repro.throughput import LoadCurve, LoadPoint, find_saturation
+from repro.throughput import LoadCurve, LoadPoint, find_saturation, run_throughput_point
 from repro.workloads.scenarios import parametric_block_scenario
 
 Coord = Tuple[int, ...]
@@ -755,7 +756,7 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
                 "--saturation)"
             )
         (cell,) = cells
-        result = run_throughput_cell(cell, trace_out=args.trace_out)
+        result = run_throughput_point(cell, trace_out=args.trace_out)
         _print_curve(cell.policy, [result.to_row()])
         if result.slo is not None:
             ttr = result.slo.time_to_recover
@@ -780,7 +781,7 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
             # curve's fault layout and injection stream.
             cell = next(c for c in cells if c.policy == policy)
             rate, probed = find_saturation(
-                lambda r: run_throughput_cell(replace(cell, rate=r))
+                lambda r: run_cell(replace(cell, rate=r)).metrics
             )
             print(f"policy {policy}: saturation rate ~ {rate:.4f} msg/node/step")
             _print_curve(policy, [p.__dict__ for p in probed])

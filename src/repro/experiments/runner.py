@@ -2,8 +2,9 @@
 
 :func:`run_cell` turns one :class:`~repro.experiments.spec.ExperimentCell`
 into a :class:`~repro.experiments.results.CellResult`, through
-:func:`build_simulator` for a simulate cell and :func:`run_throughput_cell`
-for a throughput cell (the CLI's single-cell runs call those two as well);
+:func:`build_simulator` for a simulate cell and
+:func:`~repro.throughput.measure.run_throughput_point` for a throughput
+cell (the CLI's single-cell runs call those two as well);
 :func:`run_batch` runs a whole grid through one of two engines:
 
 * ``engine="auto"`` (the default) — the stacked executor
@@ -66,6 +67,7 @@ from repro.mesh.topology import Mesh
 from repro.obs.telemetry import PoolIncident, ShardRecord, SweepTelemetry
 from repro.routing import resolve_router
 from repro.simulator.engine import SimulationConfig, Simulator
+from repro.throughput import measure
 from repro.workloads.congestion import (
     bursty_scenario,
     hotspot_scenario,
@@ -77,7 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.probe_table import ProbeTable
     from repro.obs.profile import PhaseProfiler
     from repro.obs.recorder import StepRecorder
-    from repro.throughput.measure import ThroughputResult
 
 Coord = Tuple[int, ...]
 
@@ -241,39 +242,6 @@ def build_simulator(
     )
 
 
-def run_throughput_cell(
-    cell: ExperimentCell, *, trace_out: Optional[str] = None
-) -> "ThroughputResult":
-    """The windowed open-loop measurement of one throughput-mode cell.
-
-    Seeded by ``cell.cell_seed``, so every door that runs a cell
-    (:func:`run_cell`, ``repro-mesh throughput --trace-out`` and its
-    saturation search) measures the same run.  ``trace_out`` writes the
-    run's JSONL step trace there.
-    """
-    # Imported here, so run_throughput_point is looked up on its module at
-    # call time (a wrapper patched onto the module sees every cell).
-    from repro.throughput.measure import MeasurementWindows, run_throughput_point
-
-    return run_throughput_point(
-        cell.shape,
-        cell.policy,
-        cell.scenario,
-        cell.rate,
-        faults=cell.faults,
-        lam=cell.lam,
-        flits=cell.flits,
-        seed=cell.cell_seed,
-        injection=cell.injection,
-        windows=MeasurementWindows(
-            warmup=cell.warmup, measure=cell.measure, drain=cell.drain
-        ),
-        fault_rate=cell.fault_rate,
-        repair_after=cell.repair_after,
-        trace_out=trace_out,
-    )
-
-
 def _simulate_metrics(cell: ExperimentCell, result) -> Dict[str, float]:
     """Metrics row of one finished simulate-mode run."""
     stats = result.stats
@@ -297,7 +265,9 @@ def run_cell(cell: ExperimentCell) -> CellResult:
     elif cell.mode == "simulate":
         metrics = _run_simulate_cell(cell)
     elif cell.mode == "throughput":
-        metrics = run_throughput_cell(cell).to_row()
+        # Looked up on its module at call time, so a wrapper patched onto
+        # the module sees every throughput cell.
+        metrics = measure.run_throughput_point(cell).to_row()
     else:
         raise ValueError(f"unknown experiment mode {cell.mode!r}")
     return CellResult(cell=cell, metrics=metrics)

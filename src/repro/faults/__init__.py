@@ -21,12 +21,7 @@ from repro.faults.injection import (
 from repro.faults.links import LinkFault, LinkFaultSet, endpoints_as_node_faults
 from repro.faults.schedule import DynamicFaultSchedule, FaultEvent, FaultEventKind
 from repro.faults.status import NodeStatus
-from repro.faults.workload import (
-    FaultWorkload,
-    burst_schedule,
-    mtbf_schedule,
-    workload_schedule,
-)
+from repro.faults.workload import FaultWorkload, mtbf_schedule
 
 __all__ = [
     "DynamicFaultSchedule",
@@ -37,11 +32,9 @@ __all__ = [
     "LinkFault",
     "LinkFaultSet",
     "NodeStatus",
-    "burst_schedule",
     "clustered_faults",
     "dynamic_schedule",
     "endpoints_as_node_faults",
     "mtbf_schedule",
     "uniform_random_faults",
-    "workload_schedule",
 ]

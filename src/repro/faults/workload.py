@@ -1,18 +1,14 @@
-"""Seeded fault/repair workloads for measurements under load.
+"""Seeded MTBF/MTTR fault workloads for measurements under load.
 
 The schedules in :mod:`repro.faults.injection` script faults at fixed
 intervals; a throughput measurement instead wants the *operator's* view of
-failure: components fail randomly at some rate (MTBF), repairs bring them
-back after some delay (MTTR), and occasionally a correlated burst takes
-several nodes down at once.  Both generators here produce plain
-:class:`~repro.faults.schedule.DynamicFaultSchedule` objects, deterministic
-in their seed, honouring the paper's interior-only fault assumption:
-
-* :func:`mtbf_schedule` — geometric inter-fault gaps with mean ``1/rate``
-  steps inside ``[start, stop)``, each fault on a fresh interior node,
-  repaired ``repair_after`` steps later (0 = permanent);
-* :func:`burst_schedule` — ``count`` simultaneous faults at one step (the
-  correlated-failure case), repaired together.
+failure: components fail randomly at some rate (MTBF) and repairs bring
+them back after some delay (MTTR).  :func:`mtbf_schedule` produces that as
+a plain :class:`~repro.faults.schedule.DynamicFaultSchedule`, deterministic
+in its seed, honouring the paper's interior-only fault assumption:
+geometric inter-fault gaps with mean ``1/rate`` steps inside
+``[start, stop)``, each fault on a fresh interior node, repaired
+``repair_after`` steps later (0 = permanent).
 
 Each node is faulted at most once per schedule, so fault and recovery
 events can never conflict no matter how they interleave — the schedule's
@@ -22,17 +18,15 @@ own validation stays trivially satisfied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
-from repro.faults.injection import FaultInjectionError, _interior_candidates
+from repro.faults.injection import _interior_candidates
 from repro.faults.schedule import DynamicFaultSchedule, FaultEvent, FaultEventKind
 from repro.mesh.topology import Mesh
 
-Coord = Tuple[int, ...]
-
-__all__ = ["FaultWorkload", "mtbf_schedule", "burst_schedule", "workload_schedule"]
+__all__ = ["FaultWorkload", "mtbf_schedule"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,6 @@ class FaultWorkload:
     repair_after: int = 0
     start: int = 0
     stop: int = 0
-    max_faults: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate < 1.0:
@@ -59,25 +52,6 @@ class FaultWorkload:
             raise ValueError("repair_after must be non-negative")
         if self.stop < self.start:
             raise ValueError("need start <= stop")
-        if self.max_faults is not None and self.max_faults < 0:
-            raise ValueError("max_faults must be non-negative")
-
-
-def _rng(seed: Union[int, np.random.Generator]) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def _candidates(
-    mesh: Mesh,
-    margin: int,
-    initial: Sequence[Sequence[int]],
-    exclude: Sequence[Sequence[int]],
-) -> List[Coord]:
-    blocked: Set[Coord] = {tuple(p) for p in initial}
-    blocked.update(tuple(p) for p in exclude)
-    return _interior_candidates(mesh, margin, blocked)
 
 
 def mtbf_schedule(
@@ -86,32 +60,28 @@ def mtbf_schedule(
     seed: Union[int, np.random.Generator] = 0,
     *,
     initial: Sequence[Sequence[int]] = (),
-    exclude: Sequence[Sequence[int]] = (),
-    margin: int = 1,
 ) -> DynamicFaultSchedule:
     """Seeded MTBF/MTTR fault process as a dynamic schedule.
 
     Inter-fault gaps are geometric with success probability
     ``workload.rate`` (so at most one fault fires per step and the mean gap
-    is ``1/rate``); each fault lands on a uniformly drawn interior node not
-    yet used, not in ``initial`` (the static pre-stabilized faults, kept as
-    the schedule's initial set) and not in ``exclude``.  With
-    ``repair_after > 0`` every fault is followed by its recovery; the
+    is ``1/rate``); each fault lands on a uniformly drawn node at least one
+    hop inside the mesh surface, not yet used and not in ``initial`` (the
+    static pre-stabilized faults, kept as the schedule's initial set).
+    With ``repair_after > 0`` every fault is followed by its recovery; the
     recovery may fall past ``stop`` (a fault near the window's end is still
     unrepaired when measurement stops — the SLO metrics treat that as
     not-yet-recovered).
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
+    initial_faults = {tuple(p) for p in initial}
     events: List[FaultEvent] = []
     if workload.rate > 0.0 and workload.stop > workload.start:
-        pool = _candidates(mesh, margin, initial, exclude)
-        budget = workload.max_faults
+        pool = _interior_candidates(mesh, 1, initial_faults)
         t = workload.start - 1
         while pool:
             t += int(rng.geometric(workload.rate))
             if t >= workload.stop:
-                break
-            if budget is not None and len(events) // (2 if workload.repair_after else 1) >= budget:
                 break
             node = pool.pop(int(rng.integers(len(pool))))
             events.append(FaultEvent(t, node, FaultEventKind.FAULT))
@@ -119,73 +89,4 @@ def mtbf_schedule(
                 events.append(
                     FaultEvent(t + workload.repair_after, node, FaultEventKind.RECOVERY)
                 )
-    return DynamicFaultSchedule(
-        events=events, initial_faults={tuple(p) for p in initial}
-    )
-
-
-def burst_schedule(
-    mesh: Mesh,
-    count: int,
-    at: int,
-    seed: Union[int, np.random.Generator] = 0,
-    *,
-    repair_after: int = 0,
-    initial: Sequence[Sequence[int]] = (),
-    exclude: Sequence[Sequence[int]] = (),
-    margin: int = 1,
-) -> DynamicFaultSchedule:
-    """``count`` simultaneous faults at step ``at`` (a correlated burst).
-
-    All burst nodes fail in the same step and, with ``repair_after > 0``,
-    recover together — the worst-case transient a recovery SLO should see.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if at < 0:
-        raise ValueError("burst step must be non-negative")
-    rng = _rng(seed)
-    pool = _candidates(mesh, margin, initial, exclude)
-    if count > len(pool):
-        raise FaultInjectionError(
-            f"cannot burst {count} faults in mesh {mesh.shape} "
-            f"(only {len(pool)} interior candidates)"
-        )
-    picks = rng.choice(len(pool), size=count, replace=False)
-    events: List[FaultEvent] = []
-    for i in picks:
-        node = pool[int(i)]
-        events.append(FaultEvent(at, node, FaultEventKind.FAULT))
-        if repair_after > 0:
-            events.append(
-                FaultEvent(at + repair_after, node, FaultEventKind.RECOVERY)
-            )
-    return DynamicFaultSchedule(
-        events=events, initial_faults={tuple(p) for p in initial}
-    )
-
-
-def workload_schedule(
-    mesh: Mesh,
-    *,
-    rate: float,
-    start: int,
-    stop: int,
-    repair_after: int = 0,
-    seed: Union[int, np.random.Generator] = 0,
-    initial: Sequence[Sequence[int]] = (),
-    exclude: Sequence[Sequence[int]] = (),
-    margin: int = 1,
-) -> DynamicFaultSchedule:
-    """Convenience: :func:`mtbf_schedule` from flat parameters.
-
-    The shape the throughput entry points use — ``rate``/``repair_after``
-    straight off an experiment cell, window bounds from its
-    :class:`~repro.throughput.measure.MeasurementWindows`.
-    """
-    workload = FaultWorkload(
-        rate=rate, repair_after=repair_after, start=start, stop=stop
-    )
-    return mtbf_schedule(
-        mesh, workload, seed, initial=initial, exclude=exclude, margin=margin
-    )
+    return DynamicFaultSchedule(events=events, initial_faults=initial_faults)

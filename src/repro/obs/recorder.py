@@ -193,12 +193,6 @@ class StepRecorder:
             raise KeyError(f"{name!r} is not a cumulative column ({CUMULATIVE_COLUMNS})")
         return np.diff(self.column(name), prepend=np.int64(0))
 
-    def cumulative_at(self, name: str, step_count: int) -> int:
-        """Value of a cumulative column after ``step_count`` steps (0 → 0)."""
-        if step_count <= 0:
-            return 0
-        return int(self.column(name)[step_count - 1])
-
     def rows(self) -> Iterator[Dict[str, int]]:
         """Per-step dict rows: deltas for totals, levels as recorded."""
         delta_arrays: List[Tuple[str, np.ndarray]] = [

@@ -7,9 +7,12 @@ offers load at a *rate* and measures what the network sustains:
   (Bernoulli and bursty on/off processes crossed with uniform / transpose /
   hotspot spatial patterns) feeding the simulator as it runs, via the
   :class:`~repro.simulator.traffic.TrafficSource` protocol;
-* :mod:`repro.throughput.measure` — the warmup / measure / drain windowed
-  methodology producing steady-state accepted throughput, mean/p99 setup
-  latency and a circuit-occupancy series;
+* :mod:`repro.throughput.measure` — :func:`run_throughput_point`, the one
+  entry point of an open-loop run: one throughput-mode
+  :class:`~repro.experiments.spec.ExperimentCell` in, the warmup / measure
+  / drain windowed :class:`ThroughputResult` (steady-state accepted
+  throughput, mean/p99 setup latency, recovery SLOs under an MTBF fault
+  workload) out;
 * :mod:`repro.throughput.saturation` — per-policy load–latency curves and
   their knee, plus a binary search for the knee of the latency curve (the
   saturation point).
@@ -18,9 +21,10 @@ Curves run through the experiment grid: a ``throughput``-mode
 :class:`~repro.experiments.spec.ExperimentSpec` through
 :func:`~repro.experiments.run_batch`, read back with
 :func:`~repro.analysis.throughput.throughput_rows`.  The ``repro-mesh
-throughput`` CLI subcommand builds that spec; its ``--trace-out`` and
-``--saturation`` runs measure the spec's cells through
-:func:`~repro.experiments.runner.run_throughput_cell`.
+throughput`` CLI subcommand builds that spec; its ``--trace-out`` run
+hands the spec's one cell to :func:`run_throughput_point`, and its
+``--saturation`` search probes each policy's cell through
+:func:`~repro.experiments.runner.run_cell`.
 """
 
 from repro.throughput.injection import (
@@ -30,13 +34,7 @@ from repro.throughput.injection import (
     OpenLoopSource,
     make_injection,
 )
-from repro.throughput.measure import (
-    MeasurementWindows,
-    ThroughputResult,
-    WindowSample,
-    measure_open_loop,
-    run_throughput_point,
-)
+from repro.throughput.measure import ThroughputResult, run_throughput_point
 from repro.throughput.saturation import (
     LoadCurve,
     LoadPoint,
@@ -48,13 +46,10 @@ __all__ = [
     "BurstyInjection",
     "LoadCurve",
     "LoadPoint",
-    "MeasurementWindows",
     "OpenLoopSource",
     "PATTERNS",
     "ThroughputResult",
-    "WindowSample",
     "find_saturation",
     "make_injection",
-    "measure_open_loop",
     "run_throughput_point",
 ]

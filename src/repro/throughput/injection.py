@@ -12,12 +12,13 @@ Two ingredients compose an :class:`OpenLoopSource`:
 * an **injection process** deciding *when* each node injects —
   :class:`BernoulliInjection` (memoryless, ``rate`` per node per step) or
   :class:`BurstyInjection` (a two-state on/off Markov process with the same
-  mean rate but clustered arrivals);
+  mean rate but clustered arrivals, of fixed shape :data:`BURSTINESS` and
+  :data:`MEAN_BURST`);
 * a **spatial pattern** deciding *where* each message goes — ``uniform``
   (uniform-random destinations), ``transpose`` (the adversarial coordinate
-  reversal) or ``hotspot`` (a fraction of messages target one node), the
-  same families as the closed-batch congestion workloads in
-  :mod:`repro.workloads.congestion`.
+  reversal) or ``hotspot`` (:data:`HOTSPOT_FRACTION` of the messages target
+  the node nearest the mesh centre), the same families as the closed-batch
+  congestion workloads in :mod:`repro.workloads.congestion`.
 
 Everything is deterministic in the source's seed: the per-step RNG draws
 happen in a fixed order, so two runs with the same seed inject the same
@@ -40,6 +41,17 @@ Coord = Tuple[int, ...]
 #: Spatial destination patterns an :class:`OpenLoopSource` understands.
 PATTERNS = ("uniform", "transpose", "hotspot")
 
+#: A bursty node's ON-state rate is ``BURSTINESS`` times the mean rate, and
+#: its ON periods last ``MEAN_BURST`` steps on average.
+BURSTINESS = 4.0
+MEAN_BURST = 8.0
+
+#: Share of a ``hotspot`` source's messages that target the hotspot.
+HOTSPOT_FRACTION = 0.5
+
+#: Steps a port stays idle before re-issuing a failed setup, per attempt.
+RETRY_BACKOFF = 8
+
 
 @dataclass(frozen=True)
 class BernoulliInjection:
@@ -60,31 +72,22 @@ class BurstyInjection:
     """On/off (two-state Markov) injection with mean rate ``rate``.
 
     Each node is either ON or OFF.  An ON node injects with probability
-    ``rate * burstiness`` per step; an OFF node never injects.  Transition
-    probabilities are chosen so the expected ON duration is ``mean_burst``
-    steps and the stationary ON fraction is ``1 / burstiness`` — the mean
-    offered load equals ``rate``, but arrivals cluster into bursts whose
-    setups race for the same links.
+    ``rate * BURSTINESS`` per step; an OFF node never injects.  Transition
+    probabilities are chosen so the expected ON duration is
+    :data:`MEAN_BURST` steps and the stationary ON fraction is
+    ``1 / BURSTINESS`` — the mean offered load equals ``rate``, but arrivals
+    cluster into bursts whose setups race for the same links.
     """
 
-    def __init__(
-        self, rate: float, *, burstiness: float = 4.0, mean_burst: float = 8.0
-    ) -> None:
+    def __init__(self, rate: float) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must be within [0, 1]")
-        if burstiness < 1.0:
-            raise ValueError("burstiness must be at least 1")
-        if mean_burst < 1.0:
-            raise ValueError("mean_burst must be at least 1")
-        self.rate = rate
-        self.burstiness = burstiness
-        self.mean_burst = mean_burst
-        self.on_rate = min(1.0, rate * burstiness)
-        # The ON-state rate saturates at 1, so for rate > 1/burstiness the
+        self.on_rate = min(1.0, rate * BURSTINESS)
+        # The ON-state rate saturates at 1, so for rate > 1/BURSTINESS the
         # duty cycle widens instead (rate = on_rate * duty stays exact
-        # instead of silently plateauing at 1/burstiness).
+        # instead of silently plateauing at 1/BURSTINESS).
         self.duty = rate / self.on_rate if self.on_rate > 0 else 0.0
-        self.p_off = 1.0 / mean_burst
+        self.p_off = 1.0 / MEAN_BURST
         # Stationary ON fraction p_on/(p_on+p_off) == duty.
         self.p_on = (
             self.p_off * self.duty / (1.0 - self.duty) if self.duty < 1.0 else 1.0
@@ -104,14 +107,12 @@ class BurstyInjection:
         return self._state & (rng.random(count) < self.on_rate)
 
 
-def make_injection(
-    kind: str, rate: float, *, burstiness: float = 4.0, mean_burst: float = 8.0
-):
+def make_injection(kind: str, rate: float):
     """Build an injection process by name (``"bernoulli"`` or ``"bursty"``)."""
     if kind == "bernoulli":
         return BernoulliInjection(rate)
     if kind == "bursty":
-        return BurstyInjection(rate, burstiness=burstiness, mean_burst=mean_burst)
+        return BurstyInjection(rate)
     raise ValueError(f"unknown injection process {kind!r} (bernoulli or bursty)")
 
 
@@ -132,8 +133,11 @@ class OpenLoopSource:
     emitted message carries its generation step in ``created_time``, so
     latency accounting includes the queueing delay.
 
-    ``stop`` ends generation (exclusive); queued messages freeze there too,
-    and the measurement harness counts them as unfinished backlog.
+    A setup that fails (exhausted its lifetime, or was torn down by a
+    fault) is re-issued by the source, keeping its original generation
+    step — the PCS retry model.  ``stop`` ends generation (exclusive);
+    queued messages freeze there too, and the measurement harness counts
+    them as unfinished backlog.
     """
 
     def __init__(
@@ -146,10 +150,6 @@ class OpenLoopSource:
         flits: int = 64,
         stop: Optional[int] = None,
         exclude: Sequence[Coord] = (),
-        hotspot: Optional[Coord] = None,
-        hotspot_fraction: float = 0.5,
-        retry_failed: bool = True,
-        retry_backoff: int = 8,
     ) -> None:
         if pattern not in PATTERNS:
             raise ValueError(f"unknown pattern {pattern!r} (choose from {PATTERNS})")
@@ -167,10 +167,7 @@ class OpenLoopSource:
         if len(self.nodes) < 2:
             raise ValueError("need at least two non-excluded nodes")
         self._excluded = excluded
-        self.hotspot = self._pick_hotspot(hotspot) if pattern == "hotspot" else None
-        if not 0.0 <= hotspot_fraction <= 1.0:
-            raise ValueError("hotspot_fraction must be within [0, 1]")
-        self.hotspot_fraction = hotspot_fraction
+        self.hotspot = self._pick_hotspot() if pattern == "hotspot" else None
         #: Messages generated so far (the offered load; includes queued).
         self.generated = 0
         #: Messages actually emitted into the simulator so far.
@@ -178,17 +175,6 @@ class OpenLoopSource:
         #: Generation steps of every message generated (for the windowed
         #: offered-load accounting).
         self.generation_log: List[int] = []
-        #: A setup that failed (exhausted its lifetime, or transiently
-        #: unreachable) is re-issued by the source, keeping its original
-        #: generation step — the PCS retry model.
-        self.retry_failed = retry_failed
-        if retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
-        #: Steps a node's port stays idle before re-issuing a failed setup,
-        #: scaled by the attempt count.  All probes decide deterministically,
-        #: so two colliding setups retried immediately would collide again
-        #: in lockstep forever; attempt-scaled backoff staggers them apart.
-        self.retry_backoff = retry_backoff
         #: Per-node FIFO of (created_step, destination, ready_step, attempt)
         #: waiting for the port.
         self._queues: dict = {node: deque() for node in self.nodes}
@@ -200,12 +186,7 @@ class OpenLoopSource:
         self._ready: Set[int] = set()
         self._position = {node: i for i, node in enumerate(self.nodes)}
 
-    def _pick_hotspot(self, hotspot: Optional[Coord]) -> Coord:
-        if hotspot is not None:
-            hot = self.mesh.validate(hotspot)
-            if hot in self._excluded:
-                raise ValueError(f"hotspot {hot} is excluded (faulty?)")
-            return hot
+    def _pick_hotspot(self) -> Coord:
         centre = tuple(s // 2 for s in self.mesh.shape)
         if centre not in self._excluded:
             return centre
@@ -259,23 +240,23 @@ class OpenLoopSource:
     def message_finished(self, record) -> None:
         """Simulator feedback: a setup terminated; free the node's port.
 
-        With :attr:`retry_failed`, an undelivered setup goes back to the
-        *front* of its node's queue (it is the node's oldest message) and is
-        re-issued — unless generation has stopped, in which case it stays in
-        the backlog accounting as a frozen queue entry.
+        An undelivered setup goes back to the *front* of its node's queue
+        (it is the node's oldest message) and is re-issued after
+        ``RETRY_BACKOFF`` steps per attempt — unless generation has stopped,
+        in which case it stays in the backlog accounting as a frozen queue
+        entry.  All probes decide deterministically, so two colliding setups
+        retried at once would collide again in lockstep forever; the
+        attempt-scaled backoff staggers them apart.
         """
         message = record.message
         attempt = self._busy.pop(message.source, 0)
         queue = self._queues[message.source]
-        if self.retry_failed and not record.delivered:
-            created = (
-                message.created_time
-                if message.created_time is not None
-                else message.start_time
-            )
+        if not record.delivered:
             finish = record.finish_step if record.finish_step is not None else 0
-            ready = finish + 1 + self.retry_backoff * (attempt + 1)
-            queue.appendleft((created, message.destination, ready, attempt + 1))
+            ready = finish + 1 + RETRY_BACKOFF * (attempt + 1)
+            queue.appendleft(
+                (message.created_time, message.destination, ready, attempt + 1)
+            )
         if queue:
             self._ready.add(self._position[message.source])
 
@@ -300,7 +281,7 @@ class OpenLoopSource:
             if destination == source or destination in self._excluded:
                 return None  # diagonal / faulty partner: nothing to send
             return destination
-        if self.pattern == "hotspot" and self.rng.random() < self.hotspot_fraction:
+        if self.pattern == "hotspot" and self.rng.random() < HOTSPOT_FRACTION:
             if source != self.hotspot:
                 return self.hotspot
             # The hotspot itself falls through to uniform traffic.

@@ -12,20 +12,20 @@ The standard three-phase methodology for steady-state throughput numbers:
   case the leftovers count as unfinished — which at overload is precisely
   the signal that the offered rate exceeds the saturation rate).
 
-:func:`measure_open_loop` drives a :class:`~repro.simulator.engine.Simulator`
-step by step through the three phases and samples a per-window series of
-injected/delivered counts and circuit occupancy from the simulator's
-:class:`~repro.simulator.stats.SimulationStats` along the way.
-:func:`run_throughput_point` is the self-contained entry behind every
-throughput cell (:func:`repro.experiments.runner.run_throughput_cell`):
-mesh + faults + policy + rate in, :class:`ThroughputResult` out,
-deterministic in the seed.
+:func:`run_throughput_point` is the one entry point of an open-loop run:
+it builds everything from one throughput-mode
+:class:`~repro.experiments.spec.ExperimentCell` (the cell carries the
+window lengths, and :class:`~repro.experiments.spec.ExperimentSpec`
+validates them), steps the simulator through the three phases and returns
+a :class:`ThroughputResult`, deterministic in the cell.
+:func:`~repro.experiments.runner.run_cell` and ``repro-mesh throughput
+--trace-out`` both call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.analysis.slo import RecoverySlo, compute_recovery_slo
 from repro.core.block_construction import build_blocks
 from repro.faults.injection import uniform_random_faults
 from repro.faults.schedule import DynamicFaultSchedule
-from repro.faults.workload import workload_schedule
+from repro.faults.workload import FaultWorkload, mtbf_schedule
 from repro.mesh.topology import Mesh
 from repro.obs.recorder import StepRecorder
 from repro.obs.trace import write_trace
@@ -41,59 +41,20 @@ from repro.simulator.engine import SimulationConfig, Simulator
 from repro.simulator.stats import percentile
 from repro.throughput.injection import OpenLoopSource, make_injection
 
-Coord = Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MeasurementWindows:
-    """Phase lengths (in simulation steps) of one open-loop measurement."""
-
-    warmup: int = 64
-    measure: int = 256
-    drain: int = 512
-    #: Length of the occupancy-series sampling sub-windows.
-    sample_every: int = 32
-
-    def __post_init__(self) -> None:
-        if self.warmup < 0 or self.measure < 1 or self.drain < 0:
-            raise ValueError("warmup/drain must be >= 0 and measure >= 1")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be at least 1")
-
-    @property
-    def injection_stop(self) -> int:
-        """First step with no injection (end of the measurement phase)."""
-        return self.warmup + self.measure
-
-    @property
-    def horizon(self) -> int:
-        """Hard step budget for the whole measurement."""
-        return self.warmup + self.measure + self.drain
-
-
-@dataclass(frozen=True)
-class WindowSample:
-    """One occupancy-series sample (a ``sample_every``-step sub-window)."""
-
-    start_step: int
-    injected: int
-    finished: int
-    delivered: int
-    mean_reserved_links: float
+if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoid a package cycle)
+    from repro.experiments.spec import ExperimentCell
 
 
 @dataclass(frozen=True)
 class ThroughputResult:
     """Steady-state numbers of one open-loop run at one offered rate."""
 
-    policy: str
-    pattern: str
     rate: float
 
     #: Messages generated during the window; how many of them delivered;
-    #: failed setup *attempts* (an attempt is terminal only when the source
-    #: does not retry); messages still undelivered at the horizon (queued,
-    #: in flight, or awaiting a retry that never got to run).
+    #: failed setup *attempts* (the source retries every one of them);
+    #: messages still undelivered at the horizon (queued, in flight, or
+    #: awaiting a retry that never got to run).
     injected: int
     delivered: int
     failed: int
@@ -114,9 +75,6 @@ class ThroughputResult:
     #: measured messages.
     mean_setup_latency: float
     p99_setup_latency: float
-
-    #: Per-sub-window series over the measurement phase.
-    samples: Tuple[WindowSample, ...]
 
     #: Steps actually simulated (includes the drain).
     steps: int
@@ -162,106 +120,96 @@ class ThroughputResult:
         return row
 
 
-def _window_samples(
-    recorder: StepRecorder, windows: MeasurementWindows
-) -> List[WindowSample]:
-    """Slice the recorder's cumulative columns into measurement sub-windows.
-
-    Sub-windows cover exactly the measurement phase — boundaries at the
-    warmup end, every ``sample_every`` steps after it, and the injection
-    stop — and each sample is the first difference of the cumulative
-    injected/finished/delivered/link-step columns across its window, so the
-    numbers are identical to the historic inline mark-and-diff sampling.
-    """
-    bounds = [windows.warmup]
-    boundary = windows.warmup + windows.sample_every
-    while boundary < windows.injection_stop:
-        bounds.append(boundary)
-        boundary += windows.sample_every
-    bounds.append(windows.injection_stop)
-
-    cum = recorder.cumulative_at
-    samples: List[WindowSample] = []
-    for a, b in zip(bounds, bounds[1:]):
-        samples.append(
-            WindowSample(
-                start_step=a,
-                injected=cum("injected_total", b) - cum("injected_total", a),
-                finished=cum("finished_total", b) - cum("finished_total", a),
-                delivered=cum("delivered_total", b) - cum("delivered_total", a),
-                mean_reserved_links=(
-                    cum("link_steps_total", b) - cum("link_steps_total", a)
-                )
-                / (b - a),
-            )
-        )
-    return samples
-
-
-def measure_open_loop(
-    mesh: Mesh,
-    source: OpenLoopSource,
-    *,
-    schedule: Optional[DynamicFaultSchedule] = None,
-    config: Optional[SimulationConfig] = None,
-    windows: Optional[MeasurementWindows] = None,
-    recorder: Optional[StepRecorder] = None,
-    trace_out: Optional[str] = None,
+def run_throughput_point(
+    cell: "ExperimentCell", *, trace_out: Optional[str] = None
 ) -> ThroughputResult:
-    """Run the three-phase open-loop measurement and aggregate the window.
+    """The windowed open-loop measurement of one throughput-mode cell.
 
-    ``source.stop`` is forced to the end of the measurement phase; the
-    simulator then drains until every measured message finished or the
-    drain budget is exhausted.  The per-window occupancy series is sliced
-    from a :class:`~repro.obs.recorder.StepRecorder` attached to the
-    simulator (pass ``recorder`` to keep it — e.g. for a trace export, or
-    ``trace_out`` to write the JSONL trace, fault/recovery events included,
-    directly).  A schedule with dynamic fault events additionally yields
-    the per-event recovery SLOs on the result.
+    Builds the mesh, a *static* pre-stabilized fault set (``cell.faults``
+    nodes, so a steady state exists to measure), the open-loop source and
+    the contended simulator with a
+    :class:`~repro.obs.recorder.StepRecorder`, then steps warmup, measure
+    and drain.  Everything derives from ``cell.cell_seed``; the fault
+    layout and injection stream are policy-independent, so per-policy
+    curves are comparable point-for-point.
+
+    With ``cell.fault_rate > 0`` a seeded MTBF/MTTR workload
+    (:func:`~repro.faults.workload.mtbf_schedule`) fires inside the
+    measurement window on top of the static set, each fault repaired
+    ``cell.repair_after`` steps later (0 = permanent).  Its stream is
+    seeded apart from the injection stream, so per-policy runs see the
+    same fault timeline, and the result carries the per-event recovery
+    SLOs.  ``trace_out`` writes the run's JSONL step trace, fault and
+    recovery events included.
+
+    Endpoints exclude every *block* node (faulty or disabled) of the
+    static set: a setup to a disabled node can never deliver, and the
+    source retries failed setups.  One setup attempt lives at most
+    ``max(8, diameter + 2)`` steps: a congested-network PCS setup aborts
+    and retries rather than wander — a wandering probe holds its whole
+    partial circuit, so long budgets make every failure expensive for
+    everyone else.
     """
-    windows = windows or MeasurementWindows()
-    config = config or SimulationConfig(contention=True)
-    source.stop = windows.injection_stop
-    if recorder is None:
-        recorder = StepRecorder(capacity=windows.horizon)
+    mesh = Mesh(cell.shape)
+    lo, hi = cell.warmup, cell.warmup + cell.measure
+    horizon = hi + cell.drain
+    rng = np.random.default_rng(cell.cell_seed)
+    fault_nodes = uniform_random_faults(mesh, cell.faults, rng, margin=1)
+    if cell.fault_rate > 0.0:
+        workload = FaultWorkload(
+            rate=cell.fault_rate, repair_after=cell.repair_after, start=lo, stop=hi
+        )
+        schedule = mtbf_schedule(
+            mesh,
+            workload,
+            np.random.default_rng([cell.cell_seed, 0xFA17]),
+            initial=fault_nodes,
+        )
+    else:
+        schedule = DynamicFaultSchedule.static(fault_nodes)
+    blocked = build_blocks(mesh, fault_nodes).state.block_nodes if fault_nodes else ()
+    source = OpenLoopSource(
+        mesh,
+        make_injection(cell.injection, cell.rate),
+        pattern=cell.scenario,
+        seed=cell.cell_seed,
+        flits=cell.flits,
+        stop=hi,
+        exclude=blocked,
+    )
+    config = SimulationConfig(
+        lam=cell.lam,
+        router=cell.policy,
+        contention=True,
+        max_probe_lifetime=max(8, mesh.diameter + 2),
+        max_steps=10**9,  # the measurement horizon bounds the run
+    )
+    recorder = StepRecorder(capacity=horizon)
     sim = Simulator(
         mesh, schedule=schedule, traffic=source, config=config, recorder=recorder
     )
 
-    while sim.current_step < windows.horizon:
-        if sim.current_step >= windows.injection_stop and sim.in_flight == 0:
+    while sim.current_step < horizon:
+        if sim.current_step >= hi and sim.in_flight == 0:
             break  # drained: every injected message finished
         sim.step()
 
     if trace_out is not None:
         write_trace(trace_out, sim, recorder)
 
-    samples = _window_samples(recorder, windows)
-
-    lo, hi = windows.warmup, windows.injection_stop
-
-    def created(message) -> int:
-        return (
-            message.created_time
-            if message.created_time is not None
-            else message.start_time
-        )
-
-    measured = [r for r in sim.stats.messages if lo <= created(r.message) < hi]
+    messages = sim.stats.messages
+    measured = [r for r in messages if lo <= r.message.created_time < hi]
     delivered = [r for r in measured if r.delivered]
-    failed_attempts = len(measured) - len(delivered)
     delivered_in_window = sum(
         1
-        for r in sim.stats.messages
+        for r in messages
         if r.delivered and r.finish_step is not None and lo <= r.finish_step < hi
     )
     latencies = sim.stats.setup_latencies(delivered)
-    active_nodes = len(source.nodes)
-    denominator = windows.measure * active_nodes
-    generated_measured = source.generated_between(lo, hi)
-    terminal_failed = 0 if getattr(source, "retry_failed", False) else failed_attempts
+    denominator = cell.measure * len(source.nodes)
+    generated = source.generated_between(lo, hi)
 
-    fault_events = schedule.fault_events if schedule is not None else []
+    fault_events = schedule.fault_events
     slo: Optional[RecoverySlo] = None
     if fault_events:
         slo = compute_recovery_slo(
@@ -270,117 +218,23 @@ def measure_open_loop(
             [(e.time, e.node) for e in fault_events],
             latencies_by_finish=[
                 (r.finish_step, float(r.latency_steps))
-                for r in sim.stats.messages
+                for r in messages
                 if r.delivered and r.finish_step is not None
             ],
         )
 
     return ThroughputResult(
-        policy=getattr(sim.router, "name", "?"),
-        pattern=source.pattern,
-        rate=getattr(source.process, "rate", 0.0),
-        injected=generated_measured,
+        rate=cell.rate,
+        injected=generated,
         delivered=len(delivered),
-        failed=failed_attempts,
-        unfinished=generated_measured - len(delivered) - terminal_failed,
-        offered_load=generated_measured / denominator if denominator else 0.0,
-        accepted_throughput=(
-            delivered_in_window / denominator if denominator else 0.0
-        ),
+        failed=len(measured) - len(delivered),
+        unfinished=generated - len(delivered),
+        offered_load=generated / denominator,
+        accepted_throughput=delivered_in_window / denominator,
         mean_setup_latency=(sum(latencies) / len(latencies)) if latencies else 0.0,
         p99_setup_latency=percentile(latencies, 0.99),
-        samples=tuple(samples),
         steps=sim.current_step,
         fault_events=len(fault_events),
         fault_dropped=sim.stats.fault_dropped_circuits,
         slo=slo,
-    )
-
-
-def run_throughput_point(
-    shape: Sequence[int],
-    policy: str,
-    pattern: str,
-    rate: float,
-    *,
-    faults: int = 0,
-    lam: int = 2,
-    flits: int = 64,
-    seed: int = 0,
-    injection: str = "bernoulli",
-    windows: Optional[MeasurementWindows] = None,
-    fault_rate: float = 0.0,
-    repair_after: int = 0,
-    fault_schedule: Optional[DynamicFaultSchedule] = None,
-    trace_out: Optional[str] = None,
-) -> ThroughputResult:
-    """One self-contained open-loop measurement point.
-
-    Builds the mesh, a *static* pre-stabilized fault set (``faults`` nodes,
-    so a steady state exists to measure), the open-loop source and the
-    simulator, and runs the windowed measurement.  Everything derives from
-    ``seed``; the fault layout and injection stream are policy-independent,
-    so per-policy curves measured with the same seed are comparable
-    point-for-point.
-
-    Dynamic faults during the measurement come from one of two places, in
-    precedence order: an explicit ``fault_schedule`` (its initial faults
-    replace the seeded static layout), or ``fault_rate > 0`` — a seeded
-    MTBF/MTTR workload (:func:`~repro.faults.workload.mtbf_schedule`) firing
-    inside the measurement window on top of the static set, each fault
-    repaired ``repair_after`` steps later (0 = permanent).  The workload
-    stream is seeded independently of the injection stream and is
-    policy-independent, so per-policy runs see identical fault timelines.
-
-    Endpoints exclude every *block* node (faulty or disabled): a setup to a
-    disabled node can never deliver, and the source retries failed setups.
-    One setup attempt lives at most ``max(8, diameter + 2)`` steps: a
-    congested-network PCS setup aborts and retries rather than wander — a
-    wandering probe holds its whole partial circuit, so long budgets make
-    every failure expensive for everyone else, and the offline worst-case
-    walk bound would let one stuck probe hold links for the whole
-    measurement.
-    """
-    mesh = Mesh(tuple(shape))
-    windows = windows or MeasurementWindows()
-    rng = np.random.default_rng(seed)
-    fault_nodes = uniform_random_faults(mesh, faults, rng, margin=1)
-    if fault_schedule is not None:
-        schedule = fault_schedule
-        fault_nodes = tuple(sorted(schedule.initial_faults))
-    elif fault_rate > 0.0:
-        schedule = workload_schedule(
-            mesh,
-            rate=fault_rate,
-            start=windows.warmup,
-            stop=windows.injection_stop,
-            repair_after=repair_after,
-            seed=np.random.default_rng([seed, 0xFA17]),
-            initial=fault_nodes,
-        )
-    else:
-        schedule = DynamicFaultSchedule.static(fault_nodes)
-    blocked = build_blocks(mesh, fault_nodes).state.block_nodes if fault_nodes else ()
-    source = OpenLoopSource(
-        mesh,
-        make_injection(injection, rate),
-        pattern=pattern,
-        seed=seed,
-        flits=flits,
-        exclude=blocked,
-    )
-    config = SimulationConfig(
-        lam=lam,
-        router=policy,
-        contention=True,
-        max_probe_lifetime=max(8, mesh.diameter + 2),
-        max_steps=10**9,  # the measurement horizon bounds the run
-    )
-    return measure_open_loop(
-        mesh,
-        source,
-        schedule=schedule,
-        config=config,
-        windows=windows,
-        trace_out=trace_out,
     )

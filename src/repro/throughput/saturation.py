@@ -11,7 +11,8 @@ Two tools on top of the windowed open-loop measurement:
   under :data:`LATENCY_FACTOR` times the zero-load latency while the
   network still accepts at least :data:`MIN_ACCEPTANCE` of the offered
   load.  ``repro-mesh throughput --saturation`` runs it over one spec
-  cell per policy, varying only the cell's rate.
+  cell per policy, varying only the cell's rate, and reads each probe's
+  metric row from :func:`~repro.experiments.runner.run_cell`.
 
 The conventional definition of saturation throughput is the accepted
 throughput at that knee; past it the accepted curve flattens while latency
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
-
-from repro.throughput.measure import ThroughputResult
 
 #: A point saturates when its mean setup latency exceeds ``LATENCY_FACTOR``
 #: times the zero-load latency, or when the network accepts less than
@@ -42,17 +41,6 @@ class LoadPoint:
     mean_setup_latency: float
     p99_setup_latency: float
     delivery_rate: float
-
-    @classmethod
-    def from_result(cls, result: ThroughputResult) -> "LoadPoint":
-        return cls(
-            rate=result.rate,
-            offered_load=result.offered_load,
-            accepted_throughput=result.accepted_throughput,
-            mean_setup_latency=result.mean_setup_latency,
-            p99_setup_latency=result.p99_setup_latency,
-            delivery_rate=result.delivery_rate,
-        )
 
     @classmethod
     def from_metrics(cls, metrics: Dict[str, float]) -> "LoadPoint":
@@ -109,7 +97,7 @@ def _saturated(point: LoadPoint, zero_load_latency: float) -> bool:
 
 
 def find_saturation(
-    measure: Callable[[float], ThroughputResult],
+    measure: Callable[[float], Dict[str, float]],
     *,
     low: float = 0.005,
     high: float = 0.5,
@@ -117,24 +105,23 @@ def find_saturation(
 ) -> Tuple[float, List[LoadPoint]]:
     """Binary-search the knee of the latency curve.
 
-    ``measure`` maps an injection rate to a :class:`ThroughputResult` (the
-    CLI passes :func:`~repro.experiments.runner.run_throughput_cell` of one
-    cell with its rate replaced).  The zero-load latency is taken at
-    ``low``; the search then halves the bracket ``iterations`` times,
-    keeping rates that are not yet saturated.  Returns the largest
-    non-saturated rate found and every probed point (ascending by rate)
-    for plotting.
+    ``measure`` maps an injection rate to a throughput cell's metric row
+    (the CLI passes :func:`~repro.experiments.runner.run_cell` of one cell
+    with its rate replaced).  The zero-load latency is taken at ``low``;
+    the search then halves the bracket ``iterations`` times, keeping rates
+    that are not yet saturated.  Returns the largest non-saturated rate
+    found and every probed point (ascending by rate) for plotting.
     """
     if not 0.0 < low < high:
         raise ValueError("need 0 < low < high")
-    baseline = measure(low)
+    baseline = LoadPoint.from_metrics(measure(low))
     zero_load = baseline.mean_setup_latency
-    probed: List[LoadPoint] = [LoadPoint.from_result(baseline)]
+    probed: List[LoadPoint] = [baseline]
     best = low
     lo, hi = low, high
     for _ in range(iterations):
         mid = (lo + hi) / 2.0
-        point = LoadPoint.from_result(measure(mid))
+        point = LoadPoint.from_metrics(measure(mid))
         probed.append(point)
         if _saturated(point, zero_load):
             hi = mid

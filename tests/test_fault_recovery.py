@@ -1,4 +1,4 @@
-"""Mid-run fault teardown, recovery, and the MTBF/burst fault workloads.
+"""Mid-run fault teardown, recovery, and the MTBF fault workload.
 
 A dynamic fault must tear down — within the *same step* it fires — every
 in-flight probe whose partial circuit crosses the failed node and every
@@ -7,8 +7,10 @@ object path and the vectorized :class:`~repro.core.probe_table.ProbeTable`
 path.  These tests pin that contract with a backend x contention x policy
 parity matrix, a one-step ledger-release assertion, a crafted
 fault-dropped-circuit scenario, and determinism/validity checks on the
-seeded fault workload generators.
+seeded fault workload generator.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,16 +18,12 @@ import pytest
 from repro.backend import ENV_VAR as BACKEND_ENV_VAR
 from repro.backend import SCALAR, VECTOR
 from repro.faults.schedule import DynamicFaultSchedule, FaultEvent, FaultEventKind
-from repro.faults.workload import (
-    FaultWorkload,
-    burst_schedule,
-    mtbf_schedule,
-    workload_schedule,
-)
+from repro.experiments import ExperimentSpec
+from repro.faults.workload import FaultWorkload, mtbf_schedule
 from repro.mesh.topology import Mesh
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.simulator.traffic import TrafficMessage
-from repro.throughput import MeasurementWindows, run_throughput_point
+from repro.throughput import run_throughput_point
 from repro.workloads.traffic import random_pairs
 
 BACKENDS = (SCALAR, VECTOR)
@@ -193,25 +191,13 @@ class TestFaultWorkload:
         # Fault times stay inside [start, stop).
         assert all(5 <= e.time < 300 for e in faults)
 
-    def test_mtbf_respects_exclusions_and_initial_faults(self, mesh2d):
+    def test_mtbf_respects_initial_faults(self, mesh2d):
         initial = [(3, 3), (6, 6)]
         workload = FaultWorkload(rate=0.2, repair_after=0, start=0, stop=400)
-        schedule = mtbf_schedule(
-            mesh2d, workload, seed=1, initial=initial, exclude=[(5, 5)]
-        )
+        schedule = mtbf_schedule(mesh2d, workload, seed=1, initial=initial)
         assert schedule.initial_faults == {(3, 3), (6, 6)}
         dynamic = {e.node for e in schedule.fault_events}
-        assert not dynamic & {(3, 3), (6, 6), (5, 5)}
-
-    def test_burst_schedule_counts_and_validation(self, mesh2d):
-        schedule = burst_schedule(mesh2d, 5, at=50, seed=9, repair_after=30)
-        faults = schedule.fault_events
-        assert len(faults) == 5
-        assert all(e.time == 50 for e in faults)
-        assert len(schedule.recovery_events) == 5
-        assert all(e.time == 80 for e in schedule.recovery_events)
-        with pytest.raises(Exception):
-            burst_schedule(mesh2d, 10_000, at=1, seed=0)
+        assert dynamic and not dynamic & {(3, 3), (6, 6)}
 
     def test_workload_validation(self):
         with pytest.raises(ValueError):
@@ -222,17 +208,14 @@ class TestFaultWorkload:
             FaultWorkload(rate=0.1, repair_after=-1)
         with pytest.raises(ValueError):
             FaultWorkload(rate=0.1, start=10, stop=5)
-        with pytest.raises(ValueError):
-            FaultWorkload(rate=0.1, max_faults=-1)
         # rate 0 is the valid "no dynamic faults" degenerate case.
         workload = FaultWorkload(rate=0.0, stop=100)
         assert not mtbf_schedule(Mesh((8, 8)), workload, seed=0).events
 
-    def test_workload_schedule_replayable_into_simulator(self, mesh2d):
+    def test_mtbf_schedule_replayable_into_simulator(self, mesh2d):
         """A generated schedule passes the schedule's own validation and runs."""
-        schedule = workload_schedule(
-            mesh2d, rate=0.05, start=5, stop=60, repair_after=20, seed=11
-        )
+        workload = FaultWorkload(rate=0.05, repair_after=20, start=5, stop=60)
+        schedule = mtbf_schedule(mesh2d, workload, seed=11)
         sim = Simulator(
             mesh2d,
             schedule=schedule,
@@ -243,54 +226,34 @@ class TestFaultWorkload:
         assert sim.stats.summary()["fault_changes"] >= len(schedule.fault_events)
 
 
+def _cell(*, seed, faults=0, **axes):
+    """The one limited-global, uniform 8x8 cell at rate 0.02, seeded ``seed``."""
+    (cell,) = ExperimentSpec(
+        mode="throughput", mesh_shapes=((8, 8),), fault_counts=(faults,),
+        rates=(0.02,), **axes,
+    ).cells()
+    return replace(cell, cell_seed=seed)
+
+
 class TestThroughputPointUnderFaults:
     def test_rows_identical_across_backends(self, monkeypatch):
         """The windowed measurement under an MTBF workload is backend-free."""
         rows = {}
-        windows = MeasurementWindows(warmup=32, measure=96, drain=192)
+        cell = _cell(
+            seed=3, faults=2, fault_rates=(0.04,), repair_after=24,
+            warmup=32, measure=96, drain=192,
+        )
         for backend in BACKENDS:
             monkeypatch.setenv(BACKEND_ENV_VAR, backend)
-            result = run_throughput_point(
-                (8, 8),
-                "limited-global",
-                "uniform",
-                0.02,
-                faults=2,
-                seed=3,
-                fault_rate=0.04,
-                repair_after=24,
-                windows=windows,
-            )
-            rows[backend] = result.to_row()
+            rows[backend] = run_throughput_point(cell).to_row()
         assert rows[SCALAR] == rows[VECTOR]
         assert rows[VECTOR]["fault_events"] > 0
         assert "slo_dip_depth" in rows[VECTOR]
         assert "slo_time_to_recover" in rows[VECTOR]
 
-    def test_explicit_schedule_overrides_rate(self):
-        schedule = DynamicFaultSchedule(
-            events=(FaultEvent(time=40, node=(4, 4)),),
-            initial_faults={(2, 2)},
-        )
-        windows = MeasurementWindows(warmup=16, measure=64, drain=128)
-        result = run_throughput_point(
-            (8, 8),
-            "limited-global",
-            "uniform",
-            0.02,
-            seed=5,
-            fault_schedule=schedule,
-            fault_rate=0.5,  # ignored: the explicit schedule wins
-            windows=windows,
-        )
-        assert result.fault_events == 1
-
     def test_static_runs_unchanged(self):
         """No fault workload: rows carry no fault/SLO columns (back-compat)."""
-        windows = MeasurementWindows(warmup=16, measure=64, drain=128)
-        result = run_throughput_point(
-            (8, 8), "limited-global", "uniform", 0.02, seed=5, windows=windows
-        )
+        result = run_throughput_point(_cell(seed=5, warmup=16, measure=64, drain=128))
         assert result.fault_events == 0
         assert result.slo is None
         row = result.to_row()

@@ -8,8 +8,6 @@ The load-bearing contracts:
   ``SimulationStats`` aggregates *exactly* — the acceptance criterion of
   the observability PR;
 * the JSONL trace round-trips and preserves those sums;
-* ``measure_open_loop``'s window samples (now recorder-sliced) match the
-  historic inline mark-and-diff reference, number for number;
 * sweep telemetry rides on ``BatchResult`` without ever entering the
   canonical JSON, so the determinism contract is untouched.
 """
@@ -19,7 +17,6 @@ import json
 import pytest
 
 from repro.experiments import ExperimentSpec, run_batch
-from repro.mesh import Mesh
 from repro.obs import (
     PhaseProfiler,
     ShardRecord,
@@ -34,8 +31,6 @@ from repro.obs.recorder import CUMULATIVE_COLUMNS
 from repro.obs.report import render_telemetry_report, render_trace_report, sniff_kind
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.simulator.stats import percentile
-from repro.throughput import MeasurementWindows, OpenLoopSource, make_injection
-from repro.throughput.measure import measure_open_loop
 from repro.viz.ascii import sparkline
 from repro.workloads.scenarios import random_dynamic_scenario
 
@@ -123,9 +118,7 @@ class TestStepRecorder:
         assert sums["setup_retries_total"] == stats.total_setup_retries
         assert sums["link_steps_total"] == stats.circuit_link_steps
         # Deltas of a cumulative column reconstruct its final value.
-        assert recorder.cumulative_at("finished_total", stats.steps) == len(
-            stats.messages
-        )
+        assert recorder.column("finished_total")[-1] == len(stats.messages)
         # Level columns: every node is in exactly one status bucket.
         statuses = (
             recorder.column("nodes_enabled")
@@ -157,7 +150,6 @@ class TestStepRecorder:
             recorder.column("nope")
         with pytest.raises(KeyError):
             recorder.deltas("in_flight")  # a level, not a cumulative column
-        assert recorder.cumulative_at("finished_total", 0) == 0
         view = recorder.column("step")
         assert not view.flags.writeable
 
@@ -216,94 +208,6 @@ class TestTrace:
         assert "per-step series" in report
         assert "totals check" in report
         assert "MISMATCH" not in report
-
-
-class TestWindowSampleParity:
-    def test_samples_match_inline_reference(self):
-        """Recorder-sliced window samples == the historic mark-and-diff."""
-        windows = MeasurementWindows(warmup=40, measure=100, drain=200, sample_every=32)
-
-        def build_source():
-            return OpenLoopSource(
-                Mesh((6, 6)),
-                make_injection("bernoulli", 0.02),
-                pattern="uniform",
-                seed=5,
-                flits=32,
-            )
-
-        config = SimulationConfig(
-            contention=True, router="limited-global", max_steps=10**9,
-            max_probe_lifetime=12,
-        )
-        result = measure_open_loop(
-            build_source().mesh, build_source(), config=config, windows=windows
-        )
-
-        # Reference: the pre-recorder inline sampling loop, verbatim.
-        source = build_source()
-        source.stop = windows.injection_stop
-        sim = Simulator(source.mesh, traffic=source, config=config)
-        reference = []
-
-        def marks():
-            return (
-                source.generated,
-                len(sim.stats.messages),
-                sum(1 for r in sim.stats.messages if r.delivered),
-                sim.stats.circuit_link_steps,
-            )
-
-        mark, mark_step = marks(), 0
-        while sim.current_step < windows.horizon:
-            if sim.current_step >= windows.injection_stop and sim.in_flight == 0:
-                break
-            sim.step()
-            now = sim.current_step
-            if now == windows.warmup:
-                mark, mark_step = marks(), now
-            elif windows.warmup < now <= windows.injection_stop and (
-                (now - windows.warmup) % windows.sample_every == 0
-                or now == windows.injection_stop
-            ):
-                injected, finished, delivered, link_steps = marks()
-                reference.append(
-                    (
-                        mark_step,
-                        injected - mark[0],
-                        finished - mark[1],
-                        delivered - mark[2],
-                        (link_steps - mark[3]) / (now - mark_step),
-                    )
-                )
-                mark, mark_step = (injected, finished, delivered, link_steps), now
-
-        produced = [
-            (s.start_step, s.injected, s.finished, s.delivered, s.mean_reserved_links)
-            for s in result.samples
-        ]
-        assert produced == reference
-
-    def test_zero_warmup_and_ragged_tail(self):
-        windows = MeasurementWindows(warmup=0, measure=50, drain=100, sample_every=32)
-        source = OpenLoopSource(
-            Mesh((5, 5)),
-            make_injection("bernoulli", 0.02),
-            pattern="uniform",
-            seed=2,
-        )
-        result = measure_open_loop(
-            source.mesh,
-            source,
-            config=SimulationConfig(
-                contention=True, router="limited-global", max_steps=10**9,
-                max_probe_lifetime=10,
-            ),
-            windows=windows,
-        )
-        starts = [s.start_step for s in result.samples]
-        assert starts == [0, 32]  # boundaries 0, 32, 50 (ragged last window)
-        assert sum(s.injected for s in result.samples) == result.injected
 
 
 class TestSummaryLatencies:

@@ -1,5 +1,7 @@
 """Tests for the open-loop throughput subsystem (repro.throughput)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,26 @@ from repro.throughput import (
     BurstyInjection,
     LoadCurve,
     LoadPoint,
-    MeasurementWindows,
     OpenLoopSource,
     find_saturation,
     make_injection,
     run_throughput_point,
 )
-from repro.throughput.measure import ThroughputResult
+from repro.throughput.injection import HOTSPOT_FRACTION, RETRY_BACKOFF
+
+
+def _cell(shape, policy, pattern, rate, *, seed, faults=0, **windows):
+    """The one cell of a throughput spec, run with ``seed`` as its cell seed."""
+    (cell,) = ExperimentSpec(
+        mode="throughput",
+        mesh_shapes=(shape,),
+        policies=(policy,),
+        scenarios=(pattern,),
+        fault_counts=(faults,),
+        rates=(rate,),
+        **windows,
+    ).cells()
+    return replace(cell, cell_seed=seed)
 
 
 class TestInjectionProcesses:
@@ -44,7 +59,7 @@ class TestInjectionProcesses:
             BernoulliInjection(1.5)
 
     def test_bursty_mean_rate_matches(self):
-        process = BurstyInjection(0.1, burstiness=4.0, mean_burst=8.0)
+        process = BurstyInjection(0.1)
         rng = np.random.default_rng(3)
         total = sum(process.injecting(rng, 500).sum() for _ in range(2000))
         mean = total / (500 * 2000)
@@ -52,7 +67,7 @@ class TestInjectionProcesses:
 
     def test_bursty_is_clustered(self):
         # A single node's on/off stream should have long runs of silence.
-        process = BurstyInjection(0.1, burstiness=4.0, mean_burst=8.0)
+        process = BurstyInjection(0.1)
         rng = np.random.default_rng(5)
         stream = [bool(process.injecting(rng, 1)[0]) for _ in range(4000)]
         silent = max(
@@ -89,7 +104,7 @@ class TestOpenLoopSource:
         from repro.core.routing import RouteOutcome, RouteResult
         from repro.simulator.stats import MessageRecord
 
-        mesh, source = self._source(retry_backoff=0)
+        mesh, source = self._source()
         message = source.poll(0)[0]
         result = RouteResult(
             outcome=RouteOutcome.EXHAUSTED,
@@ -103,8 +118,10 @@ class TestOpenLoopSource:
         source.message_finished(
             MessageRecord(message=message, result=result, finish_step=3)
         )
-        # The failed message is re-issued first, keeping its creation step.
-        retried = [m for m in source.poll(4) if m.source == message.source]
+        # The failed message is re-issued first, keeping its creation step,
+        # once the first attempt's backoff has passed.
+        ready = 3 + 1 + RETRY_BACKOFF
+        retried = [m for m in source.poll(ready) if m.source == message.source]
         assert len(retried) == 1
         assert retried[0].destination == message.destination
         assert retried[0].created_time == 0
@@ -113,7 +130,7 @@ class TestOpenLoopSource:
         from repro.core.routing import RouteOutcome, RouteResult
         from repro.simulator.stats import MessageRecord
 
-        mesh, source = self._source(retry_backoff=10)
+        mesh, source = self._source()
         message = source.poll(0)[0]
         result = RouteResult(
             outcome=RouteOutcome.EXHAUSTED,
@@ -127,8 +144,9 @@ class TestOpenLoopSource:
         source.message_finished(
             MessageRecord(message=message, result=result, finish_step=3)
         )
-        assert all(m.source != message.source for m in source.poll(4))
-        retried = [m for m in source.poll(14) if m.source == message.source]
+        ready = 3 + 1 + RETRY_BACKOFF
+        assert all(m.source != message.source for m in source.poll(ready - 1))
+        retried = [m for m in source.poll(ready) if m.source == message.source]
         assert len(retried) == 1
 
     def test_emission_scans_only_free_ports_with_queued_heads(self):
@@ -139,7 +157,7 @@ class TestOpenLoopSource:
         from repro.core.routing import RouteOutcome, RouteResult
         from repro.simulator.stats import MessageRecord
 
-        mesh, source = self._source(retry_backoff=2)
+        mesh, source = self._source()
         rng = np.random.default_rng(7)
         in_flight = []
 
@@ -191,17 +209,15 @@ class TestOpenLoopSource:
     def test_hotspot_concentrates_traffic(self):
         mesh = Mesh((7, 7))
         source = OpenLoopSource(
-            mesh,
-            BernoulliInjection(1.0),
-            pattern="hotspot",
-            seed=0,
-            hotspot_fraction=1.0,
+            mesh, BernoulliInjection(1.0), pattern="hotspot", seed=0
         )
         emitted = source.poll(0)
-        assert emitted
-        for message in emitted:
-            if message.source != (3, 3):  # the hotspot itself sends uniform
-                assert message.destination == (3, 3)
+        # Every node emits at step 0; the hotspot itself sends uniform.
+        senders = [m for m in emitted if m.source != (3, 3)]
+        assert len(senders) == 48
+        hot = sum(m.destination == (3, 3) for m in senders)
+        # A uniform pattern would send about one message there.
+        assert hot > HOTSPOT_FRACTION * len(senders) / 2
 
     def test_stop_freezes_generation_and_emission(self):
         mesh, source = self._source(stop=2)
@@ -362,13 +378,10 @@ class TestDecisionCache:
 class TestWindowedMeasurement:
     def test_low_load_accepts_everything(self):
         result = run_throughput_point(
-            (6, 6),
-            "limited-global",
-            "uniform",
-            0.002,
-            faults=0,
-            seed=3,
-            windows=MeasurementWindows(warmup=20, measure=100, drain=150),
+            _cell(
+                (6, 6), "limited-global", "uniform", 0.002, seed=3,
+                warmup=20, measure=100, drain=150,
+            )
         )
         assert result.delivery_rate == 1.0
         assert result.unfinished == 0
@@ -377,26 +390,12 @@ class TestWindowedMeasurement:
         )
         assert 0 < result.mean_setup_latency <= result.p99_setup_latency
 
-    def test_samples_cover_measurement_window(self):
-        windows = MeasurementWindows(warmup=20, measure=100, drain=100, sample_every=25)
-        result = run_throughput_point(
-            (6, 6), "limited-global", "uniform", 0.02, faults=2, seed=1,
-            windows=windows,
-        )
-        assert len(result.samples) == 4
-        assert result.samples[0].start_step == 20
-        assert sum(s.injected for s in result.samples) == result.injected
-        for sample in result.samples:
-            assert sample.mean_reserved_links >= 0.0
-
-    def test_windows_validation(self):
-        with pytest.raises(ValueError):
-            MeasurementWindows(measure=0)
-
     def test_to_row_keys(self):
         result = run_throughput_point(
-            (5, 5), "no-information", "uniform", 0.01, faults=0, seed=0,
-            windows=MeasurementWindows(warmup=10, measure=40, drain=60),
+            _cell(
+                (5, 5), "no-information", "uniform", 0.01, seed=0,
+                warmup=10, measure=40, drain=60,
+            )
         )
         row = result.to_row()
         for key in ("rate", "offered_load", "accepted_throughput",
@@ -407,13 +406,11 @@ class TestWindowedMeasurement:
 
 class TestOpenLoopDeterminismAndParity:
     def test_same_seed_same_windowed_stats(self):
-        rows = [
-            run_throughput_point(
-                (6, 6), "limited-global", "transpose", 0.03, faults=2, seed=9,
-                windows=MeasurementWindows(warmup=16, measure=64, drain=120),
-            ).to_row()
-            for _ in range(2)
-        ]
+        cell = _cell(
+            (6, 6), "limited-global", "transpose", 0.03, seed=9, faults=2,
+            warmup=16, measure=64, drain=120,
+        )
+        rows = [run_throughput_point(cell).to_row() for _ in range(2)]
         assert rows[0] == rows[1]
 
     def test_serial_equals_parallel_batch(self):
@@ -481,22 +478,14 @@ class TestSaturation:
     def _fake_measure(self, saturation_rate):
         def measure(rate):
             latency = 5.0 if rate <= saturation_rate else 80.0
-            accepted = min(rate, saturation_rate)
-            return ThroughputResult(
-                policy="fake",
-                pattern="uniform",
-                rate=rate,
-                injected=100,
-                delivered=100,
-                failed=0,
-                unfinished=0,
-                offered_load=rate,
-                accepted_throughput=accepted,
-                mean_setup_latency=latency,
-                p99_setup_latency=latency * 2,
-                samples=(),
-                steps=100,
-            )
+            return {
+                "rate": rate,
+                "offered_load": rate,
+                "accepted_throughput": min(rate, saturation_rate),
+                "mean_setup_latency": latency,
+                "p99_setup_latency": latency * 2,
+                "delivery_rate": 1.0,
+            }
 
         return measure
 
@@ -519,12 +508,13 @@ class TestSaturation:
 
     def test_acceptance_curve_monotone_and_flattening(self):
         """The PR acceptance criterion: limited-global on an 8x8 mesh."""
-        windows = MeasurementWindows(warmup=30, measure=120, drain=240)
         offered, accepted = [], []
         for rate in (0.002, 0.005, 0.01, 0.02, 0.04, 0.08):
             result = run_throughput_point(
-                (8, 8), "limited-global", "transpose", rate, faults=4, seed=0,
-                windows=windows,
+                _cell(
+                    (8, 8), "limited-global", "transpose", rate, seed=0, faults=4,
+                    warmup=30, measure=120, drain=240,
+                )
             )
             offered.append(result.offered_load)
             accepted.append(result.accepted_throughput)
@@ -649,6 +639,10 @@ class TestThroughputSpec:
         distinct = {c.cell_seed for c in spec.cells()}
         assert len(distinct) == len(by_curve)
 
+    def test_windows_validation(self):
+        with pytest.raises(ValueError, match="measure >= 1"):
+            ExperimentSpec(mode="throughput", measure=0)
+
     def test_throughput_mode_forces_contention(self):
         spec = ExperimentSpec(mode="throughput")
         assert spec.contention is True
@@ -754,13 +748,13 @@ class TestThroughputCli:
         from repro.experiments import SPEC_SCHEMA, run_cell
 
         probed = []
-        real = cli.run_throughput_cell
+        real = cli.run_cell
 
-        def spy(cell, **kwargs):
+        def spy(cell):
             probed.append(cell)
-            return real(cell, **kwargs)
+            return real(cell)
 
-        monkeypatch.setattr(cli, "run_throughput_cell", spy)
+        monkeypatch.setattr(cli, "run_cell", spy)
         policies = ["limited-global", "no-information"]
         code = cli.main(
             [
