@@ -67,6 +67,7 @@ from repro.experiments import (
     run_batch,
     run_cell,
 )
+from repro.experiments.results import canonical_json
 from repro.experiments.runner import build_simulator
 from repro.faults.injection import uniform_random_faults
 from repro.mesh.topology import Mesh
@@ -668,12 +669,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.telemetry_out:
-        import json as _json
-
-        telemetry = batch.telemetry_dict()
         with open(args.telemetry_out, "w", encoding="utf-8") as handle:
-            _json.dump(telemetry, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+            handle.write(canonical_json(batch.telemetry_dict()) + "\n")
         print(f"wrote sweep telemetry to {args.telemetry_out}", file=sys.stderr)
     payload = batch.to_json()
     if args.out:

@@ -10,11 +10,12 @@ package version.  Anything that could alter a metric changes the
 fingerprint; the grid *position* (``cell.index``) deliberately does not,
 so overlapping sweeps with different grid layouts share entries.
 
-Entries are one JSON file each, written atomically (temp file +
-:func:`os.replace`) as the cell's result lands — an interrupted sweep
-leaves only whole entries behind and resumes from them.  A corrupted or
-truncated entry is treated as a miss and recomputed, never trusted and
-never fatal.
+Entries are one JSON file each, written atomically (a temp file private
+to the writing process and thread, then :func:`os.replace`) as the cell's
+result lands — an interrupted sweep leaves only whole entries behind and
+resumes from them, and concurrent writers of one entry never collide.  A
+corrupted or truncated entry is treated as a miss and recomputed, never
+trusted and never fatal.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -108,8 +110,9 @@ class ResultCache:
     ``backend``/``version`` default to the live backend and package
     version; tests override them to prove fingerprint invalidation.
     Instances are used from the *parent* process only — workers return
-    results and the parent persists them — so no cross-process locking is
-    needed beyond the atomic per-entry replace.
+    results and the parent persists them.  Several instances may share one
+    directory (the service gives each job its own): no locking is needed
+    beyond the atomic per-entry replace of a per-writer temp file.
     """
 
     root: Union[str, Path] = field(default_factory=default_cache_dir)
@@ -132,8 +135,13 @@ class ResultCache:
 
     def path_for(self, cell: ExperimentCell) -> Path:
         """Entry path: two-level fan-out keeps directories small."""
-        fp = self.fingerprint(cell)
-        return Path(self.root) / fp[:2] / f"{fp}.json"
+        return Path(self._entry(self.fingerprint(cell)))
+
+    def _entry(self, fp: str) -> str:
+        """The entry path of fingerprint ``fp``, as a string: a warm sweep
+        looks up every cell, and pathlib's joins cost more than opening and
+        reading the entry."""
+        return f"{self.root}{os.sep}{fp[:2]}{os.sep}{fp}.json"
 
     # ------------------------------------------------------------------ #
     # lookup / store
@@ -146,10 +154,11 @@ class ResultCache:
         fatal: it counts as ``invalid`` and as a miss, and the caller
         recomputes the cell, overwriting the entry.
         """
-        path = self.path_for(cell)
+        fp = self.fingerprint(cell)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            with open(self._entry(fp), "rb", buffering=0) as handle:
+                data = handle.read()
+            payload = json.loads(data.decode("utf-8"))
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -160,7 +169,7 @@ class ResultCache:
         metrics = payload.get("metrics") if isinstance(payload, dict) else None
         if (
             not isinstance(metrics, dict)
-            or payload.get("fingerprint") != path.stem
+            or payload.get("fingerprint") != fp
             or not all(isinstance(k, str) for k in metrics)
             or not all(isinstance(v, (int, float)) for v in metrics.values())
         ):
@@ -175,21 +184,26 @@ class ResultCache:
 
         The temp file lives next to the final path so :func:`os.replace`
         stays a same-filesystem atomic rename; a crash mid-write leaves
-        only the temp file (ignored by lookups) behind.
+        only the temp file (ignored by lookups) behind.  Its name carries
+        the process and thread id, so two writers of one entry (two
+        service jobs over overlapping specs, say) each rename their own
+        file and the last rename wins with a whole entry.
         """
-        path = self.path_for(cell)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        fp = self.fingerprint(cell)
+        path = self._entry(fp)
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
         payload = {
             "format": CACHE_FORMAT,
-            "fingerprint": path.stem,
+            "fingerprint": fp,
             "backend": self.backend,
             "version": self.version,
             "cell": cell.identity(),
             "metrics": {k: metrics[k] for k in sorted(metrics)},
         }
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        tmp = f"{directory}{os.sep}{fp}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
+            handle.write(json.dumps(payload, sort_keys=True))
         os.replace(tmp, path)
         self.stats.writes += 1
-        return path
+        return Path(path)

@@ -9,12 +9,16 @@ one :func:`~repro.experiments.runner.run_batch` invocation and knows how to
   of the same spec produce byte-identical output regardless of worker count;
 * pivot any metric into rows/columns over cell attributes, which is what the
   comparison tables in the benchmarks and examples are made of.
+
+:func:`canonical_json` is the one writer of indented JSON: result
+documents, the HTTP service's bodies and the sweep telemetry file.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.spec import ExperimentCell, ExperimentSpec
@@ -25,6 +29,72 @@ from repro.obs.telemetry import SweepTelemetry
 #: serves for a finished job are the same ``repro.result/v1`` document —
 #: byte for byte.
 RESULT_SCHEMA = "repro.result/v1"
+
+#: ``float.__repr__`` spells the non-finite values ``nan``, ``inf`` and
+#: ``-inf``; JSON (as :mod:`json` writes it) spells them as below.
+_FLOAT_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def canonical_json(payload: object) -> str:
+    """The text of ``json.dumps(payload, sort_keys=True, indent=2)``.
+
+    :mod:`json` takes its C encoder only for unindented one-shot calls, so
+    every indented dump runs its generator-based Python encoder.  This
+    writer builds the same text directly: each container is one
+    ``str.join``, strings go through json's C ``encode_basestring_ascii``,
+    and numbers are written as json writes them (``int.__repr__`` and
+    ``float.__repr__`` for subclasses too, so ``numpy.float64`` and
+    ``IntEnum`` values match; ``NaN``/``Infinity`` spellings; ``bool``
+    before ``int``).  ``payload`` must be a tree: a cycle raises
+    :class:`RecursionError` where json raises :class:`ValueError`.
+    ``json.dumps`` stays the named oracle (``tests/test_canonical_json.py``).
+    """
+    return _encode(payload, "\n")
+
+
+def _encode(value: object, newline: str) -> str:
+    """``value`` as JSON text; ``newline`` is the line break and indent of
+    the line ``value`` starts on."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_SPELLINGS.get(text, text)
+    if isinstance(value, str):
+        return _escape(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            (_escape(key) if isinstance(key, str) else _key(key))
+            + ": "
+            + _encode(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key(key: object) -> str:
+    """A non-string dict key, quoted as json coerces it: the key's own JSON
+    text (``bool`` is an ``int``)."""
+    if isinstance(key, (float, int)) or key is None:
+        return '"' + _encode(key, "") + '"'
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
 
 
 @dataclass(frozen=True)
@@ -114,13 +184,14 @@ class BatchResult:
             "cells": [r.to_dict() for r in self.results],
         }
 
-    def to_json(self, *, indent: int = 2) -> str:
-        """Canonical JSON: sorted keys, cells in grid order.
+    def to_json(self) -> str:
+        """Canonical JSON (:func:`canonical_json`): sorted keys, two-space
+        indent, cells in grid order.
 
         Contains nothing run-dependent (no timestamps, no wall-clock), so
         serial and parallel runs of the same spec serialize byte-identically.
         """
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: object) -> "BatchResult":

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+from repro.experiments.results import canonical_json
+
 #: Request bodies above this size are rejected with 413 — an experiment
 #: spec is a few KB; anything megabytes-sized is not a spec.
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -142,8 +144,9 @@ def render(
 
 
 def json_body(payload: object) -> bytes:
-    """Canonical JSON bytes for a response body (sorted keys, newline)."""
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """Canonical JSON bytes for a response body (:func:`canonical_json`,
+    newline-terminated)."""
+    return (canonical_json(payload) + "\n").encode("utf-8")
 
 
 def error_response(

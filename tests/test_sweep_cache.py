@@ -1,6 +1,8 @@
 """Tests for the content-addressed sweep result cache."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -124,8 +126,17 @@ class TestResultCache:
             lambda text: json.dumps({"fingerprint": "wrong", "metrics": {}}),
             lambda text: json.dumps({"metrics": "not-a-dict"}),
             lambda text: json.dumps([1, 2, 3]),
+            # A Latin-1 edit: valid JSON shape, but the bytes are not UTF-8.
+            lambda text: text.encode("utf-8").replace(b'"metrics"', b'"m\xe9trics"'),
+            # The right fingerprint, so only the value check can reject it.
+            lambda text: json.dumps(
+                dict(json.loads(text), metrics={"delivery_rate": "1.0"})
+            ),
         ],
-        ids=["empty", "truncated", "garbage", "wrong-fp", "bad-metrics", "not-object"],
+        ids=[
+            "empty", "truncated", "garbage", "wrong-fp", "bad-metrics",
+            "not-object", "not-utf8", "non-numeric-metric",
+        ],
     )
     def test_corrupted_entry_recomputed(self, tmp_path, corruption):
         """A broken entry is neither trusted nor fatal: it reads as a miss,
@@ -136,7 +147,8 @@ class TestResultCache:
         run_batch(spec, cache=cache)
         (cell,) = spec.cells()
         path = cache.path_for(cell)
-        path.write_text(corruption(path.read_text()))
+        broken = corruption(path.read_text(encoding="utf-8"))
+        path.write_bytes(broken if isinstance(broken, bytes) else broken.encode("utf-8"))
 
         again = ResultCache(tmp_path)
         batch = run_batch(spec, cache=again)
@@ -147,6 +159,42 @@ class TestResultCache:
         # ... and the healed entry now hits.
         healed = ResultCache(tmp_path)
         assert healed.get(cell) is not None
+
+    def test_concurrent_writers_of_one_entry(self, tmp_path):
+        """Threads of one process (``repro-mesh serve`` runs two jobs at
+        once over one cache directory, each job with its own instance) put
+        the same cell over and over: each renames its own temp file, so
+        none raises, no temp file is left behind and the entry reads back
+        whole.  A short switch interval makes colliding interleavings
+        likely."""
+        (cell,) = cached_spec(policies=("limited-global",), lams=(1,)).cells()
+        metrics = {"delivery_rate": 1.0, "mean_hops": 7.25, "steps": 31}
+        errors = []
+
+        def writer() -> None:
+            cache = ResultCache(tmp_path)
+            try:
+                for _ in range(500):
+                    cache.put(cell, metrics)
+            except Exception as exc:  # collected: the test thread asserts
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert list(tmp_path.rglob("*.tmp.*")) == []
+        reader = ResultCache(tmp_path)
+        assert reader.get(cell) == metrics
+        assert reader.stats.invalid == 0
 
     def test_entries_shared_across_engines_and_workers(self, tmp_path):
         """A cache warmed by one engine serves every other execution mode."""
