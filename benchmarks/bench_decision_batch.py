@@ -27,6 +27,8 @@ their parity twin holds every refreshed table to a freshly built engine's.
 
 from functools import lru_cache
 
+from dataclasses import replace
+
 import numpy as np
 from _common import print_table
 
@@ -41,11 +43,12 @@ from repro.core.routing import (
     decision_candidates,
 )
 from repro.core.state import InformationState
+from repro.experiments import ExperimentSpec
 from repro.faults.injection import uniform_random_faults
 from repro.faults.status import NodeStatus
 from repro.mesh.topology import Mesh
 from repro.simulator.engine import Simulator
-from repro.workloads.congestion import transpose_scenario
+from repro.workloads import simulate_scenario
 from repro.workloads.traffic import random_pairs
 
 
@@ -248,11 +251,13 @@ def _churn(kind):
     without messages.  The recorded calls must add both block and boundary
     records, or the replay would not exercise refreshes for added records.
     """
-    radix, n_dims = (8, 2) if kind == "2d" else (5, 3)
-    scenario = transpose_scenario(
-        radix=radix, n_dims=n_dims, dynamic_faults=2, interval=6, seed=1
-    )
-    sim = Simulator(scenario.mesh, schedule=scenario.schedule, traffic=[])
+    shape = (8, 8) if kind == "2d" else (5, 5, 5)
+    (cell,) = ExperimentSpec(
+        mode="simulate", mesh_shapes=(shape,), scenarios=("transpose",),
+        fault_counts=(2,), fault_intervals=(6,),
+    ).cells()
+    mesh, schedule, _ = simulate_scenario(replace(cell, cell_seed=1))
+    sim = Simulator(mesh, schedule=schedule, traffic=[])
     info = sim.info
     start = (
         info.labeling.codes.copy(),
@@ -280,7 +285,7 @@ def _churn(kind):
     added = {name for _codes, step in steps for name, _args in step if name in _RECORD_ADDS}
     assert added & {"add_block_info", "add_block_info_at"}, added
     assert added & {"add_boundary", "add_boundary_at"}, added
-    return scenario.mesh, start, tuple(steps)
+    return mesh, start, tuple(steps)
 
 
 def _replay_churn(kind, check=None):

@@ -31,6 +31,7 @@ from repro.experiments import ExperimentSpec, run_batch
 from repro.faults.injection import uniform_random_faults
 from repro.faults.schedule import DynamicFaultSchedule
 from repro.mesh.topology import Mesh
+from repro.pcs.circuit import LiveCircuitLedger
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.workloads.traffic import to_traffic, transpose_pairs
 
@@ -48,7 +49,7 @@ def _contended_run(table: bool):
         for s, d in transpose_pairs(mesh)
         if s not in fault_set and d not in fault_set
     ]
-    traffic = to_traffic(pairs, start_time=0, spacing=0, tag="bench", flits=32)
+    traffic = to_traffic(pairs, start_time=0, spacing=0, flits=32)
     sim = Simulator(
         mesh,
         schedule=schedule,
@@ -56,7 +57,9 @@ def _contended_run(table: bool):
         config=SimulationConfig(router="limited-global", contention=True),
     )
     if not table:
+        # The scalar loop, over the dict ledger it reads.
         sim._table = None
+        sim.circuits = LiveCircuitLedger()
     return sim.run().stats
 
 

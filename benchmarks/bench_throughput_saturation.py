@@ -42,7 +42,7 @@ def _high_load_run(backend=None):
         for s, d in transpose_pairs(mesh)
         if s not in fault_set and d not in fault_set
     ]
-    traffic = to_traffic(pairs, start_time=0, spacing=0, tag="bench", flits=32)
+    traffic = to_traffic(pairs, start_time=0, spacing=0, flits=32)
     sim = Simulator(
         mesh,
         schedule=schedule,

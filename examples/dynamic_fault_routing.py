@@ -13,28 +13,24 @@ Run with::
     python examples/dynamic_fault_routing.py
 """
 
-from repro.simulator import SimulationConfig, Simulator
-from repro.workloads import random_dynamic_scenario
+from dataclasses import replace
+
+from repro.experiments import ExperimentSpec
+from repro.experiments.runner import build_simulator
 
 
 def run_one(lam: int, dynamic_faults: int, interval: int) -> None:
-    scenario = random_dynamic_scenario(
-        radix=12,
-        n_dims=3,
-        dynamic_faults=dynamic_faults,
-        interval=interval,
-        messages=16,
-        seed=42,
-    )
-    config = SimulationConfig(lam=lam)
-    simulator = Simulator(
-        scenario.mesh,
-        schedule=scenario.schedule,
-        traffic=list(scenario.traffic),
-        config=config,
-    )
-    result = simulator.run()
-    stats = result.stats
+    # One random-traffic, limited-global cell of a simulate spec; every run
+    # draws its faults and message pairs from seed 42.
+    (cell,) = ExperimentSpec(
+        mode="simulate",
+        mesh_shapes=((12, 12, 12),),
+        fault_counts=(dynamic_faults,),
+        fault_intervals=(interval,),
+        lams=(lam,),
+        traffic_sizes=(16,),
+    ).cells()
+    stats = build_simulator(replace(cell, cell_seed=42)).run().stats
 
     print(f"\n=== λ={lam}, F={dynamic_faults} dynamic faults, d_i={interval} ===")
     print(f"simulated steps: {stats.steps}")

@@ -71,7 +71,7 @@ from repro.routing import (
     register_router,
     resolve_router,
 )
-from repro.simulator import SimulationConfig, SimulationResult, Simulator
+from repro.simulator import SimulationConfig, Simulator
 
 __version__ = "0.8.0"
 
@@ -100,7 +100,6 @@ __all__ = [
     "RoutingPolicy",
     "RoutingProbe",
     "SimulationConfig",
-    "SimulationResult",
     "Simulator",
     "StepRecorder",
     "__version__",

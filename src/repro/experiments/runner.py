@@ -62,18 +62,14 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.results import BatchResult, CellResult
 from repro.experiments.shard import Shard, _split, plan_shards
 from repro.experiments.spec import ExperimentCell, ExperimentSpec
-from repro.faults.injection import clustered_faults, dynamic_schedule, uniform_random_faults
+from repro.faults.injection import clustered_faults, uniform_random_faults
 from repro.mesh.topology import Mesh
 from repro.obs.telemetry import PoolIncident, ShardRecord, SweepTelemetry
 from repro.routing import resolve_router
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.throughput import measure
-from repro.workloads.congestion import (
-    bursty_scenario,
-    hotspot_scenario,
-    transpose_scenario,
-)
-from repro.workloads.traffic import random_pairs, to_traffic
+from repro.workloads.scenarios import simulate_scenario
+from repro.workloads.traffic import random_pairs
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.probe_table import ProbeTable
@@ -159,61 +155,6 @@ def _offline_metrics(cell: ExperimentCell, setting: OfflineSetting) -> Dict[str,
     }
 
 
-def _simulate_scenario(cell: ExperimentCell):
-    """Mesh/schedule/traffic for one simulate-mode cell's traffic family.
-
-    Every family derives from ``cell.cell_seed`` alone, so all policies at
-    one configuration point replay the identical scenario.
-    """
-    if cell.scenario == "hotspot":
-        scenario = hotspot_scenario(
-            shape=cell.shape,
-            messages=cell.messages,
-            dynamic_faults=cell.faults,
-            interval=cell.interval,
-            flits=cell.flits,
-            seed=cell.cell_seed,
-        )
-        return scenario.mesh, scenario.schedule, list(scenario.traffic)
-    if cell.scenario == "transpose":
-        scenario = transpose_scenario(
-            radix=cell.shape[0],
-            n_dims=len(cell.shape),
-            limit=cell.messages,
-            dynamic_faults=cell.faults,
-            interval=cell.interval,
-            flits=cell.flits,
-            seed=cell.cell_seed,
-        )
-        return scenario.mesh, scenario.schedule, list(scenario.traffic)
-    if cell.scenario == "bursty":
-        scenario = bursty_scenario(
-            shape=cell.shape,
-            bursts=max(1, cell.messages // 6),
-            burst_size=min(6, cell.messages),
-            dynamic_faults=cell.faults,
-            interval=cell.interval,
-            flits=cell.flits,
-            seed=cell.cell_seed,
-        )
-        return scenario.mesh, scenario.schedule, list(scenario.traffic)
-    # "random": the historic sweep construction (cell seeds now also hash
-    # the scenario/flits axes, so derived values differ from old exports).
-    mesh = Mesh(cell.shape)
-    rng = np.random.default_rng(cell.cell_seed)
-    fault_nodes = uniform_random_faults(mesh, cell.faults, rng, margin=1)
-    schedule = dynamic_schedule(fault_nodes, start_time=2, interval=cell.interval)
-    pairs = random_pairs(
-        mesh,
-        cell.messages,
-        rng,
-        min_distance=max(1, mesh.diameter // 2),
-        exclude=fault_nodes,
-    )
-    traffic = to_traffic(pairs, start_time=0, spacing=1, tag="sweep", flits=cell.flits)
-    return mesh, schedule, traffic
-
-
 def build_simulator(
     cell: ExperimentCell,
     *,
@@ -228,7 +169,7 @@ def build_simulator(
     are the simulator's optional observers; ``table`` is the shared probe
     table of a stacked group (see :class:`Simulator`).
     """
-    mesh, schedule, traffic = _simulate_scenario(cell)
+    mesh, schedule, traffic = simulate_scenario(cell)
     return Simulator(
         mesh,
         schedule=schedule,
@@ -242,15 +183,15 @@ def build_simulator(
     )
 
 
-def _simulate_metrics(cell: ExperimentCell, result) -> Dict[str, float]:
+def _simulate_metrics(cell: ExperimentCell, sim: Simulator) -> Dict[str, float]:
     """Metrics row of one finished simulate-mode run."""
-    stats = result.stats
+    stats = sim.stats
     worst = max(
         (c.steps_to_stabilize(cell.lam) for c in stats.convergence), default=0
     )
     metrics = dict(stats.summary())
     metrics["worst_steps_to_stabilize"] = float(worst)
-    metrics["information_cells"] = float(result.information.information_cells())
+    metrics["information_cells"] = float(sim.info.information_cells())
     return metrics
 
 

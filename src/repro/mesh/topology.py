@@ -283,40 +283,25 @@ class Mesh:
         The index is ``index_of(min(u, v)) * n_dims + dim`` where ``dim`` is
         the dimension along which the endpoints differ; it is independent of
         traversal direction, like :func:`repro.mesh.coords.canonical_link`.
-        Results are memoized per endpoint-pair (both orders), so the
-        reservation ledger's per-hop queries cost one dict hit.
         """
-        try:
-            memo = self._link_index_memo
-        except AttributeError:
-            memo = {}
-            object.__setattr__(self, "_link_index_memo", memo)
-        key = (u, v) if type(u) is tuple and type(v) is tuple else (tuple(u), tuple(v))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if len(key[0]) != self.n_dims or len(key[1]) != self.n_dims:
-            raise ValueError(f"{key[0]} and {key[1]} are not links of mesh {self.shape}")
+        u, v = tuple(u), tuple(v)
+        if len(u) != self.n_dims or len(v) != self.n_dims:
+            raise ValueError(f"{u} and {v} are not links of mesh {self.shape}")
         idx = 0
         dim = -1
-        for d, (a, b, s) in enumerate(zip(key[0], key[1], self.shape)):
+        for d, (a, b, s) in enumerate(zip(u, v, self.shape)):
             if not (0 <= a < s and 0 <= b < s):
-                raise ValueError(
-                    f"{key[0]} and {key[1]} are not links of mesh {self.shape}"
-                )
+                raise ValueError(f"{u} and {v} are not links of mesh {self.shape}")
             if a != b:
                 if dim >= 0 or abs(a - b) != 1:
-                    raise ValueError(f"{key[0]} and {key[1]} are not mesh neighbors")
+                    raise ValueError(f"{u} and {v} are not mesh neighbors")
                 dim = d
                 idx = idx * s + (a if a < b else b)
             else:
                 idx = idx * s + a
         if dim < 0:
-            raise ValueError(f"{key[0]} and {key[1]} are the same node")
-        index = idx * self.n_dims + dim
-        memo[key] = index
-        memo[(key[1], key[0])] = index
-        return index
+            raise ValueError(f"{u} and {v} are the same node")
+        return idx * self.n_dims + dim
 
     def link_of_index(self, index: int):
         """Inverse of :meth:`link_index`: the canonical ``(lo, hi)`` endpoint pair."""

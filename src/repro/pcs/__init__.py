@@ -9,8 +9,9 @@ bookkeeping, which lives here:
 
 * :mod:`repro.pcs.circuit` — circuit reservations derived from a finished
   probe, and the simulator's live link-reservation ledgers;
-* :mod:`repro.pcs.transfer` — the (trivially pipelined) data-phase model
-  used to convert a circuit length into its data-transmission hold time.
+* :mod:`repro.pcs.transfer` — :func:`~repro.pcs.transfer.hold_steps`, the
+  (trivially pipelined) data phase's hold time of a circuit length and
+  message size.
 """
 
 from repro.pcs.circuit import (
@@ -19,9 +20,8 @@ from repro.pcs.circuit import (
     CircuitLedger,
     LiveCircuitLedger,
     ReservationError,
-    make_live_ledger,
 )
-from repro.pcs.transfer import TransferModel
+from repro.pcs.transfer import hold_steps
 
 __all__ = [
     "ArrayCircuitLedger",
@@ -29,6 +29,5 @@ __all__ = [
     "CircuitLedger",
     "LiveCircuitLedger",
     "ReservationError",
-    "TransferModel",
-    "make_live_ledger",
+    "hold_steps",
 ]

@@ -7,18 +7,18 @@ PCS releases links when a probe retreats), and the live ledgers are the
 simulator's per-step view: they mirror the partial circuit each in-flight
 probe holds (reserving links as the probe advances, releasing them on
 backtrack) and keep delivered circuits reserved through their
-data-transmission hold time.  :class:`ArrayCircuitLedger` is the fast path
-(flat columns the probe table scans directly); :class:`LiveCircuitLedger`,
-a plain dict ledger, is its parity oracle and the scalar backend's ledger.
+data-transmission hold time.  Each message path has its own ledger:
+:class:`ArrayCircuitLedger` (flat columns over link slots) is the probe
+table's, and :class:`LiveCircuitLedger` (a plain dict over coordinate
+links) is the scalar probe loop's and the array ledger's parity oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Sequence, Set, Tuple, Union
 
-from repro.backend import VECTOR, resolve_backend
 from repro.mesh.coords import canonical_link, is_adjacent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -267,22 +267,22 @@ class LiveCircuitLedger:
 
 
 class ArrayCircuitLedger:
-    """Numpy-backed :class:`LiveCircuitLedger` for very large meshes.
+    """The probe table's :class:`LiveCircuitLedger`, over link slots.
 
-    Same API and byte-identical behavior, but link state lives in three flat
-    preallocated columns over the mesh's canonical link-index space
-    (:meth:`Mesh.link_index`): ``holder`` (the reserving holder id, ``-1``
-    free), ``refcount`` (the holder's traversal count of the link) and
-    ``release`` (the step a timed transfer hold expires, ``-1`` none) — so
-    :meth:`is_blocked` and :meth:`reserve_link` are O(1) indexed
-    reads/writes with no per-step dict churn, and :meth:`release_expired`
-    finds every due link in one vectorized numpy sweep over the release
-    column.  (The holder/refcount columns are flat Python lists rather than
-    ndarrays: the engine reads them one element at a time, where list
-    indexing beats numpy scalar indexing; the release column *is* an
-    ndarray because it is only ever swept whole.)  A per-holder set of held
-    link indices is kept on the side so releasing a holder touches only its
-    own links.
+    Byte-identical behavior, but links are the mesh's canonical link slots
+    (:attr:`Mesh.link_slot_table`) and link state lives in three flat
+    preallocated columns over them: ``holder`` (the reserving holder id,
+    ``-1`` free), ``refcount`` (the holder's traversal count of the link)
+    and ``release`` (the step a timed transfer hold expires, ``-1`` none) —
+    so a blocked check (the table reads ``holder`` directly) and
+    :meth:`reserve_slot` are O(1) indexed reads/writes with no per-step
+    dict churn, and :meth:`release_expired` finds every due link in one
+    vectorized numpy sweep over the release column.  (The holder/refcount
+    columns are flat Python lists rather than ndarrays: the table reads
+    them one element at a time, where list indexing beats numpy scalar
+    indexing; the release column *is* an ndarray because it is only ever
+    swept whole.)  A per-holder set of held link slots is kept on the side
+    so releasing a holder touches only its own links.
 
     One usage contract (the engine's lifecycle satisfies it, and the dict
     ledger shares it in practice): a holder reserves no further links after
@@ -316,32 +316,14 @@ class ArrayCircuitLedger:
         self._epoch = 0
         self._freed: List[int] = [0] * slots
 
-    def blocked_for(self, holder: int):
-        """The :data:`~repro.core.routing.LinkBlocked` predicate of ``holder``."""
-        holder_col = self._holder
-        link_index = self.mesh.link_index
-
-        def link_blocked(u: Coord, v: Coord) -> bool:
-            owner = holder_col[link_index(u, v)]
-            return owner >= 0 and owner != holder
-
-        return link_blocked
-
-    def is_blocked(self, holder: int, u: Sequence[int], v: Sequence[int]) -> bool:
-        """True iff the ``u``–``v`` link is reserved by a different holder."""
-        owner = self._holder[self.mesh.link_index(u, v)]
-        return bool(owner >= 0 and owner != holder)
-
-    def reserve_link(self, holder: int, u: Coord, v: Coord) -> None:
-        """Reserve the ``u``–``v`` link for ``holder`` (one forward hop)."""
-        self.reserve_slot(holder, self.mesh.link_index(u, v))
-
     def reserve_slot(self, holder: int, index: int) -> None:
-        """:meth:`reserve_link` by precomputed canonical link slot.
+        """Reserve link slot ``index`` for ``holder`` (one forward hop).
 
         The probe table reads each hop's slot off
         :attr:`Mesh.link_slot_table`, so the per-hop reserve needs no
-        endpoint-pair lookup at all.
+        endpoint-pair lookup at all.  Crossing a slot the holder already
+        has bumps its traversal count; taking a foreign one is a
+        bookkeeping bug.
         """
         owner = self._holder[index]
         if owner >= 0 and owner != holder:
@@ -356,7 +338,7 @@ class ArrayCircuitLedger:
         self._refcount[index] += 1
 
     def release_slot(self, holder: int, index: int) -> None:
-        """:meth:`release_link` by precomputed canonical link slot."""
+        """Release one traversal of link slot ``index`` (one backtrack)."""
         held = self._held.get(holder)
         if held is None or index not in held:
             return
@@ -373,32 +355,16 @@ class ArrayCircuitLedger:
             if not held:
                 del self._held[holder]
 
-    def release_link(self, holder: int, u: Coord, v: Coord) -> None:
-        """Release one traversal of the ``u``–``v`` link (one backtrack)."""
-        self.release_slot(holder, self.mesh.link_index(u, v))
+    def sync(self, holder: int, slots: Sequence[int]) -> None:
+        """Make ``holder``'s reservation exactly ``slots``, a loop-free circuit.
 
-    def sync(self, holder: int, stack: Sequence[Coord]) -> None:
-        """Make ``holder``'s reservation exactly the links along ``stack``."""
-        link_index = self.mesh.link_index
-        counts: Dict[int, int] = {}
-        for u, v in zip(stack, stack[1:]):
-            index = link_index(u, v)
-            counts[index] = counts.get(index, 0) + 1
-        self._sync_counts(holder, counts)
-
-    def sync_slots(self, holder: int, slots: Sequence[int]) -> None:
-        """:meth:`sync` by canonical link slot, for a loop-free circuit.
-
-        ``holder`` ends holding exactly ``slots`` (each once, as
-        :func:`loop_free_slots` returns them); the probe table's delivered
+        ``holder`` ends holding each of ``slots`` once, as
+        :func:`loop_free_slots` returns them; the probe table's delivered
         rows are held this way, with no coordinate round trip.
         """
-        self._sync_counts(holder, dict.fromkeys(slots, 1))
-
-    def _sync_counts(self, holder: int, counts: Dict[int, int]) -> None:
-        """Make ``holder`` hold exactly ``counts``' slots, at those counts."""
+        kept = set(slots)
         held = self._held.get(holder, set())
-        for index in held - counts.keys():
+        for index in held - kept:
             if self._holder[index] == holder:
                 self._holder[index] = -1
                 self._reserved_count -= 1
@@ -406,7 +372,7 @@ class ArrayCircuitLedger:
                 self._freed[index] = self._epoch
             self._refcount[index] = 0
             self._release[index] = -1
-        for index in counts.keys() - held:
+        for index in kept - held:
             owner = self._holder[index]
             if owner >= 0 and owner != holder:
                 raise ReservationError(
@@ -415,10 +381,10 @@ class ArrayCircuitLedger:
                 )
             self._holder[index] = holder
             self._reserved_count += 1
-        for index, count in counts.items():
-            self._refcount[index] = count
-        if counts:
-            self._held[holder] = set(counts)
+        for index in kept:
+            self._refcount[index] = 1
+        if kept:
+            self._held[holder] = kept
         else:
             self._held.pop(holder, None)
 
@@ -504,14 +470,5 @@ class ArrayCircuitLedger:
         }
 
 
-#: Either live-ledger implementation (they share one API).
+#: Either live ledger: the scalar probe loop's or the probe table's.
 CircuitLedger = Union[LiveCircuitLedger, ArrayCircuitLedger]
-
-
-def make_live_ledger(
-    mesh: "Mesh", backend: Optional[str] = None
-) -> CircuitLedger:
-    """Build the live reservation ledger for the selected backend."""
-    if resolve_backend(backend) == VECTOR:
-        return ArrayCircuitLedger(mesh)
-    return LiveCircuitLedger()

@@ -7,9 +7,15 @@ identification, boundary propagation each advance one hop per round),
 message reception, a routing decision and a message send, so every routing
 probe advances exactly one hop per step while the information model
 converges around it.
+
+A simulate-mode experiment cell's simulator comes from
+:func:`repro.experiments.runner.build_simulator`, over the mesh, fault
+schedule and traffic of :func:`repro.workloads.simulate_scenario`.
+:meth:`Simulator.run` returns the simulator itself: its ``stats`` and
+``info`` are the run's result.
 """
 
-from repro.simulator.engine import SimulationConfig, SimulationResult, Simulator
+from repro.simulator.engine import SimulationConfig, Simulator
 from repro.simulator.stats import ConvergenceRecord, MessageRecord, SimulationStats
 from repro.simulator.traffic import TrafficMessage
 
@@ -17,7 +23,6 @@ __all__ = [
     "ConvergenceRecord",
     "MessageRecord",
     "SimulationConfig",
-    "SimulationResult",
     "SimulationStats",
     "Simulator",
     "TrafficMessage",

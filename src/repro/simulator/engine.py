@@ -24,7 +24,7 @@ detour statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.backend import resolve_backend
@@ -44,8 +44,14 @@ from repro.faults.schedule import DynamicFaultSchedule, FaultEvent, FaultEventKi
 from repro.mesh.regions import Region
 from repro.mesh.topology import Mesh
 from repro.obs.profile import NULL_PROFILER
-from repro.pcs.circuit import Circuit, CircuitLedger, loop_free_slots, make_live_ledger
-from repro.pcs.transfer import TransferModel
+from repro.pcs.circuit import (
+    ArrayCircuitLedger,
+    Circuit,
+    CircuitLedger,
+    LiveCircuitLedger,
+    loop_free_slots,
+)
+from repro.pcs.transfer import hold_steps
 from repro.routing import AlgorithmRouter, Router, SetupProbe, resolve_router
 from repro.simulator.stats import ConvergenceRecord, MessageRecord, SimulationStats
 from repro.simulator.traffic import BatchSource, TrafficMessage, TrafficSource
@@ -84,18 +90,10 @@ class SimulationConfig:
     #: When True the simulator runs the PCS circuit phase: every in-flight
     #: probe keeps the links of its partial circuit reserved, reserved links
     #: are unavailable to other probes (forcing walk-around/backtrack), and
-    #: a delivered circuit stays reserved for a ``transfer``-derived hold
-    #: time driven by each message's ``flits``.
+    #: a delivered circuit stays reserved for the data phase's
+    #: :func:`~repro.pcs.transfer.hold_steps` of its length and its
+    #: message's ``flits``.
     contention: bool = False
-
-    #: Latency model converting a delivered circuit + message length into
-    #: the hold time of the data-transmission phase.
-    transfer: TransferModel = field(default_factory=TransferModel)
-
-    #: When True, information for the *initial* fault set is fully
-    #: distributed before step 0, matching the paper's assumption that the
-    #: first ``p`` faults are already stabilized when a routing starts.
-    preconverge_initial_faults: bool = True
 
     #: A probe still in flight after this many steps is reported EXHAUSTED
     #: (``None`` derives the worst-case walk length from
@@ -103,15 +101,16 @@ class SimulationConfig:
     #: offline routing uses).
     max_probe_lifetime: Optional[int] = None
 
-    #: Hot-loop implementation for the labeling rounds, the circuit ledger
-    #: and the message phase: ``"vector"`` (numpy stencil gathers, flat
-    #: reservation columns, and the :class:`~repro.core.probe_table.ProbeTable`
-    #: fast path for every policy it hosts), ``"scalar"`` (the pure-Python
-    #: reference: the :class:`~repro.core.routing.RoutingProbe` loop, the
-    #: table's parity oracle) or ``None`` to resolve via the
-    #: ``REPRO_BACKEND`` environment variable (vector by default).  Both
-    #: produce byte-identical statuses, block extents, reserved-link sets
-    #: and probe decisions — the parity tests hold the two to that.
+    #: Hot-loop implementation for the labeling rounds and the message
+    #: phase: ``"vector"`` (numpy stencil gathers, and the
+    #: :class:`~repro.core.probe_table.ProbeTable` fast path with its flat
+    #: reservation columns for every policy it hosts), ``"scalar"`` (the
+    #: pure-Python reference: the :class:`~repro.core.routing.RoutingProbe`
+    #: loop over the dict ledger, the table's parity oracle) or ``None`` to
+    #: resolve via the ``REPRO_BACKEND`` environment variable (vector by
+    #: default).  Both produce byte-identical statuses, block extents,
+    #: reserved-link sets and probe decisions — the parity tests hold the
+    #: two to that.
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -124,20 +123,6 @@ class SimulationConfig:
         resolve_router(self.router)  # unknown names fail fast, with the menu
         if self.backend is not None:
             resolve_backend(self.backend)  # unknown backends fail fast too
-
-
-@dataclass
-class SimulationResult:
-    """Everything a finished simulation exposes."""
-
-    stats: SimulationStats
-    information: InformationState
-    config: SimulationConfig
-
-    @property
-    def steps(self) -> int:
-        """Number of simulated steps."""
-        return self.stats.steps
 
 
 class Simulator:
@@ -188,14 +173,16 @@ class Simulator:
 
         #: The router driving every probe, resolved through the registry.
         self.router: Router = resolve_router(self.config.router)
-        #: Resolved hot-loop backend (labeling rounds + circuit ledger).
+        #: Resolved hot-loop backend (labeling rounds + message path).
         self._backend = resolve_backend(self.config.backend)
-        #: Live link reservations of the PCS circuit phase (``None`` keeps
-        #: the contention-free behavior byte-identical to the pre-circuit
-        #: engine).
-        self.circuits: Optional[CircuitLedger] = (
-            make_live_ledger(mesh, self._backend) if self.config.contention else None
-        )
+        eligible = table_eligible(self.router, self._backend, mesh.n_dims)
+        #: Live link reservations of the PCS circuit phase, in the ledger of
+        #: the message path: the probe table's slot ledger or the scalar
+        #: loop's dict ledger (``None`` keeps the contention-free behavior
+        #: byte-identical to the pre-circuit engine).
+        self.circuits: Optional[CircuitLedger] = None
+        if self.config.contention:
+            self.circuits = ArrayCircuitLedger(mesh) if eligible else LiveCircuitLedger()
         self._next_holder = 0
 
         #: Per-node decision cache of the scalar probe loop over
@@ -249,20 +236,25 @@ class Simulator:
         #: otherwise the simulator builds its own.
         self._table: Optional[ProbeTable] = None
         self._table_cell = -1
-        if table_eligible(self.router, self._backend, mesh.n_dims):
+        if eligible:
             self._table = table if table is not None else ProbeTable(mesh)
             self._table_cell = self._table.attach(self)
         elif table is not None:
             raise ValueError("simulator configuration is not probe-table eligible")
 
-        if self.config.preconverge_initial_faults and self.schedule.initial_faults:
+        if self.schedule.initial_faults:
             self._preconverge()
 
     # ------------------------------------------------------------------ #
     # setup
     # ------------------------------------------------------------------ #
     def _preconverge(self) -> None:
-        """Stabilize labeling and distribute information for initial faults."""
+        """Stabilize labeling and distribute information for initial faults.
+
+        The paper assumes the first ``p`` faults are already stabilized
+        when a routing starts, so their information is fully distributed
+        before step 0.
+        """
         while labeling_round(self.info.labeling, backend=self._backend):
             pass
         self._labeling_stable = True
@@ -572,7 +564,7 @@ class Simulator:
         excursion links, before the data-phase hold.
         """
         kept = loop_free_slots(stack, slots)
-        self.circuits.sync_slots(holder, kept)
+        self.circuits.sync(holder, kept)
         self._hold(holder, len(kept), message, t)
 
     def _hold_stack(
@@ -586,8 +578,7 @@ class Simulator:
 
     def _hold(self, holder: int, hops: int, message: TrafficMessage, t: int) -> None:
         """Keep ``holder``'s circuit of ``hops`` links for the data transfer."""
-        hold = self.config.transfer.hop_hold_steps(hops, message.flits)
-        self.circuits.hold_until(holder, t + hold)
+        self.circuits.hold_until(holder, t + hold_steps(hops, message.flits))
         self.stats.circuits_reserved += 1
 
     def record_occupancy(self) -> None:
@@ -615,11 +606,13 @@ class Simulator:
             or (self.circuits is not None and self.circuits.reserved_links > 0)
         )
 
-    def run(self, *, min_steps: int = 0) -> SimulationResult:
-        """Run steps until all work has drained (or ``max_steps`` is hit)."""
-        while self._step < self.config.max_steps and (
-            self._step < min_steps or self._work_remaining()
-        ):
+    def run(self) -> "Simulator":
+        """Run steps until all work has drained (or ``max_steps`` is hit).
+
+        Returns the simulator itself: its :attr:`stats` and :attr:`info`
+        are the run's result.
+        """
+        while self._step < self.config.max_steps and self._work_remaining():
             self.step()
         # Flush probes still in flight when the step budget ran out.
         if self._table is not None:
@@ -629,4 +622,4 @@ class Simulator:
             if self.circuits is not None:
                 self.circuits.release(holder)
         self._probes = []
-        return SimulationResult(stats=self.stats, information=self.info, config=self.config)
+        return self

@@ -28,12 +28,9 @@ class TrafficMessage:
     source: Coord
     destination: Coord
     start_time: int = 0
-    #: Optional label used by experiments to group messages (e.g. "before
-    #: fault", "during convergence").
-    tag: Optional[str] = None
     #: Message length in flits; with contention enabled the delivered
     #: circuit stays reserved for a hold time derived from this length
-    #: through the :class:`~repro.pcs.transfer.TransferModel`.
+    #: (:func:`~repro.pcs.transfer.hold_steps`).
     flits: int = 64
 
     #: Step at which the message was *generated* (``None`` means at

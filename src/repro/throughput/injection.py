@@ -16,9 +16,10 @@ Two ingredients compose an :class:`OpenLoopSource`:
   :data:`MEAN_BURST`);
 * a **spatial pattern** deciding *where* each message goes — ``uniform``
   (uniform-random destinations), ``transpose`` (the adversarial coordinate
-  reversal) or ``hotspot`` (:data:`HOTSPOT_FRACTION` of the messages target
-  the node nearest the mesh centre), the same families as the closed-batch
-  congestion workloads in :mod:`repro.workloads.congestion`.
+  reversal) or ``hotspot`` (:data:`~repro.workloads.traffic.HOTSPOT_FRACTION`
+  of the messages target :func:`~repro.workloads.traffic.hotspot_node`), the
+  same families as the closed-batch traffic of
+  :func:`~repro.workloads.simulate_scenario`.
 
 Everything is deterministic in the source's seed: the per-step RNG draws
 happen in a fixed order, so two runs with the same seed inject the same
@@ -35,6 +36,7 @@ import numpy as np
 
 from repro.mesh.topology import Mesh
 from repro.simulator.traffic import TrafficMessage
+from repro.workloads.traffic import HOTSPOT_FRACTION, hotspot_node
 
 Coord = Tuple[int, ...]
 
@@ -45,9 +47,6 @@ PATTERNS = ("uniform", "transpose", "hotspot")
 #: its ON periods last ``MEAN_BURST`` steps on average.
 BURSTINESS = 4.0
 MEAN_BURST = 8.0
-
-#: Share of a ``hotspot`` source's messages that target the hotspot.
-HOTSPOT_FRACTION = 0.5
 
 #: Steps a port stays idle before re-issuing a failed setup, per attempt.
 RETRY_BACKOFF = 8
@@ -167,7 +166,7 @@ class OpenLoopSource:
         if len(self.nodes) < 2:
             raise ValueError("need at least two non-excluded nodes")
         self._excluded = excluded
-        self.hotspot = self._pick_hotspot() if pattern == "hotspot" else None
+        self.hotspot = hotspot_node(mesh, excluded) if pattern == "hotspot" else None
         #: Messages generated so far (the offered load; includes queued).
         self.generated = 0
         #: Messages actually emitted into the simulator so far.
@@ -185,13 +184,6 @@ class OpenLoopSource:
         #: whose queue is not empty: the only nodes emission visits.
         self._ready: Set[int] = set()
         self._position = {node: i for i, node in enumerate(self.nodes)}
-
-    def _pick_hotspot(self) -> Coord:
-        centre = tuple(s // 2 for s in self.mesh.shape)
-        if centre not in self._excluded:
-            return centre
-        # Fall back to the usable node nearest the centre (deterministic).
-        return min(self.nodes, key=lambda n: (self.mesh.distance(n, centre), n))
 
     # ------------------------------------------------------------------ #
     # TrafficSource protocol
@@ -229,7 +221,6 @@ class OpenLoopSource:
                     source=node,
                     destination=destination,
                     start_time=step,
-                    tag=self.pattern,
                     flits=self.flits,
                     created_time=created,
                 )

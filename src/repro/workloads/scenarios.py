@@ -1,15 +1,17 @@
-"""The paper's worked scenarios and composite experiment builders.
+"""The paper's worked scenarios and the closed-batch simulate scenario.
 
 Each ``figureN_scenario`` returns the exact configuration drawn in the
 corresponding figure of the paper so that tests and benches can check the
 reproduced behaviour against the published description (e.g. Figure 1's four
-faults producing the block ``[3:5, 5:6, 3:4]``).
+faults producing the block ``[3:5, 5:6, 3:4]``).  :func:`simulate_scenario`
+builds the mesh, dynamic fault schedule and traffic of one simulate-mode
+experiment cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,19 +20,21 @@ from repro.faults.schedule import DynamicFaultSchedule, FaultEvent, FaultEventKi
 from repro.mesh.regions import Region
 from repro.mesh.topology import Mesh
 from repro.simulator.traffic import TrafficMessage
-from repro.workloads.traffic import random_pairs, to_traffic
+from repro.workloads.traffic import hotspot_pairs, random_pairs, transpose_pairs
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.experiments.spec import ExperimentCell
 
 Coord = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class DynamicRoutingScenario:
-    """A complete experiment: mesh, fault schedule and traffic."""
+    """A paper figure's configuration: mesh and fault schedule."""
 
     name: str
     mesh: Mesh
     schedule: DynamicFaultSchedule
-    traffic: Tuple[TrafficMessage, ...] = ()
     #: The block extent(s) the paper says should emerge, when applicable.
     expected_extents: Tuple[Region, ...] = ()
 
@@ -155,46 +159,67 @@ def two_block_scenario(radix: int = 12) -> DynamicRoutingScenario:
 
 
 # ---------------------------------------------------------------------- #
-# Composite dynamic experiments (companion-paper style)
+# Closed-batch simulate runs
 # ---------------------------------------------------------------------- #
-def random_dynamic_scenario(
-    *,
-    radix: int = 12,
-    n_dims: int = 3,
-    shape: Optional[Sequence[int]] = None,
-    dynamic_faults: int = 8,
-    initial_faults: int = 0,
-    interval: int = 10,
-    messages: int = 20,
-    min_distance: Optional[int] = None,
-    seed: int = 0,
-) -> DynamicRoutingScenario:
-    """A randomized dynamic-fault routing experiment.
+#: Steps between successive bursts of the ``bursty`` family.
+BURST_INTERVAL = 12
 
-    ``dynamic_faults`` interior nodes fail one per ``interval`` steps while
-    ``messages`` probes between random far-apart pairs are in flight — the
-    setting of the graceful-degradation experiments.  ``shape`` overrides
-    the ``radix``/``n_dims`` cube with a rectangular mesh.
+
+def simulate_scenario(
+    cell: "ExperimentCell",
+) -> Tuple[Mesh, DynamicFaultSchedule, List[TrafficMessage]]:
+    """Mesh, fault schedule and traffic of one simulate-mode cell.
+
+    ``cell.faults`` interior nodes fail one per ``cell.interval`` steps from
+    step 2 while ``cell.messages`` probes of the cell's traffic family are
+    in flight; no endpoint is a scheduled fault.  The families:
+
+    * ``random`` — uniform pairs at least half the diameter apart, one
+      injected per step;
+    * ``hotspot`` — :func:`hotspot_pairs` at least a third of the diameter
+      apart, one per step, so circuits funnel into the hotspot's links;
+    * ``transpose`` — the first ``cell.messages`` pairs of
+      :func:`transpose_pairs` (those touching a fault then dropped), all
+      injected at step 0, so every setup crosses the diagonal at once;
+    * ``bursty`` — ``cell.messages // 6`` waves (at least one) of 6 random
+      pairs (all ``cell.messages`` when fewer) injected together,
+      :data:`BURST_INTERVAL` steps apart, so each wave races for links.
+
+    Everything derives from ``cell.cell_seed`` alone (faults first, then
+    the pairs), so every policy of one configuration replays the identical
+    scenario.
     """
-    rng = np.random.default_rng(seed)
-    mesh = Mesh(tuple(shape)) if shape is not None else Mesh.cube(radix, n_dims)
-    fault_nodes = uniform_random_faults(
-        mesh, dynamic_faults + initial_faults, rng, margin=1
-    )
-    initial = fault_nodes[:initial_faults]
-    dynamic = fault_nodes[initial_faults:]
-    schedule = dynamic_schedule(
-        dynamic, start_time=2, interval=interval, initial=initial
-    )
-    if min_distance is None:
-        min_distance = mesh.diameter // 2
-    pairs = random_pairs(
-        mesh, messages, rng, min_distance=min_distance, exclude=fault_nodes
-    )
-    traffic = to_traffic(pairs, start_time=0, spacing=1, tag="dynamic")
-    return DynamicRoutingScenario(
-        name=f"dynamic-{mesh.n_dims}d-f{dynamic_faults}",
-        mesh=mesh,
-        schedule=schedule,
-        traffic=tuple(traffic),
-    )
+    mesh = Mesh(cell.shape)
+    rng = np.random.default_rng(cell.cell_seed)
+    faults = uniform_random_faults(mesh, cell.faults, rng, margin=1)
+    schedule = dynamic_schedule(faults, start_time=2, interval=cell.interval)
+    far = max(1, mesh.diameter // 2)
+    if cell.scenario == "transpose":
+        dead = set(faults)
+        pairs = [
+            (s, d)
+            for s, d in transpose_pairs(mesh, limit=cell.messages)
+            if s not in dead and d not in dead
+        ]
+        starts = [0] * len(pairs)
+    elif cell.scenario == "bursty":
+        size = min(6, cell.messages)
+        pairs = random_pairs(
+            mesh, max(1, cell.messages // 6) * size, rng,
+            min_distance=far, exclude=faults,
+        )
+        starts = [i // size * BURST_INTERVAL for i in range(len(pairs))]
+    elif cell.scenario == "hotspot":
+        pairs = hotspot_pairs(
+            mesh, cell.messages, rng,
+            min_distance=max(1, mesh.diameter // 3), exclude=faults,
+        )
+        starts = range(len(pairs))
+    else:
+        pairs = random_pairs(mesh, cell.messages, rng, min_distance=far, exclude=faults)
+        starts = range(len(pairs))
+    traffic = [
+        TrafficMessage(source=s, destination=d, start_time=t, flits=cell.flits)
+        for (s, d), t in zip(pairs, starts)
+    ]
+    return mesh, schedule, traffic

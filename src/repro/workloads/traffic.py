@@ -2,9 +2,9 @@
 
 The companion evaluations route batches of messages between random or
 structured node pairs while faults occur; these helpers generate the pairs
-and convert them into :class:`~repro.simulator.traffic.TrafficMessage`
-lists.  All random generation takes a :class:`numpy.random.Generator` for
-reproducibility.
+(uniform random, hotspot, transpose) and convert them into
+:class:`~repro.simulator.traffic.TrafficMessage` lists.  All random
+generation takes a :class:`numpy.random.Generator` for reproducibility.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from repro.simulator.traffic import TrafficMessage
 
 Coord = Tuple[int, ...]
 Pair = Tuple[Coord, Coord]
+
+#: Share of hotspot traffic (closed-batch and open-loop) that targets the
+#: hotspot node.
+HOTSPOT_FRACTION = 0.5
 
 
 def random_pairs(
@@ -58,6 +62,58 @@ def random_pairs(
     return pairs
 
 
+def hotspot_node(mesh: Mesh, exclude: Iterable[Sequence[int]] = ()) -> Coord:
+    """The node hotspot traffic targets: the mesh centre unless excluded,
+    else the non-excluded node nearest to it (ties broken by coordinate)."""
+    centre = tuple(s // 2 for s in mesh.shape)
+    excluded = {tuple(e) for e in exclude}
+    if centre not in excluded:
+        return centre
+    return min(
+        (node for node in mesh.nodes() if node not in excluded),
+        key=lambda node: (mesh.distance(node, centre), node),
+    )
+
+
+def hotspot_pairs(
+    mesh: Mesh,
+    count: int,
+    rng: np.random.Generator,
+    *,
+    min_distance: int = 1,
+    exclude: Optional[Iterable[Sequence[int]]] = None,
+) -> List[Pair]:
+    """``count`` pairs of which :data:`HOTSPOT_FRACTION` target the hotspot.
+
+    The hotspot is :func:`hotspot_node` and no endpoint is excluded.
+    Hotspot messages use random far-enough sources; the remainder is
+    uniform random traffic, so the contention concentrates on the links
+    around the hotspot.
+    """
+    excluded = {tuple(e) for e in (exclude or [])}
+    hot = hotspot_node(mesh, excluded)
+    hot_count = round(count * HOTSPOT_FRACTION)
+    candidates = [
+        node
+        for node in mesh.nodes()
+        if node not in excluded
+        and node != hot
+        and mesh.distance(node, hot) >= min_distance
+    ]
+    if hot_count and not candidates:
+        raise ValueError(
+            f"no usable hotspot sources at distance >= {min_distance} from {hot}"
+        )
+    pairs: List[Pair] = [
+        (candidates[int(i)], hot)
+        for i in rng.integers(0, len(candidates), size=hot_count)
+    ]
+    pairs += random_pairs(
+        mesh, count - len(pairs), rng, min_distance=min_distance, exclude=excluded
+    )
+    return pairs
+
+
 def transpose_pairs(mesh: Mesh, *, limit: Optional[int] = None) -> List[Pair]:
     """Transpose traffic: node ``(u_1, ..., u_n)`` sends to ``(u_n, ..., u_1)``.
 
@@ -82,7 +138,6 @@ def to_traffic(
     *,
     start_time: int = 0,
     spacing: int = 0,
-    tag: Optional[str] = None,
     flits: int = 64,
 ) -> List[TrafficMessage]:
     """Convert pairs into simulator traffic.
@@ -99,7 +154,6 @@ def to_traffic(
                 source=source,
                 destination=destination,
                 start_time=time,
-                tag=tag,
                 flits=flits,
             )
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.mesh.topology import Mesh
 from repro.pcs.circuit import Circuit, LiveCircuitLedger, ReservationError
-from repro.pcs.transfer import TransferModel
+from repro.pcs.transfer import hold_steps
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.simulator.traffic import TrafficMessage
 
@@ -73,12 +73,11 @@ class TestLiveCircuitLedger:
 
 class TestHoldSteps:
     def test_hold_scales_with_flits_and_length(self):
-        model = TransferModel()
-        short = Circuit(((0, 0), (1, 0)))
-        long = Circuit(tuple((i, 0) for i in range(6)))
-        assert model.hold_steps(short, 0) == 1  # even empty messages hold
-        assert model.hold_steps(long, 64) >= model.hold_steps(short, 64)
-        assert model.hold_steps(short, 1000) > model.hold_steps(short, 10)
+        short = Circuit(((0, 0), (1, 0))).length
+        long = Circuit(tuple((i, 0) for i in range(6))).length
+        assert hold_steps(short, 0) == 1  # even empty messages hold
+        assert hold_steps(long, 64) >= hold_steps(short, 64)
+        assert hold_steps(short, 1000) > hold_steps(short, 10)
 
     def test_flits_validation(self):
         with pytest.raises(ValueError):

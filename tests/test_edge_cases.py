@@ -100,4 +100,4 @@ class TestMixedDynamics:
         # The probe cannot be delivered to a faulty destination; it must
         # terminate (unreachable or exhausted), not loop forever.
         assert record.result.outcome is not RouteOutcome.DELIVERED
-        assert result.steps < 400
+        assert result.stats.steps < 400

@@ -67,7 +67,7 @@ class TestFigure4RecoveryPipeline:
                 TrafficMessage(source=source, destination=destination, start_time=20)
             ],
             config=config,
-        ).run(min_steps=20)
+        ).run()
         after = dynamic.stats.messages[0]
 
         assert before.delivered and after.delivered
@@ -153,24 +153,22 @@ class TestGracefulDegradation:
     number of dynamic faults grows."""
 
     def test_detours_grow_slowly_with_fault_count(self):
-        from repro.workloads.scenarios import random_dynamic_scenario
+        from dataclasses import replace
+
+        from repro.experiments import ExperimentSpec
+        from repro.experiments.runner import build_simulator
 
         means = {}
         for fault_count in (2, 8):
-            scenario = random_dynamic_scenario(
-                radix=10,
-                n_dims=2,
-                dynamic_faults=fault_count,
-                interval=12,
-                messages=10,
-                seed=7,
-            )
-            result = Simulator(
-                scenario.mesh,
-                schedule=scenario.schedule,
-                traffic=list(scenario.traffic),
-                config=SimulationConfig(lam=4),
-            ).run()
+            (cell,) = ExperimentSpec(
+                mode="simulate",
+                mesh_shapes=((10, 10),),
+                fault_counts=(fault_count,),
+                fault_intervals=(12,),
+                lams=(4,),
+                traffic_sizes=(10,),
+            ).cells()
+            result = build_simulator(replace(cell, cell_seed=7)).run()
             assert result.stats.delivery_rate == 1.0
             means[fault_count] = result.stats.mean_detours
         # More faults may cost more detours, but the degradation is bounded

@@ -13,6 +13,7 @@ The load-bearing contracts:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -32,19 +33,21 @@ from repro.obs.report import render_telemetry_report, render_trace_report, sniff
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.simulator.stats import percentile
 from repro.viz.ascii import sparkline
-from repro.workloads.scenarios import random_dynamic_scenario
+from repro.workloads.scenarios import simulate_scenario
 
 
 def _contended_sim(backend=None, recorder=None, profiler=None,
                    router="limited-global"):
     """A contended 8x8 dynamic-fault scenario (the acceptance scenario)."""
-    scenario = random_dynamic_scenario(
-        shape=(8, 8), dynamic_faults=4, interval=15, messages=24, seed=1
-    )
+    (cell,) = ExperimentSpec(
+        mode="simulate", mesh_shapes=((8, 8),), fault_counts=(4,),
+        fault_intervals=(15,), traffic_sizes=(24,),
+    ).cells()
+    mesh, schedule, traffic = simulate_scenario(replace(cell, cell_seed=1))
     return Simulator(
-        scenario.mesh,
-        schedule=scenario.schedule,
-        traffic=list(scenario.traffic),
+        mesh,
+        schedule=schedule,
+        traffic=traffic,
         config=SimulationConfig(
             lam=2, router=router, contention=True, backend=backend
         ),

@@ -1,12 +1,14 @@
 """Unit tests for the PCS circuit and transfer models."""
 
+import math
+
 import pytest
 
 from repro.core.distribution import converged_information
 from repro.core.routing import RoutingPolicy, route_offline
 from repro.core.state import InformationState
 from repro.pcs.circuit import Circuit
-from repro.pcs.transfer import TransferModel
+from repro.pcs.transfer import DATA_HOP_LATENCY, FLIT_INJECTION_LATENCY, hold_steps
 from repro.workloads.scenarios import FIGURE1_FAULTS
 
 
@@ -63,9 +65,11 @@ class TestCircuit:
         assert Circuit.from_stack(stack).path == tuple(stack)
 
 
-class TestTransferModel:
+class TestHoldSteps:
     def test_data_latency_components(self):
-        model = TransferModel(data_hop_latency=0.5, flit_injection_latency=0.1)
-        assert model.hop_data_latency(2, 10) == pytest.approx(0.5 * 2 + 0.1 * 10)
-        with pytest.raises(ValueError):
-            model.hop_data_latency(2, -1)
+        """Pipeline fill plus flit streaming, rounded up to whole steps."""
+        assert (DATA_HOP_LATENCY, FLIT_INJECTION_LATENCY) == (0.2, 0.05)
+        for hops, flits in [(2, 10), (5, 100), (11, 64), (0, 0), (1, 1)]:
+            latency = DATA_HOP_LATENCY * hops + FLIT_INJECTION_LATENCY * flits
+            assert hold_steps(hops, flits) == max(1, math.ceil(latency))
+        assert hold_steps(5, 100) == 6

@@ -5,7 +5,8 @@ fast path: one batched classification and one row walk per step instead of
 per-object stepping.  Its oracle is the scalar
 :class:`~repro.core.routing.RoutingProbe` loop
 (``Simulator._step_messages``), which a simulator runs once ``sim._table``
-is cleared.  This suite holds the two to byte-identity — per-message
+is cleared and, when contended, its ledger is the dict ledger the loop
+reads (``_force_scalar_loop``).  This suite holds the two to byte-identity — per-message
 outcomes and paths AND the aggregated :class:`SimulationStats` summary —
 across every registered routing policy, with and without circuit
 contention, over all four closed-batch traffic scenarios, plus randomized
@@ -34,13 +35,15 @@ from repro.backend import VECTOR, resolve_backend
 from repro.core import probe_table
 from repro.core.block_construction import build_blocks
 from repro.experiments import ExperimentSpec, run_batch
-from repro.experiments.runner import _simulate_scenario, build_simulator
+from repro.experiments.runner import build_simulator
 from repro.faults.schedule import DynamicFaultSchedule
 from repro.mesh.topology import Mesh
 from repro.obs.recorder import StepRecorder
+from repro.pcs.circuit import LiveCircuitLedger
 from repro.routing import available_routers, resolve_router
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.simulator.traffic import TrafficMessage
+from repro.workloads import simulate_scenario
 from repro.workloads.traffic import to_traffic
 
 POLICIES = available_routers()
@@ -83,8 +86,16 @@ def _fingerprint(stats):
 def _run(cell, table):
     sim = build_simulator(cell)
     if not table:
-        sim._table = None  # force the scalar per-object oracle path
+        _force_scalar_loop(sim)
     return sim.run().stats
+
+
+def _force_scalar_loop(sim):
+    """Step ``sim`` on the scalar per-object oracle path, over the dict
+    ledger that path reads (call before its first step)."""
+    sim._table = None
+    if sim.circuits is not None:
+        sim.circuits = LiveCircuitLedger()
 
 
 class TestProbeTableScalarParity:
@@ -148,7 +159,7 @@ class TestProbeTableScalarParity:
         sim = Simulator(
             mesh,
             schedule=DynamicFaultSchedule.static(faults),
-            traffic=to_traffic(pairs * 4, start_time=0, spacing=1, tag="v", flits=8),
+            traffic=to_traffic(pairs * 4, start_time=0, spacing=1, flits=8),
             config=SimulationConfig(router="static-block", contention=True),
         )
         stats = sim.run().stats
@@ -200,7 +211,7 @@ class TestWaiterParking:
         assert waiter.result.setup_retries == 5  # waited in steps 1-5
         assert waiter.result.blocked_hops == 10
         oracle = self._sim(VECTOR)
-        oracle._table = None  # the scalar probe loop
+        _force_scalar_loop(oracle)
         assert _fingerprint(stats) == _fingerprint(oracle.run().stats)
 
     def test_ledger_stamps_every_freed_slot(self):
@@ -217,7 +228,7 @@ class TestWaiterParking:
         ledger.reserve_slot(3, d)
         ledger.release_slot(1, a)
         assert ledger._freed[a] == ledger._epoch == 1
-        ledger.sync_slots(1, [])          # frees b
+        ledger.sync(1, [])                # frees b
         assert ledger._freed[b] == 2
         ledger.hold_until(2, 5)
         ledger.release_expired(5)         # frees c
@@ -243,7 +254,7 @@ class TestSharedTableCounters:
     def _vector_sim(cell, recorder=None, table=None):
         """``cell``'s simulator on a probe table whatever the default
         backend: ``table`` if given, else its own."""
-        mesh, schedule, traffic = _simulate_scenario(cell)
+        mesh, schedule, traffic = simulate_scenario(cell)
         config = SimulationConfig(lam=cell.lam, router=cell.policy,
                                   contention=cell.contention, backend=VECTOR)
         return Simulator(mesh, schedule=schedule, traffic=traffic,

@@ -196,7 +196,7 @@ def _sim(name, schedule, backend, *, contention=True):
     return Simulator(
         mesh,
         schedule=schedule,
-        traffic=to_traffic(pairs * 3, start_time=0, spacing=1, tag="d", flits=8),
+        traffic=to_traffic(pairs * 3, start_time=0, spacing=1, flits=8),
         config=SimulationConfig(router=name, contention=contention, backend=backend),
     )
 

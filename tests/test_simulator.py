@@ -58,7 +58,7 @@ class TestFaultFreeSimulation:
 
     def test_no_work_terminates_quickly(self, mesh2d):
         result = Simulator(mesh2d).run()
-        assert result.steps == 0
+        assert result.stats.steps == 0
 
 
 class TestStaticFaultSimulation:
@@ -67,14 +67,6 @@ class TestStaticFaultSimulation:
         sim = Simulator(mesh3d, schedule=scenario.schedule)
         assert sim.info.has_block_info((2, 4, 2), FIGURE1_EXTENT)
         assert sim.info.information_cells() > 0
-
-    def test_without_preconvergence_information_builds_during_run(self, mesh3d):
-        scenario = figure1_scenario()
-        config = SimulationConfig(preconverge_initial_faults=False, lam=4)
-        sim = Simulator(mesh3d, schedule=scenario.schedule, config=config)
-        assert sim.info.information_cells() == 0
-        sim.run(min_steps=40)
-        assert sim.info.has_block_info((2, 4, 2), FIGURE1_EXTENT)
 
     def test_routing_around_static_block(self, mesh3d):
         scenario = figure1_scenario()
@@ -136,7 +128,7 @@ class TestDynamicFaults:
         config = SimulationConfig(lam=4)
         sim = Simulator(mesh3d, schedule=scenario.schedule, config=config)
         assert sim.info.has_block_info((2, 4, 2), FIGURE1_EXTENT)
-        sim.run(min_steps=30)
+        sim.run()
         # The original full-extent record must have been cancelled: the
         # stabilized blocks after recovery are strictly smaller.
         extents = {
@@ -159,7 +151,7 @@ class TestExecutionModel:
     def test_lambda_rounds_per_step(self, mesh3d):
         """Exactly λ information rounds are executed per step."""
         schedule = dynamic_schedule([(5, 5, 5)], start_time=0)
-        config = SimulationConfig(lam=3, preconverge_initial_faults=False)
+        config = SimulationConfig(lam=3)
         sim = Simulator(mesh3d, schedule=schedule, config=config)
         sim.step()
         sim.step()
@@ -195,7 +187,7 @@ class TestExecutionModel:
         traffic = [TrafficMessage(source=(0, 0), destination=(9, 9))]
         result = Simulator(mesh2d, traffic=traffic, config=config).run()
         assert len(result.stats.messages) == 1
-        assert result.steps == 3
+        assert result.stats.steps == 3
 
     def test_traffic_validation(self, mesh2d):
         with pytest.raises(ValueError):

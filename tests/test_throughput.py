@@ -14,6 +14,7 @@ from repro.core.state import InformationState
 from repro.experiments import ExperimentSpec, run_batch
 from repro.faults.schedule import DynamicFaultSchedule
 from repro.mesh.topology import Mesh
+from repro.pcs.circuit import LiveCircuitLedger
 from repro.simulator.engine import SimulationConfig, Simulator
 from repro.simulator.traffic import BatchSource, TrafficMessage
 from repro.throughput import (
@@ -27,6 +28,20 @@ from repro.throughput import (
     run_throughput_point,
 )
 from repro.throughput.injection import HOTSPOT_FRACTION, RETRY_BACKOFF
+from repro.workloads import simulate_scenario
+
+
+def _transpose_scenario(seed):
+    """Mesh, schedule and traffic of a 6x6 transpose cell with three
+    dynamic faults and the full 30-pair batch, seeded ``seed``."""
+    (cell,) = ExperimentSpec(
+        mode="simulate",
+        mesh_shapes=((6, 6),),
+        scenarios=("transpose",),
+        fault_counts=(3,),
+        traffic_sizes=(30,),
+    ).cells()
+    return simulate_scenario(replace(cell, cell_seed=seed))
 
 
 def _cell(shape, policy, pattern, rate, *, seed, faults=0, **windows):
@@ -243,20 +258,14 @@ class TestOpenLoopSource:
 class TestStreamingSourceParity:
     """A BatchSource-fed simulator equals the historic list-fed one."""
 
-    def _scenario(self):
-        from repro.workloads.congestion import transpose_scenario
-
-        return transpose_scenario(radix=6, n_dims=2, dynamic_faults=3, seed=5)
-
     @pytest.mark.parametrize("contention", [False, True])
     def test_batch_source_equals_list(self, contention):
         results = []
         for as_source in (False, True):
-            scenario = self._scenario()
-            traffic = list(scenario.traffic)
+            mesh, schedule, traffic = _transpose_scenario(5)
             sim = Simulator(
-                scenario.mesh,
-                schedule=scenario.schedule,
+                mesh,
+                schedule=schedule,
                 traffic=BatchSource(traffic) if as_source else traffic,
                 config=SimulationConfig(
                     router="limited-global", contention=contention
@@ -280,8 +289,9 @@ class TestTableStepping:
     """The probe table is byte-identical to the scalar per-probe oracle.
 
     The oracle is the plain ``RoutingProbe`` loop a simulator runs once
-    ``sim._table`` is cleared.  ``global-information`` plans by BFS and never
-    gets a table, so for it both runs take the object path.
+    ``sim._table`` is cleared, over the dict ledger that loop reads when
+    contended.  ``global-information`` plans by BFS and never gets a table,
+    so for it both runs take the object path.
     """
 
     @pytest.mark.parametrize("detour_cap", ["default", "zero"])
@@ -295,23 +305,25 @@ class TestTableStepping:
         the table classifies through the CSR constraint-row fallback."""
         from repro.backend import VECTOR, resolve_backend
         from repro.core.decision import DecisionTables
-        from repro.workloads.congestion import transpose_scenario
 
         if detour_cap == "zero":
             monkeypatch.setattr(DecisionTables, "DETOUR_TABLE_CAP", 0)
         hosted = router != "global-information" and resolve_backend() == VECTOR
         results = []
         for table in (True, False):
-            scenario = transpose_scenario(radix=6, n_dims=2, dynamic_faults=3, seed=2)
+            mesh, schedule, traffic = _transpose_scenario(2)
             sim = Simulator(
-                scenario.mesh,
-                schedule=scenario.schedule,
-                traffic=list(scenario.traffic),
+                mesh,
+                schedule=schedule,
+                traffic=traffic,
                 config=SimulationConfig(router=router, contention=contention),
             )
             assert (sim._table is not None) == hosted
             if not table:
-                sim._table = None  # run the scalar oracle
+                # Run the scalar oracle, over the dict ledger it reads.
+                sim._table = None
+                if contention:
+                    sim.circuits = LiveCircuitLedger()
             stats = sim.run().stats
             results.append(
                 (
@@ -338,11 +350,9 @@ class TestDecisionCache:
         from repro.core.block_construction import build_blocks
         from repro.core.routing import DecisionCache, route_offline
         from repro.routing import resolve_router
-        from repro.workloads.congestion import transpose_scenario
 
-        scenario = transpose_scenario(radix=6, n_dims=2, dynamic_faults=3, seed=2)
-        mesh = scenario.mesh
-        faults = sorted({event.node for event in scenario.schedule.events})
+        mesh, schedule, traffic = _transpose_scenario(2)
+        faults = sorted({event.node for event in schedule.events})
         labeling = build_blocks(mesh, faults).state
         policy = resolve_router(router)
         info = policy.offline_view(mesh, labeling)
@@ -350,7 +360,7 @@ class TestDecisionCache:
         blocked = labeling.block_nodes
         pairs = [
             (m.source, m.destination)
-            for m in scenario.traffic
+            for m in traffic
             if m.source not in blocked and m.destination not in blocked
         ]
         assert pairs
@@ -805,8 +815,6 @@ class TestEngineLabelingSkip:
     """The stable-labeling skip must not change any statistic."""
 
     def test_dynamic_schedule_stats_unchanged_by_skip(self):
-        from repro.workloads.scenarios import random_dynamic_scenario
-
         class NoSkipSimulator(Simulator):
             """Forces a real labeling round every step (the pre-skip engine)."""
 
@@ -814,14 +822,17 @@ class TestEngineLabelingSkip:
                 self._labeling_stable = False
                 super().step()
 
+        (cell,) = ExperimentSpec(
+            mode="simulate", mesh_shapes=((6, 6),), fault_counts=(3,),
+            fault_intervals=(7,), traffic_sizes=(8,),
+        ).cells()
+
         def run(cls):
-            scenario = random_dynamic_scenario(
-                shape=(6, 6), dynamic_faults=3, interval=7, messages=8, seed=11
-            )
+            mesh, schedule, traffic = simulate_scenario(replace(cell, cell_seed=11))
             sim = cls(
-                scenario.mesh,
-                schedule=scenario.schedule,
-                traffic=list(scenario.traffic),
+                mesh,
+                schedule=schedule,
+                traffic=traffic,
                 config=SimulationConfig(router="limited-global"),
             )
             stats = sim.run().stats

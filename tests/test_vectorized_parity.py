@@ -42,7 +42,7 @@ from repro.pcs.circuit import (
     ReservationError,
     loop_free_slots,
 )
-from repro.pcs.transfer import TransferModel
+from repro.pcs.transfer import hold_steps
 from repro.routing import available_routers
 from repro.routing.static_block import adjacent_only_information
 from repro.simulator.engine import SimulationConfig, Simulator
@@ -170,7 +170,7 @@ class TestScheduleReplayParity:
                      m.result.outcome, tuple(m.result.path))
                     for m in result.stats.messages
                 ],
-                result.information.labeling.non_enabled_nodes(),
+                result.info.labeling.non_enabled_nodes(),
             )
             if contention:
                 assert sim.circuits.reserved_links == 0
@@ -417,7 +417,15 @@ class TestDecisionBatchParity:
 # --------------------------------------------------------------------- #
 # circuit ledger
 # --------------------------------------------------------------------- #
+def _slots(mesh, path):
+    """The link slots along a loop-free coordinate ``path``."""
+    return [mesh.link_index(u, v) for u, v in zip(path, path[1:])]
+
+
 class TestLedgerParity:
+    """The dict ledger over coordinates against the array ledger over the
+    link slots the probe table reserves by."""
+
     def _assert_ledgers_identical(self, scalar, vector):
         assert scalar.reserved_links == vector.reserved_links
         assert scalar.active_holders == vector.active_holders
@@ -450,9 +458,10 @@ class TestLedgerParity:
                 ]
                 if moves:
                     nxt = moves[int(rng.integers(0, len(moves)))]
-                    assert vector.is_blocked(holder, stack[-1], nxt) is False
+                    slot = mesh.link_index(stack[-1], nxt)
+                    assert vector._holder[slot] in (-1, holder)
                     scalar.reserve_link(holder, stack[-1], nxt)
-                    vector.reserve_link(holder, stack[-1], nxt)
+                    vector.reserve_slot(holder, slot)
                     stack.append(nxt)
             elif op < 8:  # backtrack one hop
                 holder = int(rng.choice(list(stacks)))
@@ -460,13 +469,13 @@ class TestLedgerParity:
                 if len(stack) > 1:
                     tail = stack.pop()
                     scalar.release_link(holder, tail, stack[-1])
-                    vector.release_link(holder, tail, stack[-1])
+                    vector.release_slot(holder, mesh.link_index(tail, stack[-1]))
             elif op < 9:  # deliver: collapse to circuit, timed hold
                 holder = int(rng.choice(list(stacks)))
                 stack = stacks.pop(holder)
                 circuit = Circuit.from_stack(stack)
                 scalar.sync(holder, circuit.path)
-                vector.sync(holder, circuit.path)
+                vector.sync(holder, _slots(mesh, circuit.path))
                 hold = step + int(rng.integers(1, 6))
                 scalar.hold_until(holder, hold)
                 vector.hold_until(holder, hold)
@@ -509,13 +518,14 @@ class TestLedgerParity:
                     break
                 nxt = moves[rng.integers(len(moves))]
                 scalar.reserve_link(holder, stack[-1], nxt)
-                vector.reserve_link(holder, stack[-1], nxt)
+                vector.reserve_slot(holder, mesh.link_index(stack[-1], nxt))
                 stack.append(nxt)
             if rng.random() < 0.5:  # delivered: hold the circuit a while
                 path = Circuit.from_stack(stack).path
                 release = holder + int(rng.integers(1, 40))
+                scalar.sync(holder, path)
+                vector.sync(holder, _slots(mesh, path))
                 for ledger in (scalar, vector):
-                    ledger.sync(holder, path)
                     ledger.hold_until(holder, release)
             if holder % 3 == 2:
                 node = nodes[rng.integers(len(nodes))]
@@ -530,17 +540,16 @@ class TestLedgerParity:
     @pytest.mark.parametrize("shape", [(6, 6), (4, 4, 4)])
     def test_slot_hold_matches_circuit_hold(self, shape):
         """A delivered probe-table row is held by slot: its index stack cut
-        by :func:`loop_free_slots`, synced by ``sync_slots`` and held for
-        the hop-count formula.  On random walks that reserve and release
-        hop by hop the way the table does, loops back onto their own stacks
-        included, it leaves the same reserved links, the same holder per
-        link and the same release steps as :meth:`Circuit.from_stack` +
-        ``sync`` + ``hold_steps`` on the dict ledger."""
+        by :func:`loop_free_slots`, synced by slot and held for
+        :func:`hold_steps` of its length.  On random walks that reserve and
+        release hop by hop the way the table does, loops back onto their own
+        stacks included, it leaves the same reserved links, the same holder
+        per link and the same release steps as :meth:`Circuit.from_stack` +
+        ``sync`` on the dict ledger."""
         mesh = Mesh(shape)
         nodes = list(mesh.nodes())
         neighbors = mesh.neighbor_table.tolist()
         link_slots = mesh.link_slot_table.tolist()
-        model = TransferModel()
         rng = np.random.default_rng(sum(shape))
         scalar = LiveCircuitLedger()
         vector = ArrayCircuitLedger(mesh)
@@ -572,9 +581,9 @@ class TestLedgerParity:
                 kept = loop_free_slots(stack, slots)
                 circuit = Circuit.from_stack([nodes[i] for i in stack])
                 assert {mesh.link_of_index(i) for i in kept} == circuit.links
-                release = holder + model.hop_hold_steps(len(kept), flits)
-                assert release == holder + model.hold_steps(circuit, flits)
-                vector.sync_slots(holder, kept)
+                assert len(kept) == circuit.length
+                release = holder + hold_steps(len(kept), flits)
+                vector.sync(holder, kept)
                 vector.hold_until(holder, release)
                 scalar.sync(holder, circuit.path)
                 scalar.hold_until(holder, release)
@@ -603,22 +612,26 @@ class TestLedgerParity:
         mesh = Mesh.cube(4, 2)
         scalar = LiveCircuitLedger()
         vector = ArrayCircuitLedger(mesh)
-        for ledger in (scalar, vector):
-            ledger.sync(1, [(0, 0), (1, 0)])
-            with pytest.raises(Exception):
-                ledger.reserve_link(2, (0, 0), (1, 0))
+        slot = mesh.link_index((0, 0), (1, 0))
+        scalar.sync(1, [(0, 0), (1, 0)])
+        vector.sync(1, [slot])
         with pytest.raises(ReservationError):
-            vector.sync_slots(2, [mesh.link_index((0, 0), (1, 0))])
+            scalar.reserve_link(2, (0, 0), (1, 0))
+        with pytest.raises(ReservationError):
+            vector.reserve_slot(2, slot)
+        with pytest.raises(ReservationError):
+            vector.sync(2, [slot])
 
     def test_double_crossing_refcount(self):
         mesh = Mesh.cube(4, 2)
         vector = ArrayCircuitLedger(mesh)
-        vector.reserve_link(1, (0, 0), (1, 0))
-        vector.reserve_link(1, (1, 0), (0, 0))
-        vector.release_link(1, (1, 0), (0, 0))
-        assert vector.is_blocked(2, (0, 0), (1, 0))
-        vector.release_link(1, (0, 0), (1, 0))
-        assert not vector.is_blocked(2, (0, 0), (1, 0))
+        slot = mesh.link_index((0, 0), (1, 0))
+        vector.reserve_slot(1, slot)
+        vector.reserve_slot(1, slot)  # second traversal, same link
+        vector.release_slot(1, slot)
+        assert vector._holder[slot] == 1  # still held (count 1)
+        vector.release_slot(1, slot)
+        assert vector._holder[slot] == -1
         assert vector.reserved_links == 0
         assert vector.active_holders == 0
 
@@ -634,8 +647,9 @@ class TestLedgerParity:
         mesh = Mesh.cube(4, 2)
         scalar = LiveCircuitLedger()
         vector = ArrayCircuitLedger(mesh)
+        scalar.sync(7, [(1, 1)])
+        vector.sync(7, [])
         for ledger in (scalar, vector):
-            ledger.sync(7, [(1, 1)])
             ledger.hold_until(7, 3)
             assert ledger.release_expired(2) == 0
             assert ledger.release_expired(3) == 1

@@ -1,8 +1,11 @@
 """Unit tests for traffic generators and the paper scenarios."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.block_construction import build_blocks
+from repro.experiments import ExperimentSpec
 from repro.mesh.topology import Mesh
 from repro.simulator.traffic import TrafficMessage
 from repro.workloads.scenarios import (
@@ -10,7 +13,7 @@ from repro.workloads.scenarios import (
     figure1_scenario,
     figure4_recovery_scenario,
     parametric_block_scenario,
-    random_dynamic_scenario,
+    simulate_scenario,
     two_block_scenario,
 )
 from repro.workloads.traffic import random_pairs, to_traffic, transpose_pairs
@@ -68,9 +71,9 @@ class TestStructuredPairs:
 class TestToTraffic:
     def test_spacing(self):
         pairs = [((0, 0), (3, 3)), ((1, 1), (4, 4))]
-        traffic = to_traffic(pairs, start_time=5, spacing=3, tag="x")
+        traffic = to_traffic(pairs, start_time=5, spacing=3, flits=16)
         assert [m.start_time for m in traffic] == [5, 8]
-        assert all(m.tag == "x" for m in traffic)
+        assert all(m.flits == 16 for m in traffic)
 
 
 class TestScenarios:
@@ -104,14 +107,15 @@ class TestScenarios:
             scenario.expected_extents
         )
 
-    def test_random_dynamic_scenario_consistency(self):
-        scenario = random_dynamic_scenario(
-            radix=10, n_dims=2, dynamic_faults=4, messages=6, seed=3
-        )
-        schedule = scenario.schedule
+    def test_random_simulate_scenario_consistency(self):
+        (cell,) = ExperimentSpec(
+            mode="simulate", mesh_shapes=((10, 10),), fault_counts=(4,),
+            traffic_sizes=(6,),
+        ).cells()
+        _, schedule, traffic = simulate_scenario(replace(cell, cell_seed=3))
         assert len(schedule.fault_events) == 4
-        assert len(scenario.traffic) == 6
+        assert len(traffic) == 6
         fault_nodes = schedule.initial_faults | {e.node for e in schedule.fault_events}
-        for message in scenario.traffic:
+        for message in traffic:
             assert message.source not in fault_nodes
             assert message.destination not in fault_nodes
