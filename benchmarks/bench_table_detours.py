@@ -18,11 +18,12 @@ timed section measures the routing hot path over a prebuilt configuration.
 import numpy as np
 from _common import print_table
 
-from repro.analysis.metrics import compare_policies
+from repro.analysis.metrics import summarize_routes
 from repro.core.block_construction import build_blocks
 from repro.experiments import ExperimentSpec, run_batch
 from repro.faults.injection import clustered_faults, uniform_random_faults
 from repro.mesh.topology import Mesh
+from repro.routing import resolve_router
 from repro.workloads.traffic import random_pairs
 
 POLICIES = ("limited-global", "static-block", "no-information", "global-information")
@@ -45,7 +46,10 @@ def _one_row(mesh, fault_count, seed, messages=20):
         min_distance=mesh.diameter // 2,
         exclude=list(labeling.block_nodes),
     )
-    return compare_policies(mesh, labeling, pairs)
+    return {
+        policy: summarize_routes(resolve_router(policy).route_batch(mesh, labeling, pairs))
+        for policy in POLICIES
+    }
 
 
 def _detour_batch(name, shape, fault_counts, messages):
@@ -86,7 +90,7 @@ def test_table_detours_2d(benchmark):
 
 def test_table_detours_3d(benchmark):
     mesh = Mesh.cube(10, 3)
-    comparison = benchmark(_one_row, mesh, 12, seed=21, messages=12)
+    summaries = benchmark(_one_row, mesh, 12, seed=21, messages=12)
 
     spec, batch = _detour_batch("table-d1b", (10, 10, 10), (8, 16, 32), 16)
     detours = batch.pivot("mean_detours", rows="faults")
@@ -104,7 +108,7 @@ def test_table_detours_3d(benchmark):
         ["faults", *POLICIES, "no-info backtracks"],
         rows,
     )
-    timed = comparison.row("mean_detours")
+    timed = {policy: row["mean_detours"] for policy, row in summaries.items()}
     assert timed["limited-global"] <= timed["no-information"] + 1e-9
     for count in spec.fault_counts:
         assert detours[count]["global-information"] <= detours[count]["limited-global"] + 1e-9

@@ -12,9 +12,10 @@ import numpy as np
 from _common import print_table
 
 from repro.analysis.convergence import measure_convergence
-from repro.analysis.metrics import compare_policies, memory_footprint_row
+from repro.analysis.metrics import memory_footprint_row, summarize_routes
 from repro.core.block_construction import build_blocks
 from repro.faults.injection import uniform_random_faults
+from repro.routing import resolve_router
 from repro.workloads.scenarios import parametric_block_scenario
 from repro.workloads.traffic import random_pairs
 
@@ -39,9 +40,13 @@ def _row(n_dims, radix, seed=5):
         mesh, 16, rng, min_distance=max(2, mesh.diameter // 2),
         exclude=list(labeling.block_nodes),
     )
-    comparison = compare_policies(mesh, labeling, pairs, include_static_block=False)
+    detours = {
+        policy: summarize_routes(
+            resolve_router(policy).route_batch(mesh, labeling, pairs)
+        )["mean_detours"]
+        for policy in ("limited-global", "no-information")
+    }
     memory = memory_footprint_row(mesh, labeling)
-    detours = comparison.row("mean_detours")
     return (
         f"{radix}^{n_dims}",
         mesh.size,

@@ -131,20 +131,20 @@ def test_bench_saturation_curve(benchmark):
     def sweep():
         return [run_throughput_point(cell) for cell in cells]
 
-    results = benchmark(sweep)
+    rows = benchmark(sweep)
     print_table(
         "Open-loop saturation: limited-global, transpose, 8x8 mesh, 4 faults",
         ["rate", "offered", "accepted", "delivery", "mean lat", "p99 lat", "backlog"],
         [
             (
-                f"{r.rate:.3f}",
-                f"{r.offered_load:.4f}",
-                f"{r.accepted_throughput:.4f}",
-                f"{r.delivery_rate:.2f}",
-                f"{r.mean_setup_latency:.1f}",
-                f"{r.p99_setup_latency:.0f}",
-                r.unfinished,
+                f"{row['rate']:.3f}",
+                f"{row['offered_load']:.4f}",
+                f"{row['accepted_throughput']:.4f}",
+                f"{row['delivery_rate']:.2f}",
+                f"{row['mean_setup_latency']:.1f}",
+                f"{row['p99_setup_latency']:.0f}",
+                int(row["unfinished"]),
             )
-            for r in results
+            for row in rows
         ],
     )

@@ -4,10 +4,10 @@
   Theorems 3, 4 and 5 as functions of the dynamic-fault parameters;
 * :mod:`repro.analysis.convergence` — measuring ``a_i`` / ``b_i`` / ``c_i``
   for given block sizes and dimensions, plus the closed-form expectations;
-* :mod:`repro.analysis.metrics` — routing-quality metrics, policy
-  comparison tables and the memory-footprint accounting;
-* :mod:`repro.analysis.throughput` — load-curve tables over throughput-mode
-  experiment batches and the monotone/flattening shape checks;
+* :mod:`repro.analysis.metrics` — the offline metric row of a routed
+  batch, the compared policies and the memory-footprint accounting;
+* :mod:`repro.analysis.throughput` — load-curve rows over throughput-mode
+  experiment batches;
 * :mod:`repro.analysis.slo` — per-fault-event recovery SLOs (throughput dip
   depth, time-to-recover, p99 setup-latency excursion) off per-step series.
 """
@@ -27,9 +27,6 @@ from repro.analysis.detour_bounds import (
     theorem5_interval_bound,
 )
 from repro.analysis.metrics import (
-    PolicyComparison,
-    compare_policies,
-    contention_row,
     global_table_cells,
     limited_global_cells,
     summarize_routes,
@@ -42,32 +39,22 @@ from repro.analysis.slo import (
     moving_average,
     p99_excursion,
 )
-from repro.analysis.throughput import (
-    CURVE_COLUMNS,
-    flattens,
-    is_monotone_nondecreasing,
-    throughput_rows,
-)
+from repro.analysis.throughput import CURVE_COLUMNS, throughput_rows
 
 __all__ = [
     "CURVE_COLUMNS",
     "ConvergenceMeasurement",
     "DetourBoundParameters",
     "EventSlo",
-    "PolicyComparison",
     "RecoverySlo",
-    "compare_policies",
     "compute_recovery_slo",
-    "contention_row",
     "event_transient",
     "expected_boundary_rounds",
     "expected_identification_rounds",
     "expected_labeling_rounds",
-    "flattens",
     "moving_average",
     "p99_excursion",
     "global_table_cells",
-    "is_monotone_nondecreasing",
     "limited_global_cells",
     "measure_convergence",
     "summarize_routes",

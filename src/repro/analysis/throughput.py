@@ -1,20 +1,13 @@
 """Analysis of open-loop throughput sweeps.
 
-Table/curve helpers over a ``throughput``-mode
-:class:`~repro.experiments.results.BatchResult` plus the two shape checks
-the saturation methodology relies on (and the tests assert):
-
-* :func:`is_monotone_nondecreasing` — an accepted-throughput curve should
-  rise with offered load up to saturation (small tolerance for measurement
-  noise);
-* :func:`flattens` — past the knee the curve should stop tracking offered
-  load: the tail's marginal efficiency (extra accepted per extra offered)
-  collapses relative to the zero-load efficiency.
+:func:`throughput_rows` turns a ``throughput``-mode
+:class:`~repro.experiments.results.BatchResult` into per-policy load-curve
+rows, the rows :func:`~repro.throughput.saturation.knee` reads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.experiments.results import BatchResult
 
@@ -59,44 +52,3 @@ def throughput_rows(batch: BatchResult) -> Dict[str, List[Dict[str, float]]]:
             policy_rows.append(row)
         rows[policy] = policy_rows
     return rows
-
-
-def is_monotone_nondecreasing(
-    values: Sequence[float], *, tolerance: float = 0.1
-) -> bool:
-    """True iff the sequence never drops by more than ``tolerance`` (relative).
-
-    Each value is compared against the running maximum, so a noisy plateau
-    passes while a genuine collapse does not.
-    """
-    running_max = float("-inf")
-    for value in values:
-        if running_max > 0 and value < running_max * (1.0 - tolerance):
-            return False
-        running_max = max(running_max, value)
-    return True
-
-
-def flattens(
-    offered: Sequence[float],
-    accepted: Sequence[float],
-    *,
-    threshold: float = 0.25,
-) -> bool:
-    """True iff the curve's tail no longer tracks the offered load.
-
-    Below saturation, each extra unit of offered load yields roughly one
-    extra unit of accepted throughput (the zero-load efficiency,
-    ``accepted[0] / offered[0]``).  A saturated curve has flattened: the
-    marginal efficiency over the last segment drops under ``threshold``
-    times the zero-load efficiency.
-    """
-    if len(offered) != len(accepted) or len(offered) < 3:
-        return False
-    if offered[0] <= 0 or offered[-1] <= offered[-2]:
-        return False
-    base_efficiency = accepted[0] / offered[0]
-    if base_efficiency <= 0:
-        return False
-    marginal = (accepted[-1] - accepted[-2]) / (offered[-1] - offered[-2])
-    return marginal < threshold * base_efficiency

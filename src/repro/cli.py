@@ -8,7 +8,7 @@ Eight subcommands cover the workflows the experiments use:
   randomized dynamic-fault scenario and print the summary;
 * ``repro-mesh compare``     — the policy-comparison table: an offline sweep
   preset (spec name ``compare``, the four policies of
-  :func:`~repro.analysis.metrics.compare_policies`) on one stabilized
+  :data:`~repro.analysis.metrics.COMPARED_POLICIES`) on one stabilized
   random fault configuration;
 * ``repro-mesh convergence`` — measure a/b/c for a parametric block;
 * ``repro-mesh sweep``       — run a declarative experiment grid through
@@ -16,7 +16,8 @@ Eight subcommands cover the workflows the experiments use:
   canonical JSON;
 * ``repro-mesh throughput``  — open-loop saturation measurement: sweep
   injection rates (or binary-search the saturation point, or trace one
-  cell) and print per-policy load-latency/throughput curves;
+  cell) and print per-policy load-latency/throughput curves, whose points
+  and knee are the cells' metric rows;
 * ``repro-mesh report``      — render an observability artifact (a JSONL
   step trace from ``simulate --trace-out`` or a telemetry JSON from
   ``sweep --telemetry-out``) as an ASCII table with sparklines;
@@ -52,7 +53,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.convergence import measure_convergence
-from repro.analysis.metrics import COMPARED_POLICIES, contention_row
+from repro.analysis.metrics import COMPARED_POLICIES
 from repro.analysis.throughput import throughput_rows
 from repro.backend import ENV_VAR as BACKEND_ENV_VAR
 from repro.backend import available_backends, resolve_backend
@@ -72,7 +73,7 @@ from repro.experiments.runner import build_simulator
 from repro.faults.injection import uniform_random_faults
 from repro.mesh.topology import Mesh
 from repro.routing import available_routers, resolve_router
-from repro.throughput import LoadCurve, LoadPoint, find_saturation, run_throughput_point
+from repro.throughput import find_saturation, knee, run_throughput_point
 from repro.workloads.scenarios import parametric_block_scenario
 
 Coord = Tuple[int, ...]
@@ -528,7 +529,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for key, value in stats.summary().items():
         print(f"{key:<24}: {value:.3f}")
     if args.contention:
-        utilization = contention_row(stats, sim.mesh)["link_utilization"]
+        utilization = stats.mean_reserved_links / sim.mesh.n_links
         print(f"{'link_utilization':<24}: {utilization:.3f}")
     if recorder is not None:
         from repro.obs import write_trace
@@ -753,16 +754,16 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
                 "--saturation)"
             )
         (cell,) = cells
-        result = run_throughput_point(cell, trace_out=args.trace_out)
-        _print_curve(cell.policy, [result.to_row()])
-        if result.slo is not None:
-            ttr = result.slo.time_to_recover
+        row = run_throughput_point(cell, trace_out=args.trace_out)
+        _print_curve(cell.policy, [row])
+        if "slo_dip_depth" in row:
+            ttr = int(row["slo_time_to_recover"])
             print(
-                f"  SLO over {result.fault_events} fault events: "
-                f"dip {result.slo.dip_depth:.0%}, time-to-recover "
+                f"  SLO over {int(row['fault_events'])} fault events: "
+                f"dip {row['slo_dip_depth']:.0%}, time-to-recover "
                 f"{'never' if ttr < 0 else ttr}, "
-                f"p99 excursion {result.slo.p99_excursion:+.0f}, "
-                f"{result.fault_dropped} circuits fault-dropped"
+                f"p99 excursion {row['slo_p99_excursion']:+.0f}, "
+                f"{int(row['fault_dropped'])} circuits fault-dropped"
             )
         print(f"wrote step trace to {args.trace_out}", file=sys.stderr)
         return 0
@@ -781,22 +782,19 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
                 lambda r: run_cell(replace(cell, rate=r)).metrics
             )
             print(f"policy {policy}: saturation rate ~ {rate:.4f} msg/node/step")
-            _print_curve(policy, [p.__dict__ for p in probed])
+            _print_curve(policy, probed)
         return 0
 
     batch = run_batch(spec, workers=args.workers)
     rows = throughput_rows(batch)
     for policy in spec.policies:
         _print_curve(policy, rows[policy])
-        curve = LoadCurve(
-            policy, tuple(LoadPoint.from_metrics(row) for row in rows[policy])
-        )
-        knee = curve.knee()
-        if knee is not None:
+        last = knee(rows[policy])
+        if last is not None:
             print(
-                f"  knee ~ rate {knee.rate:.4f} "
-                f"(accepted {knee.accepted_throughput:.4f}, "
-                f"mean latency {knee.mean_setup_latency:.1f})"
+                f"  knee ~ rate {last['rate']:.4f} "
+                f"(accepted {last['accepted_throughput']:.4f}, "
+                f"mean latency {last['mean_setup_latency']:.1f})"
             )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

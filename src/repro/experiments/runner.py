@@ -141,18 +141,7 @@ def _offline_metrics(cell: ExperimentCell, setting: OfflineSetting) -> Dict[str,
     mesh, labeling, pairs = setting
     # The router derives whatever information view its policy assumes once
     # for the whole batch; it reads the labeling and pairs, never writes.
-    routes = resolve_router(cell.policy).route_batch(mesh, labeling, pairs)
-
-    summary = summarize_routes(routes)
-    return {
-        "routes": float(summary.routes),
-        "delivered": float(summary.delivered),
-        "delivery_rate": summary.delivery_rate,
-        "mean_hops": summary.mean_hops,
-        "mean_detours": summary.mean_detours,
-        "max_detours": float(summary.max_detours),
-        "mean_backtracks": summary.mean_backtracks,
-    }
+    return summarize_routes(resolve_router(cell.policy).route_batch(mesh, labeling, pairs))
 
 
 def build_simulator(
@@ -208,7 +197,7 @@ def run_cell(cell: ExperimentCell) -> CellResult:
     elif cell.mode == "throughput":
         # Looked up on its module at call time, so a wrapper patched onto
         # the module sees every throughput cell.
-        metrics = measure.run_throughput_point(cell).to_row()
+        metrics = measure.run_throughput_point(cell)
     else:
         raise ValueError(f"unknown experiment mode {cell.mode!r}")
     return CellResult(cell=cell, metrics=metrics)

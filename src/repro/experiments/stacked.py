@@ -26,9 +26,9 @@ route over equal inputs: the mesh, the faults, the stabilized labeling
 and the message pairs (:func:`~repro.experiments.runner._offline_setting`).
 The executor builds that setting once per configuration (per run of a
 configuration's cells in the subset it is given) and calls each policy's
-:meth:`~repro.routing.Router.route_batch` over it, the way
-:func:`~repro.analysis.metrics.compare_policies` compares policies on
-one fault set.  Routers only read the setting, and each keeps its own
+:meth:`~repro.routing.Router.route_batch` over it; each cell's row is
+:func:`~repro.analysis.metrics.summarize_routes` of its routes, as in the
+serial engine.  Routers only read the setting, and each keeps its own
 views and tables.  In-process the whole grid is one subset, so each
 configuration is built once; over the pool, offline cells keep the
 serial engine's chunks, and a configuration that straddles two chunks is

@@ -12,12 +12,7 @@ limited-global fault information model operates:
 * :mod:`repro.mesh.topology` — the :class:`Mesh` class proper.
 """
 
-from repro.mesh.coords import (
-    add,
-    is_adjacent,
-    manhattan,
-    offsets_toward,
-)
+from repro.mesh.coords import is_adjacent, manhattan, offsets_toward
 from repro.mesh.directions import (
     Direction,
     all_directions,
@@ -34,7 +29,6 @@ __all__ = [
     "Direction",
     "Mesh",
     "Region",
-    "add",
     "all_directions",
     "direction_between",
     "direction_from_surface",

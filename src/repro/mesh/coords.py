@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from repro.mesh.directions import Direction
-
 Coord = Tuple[int, ...]
 Link = Tuple[Coord, Coord]
 
@@ -24,13 +22,6 @@ def canonical_link(u: Sequence[int], v: Sequence[int]) -> Link:
     """
     a, b = tuple(u), tuple(v)
     return (a, b) if a <= b else (b, a)
-
-
-def add(coord: Sequence[int], delta: Sequence[int]) -> Coord:
-    """Component-wise sum of ``coord`` and ``delta``."""
-    if len(coord) != len(delta):
-        raise ValueError(f"coordinate ranks differ: {len(coord)} vs {len(delta)}")
-    return tuple(a + b for a, b in zip(coord, delta))
 
 
 def manhattan(u: Sequence[int], v: Sequence[int]) -> int:
@@ -56,7 +47,8 @@ def offsets_toward(u: Sequence[int], d: Sequence[int]) -> Tuple[int, ...]:
 
     Entry ``i`` is ``+1``/``-1`` when moving along dimension ``i`` reduces the
     distance to ``d`` and ``0`` when ``u_i == d_i``.  The non-zero entries
-    are exactly the *preferred directions* of the paper's terminology.
+    are exactly the *preferred directions* of the paper's terminology
+    (:meth:`repro.mesh.topology.Mesh.preferred_directions`).
     """
     if len(u) != len(d):
         raise ValueError(f"coordinate ranks differ: {len(u)} vs {len(d)}")
@@ -70,11 +62,3 @@ def offsets_toward(u: Sequence[int], d: Sequence[int]) -> Tuple[int, ...]:
             out.append(0)
     return tuple(out)
 
-
-def preferred_directions(u: Sequence[int], d: Sequence[int]) -> Tuple[Direction, ...]:
-    """Directions that move ``u`` strictly closer to destination ``d``."""
-    dirs = []
-    for dim, offset in enumerate(offsets_toward(u, d)):
-        if offset != 0:
-            dirs.append(Direction(dim, offset))
-    return tuple(dirs)

@@ -154,13 +154,12 @@ class Simulator:
             # Streaming traffic: messages are generated as the run proceeds,
             # validated at injection time.
             self._source: TrafficSource = traffic
-            self.traffic: List[TrafficMessage] = []
         else:
-            self._source = BatchSource(traffic)
-            self.traffic = list(self._source.messages)  # type: ignore[attr-defined]
-            for message in self.traffic:
+            batch = BatchSource(traffic)
+            for message in batch.messages:
                 mesh.validate(message.source)
                 mesh.validate(message.destination)
+            self._source = batch
 
         #: Optional source feedback: a source exposing ``message_finished``
         #: (e.g. an open-loop source with per-node injection queues) receives

@@ -9,12 +9,12 @@ offers load at a *rate* and measures what the network sustains:
   :class:`~repro.simulator.traffic.TrafficSource` protocol;
 * :mod:`repro.throughput.measure` — :func:`run_throughput_point`, the one
   entry point of an open-loop run: one throughput-mode
-  :class:`~repro.experiments.spec.ExperimentCell` in, the warmup / measure
-  / drain windowed :class:`ThroughputResult` (steady-state accepted
-  throughput, mean/p99 setup latency, recovery SLOs under an MTBF fault
-  workload) out;
-* :mod:`repro.throughput.saturation` — per-policy load–latency curves and
-  their knee, plus a binary search for the knee of the latency curve (the
+  :class:`~repro.experiments.spec.ExperimentCell` in, its warmup / measure
+  / drain windowed metric row (steady-state accepted throughput, mean/p99
+  setup latency, recovery SLOs under an MTBF fault workload) out — the row
+  :func:`~repro.experiments.runner.run_cell` lands;
+* :mod:`repro.throughput.saturation` — the :func:`knee` of a load curve's
+  rows, plus a binary search for the knee of the latency curve (the
   saturation point).
 
 Curves run through the experiment grid: a ``throughput``-mode
@@ -34,22 +34,16 @@ from repro.throughput.injection import (
     OpenLoopSource,
     make_injection,
 )
-from repro.throughput.measure import ThroughputResult, run_throughput_point
-from repro.throughput.saturation import (
-    LoadCurve,
-    LoadPoint,
-    find_saturation,
-)
+from repro.throughput.measure import run_throughput_point
+from repro.throughput.saturation import find_saturation, knee
 
 __all__ = [
     "BernoulliInjection",
     "BurstyInjection",
-    "LoadCurve",
-    "LoadPoint",
     "OpenLoopSource",
     "PATTERNS",
-    "ThroughputResult",
     "find_saturation",
+    "knee",
     "make_injection",
     "run_throughput_point",
 ]

@@ -17,19 +17,18 @@ it builds everything from one throughput-mode
 :class:`~repro.experiments.spec.ExperimentCell` (the cell carries the
 window lengths, and :class:`~repro.experiments.spec.ExperimentSpec`
 validates them), steps the simulator through the three phases and returns
-a :class:`ThroughputResult`, deterministic in the cell.
-:func:`~repro.experiments.runner.run_cell` and ``repro-mesh throughput
---trace-out`` both call it.
+the cell's metric row, deterministic in the cell: the row
+:func:`~repro.experiments.runner.run_cell` lands, which ``repro-mesh
+throughput --trace-out`` prints as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
-from repro.analysis.slo import RecoverySlo, compute_recovery_slo
+from repro.analysis.slo import compute_recovery_slo
 from repro.core.block_construction import build_blocks
 from repro.faults.injection import uniform_random_faults
 from repro.faults.schedule import DynamicFaultSchedule
@@ -45,84 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only (avoid a package cycle)
     from repro.experiments.spec import ExperimentCell
 
 
-@dataclass(frozen=True)
-class ThroughputResult:
-    """Steady-state numbers of one open-loop run at one offered rate."""
-
-    rate: float
-
-    #: Messages generated during the window; how many of them delivered;
-    #: failed setup *attempts* (the source retries every one of them);
-    #: messages still undelivered at the horizon (queued, in flight, or
-    #: awaiting a retry that never got to run).
-    injected: int
-    delivered: int
-    failed: int
-    unfinished: int
-
-    #: Mean messages offered per (non-faulty) node per step: injections
-    #: during the measurement window, normalized by window x nodes.
-    offered_load: float
-
-    #: Mean messages accepted per node per step: deliveries *occurring*
-    #: during the measurement window (whatever their injection step),
-    #: normalized the same way.  At steady state this equals the delivered
-    #: fraction of the offered load; past saturation it flattens at the
-    #: network's service rate instead of growing with the drained backlog.
-    accepted_throughput: float
-
-    #: Setup latency (steps from injection to delivery) over the delivered
-    #: measured messages.
-    mean_setup_latency: float
-    p99_setup_latency: float
-
-    #: Steps actually simulated (includes the drain).
-    steps: int
-
-    #: Dynamic fault events fired during the run and the circuits they
-    #: dropped mid-transfer (0/0 for a static fault layout).
-    fault_events: int = 0
-    fault_dropped: int = 0
-
-    #: Per-event recovery SLOs (:class:`~repro.analysis.slo.RecoverySlo`);
-    #: ``None`` when the run had no dynamic fault events.
-    slo: Optional[RecoverySlo] = None
-
-    @property
-    def delivery_rate(self) -> float:
-        """Delivered fraction of the measured messages (1.0 when none)."""
-        if not self.injected:
-            return 1.0
-        return self.delivered / self.injected
-
-    def to_row(self) -> Dict[str, float]:
-        """Flat metric dictionary (one experiment-cell row)."""
-        row = {
-            "rate": self.rate,
-            "injected": float(self.injected),
-            "delivered": float(self.delivered),
-            "failed": float(self.failed),
-            "unfinished": float(self.unfinished),
-            "delivery_rate": self.delivery_rate,
-            "offered_load": self.offered_load,
-            "accepted_throughput": self.accepted_throughput,
-            "mean_setup_latency": self.mean_setup_latency,
-            "p99_setup_latency": self.p99_setup_latency,
-            "steps": float(self.steps),
-        }
-        if self.fault_events:
-            row["fault_events"] = float(self.fault_events)
-            row["fault_dropped"] = float(self.fault_dropped)
-            if self.slo is not None:
-                row["slo_dip_depth"] = self.slo.dip_depth
-                row["slo_time_to_recover"] = float(self.slo.time_to_recover)
-                row["slo_p99_excursion"] = self.slo.p99_excursion
-        return row
-
-
 def run_throughput_point(
     cell: "ExperimentCell", *, trace_out: Optional[str] = None
-) -> ThroughputResult:
+) -> Dict[str, float]:
     """The windowed open-loop measurement of one throughput-mode cell.
 
     Builds the mesh, a *static* pre-stabilized fault set (``cell.faults``
@@ -138,9 +62,20 @@ def run_throughput_point(
     measurement window on top of the static set, each fault repaired
     ``cell.repair_after`` steps later (0 = permanent).  Its stream is
     seeded apart from the injection stream, so per-policy runs see the
-    same fault timeline, and the result carries the per-event recovery
-    SLOs.  ``trace_out`` writes the run's JSONL step trace, fault and
-    recovery events included.
+    same fault timeline, and the row gains the five columns of
+    :meth:`~repro.analysis.slo.RecoverySlo.summary` (fault events,
+    fault-dropped circuits and the worst-case recovery SLOs).
+    ``trace_out`` writes the run's JSONL step trace, fault and recovery
+    events included.
+
+    The row counts the messages generated in the measurement window
+    (``injected``), how many of them delivered, the rest (``failed``, and
+    ``unfinished`` against everything generated), and ``steps`` simulated,
+    drain included.  ``offered_load`` and ``accepted_throughput`` are the
+    injections and deliveries occurring in the window per usable node per
+    step: past saturation the accepted rate flattens at the network's
+    service rate instead of growing with the drained backlog.  The setup
+    latencies are over the delivered measured messages.
 
     Endpoints exclude every *block* node (faulty or disabled) of the
     static set: a setup to a disabled node can never deliver, and the
@@ -209,32 +144,29 @@ def run_throughput_point(
     denominator = cell.measure * len(source.nodes)
     generated = source.generated_between(lo, hi)
 
-    fault_events = schedule.fault_events
-    slo: Optional[RecoverySlo] = None
-    if fault_events:
+    row = {
+        "rate": cell.rate,
+        "injected": float(generated),
+        "delivered": float(len(delivered)),
+        "failed": float(len(measured) - len(delivered)),
+        "unfinished": float(generated - len(delivered)),
+        "delivery_rate": len(delivered) / generated if generated else 1.0,
+        "offered_load": generated / denominator,
+        "accepted_throughput": delivered_in_window / denominator,
+        "mean_setup_latency": (sum(latencies) / len(latencies)) if latencies else 0.0,
+        "p99_setup_latency": percentile(latencies, 0.99),
+        "steps": float(sim.current_step),
+    }
+    if schedule.fault_events:
         slo = compute_recovery_slo(
             recorder.deltas("delivered_total").tolist(),
             recorder.deltas("fault_dropped_total").tolist(),
-            [(e.time, e.node) for e in fault_events],
+            [(e.time, e.node) for e in schedule.fault_events],
             latencies_by_finish=[
                 (r.finish_step, float(r.latency_steps))
                 for r in messages
                 if r.delivered and r.finish_step is not None
             ],
         )
-
-    return ThroughputResult(
-        rate=cell.rate,
-        injected=generated,
-        delivered=len(delivered),
-        failed=len(measured) - len(delivered),
-        unfinished=generated - len(delivered),
-        offered_load=generated / denominator,
-        accepted_throughput=delivered_in_window / denominator,
-        mean_setup_latency=(sum(latencies) / len(latencies)) if latencies else 0.0,
-        p99_setup_latency=percentile(latencies, 0.99),
-        steps=sim.current_step,
-        fault_events=len(fault_events),
-        fault_dropped=sim.stats.fault_dropped_circuits,
-        slo=slo,
-    )
+        row.update(slo.summary())
+    return row

@@ -1,11 +1,12 @@
-"""Load–latency curves and the saturation-point search.
+"""Load-curve knees and the saturation-point search.
 
-Two tools on top of the windowed open-loop measurement:
+Two tools over throughput metric rows (the rows
+:func:`~repro.experiments.runner.run_cell` lands for throughput cells):
 
-* :class:`LoadCurve` holds a policy's points by ascending rate (the
-  ``repro-mesh throughput`` curve builds one from
+* :func:`knee` finds the last row of a load curve before saturation (the
+  ``repro-mesh throughput`` curve reads its rows from
   :func:`~repro.analysis.throughput.throughput_rows` of a throughput-mode
-  batch) and finds its *knee*;
+  batch);
 * :func:`find_saturation` binary-searches the injection rate to the knee
   of the latency curve: the largest rate whose mean setup latency stays
   under :data:`LATENCY_FACTOR` times the zero-load latency while the
@@ -21,8 +22,7 @@ throughput at that knee; past it the accepted curve flattens while latency
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: A point saturates when its mean setup latency exceeds ``LATENCY_FACTOR``
 #: times the zero-load latency, or when the network accepts less than
@@ -30,79 +30,47 @@ from typing import Callable, Dict, List, Optional, Tuple
 LATENCY_FACTOR = 3.0
 MIN_ACCEPTANCE = 0.9
 
-
-@dataclass(frozen=True)
-class LoadPoint:
-    """One (offered rate, measured outcome) point of a load curve."""
-
-    rate: float
-    offered_load: float
-    accepted_throughput: float
-    mean_setup_latency: float
-    p99_setup_latency: float
-    delivery_rate: float
-
-    @classmethod
-    def from_metrics(cls, metrics: Dict[str, float]) -> "LoadPoint":
-        """Rebuild a point from an experiment cell's metric row."""
-        return cls(
-            rate=metrics["rate"],
-            offered_load=metrics["offered_load"],
-            accepted_throughput=metrics["accepted_throughput"],
-            mean_setup_latency=metrics["mean_setup_latency"],
-            p99_setup_latency=metrics["p99_setup_latency"],
-            delivery_rate=metrics["delivery_rate"],
-        )
+Row = Dict[str, float]
 
 
-@dataclass(frozen=True)
-class LoadCurve:
-    """A policy's load–latency/throughput curve, points by ascending rate."""
+def knee(rows: Sequence[Row]) -> Optional[Row]:
+    """Last row before saturation, by ascending rate; ``None`` if every row
+    is past it.
 
-    policy: str
-    points: Tuple[LoadPoint, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "points", tuple(sorted(self.points, key=lambda p: p.rate))
-        )
-
-    def knee(self) -> Optional[LoadPoint]:
-        """Last point before saturation, or ``None`` if every point is past it.
-
-        Saturation is detected against the curve's own zero-load latency
-        (the first point's mean latency).
-        """
-        if not self.points:
-            return None
-        zero_load = self.points[0].mean_setup_latency
-        knee: Optional[LoadPoint] = None
-        for point in self.points:
-            if _saturated(point, zero_load):
-                break
-            knee = point
-        return knee
+    Saturation is detected against the curve's own zero-load latency
+    (the lowest rate's mean latency).
+    """
+    ordered = sorted(rows, key=lambda row: row["rate"])
+    if not ordered:
+        return None
+    zero_load = ordered[0]["mean_setup_latency"]
+    last: Optional[Row] = None
+    for row in ordered:
+        if _saturated(row, zero_load):
+            break
+        last = row
+    return last
 
 
-def _saturated(point: LoadPoint, zero_load_latency: float) -> bool:
-    if zero_load_latency > 0 and point.mean_setup_latency > (
+def _saturated(row: Row, zero_load_latency: float) -> bool:
+    if zero_load_latency > 0 and row["mean_setup_latency"] > (
         LATENCY_FACTOR * zero_load_latency
     ):
         return True
-    if point.offered_load > 0 and (
-        point.accepted_throughput < MIN_ACCEPTANCE * point.offered_load
+    if row["offered_load"] > 0 and (
+        row["accepted_throughput"] < MIN_ACCEPTANCE * row["offered_load"]
     ):
         return True
     return False
 
 
 def find_saturation(
-    measure: Callable[[float], Dict[str, float]],
+    measure: Callable[[float], Row],
     *,
     low: float = 0.005,
     high: float = 0.5,
     iterations: int = 7,
-) -> Tuple[float, List[LoadPoint]]:
+) -> Tuple[float, List[Row]]:
     """Binary-search the knee of the latency curve.
 
     ``measure`` maps an injection rate to a throughput cell's metric row
@@ -110,23 +78,23 @@ def find_saturation(
     with its rate replaced).  The zero-load latency is taken at ``low``;
     the search then halves the bracket ``iterations`` times, keeping rates
     that are not yet saturated.  Returns the largest non-saturated rate
-    found and every probed point (ascending by rate) for plotting.
+    found and every probed row (ascending by rate) for plotting.
     """
     if not 0.0 < low < high:
         raise ValueError("need 0 < low < high")
-    baseline = LoadPoint.from_metrics(measure(low))
-    zero_load = baseline.mean_setup_latency
-    probed: List[LoadPoint] = [baseline]
+    baseline = measure(low)
+    zero_load = baseline["mean_setup_latency"]
+    probed: List[Row] = [baseline]
     best = low
     lo, hi = low, high
     for _ in range(iterations):
         mid = (lo + hi) / 2.0
-        point = LoadPoint.from_metrics(measure(mid))
-        probed.append(point)
-        if _saturated(point, zero_load):
+        row = measure(mid)
+        probed.append(row)
+        if _saturated(row, zero_load):
             hi = mid
         else:
             lo = mid
             best = max(best, mid)
-    probed.sort(key=lambda p: p.rate)
+    probed.sort(key=lambda row: row["rate"])
     return best, probed

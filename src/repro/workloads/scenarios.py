@@ -161,7 +161,9 @@ def two_block_scenario(radix: int = 12) -> DynamicRoutingScenario:
 # ---------------------------------------------------------------------- #
 # Closed-batch simulate runs
 # ---------------------------------------------------------------------- #
-#: Steps between successive bursts of the ``bursty`` family.
+#: Messages per burst of the ``bursty`` family, and the steps between
+#: successive bursts.
+BURST_SIZE = 6
 BURST_INTERVAL = 12
 
 
@@ -181,9 +183,10 @@ def simulate_scenario(
     * ``transpose`` — the first ``cell.messages`` pairs of
       :func:`transpose_pairs` (those touching a fault then dropped), all
       injected at step 0, so every setup crosses the diagonal at once;
-    * ``bursty`` — ``cell.messages // 6`` waves (at least one) of 6 random
-      pairs (all ``cell.messages`` when fewer) injected together,
-      :data:`BURST_INTERVAL` steps apart, so each wave races for links.
+    * ``bursty`` — ``cell.messages`` random pairs in waves of
+      :data:`BURST_SIZE` injected together, :data:`BURST_INTERVAL` steps
+      apart (the last wave holds the remainder), so each wave races for
+      links.
 
     Everything derives from ``cell.cell_seed`` alone (faults first, then
     the pairs), so every policy of one configuration replays the identical
@@ -203,12 +206,8 @@ def simulate_scenario(
         ]
         starts = [0] * len(pairs)
     elif cell.scenario == "bursty":
-        size = min(6, cell.messages)
-        pairs = random_pairs(
-            mesh, max(1, cell.messages // 6) * size, rng,
-            min_distance=far, exclude=faults,
-        )
-        starts = [i // size * BURST_INTERVAL for i in range(len(pairs))]
+        pairs = random_pairs(mesh, cell.messages, rng, min_distance=far, exclude=faults)
+        starts = [i // BURST_SIZE * BURST_INTERVAL for i in range(len(pairs))]
     elif cell.scenario == "hotspot":
         pairs = hotspot_pairs(
             mesh, cell.messages, rng,

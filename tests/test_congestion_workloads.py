@@ -9,7 +9,7 @@ from repro.experiments import ExperimentSpec
 from repro.mesh.topology import Mesh
 from repro.throughput import BernoulliInjection, OpenLoopSource
 from repro.workloads import simulate_scenario
-from repro.workloads.scenarios import BURST_INTERVAL
+from repro.workloads.scenarios import BURST_INTERVAL, BURST_SIZE
 from repro.workloads.traffic import HOTSPOT_FRACTION, hotspot_node, hotspot_pairs
 
 
@@ -94,6 +94,23 @@ class TestScenarios:
         assert starts == [0, BURST_INTERVAL, 2 * BURST_INTERVAL]
         for start in starts:
             assert sum(1 for m in traffic if m.start_time == start) == 6
+
+    def test_bursty_scenario_sends_its_traffic_size(self):
+        """Every requested message is sent, in waves of BURST_SIZE, the last
+        wave holding the remainder."""
+        assert BURST_SIZE == 6
+        waves_by_size = {
+            3: [3], 8: [6, 2], 11: [6, 5], 12: [6, 6], 16: [6, 6, 4], 20: [6, 6, 6, 2],
+        }
+        for messages, waves in waves_by_size.items():
+            _, _, traffic = _scenario(
+                (8, 8), "bursty", seed=4, messages=messages, faults=2
+            )
+            assert [m.start_time for m in traffic] == [
+                wave * BURST_INTERVAL
+                for wave, size in enumerate(waves)
+                for _ in range(size)
+            ]
 
     def test_scenarios_deterministic_in_seed(self):
         _, schedule_a, a = _scenario((10, 10), "bursty", seed=9, messages=24)

@@ -245,7 +245,7 @@ class TestThroughputPointUnderFaults:
         )
         for backend in BACKENDS:
             monkeypatch.setenv(BACKEND_ENV_VAR, backend)
-            rows[backend] = run_throughput_point(cell).to_row()
+            rows[backend] = run_throughput_point(cell)
         assert rows[SCALAR] == rows[VECTOR]
         assert rows[VECTOR]["fault_events"] > 0
         assert "slo_dip_depth" in rows[VECTOR]
@@ -253,9 +253,7 @@ class TestThroughputPointUnderFaults:
 
     def test_static_runs_unchanged(self):
         """No fault workload: rows carry no fault/SLO columns (back-compat)."""
-        result = run_throughput_point(_cell(seed=5, warmup=16, measure=64, drain=128))
-        assert result.fault_events == 0
-        assert result.slo is None
-        row = result.to_row()
+        row = run_throughput_point(_cell(seed=5, warmup=16, measure=64, drain=128))
         assert "fault_events" not in row
+        assert "fault_dropped" not in row
         assert "slo_dip_depth" not in row

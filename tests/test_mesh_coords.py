@@ -2,23 +2,13 @@
 
 import pytest
 
-from repro.mesh.coords import (
-    add,
-    is_adjacent,
-    manhattan,
-    offsets_toward,
-    preferred_directions,
-)
+from repro.mesh.coords import is_adjacent, manhattan, offsets_toward
 from repro.mesh.directions import Direction
+from repro.mesh.topology import Mesh
 
 
 class TestArithmetic:
-    def test_add(self):
-        assert add((1, 2, 3), (4, 5, 6)) == (5, 7, 9)
-
     def test_rank_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            add((1, 2), (1, 2, 3))
         with pytest.raises(ValueError):
             manhattan((1, 2), (1, 2, 3))
 
@@ -52,9 +42,9 @@ class TestOffsets:
         assert offsets_toward((2, 5, 5), (5, 5, 0)) == (+1, 0, -1)
 
     def test_preferred_directions(self):
-        dirs = preferred_directions((2, 5, 5), (5, 5, 0))
+        dirs = Mesh((6, 6, 6)).preferred_directions((2, 5, 5), (5, 5, 0))
         assert set(dirs) == {Direction(0, +1), Direction(2, -1)}
 
     def test_no_preferred_at_destination(self):
-        assert preferred_directions((3, 3), (3, 3)) == ()
+        assert Mesh((6, 6)).preferred_directions((3, 3), (3, 3)) == []
 

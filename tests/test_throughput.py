@@ -5,11 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis.throughput import (
-    flattens,
-    is_monotone_nondecreasing,
-    throughput_rows,
-)
+from repro.analysis.throughput import throughput_rows
 from repro.core.state import InformationState
 from repro.experiments import ExperimentSpec, run_batch
 from repro.faults.schedule import DynamicFaultSchedule
@@ -20,10 +16,9 @@ from repro.simulator.traffic import BatchSource, TrafficMessage
 from repro.throughput import (
     BernoulliInjection,
     BurstyInjection,
-    LoadCurve,
-    LoadPoint,
     OpenLoopSource,
     find_saturation,
+    knee,
     make_injection,
     run_throughput_point,
 )
@@ -56,6 +51,41 @@ def _cell(shape, policy, pattern, rate, *, seed, faults=0, **windows):
         **windows,
     ).cells()
     return replace(cell, cell_seed=seed)
+
+
+def is_monotone_nondecreasing(values, *, tolerance=0.1):
+    """True iff the sequence never drops by more than ``tolerance`` (relative).
+
+    Each value is compared against the running maximum, so a noisy plateau
+    passes while a genuine collapse does not: an accepted-throughput curve
+    should rise with offered load up to saturation.
+    """
+    running_max = float("-inf")
+    for value in values:
+        if running_max > 0 and value < running_max * (1.0 - tolerance):
+            return False
+        running_max = max(running_max, value)
+    return True
+
+
+def flattens(offered, accepted, *, threshold=0.25):
+    """True iff the curve's tail no longer tracks the offered load.
+
+    Below saturation, each extra unit of offered load yields roughly one
+    extra unit of accepted throughput (the zero-load efficiency,
+    ``accepted[0] / offered[0]``).  A saturated curve has flattened: the
+    marginal efficiency over the last segment drops under ``threshold``
+    times the zero-load efficiency.
+    """
+    if len(offered) != len(accepted) or len(offered) < 3:
+        return False
+    if offered[0] <= 0 or offered[-1] <= offered[-2]:
+        return False
+    base_efficiency = accepted[0] / offered[0]
+    if base_efficiency <= 0:
+        return False
+    marginal = (accepted[-1] - accepted[-2]) / (offered[-1] - offered[-2])
+    return marginal < threshold * base_efficiency
 
 
 class TestInjectionProcesses:
@@ -387,27 +417,26 @@ class TestDecisionCache:
 
 class TestWindowedMeasurement:
     def test_low_load_accepts_everything(self):
-        result = run_throughput_point(
+        row = run_throughput_point(
             _cell(
                 (6, 6), "limited-global", "uniform", 0.002, seed=3,
                 warmup=20, measure=100, drain=150,
             )
         )
-        assert result.delivery_rate == 1.0
-        assert result.unfinished == 0
-        assert result.accepted_throughput == pytest.approx(
-            result.offered_load, rel=0.35
+        assert row["delivery_rate"] == 1.0
+        assert row["unfinished"] == 0
+        assert row["accepted_throughput"] == pytest.approx(
+            row["offered_load"], rel=0.35
         )
-        assert 0 < result.mean_setup_latency <= result.p99_setup_latency
+        assert 0 < row["mean_setup_latency"] <= row["p99_setup_latency"]
 
     def test_to_row_keys(self):
-        result = run_throughput_point(
+        row = run_throughput_point(
             _cell(
                 (5, 5), "no-information", "uniform", 0.01, seed=0,
                 warmup=10, measure=40, drain=60,
             )
         )
-        row = result.to_row()
         for key in ("rate", "offered_load", "accepted_throughput",
                     "mean_setup_latency", "p99_setup_latency", "delivery_rate",
                     "unfinished"):
@@ -420,7 +449,7 @@ class TestOpenLoopDeterminismAndParity:
             (6, 6), "limited-global", "transpose", 0.03, seed=9, faults=2,
             warmup=16, measure=64, drain=120,
         )
-        rows = [run_throughput_point(cell).to_row() for _ in range(2)]
+        rows = [run_throughput_point(cell) for _ in range(2)]
         assert rows[0] == rows[1]
 
     def test_serial_equals_parallel_batch(self):
@@ -504,7 +533,16 @@ class TestSaturation:
             self._fake_measure(0.1), low=0.01, high=0.4, iterations=8
         )
         assert 0.08 <= rate <= 0.12
-        assert probed == sorted(probed, key=lambda p: p.rate)
+        assert probed == sorted(probed, key=lambda row: row["rate"])
+
+    def test_knee_is_the_last_row_before_saturation(self):
+        measure = self._fake_measure(0.1)
+        rows = [measure(rate) for rate in (0.2, 0.01, 0.05, 0.1, 0.15)]
+        assert knee(rows) == measure(0.1)
+        assert knee([]) is None
+        # Accepting under MIN_ACCEPTANCE of the offered load saturates too,
+        # even at the lowest rate.
+        assert knee([dict(measure(0.2), rate=0.01)]) is None
 
     def test_find_saturation_validation(self):
         with pytest.raises(ValueError):
@@ -520,14 +558,14 @@ class TestSaturation:
         """The PR acceptance criterion: limited-global on an 8x8 mesh."""
         offered, accepted = [], []
         for rate in (0.002, 0.005, 0.01, 0.02, 0.04, 0.08):
-            result = run_throughput_point(
+            row = run_throughput_point(
                 _cell(
                     (8, 8), "limited-global", "transpose", rate, seed=0, faults=4,
                     warmup=30, measure=120, drain=240,
                 )
             )
-            offered.append(result.offered_load)
-            accepted.append(result.accepted_throughput)
+            offered.append(row["offered_load"])
+            accepted.append(row["accepted_throughput"])
         assert is_monotone_nondecreasing(accepted, tolerance=0.15)
         assert flattens(offered, accepted)
 
@@ -545,12 +583,10 @@ class TestSaturation:
             drain=120,
         )
         rows = throughput_rows(run_batch(spec))
-        curve = LoadCurve(
-            "limited-global",
-            tuple(LoadPoint.from_metrics(row) for row in rows["limited-global"]),
-        )
-        assert [p.rate for p in curve.points] == [0.01, 0.05]
-        assert [r["rate"] for r in rows["limited-global"]] == [0.01, 0.05]
+        curve = rows["limited-global"]
+        assert [r["rate"] for r in curve] == [0.01, 0.05]
+        # Both rates accept under MIN_ACCEPTANCE of their offered load.
+        assert knee(curve) is None
 
 
 class TestGlobalProbeTimeoutRelease:
