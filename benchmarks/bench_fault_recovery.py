@@ -44,7 +44,9 @@ def _cell(*, repair_after, warmup, measure, drain):
 CELL = _cell(repair_after=24, warmup=32, measure=128, drain=256)
 
 
-def _faulty_run(backend):
+def _faulty_run():
+    """A contended 10x10 run under MTBF faults and repairs, on the backend
+    ``REPRO_BACKEND`` selects."""
     mesh = Mesh((10, 10))
     workload = FaultWorkload(rate=0.05, repair_after=20, start=4, stop=60)
     schedule = mtbf_schedule(mesh, workload, seed=7)
@@ -59,9 +61,7 @@ def _faulty_run(backend):
         mesh,
         schedule=schedule,
         traffic=traffic,
-        config=SimulationConfig(
-            lam=2, router="limited-global", contention=True, backend=backend
-        ),
+        config=SimulationConfig(lam=2, router="limited-global", contention=True),
     )
     sim.run()
     return sim
@@ -81,9 +81,13 @@ def _fingerprint(sim):
     return sim.stats.summary(), per_message
 
 
-def test_fault_teardown_parity():
+def test_fault_teardown_parity(monkeypatch):
     """Gate: mid-run fault/recovery is byte-identical across engines."""
-    assert _fingerprint(_faulty_run("scalar")) == _fingerprint(_faulty_run("vector"))
+    fingerprints = {}
+    for backend in ("scalar", "vector"):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        fingerprints[backend] = _fingerprint(_faulty_run())
+    assert fingerprints["scalar"] == fingerprints["vector"]
 
 
 def test_throughput_under_faults_parity(monkeypatch):
@@ -98,7 +102,7 @@ def test_throughput_under_faults_parity(monkeypatch):
 
 def test_bench_faulty_simulation(benchmark):
     """Contended 10x10 run with MTBF faults + repairs (teardown hot path)."""
-    sim = benchmark(lambda: _faulty_run(None))
+    sim = benchmark(_faulty_run)
     print(f"\nfault churn: {sim.stats.summary()['fault_changes']:g} fault changes")
 
 

@@ -19,7 +19,7 @@ trajectory point (see benchmarks/baselines/).
 import numpy as np
 from _common import print_table
 
-from repro.backend import SCALAR, VECTOR
+from repro.backend import ENV_VAR, SCALAR, VECTOR
 from repro.core.block_construction import LabelingState, run_block_construction
 from repro.faults.injection import uniform_random_faults
 from repro.mesh.topology import Mesh
@@ -45,17 +45,18 @@ def _churn_history(shape, n_faults, n_events, seed):
     return mesh, initial, events
 
 
-def _replay(mesh, initial, events, backend):
-    """Converge the initial set, then re-converge after every churn event."""
+def _replay(mesh, initial, events):
+    """Converge the initial set, then re-converge after every churn event,
+    on the backend ``REPRO_BACKEND`` selects."""
     state = LabelingState.from_faults(mesh, initial)
-    total_rounds = run_block_construction(state, backend=backend).rounds
+    total_rounds = run_block_construction(state).rounds
     for kind, node in events:
         if kind == "recover":
             if state.status(node).value == "faulty":
                 state.recover(node)
         else:
             state.make_faulty(node)
-        total_rounds += run_block_construction(state, backend=backend).rounds
+        total_rounds += run_block_construction(state).rounds
     return state, total_rounds
 
 
@@ -63,60 +64,63 @@ MESH_2D = _churn_history((32, 32), n_faults=40, n_events=24, seed=3)
 MESH_3D = _churn_history((16, 16, 16), n_faults=60, n_events=24, seed=5)
 
 
-def test_churn_parity_2d():
+def _replay_on(monkeypatch, backend, history):
+    monkeypatch.setenv(ENV_VAR, backend)
+    return _replay(*history)
+
+
+def test_churn_parity_2d(monkeypatch):
     """Parity gate for the timed 32x32 comparison below."""
-    mesh, initial, events = MESH_2D
-    scalar_state, scalar_rounds = _replay(mesh, initial, events, SCALAR)
-    vector_state, vector_rounds = _replay(mesh, initial, events, VECTOR)
+    scalar_state, scalar_rounds = _replay_on(monkeypatch, SCALAR, MESH_2D)
+    vector_state, vector_rounds = _replay_on(monkeypatch, VECTOR, MESH_2D)
     assert scalar_rounds == vector_rounds
     assert np.array_equal(scalar_state.codes, vector_state.codes)
     assert scalar_state.non_enabled_nodes() == vector_state.non_enabled_nodes()
 
 
-def test_churn_parity_3d():
+def test_churn_parity_3d(monkeypatch):
     """Parity gate for the timed 16x16x16 comparison below."""
-    mesh, initial, events = MESH_3D
-    scalar_state, scalar_rounds = _replay(mesh, initial, events, SCALAR)
-    vector_state, vector_rounds = _replay(mesh, initial, events, VECTOR)
+    scalar_state, scalar_rounds = _replay_on(monkeypatch, SCALAR, MESH_3D)
+    vector_state, vector_rounds = _replay_on(monkeypatch, VECTOR, MESH_3D)
     assert scalar_rounds == vector_rounds
     assert np.array_equal(scalar_state.codes, vector_state.codes)
 
 
-def test_bench_labeling_churn_32x32_vector(benchmark):
-    mesh, initial, events = MESH_2D
-    _, rounds = benchmark(lambda: _replay(mesh, initial, events, VECTOR))
-    print(f"\n32x32 vector churn: {rounds} labeling rounds over {len(events)} events")
+def test_bench_labeling_churn_32x32_vector(benchmark, monkeypatch):
+    monkeypatch.setenv(ENV_VAR, VECTOR)
+    _, rounds = benchmark(lambda: _replay(*MESH_2D))
+    print(f"\n32x32 vector churn: {rounds} labeling rounds over {len(MESH_2D[2])} events")
 
 
-def test_bench_labeling_churn_32x32_scalar(benchmark):
-    mesh, initial, events = MESH_2D
-    _, rounds = benchmark(lambda: _replay(mesh, initial, events, SCALAR))
-    print(f"\n32x32 scalar churn: {rounds} labeling rounds over {len(events)} events")
+def test_bench_labeling_churn_32x32_scalar(benchmark, monkeypatch):
+    monkeypatch.setenv(ENV_VAR, SCALAR)
+    _, rounds = benchmark(lambda: _replay(*MESH_2D))
+    print(f"\n32x32 scalar churn: {rounds} labeling rounds over {len(MESH_2D[2])} events")
 
 
-def test_bench_labeling_churn_16x16x16_vector(benchmark):
-    mesh, initial, events = MESH_3D
-    _, rounds = benchmark(lambda: _replay(mesh, initial, events, VECTOR))
-    print(f"\n16^3 vector churn: {rounds} labeling rounds over {len(events)} events")
+def test_bench_labeling_churn_16x16x16_vector(benchmark, monkeypatch):
+    monkeypatch.setenv(ENV_VAR, VECTOR)
+    _, rounds = benchmark(lambda: _replay(*MESH_3D))
+    print(f"\n16^3 vector churn: {rounds} labeling rounds over {len(MESH_3D[2])} events")
 
 
-def test_bench_labeling_churn_16x16x16_scalar(benchmark):
-    mesh, initial, events = MESH_3D
-    _, rounds = benchmark(lambda: _replay(mesh, initial, events, SCALAR))
-    print(f"\n16^3 scalar churn: {rounds} labeling rounds over {len(events)} events")
+def test_bench_labeling_churn_16x16x16_scalar(benchmark, monkeypatch):
+    monkeypatch.setenv(ENV_VAR, SCALAR)
+    _, rounds = benchmark(lambda: _replay(*MESH_3D))
+    print(f"\n16^3 scalar churn: {rounds} labeling rounds over {len(MESH_3D[2])} events")
 
 
-def test_speedup_table():
+def test_speedup_table(monkeypatch):
     """Print the headline scalar/vector wall-clock ratio (informational)."""
     import time
 
     rows = []
-    for label, (mesh, initial, events) in (("32x32", MESH_2D), ("16x16x16", MESH_3D)):
+    for label, history in (("32x32", MESH_2D), ("16x16x16", MESH_3D)):
         timings = {}
         for backend in (SCALAR, VECTOR):
-            _replay(mesh, initial, events, backend)  # warm caches
+            _replay_on(monkeypatch, backend, history)  # warm caches
             start = time.perf_counter()
-            _, rounds = _replay(mesh, initial, events, backend)
+            _, rounds = _replay(*history)
             timings[backend] = time.perf_counter() - start
         rows.append(
             (

@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 from _common import print_table
 
-from repro.backend import SCALAR, VECTOR
+from repro.backend import ENV_VAR, SCALAR, VECTOR
 from repro.experiments import ExperimentSpec
 from repro.faults.injection import uniform_random_faults
 from repro.faults.schedule import DynamicFaultSchedule
@@ -30,8 +30,9 @@ from repro.throughput import run_throughput_point
 from repro.workloads.traffic import to_traffic, transpose_pairs
 
 
-def _high_load_run(backend=None):
-    """One contended steady-state run: full transpose batch, static faults."""
+def _high_load_run():
+    """One contended steady-state run: full transpose batch, static faults,
+    on the backend ``REPRO_BACKEND`` selects."""
     mesh = Mesh.cube(12, 2)
     rng = np.random.default_rng(7)
     faults = uniform_random_faults(mesh, 6, rng, margin=1)
@@ -47,11 +48,7 @@ def _high_load_run(backend=None):
         mesh,
         schedule=schedule,
         traffic=traffic,
-        config=SimulationConfig(
-            router="limited-global",
-            contention=True,
-            backend=backend,
-        ),
+        config=SimulationConfig(router="limited-global", contention=True),
     )
     return sim.run().stats
 
@@ -69,40 +66,47 @@ def _fingerprint(stats):
     )
 
 
-def test_decision_parity_vector_vs_scalar():
+def _high_load_run_on(monkeypatch, backend):
+    monkeypatch.setenv(ENV_VAR, backend)
+    return _high_load_run()
+
+
+def test_decision_parity_vector_vs_scalar(monkeypatch):
     """Parity gate for the decision-engine comparison below."""
-    assert _fingerprint(_high_load_run(VECTOR)) == _fingerprint(
-        _high_load_run(SCALAR)
+    assert _fingerprint(_high_load_run_on(monkeypatch, VECTOR)) == _fingerprint(
+        _high_load_run_on(monkeypatch, SCALAR)
     )
 
 
-def test_bench_step_decision_vector(benchmark):
+def test_bench_step_decision_vector(benchmark, monkeypatch):
     """Contended step loop on the vector backend (the probe table)."""
-    stats = benchmark(lambda: _high_load_run(VECTOR))
+    monkeypatch.setenv(ENV_VAR, VECTOR)
+    stats = benchmark(_high_load_run)
     print(
         f"\nvector decisions: {stats.steps} steps, "
         f"{len(stats.messages)} messages, delivery {stats.delivery_rate:.2f}"
     )
 
 
-def test_bench_step_decision_scalar(benchmark):
+def test_bench_step_decision_scalar(benchmark, monkeypatch):
     """Contended step loop on the scalar backend (the scalar probe loop)."""
-    stats = benchmark(lambda: _high_load_run(SCALAR))
+    monkeypatch.setenv(ENV_VAR, SCALAR)
+    stats = benchmark(_high_load_run)
     print(
         f"\nscalar decisions: {stats.steps} steps, "
         f"{len(stats.messages)} messages, delivery {stats.delivery_rate:.2f}"
     )
 
 
-def test_decision_speedup_table():
+def test_decision_speedup_table(monkeypatch):
     """Print the headline decision-engine wall-clock ratio (informational)."""
     import time
 
     timings = {}
     for backend in (SCALAR, VECTOR):
-        _high_load_run(backend)  # warm caches
+        _high_load_run_on(monkeypatch, backend)  # warm caches
         start = time.perf_counter()
-        stats = _high_load_run(backend)
+        stats = _high_load_run()
         timings[backend] = time.perf_counter() - start
     print_table(
         "Contended step loop: scalar vs vectorized decision engine (one run, warm)",

@@ -52,7 +52,7 @@ from repro.core import (
     route_offline,
     run_block_construction,
 )
-from repro.backend import default_backend, resolve_backend
+from repro.backend import resolve_backend
 from repro.core.distribution import distribute_information
 from repro.core.routing import RoutingProbe
 from repro.faults import (
@@ -106,7 +106,6 @@ __all__ = [
     "available_routers",
     "build_blocks",
     "compute_boundaries",
-    "default_backend",
     "distribute_information",
     "dynamic_schedule",
     "extract_blocks",

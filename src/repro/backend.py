@@ -10,57 +10,36 @@ block extents, reserved-link sets and probe decisions) and as the
 benchmark baseline.  Both run on the same numpy-backed state — numpy is a
 runtime dependency of the package either way.
 
-Selection, in priority order:
-
-1. an explicit argument (``labeling_round(state, backend="scalar")``,
-   ``SimulationConfig(backend="vector")``, the CLI's ``--backend``),
-2. the ``REPRO_BACKEND`` environment variable (``vector`` or ``scalar``),
-3. the built-in default (``vector``).
-
-Every entry point validates eagerly: an unknown name — explicit argument
-*or* a typo'd environment value — raises :class:`ValueError` naming the
-allowed backends instead of silently running some default.
+The ``REPRO_BACKEND`` environment variable (``vector`` or ``scalar``) is
+the one switch, and :func:`resolve_backend` its one reader; unset, the
+backend is ``vector``.  A sweep's worker processes inherit the variable,
+and the sweep pins the parent's choice into each shard it dispatches.  An
+unknown value raises :class:`ValueError` naming the variable and the
+allowed backends instead of silently running some default; the CLI
+reports it as a usage error before any command runs.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple
 
 VECTOR = "vector"
 SCALAR = "scalar"
 _BACKENDS = (VECTOR, SCALAR)
 
-#: Environment variable overriding the default backend.
+#: Environment variable selecting the backend.
 ENV_VAR = "REPRO_BACKEND"
 
 
-def available_backends() -> Tuple[str, ...]:
-    """Every selectable backend name (the CLI's ``--backend`` menu)."""
-    return _BACKENDS
-
-
-def _validated(value: str, source: str) -> str:
-    """Normalize and validate one backend name, naming its origin on error."""
+def resolve_backend() -> str:
+    """The selected backend: ``$REPRO_BACKEND``, normalized, else ``vector``."""
+    value = os.environ.get(ENV_VAR)
+    if value is None:
+        return VECTOR
     name = value.strip().lower()
     if name not in _BACKENDS:
         raise ValueError(
-            f"{source}={value!r} is not a known backend; "
+            f"{ENV_VAR}={value!r} is not a known backend; "
             f"choose from {', '.join(_BACKENDS)}"
         )
     return name
-
-
-def default_backend() -> str:
-    """The backend used when no explicit choice is made."""
-    value = os.environ.get(ENV_VAR)
-    if value is not None:
-        return _validated(value, ENV_VAR)
-    return VECTOR
-
-
-def resolve_backend(explicit: Optional[str] = None) -> str:
-    """Resolve an explicit backend name (``None`` → environment/default)."""
-    if explicit is None:
-        return default_backend()
-    return _validated(explicit, "backend")

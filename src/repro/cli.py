@@ -26,8 +26,10 @@ Eight subcommands cover the workflows the experiments use:
   stream per-cell results as NDJSON, fetch the canonical
   ``repro.result/v1`` JSON — byte-identical to ``sweep --out``.
 
-The mesh is either the uniform ``--radix``/``--dims`` cube or an explicit
-rectangular ``--shape 16,8,4`` (the two options are mutually exclusive).
+The mesh is ``--shape`` (e.g. ``16,8,4``; ``10,10,10`` unless given, or
+``8,8`` for ``throughput``).  The hot-loop backend is ``$REPRO_BACKEND``'s
+alone (:mod:`repro.backend`); an invalid value is a usage error before
+any command runs.
 
 Every command that runs a grid of experiment cells (``sweep``,
 ``throughput`` and ``compare``) builds a ``repro.spec/v1`` payload and
@@ -45,7 +47,6 @@ number it prints can also be obtained programmatically.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
@@ -55,8 +56,7 @@ import numpy as np
 from repro.analysis.convergence import measure_convergence
 from repro.analysis.metrics import COMPARED_POLICIES
 from repro.analysis.throughput import throughput_rows
-from repro.backend import ENV_VAR as BACKEND_ENV_VAR
-from repro.backend import available_backends, resolve_backend
+from repro.backend import resolve_backend
 from repro.core.block_construction import build_blocks
 from repro.experiments import (
     ENGINES,
@@ -68,6 +68,7 @@ from repro.experiments import (
     run_batch,
     run_cell,
 )
+from repro.experiments.cache import default_cache_dir
 from repro.experiments.results import canonical_json
 from repro.experiments.runner import build_simulator
 from repro.faults.injection import uniform_random_faults
@@ -78,8 +79,10 @@ from repro.workloads.scenarios import parametric_block_scenario
 
 Coord = Tuple[int, ...]
 
-DEFAULT_RADIX = 10
-DEFAULT_DIMS = 3
+DEFAULT_SHAPE = (10, 10, 10)
+
+#: ``throughput``'s offered rates when ``--rates`` is absent.
+DEFAULT_RATES = (0.002, 0.005, 0.01, 0.02, 0.04, 0.08)
 
 
 def _parse_coord(text: str, n_dims: int) -> Coord:
@@ -124,68 +127,13 @@ def _parse_float_list(text: str) -> Tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
+def _add_shape_argument(
+    parser: argparse.ArgumentParser, default: Tuple[int, ...] = DEFAULT_SHAPE
+) -> None:
     parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="hot-loop implementation (labeling rounds, circuit ledger, "
-        "decision engine); defaults to $REPRO_BACKEND or 'vector'",
+        "--shape", type=_parse_shape, default=default,
+        help=f"mesh shape, e.g. 16,8,4 (default {','.join(map(str, default))})",
     )
-
-
-def _apply_backend(args: argparse.Namespace) -> None:
-    """Export a validated ``--backend`` choice for this run.
-
-    Setting the environment variable (rather than threading a parameter
-    through every subsystem) also reaches the worker processes of
-    ``sweep``/``throughput`` fan-out, which inherit the environment.
-    """
-    if getattr(args, "backend", None) is not None:
-        os.environ[BACKEND_ENV_VAR] = resolve_backend(args.backend)
-
-
-def _add_mesh_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--radix", type=int, default=None,
-        help=f"nodes per dimension (k, default {DEFAULT_RADIX})",
-    )
-    parser.add_argument(
-        "--dims", type=int, default=None,
-        help=f"mesh dimensionality (n, default {DEFAULT_DIMS})",
-    )
-    parser.add_argument(
-        "--shape", default=None,
-        help="rectangular mesh shape, e.g. 16,8,4 (mutually exclusive with --radix/--dims)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-
-
-def _resolve_shapes(
-    shapes: Sequence[str],
-    radix: Optional[int],
-    dims: Optional[int],
-) -> Tuple[Tuple[int, ...], ...]:
-    """Resolve --shape vs --radix/--dims; the two styles are exclusive."""
-    if shapes:
-        if radix is not None or dims is not None:
-            raise argparse.ArgumentTypeError(
-                "--shape is mutually exclusive with --radix/--dims"
-            )
-        return tuple(_parse_shape(s) for s in shapes)
-    radix = radix if radix is not None else DEFAULT_RADIX
-    dims = dims if dims is not None else DEFAULT_DIMS
-    return (tuple([radix] * dims),)
-
-
-def _mesh_shape_from_args(args: argparse.Namespace) -> Tuple[int, ...]:
-    shapes = [args.shape] if args.shape is not None else []
-    (shape,) = _resolve_shapes(shapes, args.radix, args.dims)
-    return shape
-
-
-def _mesh_from_args(args: argparse.Namespace) -> Mesh:
-    return Mesh(_mesh_shape_from_args(args))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -196,7 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     route = sub.add_parser("route", help="route one message against a static fault set")
-    _add_mesh_arguments(route)
+    _add_shape_argument(route)
+    route.add_argument("--seed", type=int, default=0, help="seed of --random-faults")
     route.add_argument("--source", required=True, help="source address, e.g. 0,0,0")
     route.add_argument("--destination", required=True, help="destination address")
     route.add_argument("--fault", action="append", default=[], help="faulty node (repeatable)")
@@ -209,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     simulate = sub.add_parser("simulate", help="run a randomized dynamic-fault simulation")
-    _add_mesh_arguments(simulate)
+    _add_shape_argument(simulate)
+    simulate.add_argument("--seed", type=int, default=0, help="the cell seed")
     simulate.add_argument("--faults", type=int, default=6, help="dynamic fault count")
     simulate.add_argument("--interval", type=int, default=15, help="steps between faults (d_i)")
     simulate.add_argument("--messages", type=int, default=12, help="routing messages")
@@ -245,15 +195,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="time the step pipeline's phases and print the nested timing "
         "report to stderr",
     )
-    _add_backend_argument(simulate)
 
     compare = sub.add_parser("compare", help="compare routing policies on random faults")
-    _add_mesh_arguments(compare)
+    _add_shape_argument(compare)
+    compare.add_argument("--seed", type=int, default=0, help="the spec's seed")
     compare.add_argument("--faults", type=int, default=8)
     compare.add_argument("--messages", type=int, default=20)
 
     convergence = sub.add_parser("convergence", help="measure a/b/c for a parametric block")
-    _add_mesh_arguments(convergence)
+    _add_shape_argument(convergence)
     convergence.add_argument("--edge", type=int, default=3, help="block edge length")
 
     sweep = sub.add_parser(
@@ -267,11 +217,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "service accepts) instead of the grid flags below",
     )
     sweep.add_argument(
-        "--shape", action="append", default=None,
-        help="mesh shape, e.g. 16,8,4 (repeatable; mutually exclusive with --radix/--dims)",
+        "--shape", type=_parse_shape, action="append", default=None,
+        help="mesh shape, e.g. 16,8,4 (repeatable; default 10,10,10)",
     )
-    sweep.add_argument("--radix", type=int, default=None, help="uniform mesh radix")
-    sweep.add_argument("--dims", type=int, default=None, help="uniform mesh dimensionality")
     sweep.add_argument("--mode", choices=MODES, default="simulate")
     sweep.add_argument(
         "--policies", default="limited-global",
@@ -321,26 +269,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "workers; 'serial', its oracle, runs one cell at a time — both "
         "emit byte-identical JSON",
     )
-    cache_group = sweep.add_mutually_exclusive_group()
-    cache_group.add_argument(
-        "--cache", action="store_true",
-        help="serve cells from the content-addressed result cache and "
-        "persist misses as they land (keyed by cell parameters, seed, "
-        "backend and package version)",
-    )
-    cache_group.add_argument(
-        "--no-cache", action="store_true",
-        help="force the cache off even when --cache-dir/--resume is given",
-    )
     sweep.add_argument(
-        "--cache-dir", default=None,
-        help="result-cache directory (implies --cache; default "
-        "$REPRO_CACHE_DIR or ~/.cache/repro-mesh)",
-    )
-    sweep.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted sweep: alias for --cache — completed "
-        "cells are read back from the cache, only missing cells run",
+        "--cache-dir", nargs="?", const="", default=None, metavar="DIR",
+        help="serve cells from the content-addressed result cache in DIR "
+        "and persist misses as they land, so a rerun of an interrupted "
+        "sweep runs only the missing cells (entries are keyed by cell "
+        "parameters, seed, backend and package version); given bare, DIR "
+        "is $REPRO_CACHE_DIR or ~/.cache/repro-mesh",
     )
     sweep.add_argument("--name", default="sweep", help="spec name (seeds the cell derivation)")
     sweep.add_argument("--out", default=None, help="write JSON here instead of stdout")
@@ -350,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "utilization, cache stats) as JSON to this separate file — the "
         "canonical sweep JSON itself never contains telemetry",
     )
-    _add_backend_argument(sweep)
 
     report = sub.add_parser(
         "report",
@@ -400,19 +334,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pool inactivity budget in seconds (same semantics as "
         "sweep --shard-timeout)",
     )
-    _add_backend_argument(serve)
 
     throughput = sub.add_parser(
         "throughput",
         help="open-loop saturation measurement: per-policy load-latency/"
         "throughput curves (repro.throughput)",
     )
-    throughput.add_argument(
-        "--shape", action="append", default=None,
-        help="mesh shape, e.g. 8,8 (default; mutually exclusive with --radix/--dims)",
-    )
-    throughput.add_argument("--radix", type=int, default=None, help="uniform mesh radix")
-    throughput.add_argument("--dims", type=int, default=None, help="uniform mesh dimensionality")
+    _add_shape_argument(throughput, default=(8, 8))
     throughput.add_argument(
         "--policy", default="limited-global",
         help="comma-separated policy names (registered routers: "
@@ -427,14 +355,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="open-loop injection process",
     )
     throughput.add_argument(
-        "--rates", type=_parse_float_list,
-        default=(0.002, 0.005, 0.01, 0.02, 0.04, 0.08),
-        help="offered injection rates per node per step, e.g. 0.01,0.05",
+        "--rates", type=_parse_float_list, default=None,
+        help="offered injection rates per node per step, e.g. 0.01,0.05 "
+        f"(default {','.join(map(str, DEFAULT_RATES))})",
     )
     throughput.add_argument(
         "--saturation", action="store_true",
         help="binary-search the saturation rate per policy instead of "
-        "sweeping --rates",
+        "sweeping --rates (prints its probes; takes no --rates, --out or "
+        "--workers)",
     )
     throughput.add_argument("--faults", type=int, default=4, help="static fault count")
     throughput.add_argument(
@@ -450,7 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     throughput.add_argument(
         "--trace-out", default=None,
         help="write the run's JSONL step trace (fault events included) here; "
-        "requires a single cell: one policy, one rate and one seed",
+        "requires a single cell: one policy, one rate and one seed (takes "
+        "no --out or --workers)",
     )
     throughput.add_argument("--lam", type=int, default=2, help="information rounds per step (λ)")
     throughput.add_argument("--flits", type=int, default=64, help="message length in flits")
@@ -461,13 +391,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="replicate seeds, e.g. 0,1,2")
     throughput.add_argument("--workers", type=int, default=1, help="worker processes (1 = serial)")
     throughput.add_argument("--out", default=None, help="write curve JSON here")
-    _add_backend_argument(throughput)
 
     return parser
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    mesh = _mesh_from_args(args)
+    mesh = Mesh(args.shape)
     rng = np.random.default_rng(args.seed)
     source = _parse_coord(args.source, mesh.n_dims)
     destination = _parse_coord(args.destination, mesh.n_dims)
@@ -491,7 +420,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    shape = _mesh_shape_from_args(args)
+    shape = args.shape
     if args.scenario == "transpose" and len(set(shape)) != 1:
         raise argparse.ArgumentTypeError(
             "transpose traffic requires a uniform (cubic) mesh"
@@ -546,7 +475,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    mesh = _mesh_from_args(args)
+    mesh = Mesh(args.shape)
     spec = _spec_from_payload(
         {
             "schema": SPEC_SCHEMA,
@@ -572,9 +501,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
-    scenario = parametric_block_scenario(
-        edge=args.edge, shape=_mesh_shape_from_args(args)
-    )
+    scenario = parametric_block_scenario(edge=args.edge, shape=args.shape)
     extent = scenario.expected_extents[0]
     measurement = measure_convergence(scenario.mesh, list(extent.iter_points()))
     print(f"mesh {scenario.mesh}, block edge {args.edge} ({extent.lo}..{extent.hi})")
@@ -601,10 +528,10 @@ def _spec_from_payload(payload: object) -> ExperimentSpec:
 def _sweep_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     """Build the sweep's spec — from ``--spec FILE.json`` or the grid flags."""
     if args.spec is not None:
-        if args.shape or args.radix is not None or args.dims is not None:
+        if args.shape:
             raise argparse.ArgumentTypeError(
                 "--spec carries the whole grid; it is mutually exclusive "
-                "with --shape/--radix/--dims"
+                "with --shape"
             )
         import json as _json
 
@@ -617,7 +544,7 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             raise argparse.ArgumentTypeError(f"--spec file is not valid JSON: {exc}")
         return _spec_from_payload(payload)
 
-    shapes = _resolve_shapes(args.shape or [], args.radix, args.dims)
+    shapes = args.shape or [DEFAULT_SHAPE]
     scenarios: Tuple[str, ...] = ()
     if args.scenarios:
         scenarios = tuple(s.strip() for s in args.scenarios.split(",") if s.strip())
@@ -644,10 +571,8 @@ def _sweep_spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _sweep_spec_from_args(args)
     cache = None
-    if (args.cache or args.resume or args.cache_dir is not None) and not args.no_cache:
-        cache = (
-            ResultCache(args.cache_dir) if args.cache_dir is not None else ResultCache()
-        )
+    if args.cache_dir is not None:
+        cache = ResultCache(args.cache_dir or default_cache_dir())
     print(
         f"sweep {spec.name!r}: {spec.cell_count} cells, mode={spec.mode}, "
         f"engine={args.engine}, workers={max(args.workers, 1)}"
@@ -690,12 +615,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     cache_dir = None
     if not args.no_cache:
-        if args.cache_dir is not None:
-            cache_dir = args.cache_dir
-        else:
-            from repro.experiments.cache import default_cache_dir
-
-            cache_dir = str(default_cache_dir())
+        cache_dir = args.cache_dir or str(default_cache_dir())
     service = make_service(
         host=args.host,
         port=args.port,
@@ -713,28 +633,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_throughput(args: argparse.Namespace) -> int:
-    if args.shape:
-        shapes = _resolve_shapes(args.shape, args.radix, args.dims)
-    elif args.radix is not None or args.dims is not None:
-        shapes = _resolve_shapes([], args.radix, args.dims)
-    else:
-        shapes = ((8, 8),)  # saturation curves want a modest default mesh
-    if len(shapes) != 1:
+    # The single-purpose modes refuse the flags they would drop, before
+    # any cell runs.
+    mode = "--saturation" if args.saturation else "--trace-out" if args.trace_out else None
+    if mode is not None and args.out:
+        raise argparse.ArgumentTypeError(f"{mode} writes no curve JSON; drop --out")
+    if mode is not None and args.workers > 1:
+        raise argparse.ArgumentTypeError(f"{mode} runs in-process; drop --workers")
+    if args.saturation and args.rates is not None:
         raise argparse.ArgumentTypeError(
-            "throughput measures one mesh at a time; give --shape once"
+            "--saturation searches its own rates; drop --rates"
         )
+    rates = args.rates if args.rates is not None else DEFAULT_RATES
     spec = _spec_from_payload(
         {
             "schema": SPEC_SCHEMA,
             "name": "throughput",
             "mode": "throughput",
-            "mesh_shapes": [list(shapes[0])],
+            "mesh_shapes": [list(args.shape)],
             "policies": [p.strip() for p in args.policy.split(",") if p.strip()],
             "scenarios": [args.scenario],
             "fault_counts": [args.faults],
             "lams": [args.lam],
             "flits": [args.flits],
-            "rates": list(args.rates),
+            "rates": list(rates),
             "seeds": list(args.seeds),
             "injection": args.injection,
             "warmup": args.warmup,
@@ -842,7 +764,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_backend(args)
+        resolve_backend()  # a bad $REPRO_BACKEND stops every command here
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
         return _COMMANDS[args.command](args)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))

@@ -68,17 +68,10 @@ class LabelingState:
     )
 
     def __post_init__(self) -> None:
-        import numpy as np
+        if self._statuses is None:
+            import numpy as np
 
-        if self._statuses is None or (
-            not isinstance(self._statuses, np.ndarray) and not self._statuses
-        ):
             self._statuses = np.zeros(self.mesh.size, dtype=np.int8)
-        elif not isinstance(self._statuses, np.ndarray):
-            # Historic constructor shape: a list of NodeStatus per node.
-            self._statuses = np.array(
-                [s.code for s in self._statuses], dtype=np.int8
-            )
 
     @property
     def codes(self):
@@ -338,18 +331,18 @@ def _labeling_round_vector(state: LabelingState) -> int:
     return int(changed.size)
 
 
-def labeling_round(state: LabelingState, *, backend: Optional[str] = None) -> int:
+def labeling_round(state: LabelingState) -> int:
     """Run one synchronous round of Algorithm 1 in place.
 
     Every candidate node reads its neighbors' *old* statuses and computes its
     new status; all updates are then applied simultaneously.  Returns the
     number of nodes whose status changed.
 
-    ``backend`` selects the scalar reference loop or the numpy-vectorized
-    engine (``None`` resolves via :func:`repro.backend.resolve_backend`);
-    both produce byte-identical statuses, change counts and mutation stamps.
+    The backend (:func:`repro.backend.resolve_backend`) selects the scalar
+    reference loop or the numpy-vectorized engine; both produce
+    byte-identical statuses, change counts and mutation stamps.
     """
-    if resolve_backend(backend) == VECTOR:
+    if resolve_backend() == VECTOR:
         return _labeling_round_vector(state)
     return _labeling_round_scalar(state)
 
@@ -375,15 +368,13 @@ class BlockConstructionResult:
 
 
 def run_block_construction(
-    state: LabelingState,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    *,
-    backend: Optional[str] = None,
+    state: LabelingState, max_rounds: int = DEFAULT_MAX_ROUNDS
 ) -> BlockConstructionResult:
     """Iterate :func:`labeling_round` until no status changes (Algorithm 1)."""
-    resolved = resolve_backend(backend)
     round_fn = (
-        _labeling_round_vector if resolved == VECTOR else _labeling_round_scalar
+        _labeling_round_vector
+        if resolve_backend() == VECTOR
+        else _labeling_round_scalar
     )
     rounds = 0
     total_changes = 0
@@ -400,12 +391,9 @@ def run_block_construction(
     return BlockConstructionResult(rounds=rounds, status_changes=total_changes, state=state)
 
 
-def build_blocks(
-    mesh: Mesh, faults: Iterable[Sequence[int]], *, backend: Optional[str] = None
-) -> BlockConstructionResult:
+def build_blocks(mesh: Mesh, faults: Iterable[Sequence[int]]) -> BlockConstructionResult:
     """Convenience wrapper: label from scratch for a static fault set."""
-    state = LabelingState.from_faults(mesh, faults)
-    return run_block_construction(state, backend=backend)
+    return run_block_construction(LabelingState.from_faults(mesh, faults))
 
 
 def extract_blocks(state: LabelingState) -> List[FaultyBlock]:

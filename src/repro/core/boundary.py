@@ -9,12 +9,13 @@ one hop per round, until it reaches the outmost surface of the mesh; when it
 runs into another block it merges into that block's boundary for the same
 surface and continues beyond it (Figure 3).
 
-Two implementations are provided:
+One implementation, two entry points:
 
-* :func:`compute_boundaries` — the converged ("oracle") result: which nodes
-  end up holding which :class:`~repro.core.state.BoundaryInfo` records;
 * :class:`BoundaryProtocol` — the round-driven distributed propagation used
-  by the simulator, whose round count is the paper's ``c_i``.
+  by the simulator, whose round count is the paper's ``c_i``;
+* :func:`compute_boundaries` — that protocol run to convergence for a set
+  of stabilized blocks: which nodes end up holding which
+  :class:`~repro.core.state.BoundaryInfo` records.
 
 Merging note (documented simplification): when a propagation column hits a
 second block, the paper routes the information along the second block's
@@ -102,7 +103,7 @@ def boundary_start_nodes(
 
 
 # ---------------------------------------------------------------------- #
-# converged (oracle) boundary computation
+# converged boundary computation
 # ---------------------------------------------------------------------- #
 def compute_boundaries(
     mesh: Mesh,

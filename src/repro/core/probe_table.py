@@ -93,7 +93,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 Coord = Tuple[int, ...]
 
 
-def table_eligible(router: object, backend: Optional[str], n_dims: int) -> bool:
+def table_eligible(router: object, n_dims: int) -> bool:
     """Whether a :class:`ProbeTable` runs a simulator's message phase or
     an offline batch.
 
@@ -106,7 +106,7 @@ def table_eligible(router: object, backend: Optional[str], n_dims: int) -> bool:
     (``online_view`` and ``offline_view``).
     """
     return (
-        resolve_backend(backend) == VECTOR
+        resolve_backend() == VECTOR
         and 2 * n_dims <= 32
         and isinstance(router, AlgorithmRouter)
     )

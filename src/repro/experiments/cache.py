@@ -50,28 +50,32 @@ def default_cache_dir() -> Path:
     return Path("~/.cache/repro-mesh").expanduser()
 
 
-def cell_fingerprint(
-    cell: ExperimentCell,
-    *,
-    backend: Optional[str] = None,
-    version: Optional[str] = None,
-) -> str:
+def _context() -> Dict[str, object]:
+    """What an address covers besides the cell: the entry format, the live
+    backend and the package version (every entry also records them)."""
+    return {
+        "format": CACHE_FORMAT,
+        "backend": resolve_backend(),
+        "version": PACKAGE_VERSION,
+    }
+
+
+def _fingerprint(cell: ExperimentCell, context: Dict[str, object]) -> str:
+    payload = dict(context, cell=cell.identity())
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def cell_fingerprint(cell: ExperimentCell) -> str:
     """Stable content address of one cell's result.
 
     Hashes the cell identity (:meth:`ExperimentCell.identity` — every
     result-determining parameter plus the ``cell_seed``, grid position
-    excluded), the resolved backend and the package version, so a backend
+    excluded), the live backend and the package version, so a backend
     switch or a release invalidates every entry instead of silently
     serving stale numbers.
     """
-    payload = {
-        "format": CACHE_FORMAT,
-        "backend": resolve_backend(backend),
-        "version": version if version is not None else PACKAGE_VERSION,
-        "cell": cell.identity(),
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _fingerprint(cell, _context())
 
 
 @dataclass
@@ -107,8 +111,6 @@ class CacheStats:
 class ResultCache:
     """Content-addressed result store under one directory.
 
-    ``backend``/``version`` default to the live backend and package
-    version; tests override them to prove fingerprint invalidation.
     Instances are used from the *parent* process only — workers return
     results and the parent persists them.  Several instances may share one
     directory (the service gives each job its own): no locking is needed
@@ -116,22 +118,21 @@ class ResultCache:
     """
 
     root: Union[str, Path] = field(default_factory=default_cache_dir)
-    backend: Optional[str] = None
-    version: Optional[str] = None
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.backend = resolve_backend(self.backend)
-        if self.version is None:
-            self.version = PACKAGE_VERSION
+        # Read once, when the cache is built: its entries are addressed as
+        # cell_fingerprint addressed them then, and a lookup reads no
+        # environment.
+        self._context = _context()
 
     # ------------------------------------------------------------------ #
     # addressing
     # ------------------------------------------------------------------ #
     def fingerprint(self, cell: ExperimentCell) -> str:
-        return cell_fingerprint(cell, backend=self.backend, version=self.version)
+        return _fingerprint(cell, self._context)
 
     def path_for(self, cell: ExperimentCell) -> Path:
         """Entry path: two-level fan-out keeps directories small."""
@@ -193,14 +194,12 @@ class ResultCache:
         path = self._entry(fp)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
-        payload = {
-            "format": CACHE_FORMAT,
-            "fingerprint": fp,
-            "backend": self.backend,
-            "version": self.version,
-            "cell": cell.identity(),
-            "metrics": {k: metrics[k] for k in sorted(metrics)},
-        }
+        payload = dict(
+            self._context,
+            fingerprint=fp,
+            cell=cell.identity(),
+            metrics={k: metrics[k] for k in sorted(metrics)},
+        )
         tmp = f"{directory}{os.sep}{fp}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(payload, sort_keys=True))

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.probe_table import table_eligible
 from repro.experiments.spec import ExperimentCell
@@ -76,14 +76,14 @@ class Shard:
         return len(self.cells)
 
 
-def probe_table_eligible(cell: ExperimentCell, *, backend: Optional[str] = None) -> bool:
+def probe_table_eligible(cell: ExperimentCell) -> bool:
     """Whether ``cell``'s simulator will run its messages on the probe table.
 
     A simulate-mode cell that passes the simulator's own gate,
     :func:`~repro.core.probe_table.table_eligible`.
     """
     return cell.mode == "simulate" and table_eligible(
-        resolve_router(cell.policy), backend, len(cell.shape)
+        resolve_router(cell.policy), len(cell.shape)
     )
 
 
@@ -114,7 +114,6 @@ def plan_shards(
     cells: Sequence[IndexedCell],
     *,
     workers: int = 1,
-    backend: Optional[str] = None,
     engine: str = "auto",
 ) -> List[Shard]:
     """Partition ``cells`` into stacked and serial shards for ``workers``.
@@ -131,7 +130,7 @@ def plan_shards(
     for index, cell in cells:
         if engine == "serial":
             serial.append((index, cell))
-        elif probe_table_eligible(cell, backend=backend):
+        elif probe_table_eligible(cell):
             stacked_groups.setdefault(cell.shape, []).append((index, cell))
         elif cell.mode == "offline":
             offline.append((index, cell))

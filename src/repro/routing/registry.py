@@ -120,9 +120,7 @@ class Router(ABC):
         from repro.core.probe_table import OfflineBatch, table_eligible
 
         # A cap of 0 steps takes none, and the table always takes one.
-        if (max_steps is None or max_steps > 0) and table_eligible(
-            self, None, mesh.n_dims
-        ):
+        if (max_steps is None or max_steps > 0) and table_eligible(self, mesh.n_dims):
             return OfflineBatch(self, mesh, labeling, pairs, max_steps=max_steps).route()
         return [self.route(mesh, labeling, s, d, max_steps=max_steps) for s, d in pairs]
 
@@ -136,11 +134,9 @@ class Router(ABC):
 _FACTORIES: Dict[str, Callable[[], Router]] = {}
 
 
-def register_router(
-    name: str, factory: Callable[[], Router], *, replace: bool = False
-) -> None:
-    """Register ``factory`` under ``name`` (``replace`` guards collisions)."""
-    if not replace and name in _FACTORIES:
+def register_router(name: str, factory: Callable[[], Router]) -> None:
+    """Register ``factory`` under ``name``; a taken name raises :class:`ValueError`."""
+    if name in _FACTORIES:
         raise ValueError(f"router {name!r} is already registered")
     _FACTORIES[name] = factory
 

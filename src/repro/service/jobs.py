@@ -286,7 +286,6 @@ class JobManager:
     def _execute(self, job: Job) -> None:
         job.started = time.time()
         self._notify(job)
-        cache = ResultCache(self.cache_dir) if self.cache_dir is not None else None
 
         def on_cell(result) -> None:
             if job.cancel_requested:
@@ -299,8 +298,13 @@ class JobManager:
                 job.lines.append(line)
             self._notify(job)
 
-        state, error = DONE, None
+        state, error, cache = DONE, None, None
+        # Everything that can raise runs inside the try: an exception lost
+        # in the thread pool's future would leave the job running and its
+        # slot taken, and the queue would stop.
         try:
+            if self.cache_dir is not None:
+                cache = ResultCache(self.cache_dir)
             batch = run_batch(
                 job.spec,
                 workers=self.workers,
@@ -308,13 +312,12 @@ class JobManager:
                 on_cell_done=on_cell,
                 shard_timeout=self.shard_timeout,
             )
+            job.result_json = (batch.to_json() + "\n").encode("utf-8")
+            job.telemetry = batch.telemetry_dict()
         except BatchCancelled:
             state = CANCELLED
         except Exception as exc:  # surfaced in the job, never the service
             state, error = FAILED, f"{type(exc).__name__}: {exc}"
-        else:
-            job.result_json = (batch.to_json() + "\n").encode("utf-8")
-            job.telemetry = batch.telemetry_dict()
 
         end = {
             "event": "end",

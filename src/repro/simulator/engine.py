@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.backend import resolve_backend
 from repro.core.block_construction import extract_blocks, labeling_round
 from repro.core.boundary import BoundaryProtocol
 from repro.core.identification import IdentificationProtocol
@@ -71,7 +70,8 @@ class SimulationConfig:
     None of them selects how the message phase runs: the simulator steps
     its probes on the :class:`~repro.core.probe_table.ProbeTable` (the fast
     path) whenever :func:`~repro.core.probe_table.table_eligible` admits the
-    router, backend and mesh, and otherwise runs the scalar
+    router, the backend (``REPRO_BACKEND``, see :mod:`repro.backend`) and
+    the mesh, and otherwise runs the scalar
     :class:`~repro.core.routing.RoutingProbe` loop, the table's parity
     oracle.
     """
@@ -101,18 +101,6 @@ class SimulationConfig:
     #: offline routing uses).
     max_probe_lifetime: Optional[int] = None
 
-    #: Hot-loop implementation for the labeling rounds and the message
-    #: phase: ``"vector"`` (numpy stencil gathers, and the
-    #: :class:`~repro.core.probe_table.ProbeTable` fast path with its flat
-    #: reservation columns for every policy it hosts), ``"scalar"`` (the
-    #: pure-Python reference: the :class:`~repro.core.routing.RoutingProbe`
-    #: loop over the dict ledger, the table's parity oracle) or ``None`` to
-    #: resolve via the ``REPRO_BACKEND`` environment variable (vector by
-    #: default).  Both produce byte-identical statuses, block extents,
-    #: reserved-link sets and probe decisions — the parity tests hold the
-    #: two to that.
-    backend: Optional[str] = None
-
     def __post_init__(self) -> None:
         if self.lam < 1:
             raise ValueError("λ (lam) must be at least 1")
@@ -121,8 +109,6 @@ class SimulationConfig:
         if self.max_probe_lifetime is not None and self.max_probe_lifetime < 1:
             raise ValueError("max_probe_lifetime must be at least 1 (or None)")
         resolve_router(self.router)  # unknown names fail fast, with the menu
-        if self.backend is not None:
-            resolve_backend(self.backend)  # unknown backends fail fast too
 
 
 class Simulator:
@@ -172,9 +158,7 @@ class Simulator:
 
         #: The router driving every probe, resolved through the registry.
         self.router: Router = resolve_router(self.config.router)
-        #: Resolved hot-loop backend (labeling rounds + message path).
-        self._backend = resolve_backend(self.config.backend)
-        eligible = table_eligible(self.router, self._backend, mesh.n_dims)
+        eligible = table_eligible(self.router, mesh.n_dims)
         #: Live link reservations of the PCS circuit phase, in the ledger of
         #: the message path: the probe table's slot ledger or the scalar
         #: loop's dict ledger (``None`` keeps the contention-free behavior
@@ -254,7 +238,7 @@ class Simulator:
         when a routing starts, so their information is fully distributed
         before step 0.
         """
-        while labeling_round(self.info.labeling, backend=self._backend):
+        while labeling_round(self.info.labeling):
             pass
         self._labeling_stable = True
         self._start_new_identifications()
@@ -411,7 +395,7 @@ class Simulator:
                 changed = False
             else:
                 with prof.span("labeling_round"):
-                    changed = labeling_round(self.info.labeling, backend=self._backend)
+                    changed = labeling_round(self.info.labeling)
                 if not changed:
                     self._labeling_stable = True
             self.stats.total_rounds += 1

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.backend import SCALAR, VECTOR
+from repro.backend import ENV_VAR, SCALAR, VECTOR
 from repro.core import block_construction
 from repro.core.block_construction import (
     LabelingState,
@@ -263,7 +263,7 @@ class TestExtractBlocksOnIndices:
             irregular += sum(not block.is_rectangular for block in blocks)
         assert irregular > 10  # transient, non-rectangular blocks covered
 
-    def test_memo_follows_every_mutation(self, mesh2d):
+    def test_memo_follows_every_mutation(self, mesh2d, monkeypatch):
         state = build_blocks(mesh2d, [(3, 3), (4, 4)]).state
         first = extract_blocks(state)
         assert extract_blocks(state)[0] is first[0]  # one walk per labeling
@@ -281,10 +281,11 @@ class TestExtractBlocksOnIndices:
         assert (1, 8) not in members()
         for backend, spot in ((SCALAR, (7, 3)), (VECTOR, (1, 3))):
             # A disabled node next to a clean one turns clean in the round.
+            monkeypatch.setenv(ENV_VAR, backend)
             state.set_status(spot, NodeStatus.DISABLED)
             state.set_status((spot[0], spot[1] + 1), NodeStatus.CLEAN)
             assert spot in members()
-            assert labeling_round(state, backend=backend)
+            assert labeling_round(state)
             assert spot not in members()
         copy = state.copy()
         copy.make_faulty((8, 1))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.backend import default_backend
+from repro.backend import resolve_backend
 from repro.cli import main
 from repro.routing import available_routers
 
@@ -14,10 +14,8 @@ class TestRouteCommand:
         code = main(
             [
                 "route",
-                "--radix",
-                "10",
-                "--dims",
-                "3",
+                "--shape",
+                "10,10,10",
                 "--source",
                 "0,4,4",
                 "--destination",
@@ -42,10 +40,8 @@ class TestRouteCommand:
             code = main(
                 [
                     "route",
-                    "--radix",
-                    "8",
-                    "--dims",
-                    "2",
+                    "--shape",
+                    "8,8",
                     "--source",
                     "0,0",
                     "--destination",
@@ -61,7 +57,7 @@ class TestRouteCommand:
 
     def test_route_bad_coordinate(self):
         with pytest.raises(SystemExit):
-            main(["route", "--dims", "3", "--source", "0,0", "--destination", "1,1,1"])
+            main(["route", "--shape", "10,10,10", "--source", "0,0", "--destination", "1,1,1"])
 
     def test_route_rectangular_shape(self, capsys):
         code = main(
@@ -82,13 +78,9 @@ class TestRouteCommand:
         assert "16x8x4" in out
         assert "delivered" in out
 
-    def test_shape_excludes_radix_and_dims(self):
-        for extra in (["--radix", "8"], ["--dims", "2"]):
-            with pytest.raises(SystemExit):
-                main(
-                    ["route", "--shape", "8,8", "--source", "0,0",
-                     "--destination", "7,7", *extra]
-                )
+    def test_default_shape_is_10_cubed(self, capsys):
+        assert main(["route", "--source", "0,0,0", "--destination", "9,9,9"]) == 0
+        assert "10x10x10" in capsys.readouterr().out
 
     def test_bad_shape_rejected(self):
         with pytest.raises(SystemExit):
@@ -100,10 +92,8 @@ class TestSimulateCommand:
         code = main(
             [
                 "simulate",
-                "--radix",
-                "10",
-                "--dims",
-                "2",
+                "--shape",
+                "10,10",
                 "--faults",
                 "3",
                 "--messages",
@@ -143,7 +133,7 @@ class TestSimulateCommand:
 class TestCompareCommand:
     def test_compare_table(self, capsys):
         code = main(
-            ["compare", "--radix", "10", "--dims", "2", "--faults", "6", "--messages", "8"]
+            ["compare", "--shape", "10,10", "--faults", "6", "--messages", "8"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -299,7 +289,7 @@ class TestObservabilityCommands:
         assert code == 0
         assert "delivery_rate" in captured.out  # summary untouched
         assert "labeling_round" in captured.err
-        if default_backend() == "vector":
+        if resolve_backend() == "vector":
             # The message-phase sub-spans live in the probe-table engine;
             # the scalar object path reports the phase as one span.
             assert "probe_advance" in captured.err
@@ -340,7 +330,7 @@ class TestObservabilityCommands:
 
 class TestConvergenceCommand:
     def test_convergence_output(self, capsys):
-        code = main(["convergence", "--radix", "10", "--dims", "3", "--edge", "2"])
+        code = main(["convergence", "--shape", "10,10,10", "--edge", "2"])
         out = capsys.readouterr().out
         assert code == 0
         assert "identification rounds" in out
@@ -349,3 +339,164 @@ class TestConvergenceCommand:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestOneSpellingPerSetting:
+    """The mesh is ``--shape``, the backend ``$REPRO_BACKEND`` and the
+    sweep cache ``--cache-dir [DIR]``; no second spelling is left."""
+
+    MESH_COMMANDS = ("route", "simulate", "compare", "convergence", "sweep", "throughput")
+
+    @pytest.mark.parametrize("command", MESH_COMMANDS + ("serve",))
+    def test_help_shows_one_spelling(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        for retired in ("--backend", "--radix", "--dims", "--resume"):
+            assert retired not in out, retired
+        if command in self.MESH_COMMANDS:
+            assert "--shape" in out
+        if command == "sweep":
+            assert "--cache-dir" in out
+            assert "--no-cache" not in out and "--cache " not in out
+        if command == "convergence":
+            assert "--seed" not in out
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(command, flag) for command in MESH_COMMANDS for flag in ("--radix", "--dims")]
+        + [("sweep", "--resume"), ("sweep", "--no-cache"), ("convergence", "--seed")],
+    )
+    def test_retired_flags_refused(self, capsys, command, flag):
+        endpoints = ["--source", "0,0,0", "--destination", "1,1,1"] if command == "route" else []
+        argv = [command, flag] if flag in ("--resume", "--no-cache") else [command, flag, "8"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + endpoints)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_bad_shape_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--shape", "8,x"])
+        assert exc.value.code == 2
+        assert "invalid mesh shape" in capsys.readouterr().err
+
+    def test_throughput_shape_is_single_valued(self, capsys):
+        """``--shape`` given twice keeps the last, as every single-valued
+        option does; there is no multi-mesh throughput curve."""
+        argv = [
+            "throughput", "--shape", "9,9", "--shape", "5,5", "--policy",
+            "limited-global", "--rates", "0.01", "--faults", "0",
+            "--warmup", "4", "--measure", "16", "--drain", "40",
+        ]
+        assert main(argv) == 0
+        once = capsys.readouterr().out
+        assert main(argv[:1] + argv[3:]) == 0
+        assert capsys.readouterr().out == once
+
+
+class TestSweepCacheDir:
+    SWEEP = [
+        "sweep", "--shape", "6,6", "--faults", "2", "--messages", "3",
+        "--seeds", "0,1", "--policies", "limited-global",
+    ]
+
+    def test_cache_dir_resumes_from_its_entries(self, capsys, tmp_path):
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        cache = tmp_path / "cache"
+        assert main([*self.SWEEP, "--cache-dir", str(cache), "--out", str(cold)]) == 0
+        assert "0 hits / 2 lookups" in capsys.readouterr().err
+        assert main([*self.SWEEP, "--cache-dir", str(cache), "--out", str(warm)]) == 0
+        assert "2 hits / 2 lookups (100%)" in capsys.readouterr().err
+        assert cold.read_bytes() == warm.read_bytes()
+
+    def test_bare_cache_dir_uses_the_default_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        assert main([*self.SWEEP, "--cache-dir", "--out", str(tmp_path / "a.json")]) == 0
+        err = capsys.readouterr().err
+        assert f"cache={tmp_path / 'default'}" in err
+        assert len(list((tmp_path / "default").rglob("*.json"))) == 2
+
+    def test_uncached_by_default(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        assert main([*self.SWEEP, "--out", str(tmp_path / "a.json")]) == 0
+        err = capsys.readouterr().err
+        assert "cache=" not in err and "lookups" not in err
+        assert not (tmp_path / "default").exists()
+
+
+class TestThroughputRefusals:
+    """``--saturation`` and ``--trace-out`` refuse the flags they would drop:
+    exit 2 naming the flag, before any cell runs, with no file written."""
+
+    BASE = [
+        "throughput", "--shape", "5,5", "--policy", "limited-global",
+        "--faults", "1", "--warmup", "8", "--measure", "32", "--drain", "60",
+    ]
+
+    @pytest.fixture(autouse=True)
+    def no_cell_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused command ran a cell")
+
+        for name in ("run_cell", "run_batch", "run_throughput_point"):
+            monkeypatch.setattr(f"repro.cli.{name}", refuse)
+
+    def _refused(self, capsys, argv, *named):
+        with pytest.raises(SystemExit) as exc:
+            main(self.BASE + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        for flag in named:
+            assert flag in err, (flag, err)
+
+    def test_saturation_refuses_out(self, capsys, tmp_path):
+        out = tmp_path / "sat.json"
+        self._refused(capsys, ["--saturation", "--out", str(out)], "--saturation", "--out")
+        assert not out.exists()
+
+    def test_trace_out_refuses_out(self, capsys, tmp_path):
+        out, trace = tmp_path / "curve.json", tmp_path / "trace.jsonl"
+        self._refused(
+            capsys,
+            ["--rates", "0.01", "--trace-out", str(trace), "--out", str(out)],
+            "--trace-out", "--out",
+        )
+        assert not out.exists() and not trace.exists()
+
+    def test_saturation_refuses_rates(self, capsys):
+        self._refused(capsys, ["--saturation", "--rates", "0.01,0.05"], "--saturation", "--rates")
+
+    def test_saturation_refuses_workers(self, capsys):
+        self._refused(capsys, ["--saturation", "--workers", "2"], "--saturation", "--workers")
+
+    def test_trace_out_refuses_workers(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        self._refused(
+            capsys,
+            ["--rates", "0.01", "--trace-out", str(trace), "--workers", "4"],
+            "--trace-out", "--workers",
+        )
+        assert not trace.exists()
+
+    def test_saturation_takes_one_worker(self, capsys, monkeypatch):
+        """``--workers 1`` is the in-process default, so it is no conflict."""
+        monkeypatch.setattr("repro.cli.find_saturation", lambda probe: (0.01, []))
+        assert main(self.BASE + ["--saturation", "--workers", "1"]) == 0
+        assert "saturation rate ~ 0.0100" in capsys.readouterr().out
+
+    def test_curve_applies_default_rates(self, monkeypatch, capsys):
+        """Without ``--rates`` the curve runs its six default rates."""
+        specs = []
+
+        class Stop(Exception):
+            pass
+
+        def record(spec, **kwargs):
+            specs.append(spec)
+            raise Stop
+
+        monkeypatch.setattr("repro.cli.run_batch", record)
+        with pytest.raises(Stop):
+            main(self.BASE)
+        assert specs[0].rates == (0.002, 0.005, 0.01, 0.02, 0.04, 0.08)

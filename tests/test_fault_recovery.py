@@ -77,14 +77,13 @@ class TestMidRunFaultParity:
     @pytest.mark.parametrize("policy", PARITY_POLICIES)
     @pytest.mark.parametrize("contention", [False, True])
     def test_backends_identical_through_fault_and_recovery(
-        self, policy, contention
+        self, policy, contention, monkeypatch
     ):
         mesh = Mesh((10, 10))
         fingerprints = {}
         for backend in BACKENDS:
-            config = SimulationConfig(
-                lam=2, router=policy, contention=contention, backend=backend
-            )
+            monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+            config = SimulationConfig(lam=2, router=policy, contention=contention)
             sim = Simulator(
                 mesh,
                 schedule=_mid_run_schedule(),
@@ -95,23 +94,18 @@ class TestMidRunFaultParity:
             fingerprints[backend] = _fingerprint(sim)
         assert fingerprints[SCALAR] == fingerprints[VECTOR]
 
-    def test_table_path_engaged_on_vector(self):
+    def test_table_path_engaged_on_vector(self, monkeypatch):
         """The matrix above must actually compare two different engines."""
         mesh = Mesh((10, 10))
-        sims = {
-            backend: Simulator(
+        sims = {}
+        for backend in BACKENDS:
+            monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+            sims[backend] = Simulator(
                 mesh,
                 schedule=_mid_run_schedule(),
                 traffic=_traffic(mesh),
-                config=SimulationConfig(
-                    lam=2,
-                    router="limited-global",
-                    contention=True,
-                    backend=backend,
-                ),
+                config=SimulationConfig(lam=2, router="limited-global", contention=True),
             )
-            for backend in BACKENDS
-        }
         assert sims[VECTOR]._table is not None
         assert sims[SCALAR]._table is None
 
@@ -119,17 +113,16 @@ class TestMidRunFaultParity:
 class TestLedgerReleaseOnFault:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_no_reserved_link_incident_to_failed_node_after_fault_step(
-        self, backend
+        self, backend, monkeypatch
     ):
         """Teardown frees the dead node's links within the fault's own step."""
+        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
         mesh = Mesh((10, 10))
         fault_time, node = 6, (4, 4)
         schedule = DynamicFaultSchedule(
             events=(FaultEvent(time=fault_time, node=node),)
         )
-        config = SimulationConfig(
-            lam=2, router="limited-global", contention=True, backend=backend
-        )
+        config = SimulationConfig(lam=2, router="limited-global", contention=True)
         sim = Simulator(
             mesh, schedule=schedule, traffic=_traffic(mesh, count=40), config=config
         )
@@ -140,8 +133,9 @@ class TestLedgerReleaseOnFault:
             assert node != u and node != v
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_delivered_circuit_crossing_fault_is_dropped(self, backend):
+    def test_delivered_circuit_crossing_fault_is_dropped(self, backend, monkeypatch):
         """A circuit mid-transfer over the failed node counts as fault-dropped."""
+        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
         mesh = Mesh((10, 10))
         # One message delivered quickly, then held for a long transfer
         # (large flit count); the fault lands on an interior path node
@@ -152,9 +146,7 @@ class TestLedgerReleaseOnFault:
             )
         ]
         schedule = DynamicFaultSchedule(events=(FaultEvent(time=12, node=(4, 1)),))
-        config = SimulationConfig(
-            lam=2, router="limited-global", contention=True, backend=backend
-        )
+        config = SimulationConfig(lam=2, router="limited-global", contention=True)
         sim = Simulator(mesh, schedule=schedule, traffic=traffic, config=config)
         sim.run()
         record = sim.stats.messages[0]

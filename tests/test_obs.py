@@ -36,8 +36,7 @@ from repro.viz.ascii import sparkline
 from repro.workloads.scenarios import simulate_scenario
 
 
-def _contended_sim(backend=None, recorder=None, profiler=None,
-                   router="limited-global"):
+def _contended_sim(recorder=None, profiler=None, router="limited-global"):
     """A contended 8x8 dynamic-fault scenario (the acceptance scenario)."""
     (cell,) = ExperimentSpec(
         mode="simulate", mesh_shapes=((8, 8),), fault_counts=(4,),
@@ -48,9 +47,7 @@ def _contended_sim(backend=None, recorder=None, profiler=None,
         mesh,
         schedule=schedule,
         traffic=traffic,
-        config=SimulationConfig(
-            lam=2, router=router, contention=True, backend=backend
-        ),
+        config=SimulationConfig(lam=2, router=router, contention=True),
         recorder=recorder,
         profiler=profiler,
     )
@@ -72,11 +69,12 @@ class TestPhaseProfiler:
         report = prof.report()
         assert "outer" in report and "inner" in report
 
-    def test_profiled_run_matches_unprofiled(self):
-        plain = _contended_sim(backend="vector")
+    def test_profiled_run_matches_unprofiled(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "vector")
+        plain = _contended_sim()
         plain.run()
         prof = PhaseProfiler()
-        profiled = _contended_sim(backend="vector", profiler=prof)
+        profiled = _contended_sim(profiler=prof)
         profiled.run()
         assert profiled.stats.summary() == plain.stats.summary()
         assert prof.count("step") == plain.stats.steps
@@ -84,11 +82,12 @@ class TestPhaseProfiler:
         # The table engine's message phases were timed under "messages".
         assert prof.count("step", "messages", "probe_advance") > 0
 
-    def test_object_path_profiled_run_matches(self):
-        plain = _contended_sim(backend="scalar")
+    def test_object_path_profiled_run_matches(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "scalar")
+        plain = _contended_sim()
         plain.run()
         prof = PhaseProfiler()
-        profiled = _contended_sim(backend="scalar", profiler=prof)
+        profiled = _contended_sim(profiler=prof)
         profiled.run()
         assert profiled.stats.summary() == plain.stats.summary()
         assert prof.count("step", "information", "labeling_round") > 0
@@ -105,9 +104,10 @@ class TestStepRecorder:
         assert len(recorder) == plain.stats.steps
 
     @pytest.mark.parametrize("backend", ["vector", "scalar"])
-    def test_series_sums_equal_aggregates(self, backend):
+    def test_series_sums_equal_aggregates(self, backend, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
         recorder = StepRecorder(capacity=16)  # force growth too
-        sim = _contended_sim(backend=backend, recorder=recorder)
+        sim = _contended_sim(recorder=recorder)
         sim.run()
         stats = sim.stats
 
@@ -136,13 +136,14 @@ class TestStepRecorder:
         assert recorder.column("reserved_links").max() == stats.peak_reserved_links
 
     @pytest.mark.parametrize("router", ["limited-global", "static-block"])
-    def test_series_identical_across_backends(self, router):
+    def test_series_identical_across_backends(self, router, monkeypatch):
         """The probe table and the scalar probe loop record the same series,
         parked (waiting) probes included."""
         series = {}
         for backend in ("vector", "scalar"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
             recorder = StepRecorder()
-            _contended_sim(backend=backend, recorder=recorder, router=router).run()
+            _contended_sim(recorder=recorder, router=router).run()
             series[backend] = list(recorder.rows())
         assert series["vector"] == series["scalar"]
         assert sum(row["waiting"] for row in series["scalar"]) > 0

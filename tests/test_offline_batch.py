@@ -126,7 +126,7 @@ def test_gate_picks_the_table_for_eligible_routers(name, monkeypatch):
     mesh, labeling = _setting(config)
     router = resolve_router(name)
     batch = router.route_batch(mesh, labeling, config["pairs"])
-    assert bool(steps) == table_eligible(router, None, mesh.n_dims)
+    assert bool(steps) == table_eligible(router, mesh.n_dims)
     oracle = resolve_router(name)
     assert batch == [oracle.route(mesh, labeling, s, d) for s, d in config["pairs"]]
     # max_steps=0 runs no step at all, so no table is stepped either.

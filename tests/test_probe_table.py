@@ -169,7 +169,7 @@ class TestProbeTableScalarParity:
 
 class TestWaiterParking:
     @staticmethod
-    def _sim(backend):
+    def _sim():
         """A 6x6 contended run whose corner waiter W, at (0,0) for (5,5),
         finds both its links held: by A's transfer until step 6 and by B's
         until step 11.  C's and D's holds free other links of the cell at
@@ -186,12 +186,12 @@ class TestWaiterParking:
         ]
         return Simulator(
             Mesh((6, 6)), traffic=traffic,
-            config=SimulationConfig(contention=True, backend=backend),
+            config=SimulationConfig(contention=True),
         )
 
     @pytest.mark.skipif(resolve_backend() != VECTOR, reason="table needs vector")
     def test_waiter_rescans_only_when_its_own_link_frees(self):
-        sim = self._sim(VECTOR)
+        sim = self._sim()
         table = sim._table
         rescans = []
         move = table._move
@@ -210,7 +210,7 @@ class TestWaiterParking:
         assert waiter.message.source == (0, 0)
         assert waiter.result.setup_retries == 5  # waited in steps 1-5
         assert waiter.result.blocked_hops == 10
-        oracle = self._sim(VECTOR)
+        oracle = self._sim()
         _force_scalar_loop(oracle)
         assert _fingerprint(stats) == _fingerprint(oracle.run().stats)
 
@@ -249,14 +249,21 @@ def _recount(table, cell):
     )
 
 
+@pytest.fixture
+def vector(monkeypatch):
+    """Run on the vector backend whatever ``REPRO_BACKEND`` says."""
+    monkeypatch.setenv("REPRO_BACKEND", VECTOR)
+
+
+@pytest.mark.usefixtures("vector")
 class TestSharedTableCounters:
     @staticmethod
     def _vector_sim(cell, recorder=None, table=None):
-        """``cell``'s simulator on a probe table whatever the default
-        backend: ``table`` if given, else its own."""
+        """``cell``'s simulator on a probe table (under the ``vector``
+        fixture): ``table`` if given, else its own."""
         mesh, schedule, traffic = simulate_scenario(cell)
         config = SimulationConfig(lam=cell.lam, router=cell.policy,
-                                  contention=cell.contention, backend=VECTOR)
+                                  contention=cell.contention)
         return Simulator(mesh, schedule=schedule, traffic=traffic,
                          config=config, recorder=recorder, table=table)
 
@@ -442,6 +449,7 @@ class TestFinishedSimulatorsAreFreed:
     """A simulator and its table hold no reference cycle, so a finished run
     is freed as soon as its last user drops it."""
 
+    @pytest.mark.usefixtures("vector")
     def test_solo_table(self):
         cell = _cell("limited-global", "transpose", True, shape=(7, 7), faults=2)
         sim = TestSharedTableCounters._vector_sim(cell)
@@ -452,6 +460,7 @@ class TestFinishedSimulatorsAreFreed:
         assert ref() is None
         assert table() is None
 
+    @pytest.mark.usefixtures("vector")
     def test_joined_shared_table(self):
         cells = [
             _cell("limited-global", "transpose", True, shape=(7, 7), faults=2, seed=seed)

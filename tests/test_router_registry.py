@@ -190,20 +190,24 @@ class TestStaticBlockOnline:
         assert sim.decision_view() is not view
 
 
-def _sim(name, schedule, backend, *, contention=True):
+def _sim(name, schedule, *, contention=True):
     mesh = Mesh.cube(8, 2)
     pairs = [((0, 0), (7, 7)), ((7, 0), (0, 7)), ((0, 4), (7, 4)), ((4, 0), (4, 7))]
     return Simulator(
         mesh,
         schedule=schedule,
         traffic=to_traffic(pairs * 3, start_time=0, spacing=1, flits=8),
-        config=SimulationConfig(router=name, contention=contention, backend=backend),
+        config=SimulationConfig(router=name, contention=contention),
     )
 
 
 class TestScalarDecisionView:
     """The scalar loop decides over ``Simulator.decision_view()`` with one
     decision cache, rebuilt only when that view object changes."""
+
+    @pytest.fixture(autouse=True)
+    def scalar(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "scalar")
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -220,7 +224,7 @@ class TestScalarDecisionView:
 
     @pytest.mark.parametrize("name", ALGORITHM_POLICIES)
     def test_one_cache_per_run_under_static_faults(self, name, built):
-        sim = _sim(name, DynamicFaultSchedule.static([(3, 3), (3, 4), (5, 5)]), "scalar")
+        sim = _sim(name, DynamicFaultSchedule.static([(3, 3), (3, 4), (5, 5)]))
         stats = sim.run().stats
         assert sim._table is None and stats.steps > 10
         assert len(built) == 1 and built[0] is sim.decision_view()
@@ -234,7 +238,7 @@ class TestScalarDecisionView:
                 FaultEvent(11, (4, 4), FaultEventKind.RECOVERY),
             ],
         )
-        sim = _sim("static-block", schedule, "scalar")
+        sim = _sim("static-block", schedule)
         labelings = set()
         while sim.current_step < 30:
             sim.step()
@@ -269,7 +273,8 @@ class TestAlgorithmRouterSubclass:
         )
         outputs = {}
         for backend in ("scalar", "vector"):
-            sim = _sim("bare-view", schedule, backend, contention=contention)
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            sim = _sim("bare-view", schedule, contention=contention)
             assert (sim._table is not None) == (backend == "vector")
             stats = sim.run().stats
             outputs[backend] = (

@@ -269,6 +269,78 @@ class TestJobLifecycle:
         finally:
             manager.shutdown()
 
+    @staticmethod
+    def _assert_failed(job, match):
+        assert job.done.wait(WAIT)
+        assert job.state == "failed" and match in job.error
+        end = json.loads(job.lines[-1])
+        assert end["event"] == "end" and end["state"] == "failed"
+        assert match in end["error"]
+
+    @pytest.mark.parametrize("cause", ["unopenable-cache", "bad-backend"])
+    def test_setup_failure_fails_the_job_not_the_queue(self, tmp_path, monkeypatch, cause):
+        """A cache directory that cannot be created, or an invalid
+        ``REPRO_BACKEND``, fails each job that meets it, with the error in
+        its status and ``end`` line; the slot is freed, so the queued job
+        behind it runs (and fails alike)."""
+        if cause == "unopenable-cache":
+            (tmp_path / "file").write_text("not a directory")
+            cache_dir, match = tmp_path / "file" / "cache", "NotADirectoryError"
+        else:
+            monkeypatch.setenv("REPRO_BACKEND", "bogus")
+            cache_dir, match = tmp_path / "cache", "REPRO_BACKEND='bogus'"
+        manager = JobManager(max_running=1, cache_dir=str(cache_dir))
+        try:
+            first = manager.submit(spec_payload(seeds=[0]))
+            second = manager.submit(spec_payload(seeds=[1]))
+            for job in (first, second):
+                self._assert_failed(job, match)
+            assert manager.drain(WAIT)
+        finally:
+            manager.shutdown()
+
+    def test_next_job_runs_after_a_cache_failure(self, tmp_path, monkeypatch):
+        from repro.service import jobs
+
+        real, opened = jobs.ResultCache, []
+
+        def flaky_cache(root):
+            opened.append(root)
+            if len(opened) == 1:
+                raise PermissionError(f"cannot open {root}")
+            return real(root)
+
+        monkeypatch.setattr(jobs, "ResultCache", flaky_cache)
+        manager = JobManager(max_running=1, cache_dir=str(tmp_path / "cache"))
+        try:
+            first = manager.submit(spec_payload(seeds=[0]))
+            second = manager.submit(spec_payload(seeds=[1]))
+            self._assert_failed(first, "PermissionError")
+            assert second.done.wait(WAIT)
+            assert second.state == DONE and second.result_json is not None
+            assert second.cache_stats["writes"] == second.cells_total
+        finally:
+            manager.shutdown()
+
+    def test_result_export_failure_fails_the_job_not_the_queue(self, monkeypatch):
+        class Unserializable:
+            def to_json(self):
+                raise TypeError("metric is not JSON")
+
+        monkeypatch.setattr(
+            "repro.service.jobs.run_batch", lambda spec, **kwargs: Unserializable()
+        )
+        manager = JobManager(max_running=1)
+        try:
+            first = manager.submit(spec_payload(seeds=[0]))
+            second = manager.submit(spec_payload(seeds=[1]))
+            for job in (first, second):
+                self._assert_failed(job, "TypeError: metric is not JSON")
+                assert job.result_json is None
+            assert manager.drain(WAIT)
+        finally:
+            manager.shutdown()
+
 
 # ---------------------------------------------------------------------- #
 # HTTP layer against a live server
@@ -514,7 +586,7 @@ class TestServeCLI:
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps(spec_payload()))
         with pytest.raises(SystemExit):
-            cli_main(["sweep", "--spec", str(spec_file), "--radix", "5"])
+            cli_main(["sweep", "--spec", str(spec_file), "--shape", "5,5"])
 
     def test_sweep_spec_flag_round_trip(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"

@@ -50,16 +50,18 @@ class TestEligibility:
             expected = cell.policy in ("limited-global", "static-block")
             assert probe_table_eligible(cell) is expected, cell.policy
 
-    def test_above_16_dimensions_never_eligible(self):
+    def test_above_16_dimensions_never_eligible(self, monkeypatch):
         """The used-direction bitmask holds 32 directions: larger meshes
         step the scalar probe loop under every backend."""
+        monkeypatch.setenv("REPRO_BACKEND", VECTOR)
         router = resolve_router("limited-global")
-        assert table_eligible(router, "vector", 16)
-        assert not table_eligible(router, "vector", 17)
+        assert table_eligible(router, 16)
+        assert not table_eligible(router, 17)
 
-    def test_scalar_backend_never_eligible(self):
+    def test_scalar_backend_never_eligible(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "scalar")
         for index, cell in indexed(mixed_spec()):
-            assert probe_table_eligible(cell, backend="scalar") is False
+            assert probe_table_eligible(cell) is False
 
     @VECTOR_ONLY
     def test_non_simulate_modes_never_eligible(self):

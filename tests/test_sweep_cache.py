@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.experiments import cache as cache_module
 from repro.experiments import (
     ExperimentSpec,
     ResultCache,
@@ -63,13 +64,28 @@ class TestFingerprint:
         ):
             assert cell_fingerprint(dataclasses.replace(cell, **change)) != base, change
 
-    def test_backend_and_version_invalidate(self):
+    def test_backend_and_version_invalidate(self, monkeypatch):
         (cell, *_) = cached_spec().cells()
+        monkeypatch.setenv("REPRO_BACKEND", "vector")
         base = cell_fingerprint(cell)
-        assert cell_fingerprint(cell, backend="scalar") != cell_fingerprint(
-            cell, backend="vector"
-        )
-        assert cell_fingerprint(cell, version="99.0.0") != base
+        monkeypatch.setenv("REPRO_BACKEND", "scalar")
+        assert cell_fingerprint(cell) != base
+        monkeypatch.setenv("REPRO_BACKEND", "vector")
+        monkeypatch.setattr(cache_module, "PACKAGE_VERSION", "99.0.0")
+        assert cell_fingerprint(cell) != base
+
+    @pytest.mark.parametrize("backend,expected", [
+        ("vector", "cfdba0102ef4232de3f65246d50c8faa678ad2efc382f85791246152953e53ad"),
+        ("scalar", "c66b9f7d84b00d9baffaff42a3b2ce84e5a7622f21552a73211883738e537ecf"),
+    ])
+    def test_fingerprint_bytes_are_pinned(self, monkeypatch, tmp_path, backend, expected):
+        """The address of an entry never moves: a cache directory written
+        by an earlier build of the same version still hits."""
+        (cell, *_) = cached_spec().cells()
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        monkeypatch.setattr(cache_module, "PACKAGE_VERSION", "0.0.0")
+        assert cell_fingerprint(cell) == expected
+        assert ResultCache(tmp_path).fingerprint(cell) == expected
 
 
 class TestResultCache:
@@ -101,17 +117,33 @@ class TestResultCache:
         assert mixed_cache.stats.writes == wider.cell_count - cached_spec().cell_count
         assert mixed.to_json() == run_batch(wider, engine="serial").to_json()
 
-    def test_backend_change_invalidates_entries(self, tmp_path):
+    def test_backend_change_invalidates_entries(self, tmp_path, monkeypatch):
         spec = cached_spec(policies=("limited-global",), lams=(1,))
-        run_batch(spec, cache=ResultCache(tmp_path, backend="vector"))
-        other = ResultCache(tmp_path, backend="scalar")
+        monkeypatch.setenv("REPRO_BACKEND", "vector")
+        run_batch(spec, cache=ResultCache(tmp_path))
+        monkeypatch.setenv("REPRO_BACKEND", "scalar")
+        other = ResultCache(tmp_path)
         (cell,) = spec.cells()
         assert other.get(cell) is None  # different address, not a stale hit
 
-    def test_version_change_invalidates_entries(self, tmp_path):
+    def test_backend_is_read_once_per_cache(self, tmp_path, monkeypatch):
+        """A cache addresses its entries under the backend live when it was
+        built; its lookups read no environment."""
         spec = cached_spec(policies=("limited-global",), lams=(1,))
-        run_batch(spec, cache=ResultCache(tmp_path, version="1.0.0"))
-        bumped = ResultCache(tmp_path, version="2.0.0")
+        (cell,) = spec.cells()
+        monkeypatch.setenv("REPRO_BACKEND", "vector")
+        cache = ResultCache(tmp_path)
+        run_batch(spec, cache=cache)
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        assert cache.get(cell) is not None
+        assert cache.path_for(cell).exists()
+
+    def test_version_change_invalidates_entries(self, tmp_path, monkeypatch):
+        spec = cached_spec(policies=("limited-global",), lams=(1,))
+        monkeypatch.setattr(cache_module, "PACKAGE_VERSION", "1.0.0")
+        run_batch(spec, cache=ResultCache(tmp_path))
+        monkeypatch.setattr(cache_module, "PACKAGE_VERSION", "2.0.0")
+        bumped = ResultCache(tmp_path)
         (cell,) = spec.cells()
         assert bumped.get(cell) is None
         assert bumped.stats.misses == 1

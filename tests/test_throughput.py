@@ -805,7 +805,7 @@ class TestThroughputCli:
         code = cli.main(
             [
                 "throughput", "--shape", "5,5", "--policy", ",".join(policies),
-                "--rates", "0.01", "--faults", "1", "--warmup", "8",
+                "--faults", "1", "--warmup", "8",
                 "--measure", "32", "--drain", "60", "--saturation",
             ]
         )
@@ -815,11 +815,14 @@ class TestThroughputCli:
             {
                 "schema": SPEC_SCHEMA, "name": "throughput",
                 "mode": "throughput", "mesh_shapes": [[5, 5]],
-                "policies": policies, "fault_counts": [1], "rates": [0.01],
+                "policies": policies, "fault_counts": [1],
+                "rates": list(cli.DEFAULT_RATES),
                 "warmup": 8, "measure": 32, "drain": 60,
             }
         )
-        cells = {cell.policy: cell for cell in spec.cells()}
+        cells = {}
+        for cell in spec.cells():
+            cells.setdefault(cell.policy, cell)  # each policy's first cell
         assert [c.policy for c in probed] == [p for p in policies for _ in range(8)]
         for cell in probed:
             assert cell == replace(cells[cell.policy], rate=cell.rate)

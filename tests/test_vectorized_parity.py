@@ -14,7 +14,7 @@ randomized reserve/release/ref-count/expiry sequences.
 import numpy as np
 import pytest
 
-from repro.backend import SCALAR, VECTOR
+from repro.backend import ENV_VAR, SCALAR, VECTOR
 from repro.core.block_construction import (
     LabelingState,
     build_blocks,
@@ -52,6 +52,12 @@ from repro.workloads.traffic import random_pairs, transpose_pairs
 BACKENDS = (SCALAR, VECTOR)
 
 
+def _on(monkeypatch, backend, fn, *args):
+    """``fn(*args)`` with ``REPRO_BACKEND`` set to ``backend``."""
+    monkeypatch.setenv(ENV_VAR, backend)
+    return fn(*args)
+
+
 def _assert_states_identical(scalar: LabelingState, vector: LabelingState) -> None:
     assert np.array_equal(scalar.codes, vector.codes)
     assert scalar._non_enabled == vector._non_enabled
@@ -67,7 +73,7 @@ def _assert_states_identical(scalar: LabelingState, vector: LabelingState) -> No
 class TestLabelingParity:
     @pytest.mark.parametrize("shape", [(12, 12), (8, 8, 8), (6, 6, 4, 4)])
     @pytest.mark.parametrize("seed", range(4))
-    def test_randomized_fault_churn(self, shape, seed):
+    def test_randomized_fault_churn(self, shape, seed, monkeypatch):
         """Fault → converge → recover → converge → re-fault → converge."""
         mesh = Mesh(shape)
         rng = np.random.default_rng(seed)
@@ -76,7 +82,7 @@ class TestLabelingParity:
 
         states = {b: LabelingState.from_faults(mesh, faults) for b in BACKENDS}
         results = {
-            b: run_block_construction(states[b], backend=b) for b in BACKENDS
+            b: _on(monkeypatch, b, run_block_construction, states[b]) for b in BACKENDS
         }
         assert results[SCALAR].rounds == results[VECTOR].rounds
         assert results[SCALAR].status_changes == results[VECTOR].status_changes
@@ -87,7 +93,7 @@ class TestLabelingParity:
         for node in recovered:
             for backend in BACKENDS:
                 states[backend].recover(node)
-                run_block_construction(states[backend], backend=backend)
+                _on(monkeypatch, backend, run_block_construction, states[backend])
             _assert_states_identical(states[SCALAR], states[VECTOR])
 
         # New faults elsewhere (churn), round-by-round lockstep this time.
@@ -99,27 +105,27 @@ class TestLabelingParity:
                 states[backend].make_faulty(node)
             while True:
                 changed = {
-                    b: labeling_round(states[b], backend=b) for b in BACKENDS
+                    b: _on(monkeypatch, b, labeling_round, states[b]) for b in BACKENDS
                 }
                 assert changed[SCALAR] == changed[VECTOR]
                 _assert_states_identical(states[SCALAR], states[VECTOR])
                 if changed[SCALAR] == 0:
                     break
 
-    def test_surface_touching_block(self):
+    def test_surface_touching_block(self, monkeypatch):
         """Faults near the surface exercise the off-mesh sentinel handling."""
         mesh = Mesh.cube(8, 2)
         faults = [(1, 1), (1, 2), (2, 1), (6, 6), (6, 5)]
         states = {b: LabelingState.from_faults(mesh, faults) for b in BACKENDS}
         for backend in BACKENDS:
-            run_block_construction(states[backend], backend=backend)
+            _on(monkeypatch, backend, run_block_construction, states[backend])
         _assert_states_identical(states[SCALAR], states[VECTOR])
 
-    def test_empty_state_round_is_noop(self):
+    def test_empty_state_round_is_noop(self, monkeypatch):
         mesh = Mesh.cube(6, 2)
         for backend in BACKENDS:
             state = LabelingState(mesh=mesh)
-            assert labeling_round(state, backend=backend) == 0
+            assert _on(monkeypatch, backend, labeling_round, state) == 0
             assert state.mutations == 0
 
 
@@ -138,7 +144,7 @@ class TestScheduleReplayParity:
 
     @pytest.mark.parametrize("contention", [False, True])
     @pytest.mark.parametrize("router", available_routers())
-    def test_dynamic_fault_replay(self, router, contention):
+    def test_dynamic_fault_replay(self, router, contention, monkeypatch):
         """Full simulator runs under both backends are byte-identical.
 
         Faults arrive and recover mid-run, so static-block's scalar loop
@@ -154,13 +160,12 @@ class TestScheduleReplayParity:
         ]
         outputs = {}
         for backend in BACKENDS:
+            monkeypatch.setenv(ENV_VAR, backend)
             sim = Simulator(
                 mesh,
                 schedule=self._schedule(),
                 traffic=list(traffic),
-                config=SimulationConfig(
-                    router=router, contention=contention, backend=backend
-                ),
+                config=SimulationConfig(router=router, contention=contention),
             )
             result = sim.run()
             outputs[backend] = (
@@ -180,7 +185,7 @@ class TestScheduleReplayParity:
 class TestPolicyContentionParity:
     @pytest.mark.parametrize("contention", [False, True])
     @pytest.mark.parametrize("policy", sorted(available_routers()))
-    def test_policy_parity_both_contention_modes(self, policy, contention):
+    def test_policy_parity_both_contention_modes(self, policy, contention, monkeypatch):
         """Acceptance gate: every registry policy x contention mode, both backends.
 
         With the vector backend the simulator runs every policy but
@@ -204,13 +209,12 @@ class TestPolicyContentionParity:
         ]
         outputs = {}
         for backend in BACKENDS:
+            monkeypatch.setenv(ENV_VAR, backend)
             sim = Simulator(
                 mesh,
                 schedule=DynamicFaultSchedule.static(faults),
                 traffic=list(traffic),
-                config=SimulationConfig(
-                    router=policy, contention=contention, backend=backend
-                ),
+                config=SimulationConfig(router=policy, contention=contention),
             )
             stats = sim.run().stats
             outputs[backend] = (
