@@ -13,9 +13,13 @@ so overlapping sweeps with different grid layouts share entries.
 Entries are one JSON file each, written atomically (a temp file private
 to the writing process and thread, then :func:`os.replace`) as the cell's
 result lands — an interrupted sweep leaves only whole entries behind and
-resumes from them, and concurrent writers of one entry never collide.  A
-corrupted or truncated entry is treated as a miss and recomputed, never
-trusted and never fatal.
+resumes from them, and concurrent writers of one entry never collide.  An
+entry holds its fingerprint and the cell's metrics, and a lookup reads
+only those two fields, so the entries of earlier builds (which also
+recorded the cell identity, backend, format and version) still hit.  A
+corrupted or truncated entry, or one with a metric that is not a JSON
+number, is treated as a miss and recomputed, never trusted and never
+fatal.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro import __version__ as PACKAGE_VERSION
 from repro.backend import resolve_backend
@@ -50,19 +54,35 @@ def default_cache_dir() -> Path:
     return Path("~/.cache/repro-mesh").expanduser()
 
 
-def _context() -> Dict[str, object]:
-    """What an address covers besides the cell: the entry format, the live
-    backend and the package version (every entry also records them)."""
-    return {
+#: The hashed text's encoder: compact, sorted keys.  ``json.dumps`` with
+#: options builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: The exact types a cached metric may have (``bool`` is an ``int``
+#: subclass, so an entry holding ``true`` is not served).
+_METRIC_TYPES = frozenset((int, float))
+
+
+def _frame() -> Tuple[str, str]:
+    """The hashed text around the cell identity, as ``(head, tail)``.
+
+    An address hashes the compact sorted-key JSON of
+    ``{"format", "backend", "version", "cell"}``: the entry format, the
+    live backend and the package version, and the cell identity.  Only the
+    cell varies within one cache, so the rest is rendered once.
+    """
+    context = {
         "format": CACHE_FORMAT,
         "backend": resolve_backend(),
         "version": PACKAGE_VERSION,
+        "cell": None,
     }
+    head, tail = _ENCODER.encode(context).split('"cell":null')
+    return head + '"cell":', tail
 
 
-def _fingerprint(cell: ExperimentCell, context: Dict[str, object]) -> str:
-    payload = dict(context, cell=cell.identity())
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _fingerprint(cell: ExperimentCell, frame: Tuple[str, str]) -> str:
+    text = frame[0] + _ENCODER.encode(cell.identity()) + frame[1]
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -75,7 +95,7 @@ def cell_fingerprint(cell: ExperimentCell) -> str:
     switch or a release invalidates every entry instead of silently
     serving stale numbers.
     """
-    return _fingerprint(cell, _context())
+    return _fingerprint(cell, _frame())
 
 
 @dataclass
@@ -126,13 +146,13 @@ class ResultCache:
         # Read once, when the cache is built: its entries are addressed as
         # cell_fingerprint addressed them then, and a lookup reads no
         # environment.
-        self._context = _context()
+        self._frame = _frame()
 
     # ------------------------------------------------------------------ #
     # addressing
     # ------------------------------------------------------------------ #
     def fingerprint(self, cell: ExperimentCell) -> str:
-        return _fingerprint(cell, self._context)
+        return _fingerprint(cell, self._frame)
 
     def path_for(self, cell: ExperimentCell) -> Path:
         """Entry path: two-level fan-out keeps directories small."""
@@ -167,12 +187,14 @@ class ResultCache:
             self.stats.invalid += 1
             self.stats.misses += 1
             return None
-        metrics = payload.get("metrics") if isinstance(payload, dict) else None
+        # Only the fingerprint and the metrics are read: an entry an older
+        # build wrote, with its backend, cell, format and version fields,
+        # hits like a lean one.  JSON object keys are always strings.
+        metrics = payload.get("metrics") if type(payload) is dict else None
         if (
-            not isinstance(metrics, dict)
+            type(metrics) is not dict
             or payload.get("fingerprint") != fp
-            or not all(isinstance(k, str) for k in metrics)
-            or not all(isinstance(v, (int, float)) for v in metrics.values())
+            or not _METRIC_TYPES.issuperset(map(type, metrics.values()))
         ):
             self.stats.invalid += 1
             self.stats.misses += 1
@@ -194,12 +216,7 @@ class ResultCache:
         path = self._entry(fp)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
-        payload = dict(
-            self._context,
-            fingerprint=fp,
-            cell=cell.identity(),
-            metrics={k: metrics[k] for k in sorted(metrics)},
-        )
+        payload = {"fingerprint": fp, "metrics": metrics}
         tmp = f"{directory}{os.sep}{fp}.tmp.{os.getpid()}.{threading.get_ident()}"
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(payload, sort_keys=True))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _escape
+from math import isfinite
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.spec import ExperimentCell, ExperimentSpec
@@ -42,12 +43,16 @@ def canonical_json(payload: object) -> str:
     every indented dump runs its generator-based Python encoder.  This
     writer builds the same text directly: each container is one
     ``str.join``, strings go through json's C ``encode_basestring_ascii``,
-    and numbers are written as json writes them (``int.__repr__`` and
-    ``float.__repr__`` for subclasses too, so ``numpy.float64`` and
-    ``IntEnum`` values match; ``NaN``/``Infinity`` spellings; ``bool``
-    before ``int``).  ``payload`` must be a tree: a cycle raises
-    :class:`RecursionError` where json raises :class:`ValueError`.
-    ``json.dumps`` stays the named oracle (``tests/test_canonical_json.py``).
+    and numbers are written as json writes them (``NaN``/``Infinity``
+    spellings).  Values of exactly ``str``, ``float``, ``int``, ``dict`` and
+    ``list`` take a dispatch on their type, and a dict writes such scalar
+    values inline; everything else (``bool``, ``None``, tuples and
+    subclasses such as ``IntEnum``, ``numpy.float64`` and ``OrderedDict``)
+    takes an ``isinstance`` path, with ``int.__repr__`` and
+    ``float.__repr__`` for numeric subclasses and ``bool`` before ``int``.
+    ``payload`` must be a tree: a cycle raises :class:`RecursionError`
+    where json raises :class:`ValueError`.  ``json.dumps`` stays the named
+    oracle (``tests/test_canonical_json.py``).
     """
     return _encode(payload, "\n")
 
@@ -55,6 +60,40 @@ def canonical_json(payload: object) -> str:
 def _encode(value: object, newline: str) -> str:
     """``value`` as JSON text; ``newline`` is the line break and indent of
     the line ``value`` starts on."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is float:
+        return repr(value) if isfinite(value) else _FLOAT_SPELLINGS[repr(value)]
+    if kind is int:
+        return repr(value)
+    inner = newline + "  "
+    if kind is dict or isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in sorted(value.items()):
+            item_type = type(item)
+            if item_type is float and isfinite(item) or item_type is int:
+                text = repr(item)
+            elif item_type is str:
+                text = _escape(item)
+            else:
+                text = _encode(item, inner)
+            items.append(f"{_escape(key) if type(key) is str else _key(key)}: {text}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return _scalar(value)
+
+
+def _scalar(value: object) -> str:
+    """A scalar that is not exactly a ``str``, ``float`` or ``int``, as json
+    writes it: ``bool`` before ``int``, numeric subclasses by their base
+    type's ``repr``."""
     if isinstance(value, float):
         text = float.__repr__(value)
         return _FLOAT_SPELLINGS.get(text, text)
@@ -68,30 +107,17 @@ def _encode(value: object, newline: str) -> str:
         return int.__repr__(value)
     if value is None:
         return "null"
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_encode(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            (_escape(key) if isinstance(key, str) else _key(key))
-            + ": "
-            + _encode(item, inner)
-            for key, item in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _key(key: object) -> str:
-    """A non-string dict key, quoted as json coerces it: the key's own JSON
-    text (``bool`` is an ``int``)."""
+    """A dict key that is not exactly a ``str``, quoted as json coerces it:
+    a ``str`` subclass as its text, a number, ``bool`` or ``None`` as its
+    own JSON text."""
+    if isinstance(key, str):
+        return _escape(key)
     if isinstance(key, (float, int)) or key is None:
-        return '"' + _encode(key, "") + '"'
+        return '"' + _scalar(key) + '"'
     raise TypeError(
         f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
     )

@@ -10,6 +10,7 @@ drift: non-finite and signed-zero floats, huge numbers, escapes, empty and
 nested containers, tuples and numeric subclasses.
 """
 
+import collections
 import enum
 import json
 
@@ -102,6 +103,14 @@ class Level(enum.IntEnum):
     HIGH = 3
 
 
+class Label(str):
+    pass
+
+
+class Row(list):
+    pass
+
+
 EDGE_VALUES = {
     "nan": float("nan"),
     "inf": float("inf"),
@@ -120,6 +129,15 @@ EDGE_VALUES = {
     "numpy-float64": np.float64(0.1),
     "numpy-float64-nan": np.float64("nan"),
     "int-enum": Level.HIGH,
+    # Subclasses of the exact types the writer dispatches on, and a flat
+    # dict of values that are not exactly str, float or int.
+    "ordered-dict": collections.OrderedDict([("b", 1), ("a", 2.5), ("c", "x")]),
+    "str-subclass": Label("label é"),
+    "list-subclass": Row([1, 2.5, "x", Row([])]),
+    "flat-dict-non-exact": {
+        "true": True, "none": None, "np": np.float64(0.25),
+        "np-inf": np.float64("-inf"), "false": False, "enum": Level.HIGH,
+    },
     "scalar-root": 2.5,
     "string-root": "root é",
     "none-root": None,
@@ -142,8 +160,9 @@ def test_edge_values_match_oracle(name):
         {True: "true", False: "false"},
         {None: "null"},
         {"b": 1, "a": 2, "é": 3, "\n": 4},
+        {Label("b"): 1, "a": 2, Label("é"): 3},
     ],
-    ids=["int", "float", "bool", "none", "str"],
+    ids=["int", "float", "bool", "none", "str", "str-subclass"],
 )
 def test_dict_keys_coerced_like_oracle(keys):
     assert canonical_json(keys) == oracle(keys)

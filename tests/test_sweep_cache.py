@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.backend import resolve_backend
 from repro.experiments import cache as cache_module
 from repro.experiments import (
     ExperimentSpec,
@@ -164,10 +165,18 @@ class TestResultCache:
             lambda text: json.dumps(
                 dict(json.loads(text), metrics={"delivery_rate": "1.0"})
             ),
+            # ``bool`` is an ``int`` subclass: served, a warm run would write
+            # ``true`` where the cold run wrote a number.
+            lambda text: json.dumps(
+                dict(
+                    json.loads(text),
+                    metrics=dict(json.loads(text)["metrics"], delivery_rate=True),
+                )
+            ),
         ],
         ids=[
             "empty", "truncated", "garbage", "wrong-fp", "bad-metrics",
-            "not-object", "not-utf8", "non-numeric-metric",
+            "not-object", "not-utf8", "non-numeric-metric", "boolean-metric",
         ],
     )
     def test_corrupted_entry_recomputed(self, tmp_path, corruption):
@@ -191,6 +200,44 @@ class TestResultCache:
         # ... and the healed entry now hits.
         healed = ResultCache(tmp_path)
         assert healed.get(cell) is not None
+
+    def test_entry_bytes_are_pinned(self, monkeypatch, tmp_path):
+        """An entry holds its fingerprint and the cell's metrics, nothing
+        else: a lookup reads only those two fields."""
+        (cell, *_) = cached_spec().cells()
+        monkeypatch.setenv("REPRO_BACKEND", "vector")
+        monkeypatch.setattr(cache_module, "PACKAGE_VERSION", "0.0.0")
+        cache = ResultCache(tmp_path)
+        path = cache.put(cell, {"steps": 31, "mean_hops": 7.25, "delivery_rate": 1.0})
+        assert path.read_bytes() == (
+            b'{"fingerprint": '
+            b'"cfdba0102ef4232de3f65246d50c8faa678ad2efc382f85791246152953e53ad", '
+            b'"metrics": {"delivery_rate": 1.0, "mean_hops": 7.25, "steps": 31}}'
+        )
+        assert cache.get(cell) == {"delivery_rate": 1.0, "mean_hops": 7.25, "steps": 31}
+
+    def test_entries_with_the_old_fields_still_hit(self, tmp_path):
+        """Entries that earlier builds wrote also carry the backend, the cell
+        identity, the format and the version; they sit at the same address
+        and serve every lookup."""
+        spec = cached_spec()
+        cache = ResultCache(tmp_path)
+        cold = run_batch(spec, cache=cache).to_json()
+        for cell in spec.cells():
+            path = cache.path_for(cell)
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            assert sorted(entry) == ["fingerprint", "metrics"]
+            entry.update(
+                backend=resolve_backend(),
+                cell=cell.identity(),
+                format=cache_module.CACHE_FORMAT,
+                version=cache_module.PACKAGE_VERSION,
+            )
+            path.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+        warm = ResultCache(tmp_path)
+        assert run_batch(spec, cache=warm).to_json() == cold
+        assert warm.stats.hits == spec.cell_count
+        assert warm.stats.misses == warm.stats.invalid == warm.stats.writes == 0
 
     def test_concurrent_writers_of_one_entry(self, tmp_path):
         """Threads of one process (``repro-mesh serve`` runs two jobs at
